@@ -190,6 +190,11 @@ fn eval_unchecked(expr: &RaExpr, cdb: &ConditionalDatabase) -> ConditionalTable 
 /// null-carrying) tuple, into a condition on nulls. Shared with the
 /// physical-plan c-table executor (`releval::exec`), which evaluates the
 /// same algebra over hash-joined row streams.
+///
+/// Ground and trivial atoms fold to `true`/`false` as they are built, and
+/// the connectives absorb them, so a selection whose predicate is refuted
+/// by a row's constants yields `false` and the row is dropped at once
+/// instead of riding through every later operator.
 pub fn predicate_condition(p: &Predicate, tuple: &Tuple) -> Condition {
     let resolve = |o: &Operand| -> Value {
         match o {
@@ -200,8 +205,8 @@ pub fn predicate_condition(p: &Predicate, tuple: &Tuple) -> Condition {
     match p {
         Predicate::True => Condition::True,
         Predicate::False => Condition::False,
-        Predicate::Eq(a, b) => Condition::eq(resolve(a), resolve(b)),
-        Predicate::NotEq(a, b) => Condition::neq(resolve(a), resolve(b)),
+        Predicate::Eq(a, b) => Condition::eq(resolve(a), resolve(b)).simplify(),
+        Predicate::NotEq(a, b) => Condition::neq(resolve(a), resolve(b)).simplify(),
         Predicate::And(a, b) => predicate_condition(a, tuple).and(predicate_condition(b, tuple)),
         Predicate::Or(a, b) => predicate_condition(a, tuple).or(predicate_condition(b, tuple)),
         Predicate::Not(inner) => predicate_condition(inner, tuple).negate(),
@@ -358,5 +363,21 @@ mod tests {
         let plain = ConditionalDatabase::from_database(&difference_example());
         let ans = eval_ctable(&RaExpr::relation("R"), &plain).unwrap();
         assert!(ans.rows().iter().all(|r| r.condition == Condition::True));
+    }
+
+    #[test]
+    fn predicate_conditions_fold_ground_atoms() {
+        let p = Predicate::eq(Operand::col(0), Operand::int(2))
+            .and(Predicate::eq(Operand::col(1), Operand::col(0)));
+        // A constant refutes the first conjunct: the whole selection is
+        // `false`, however the null column fares.
+        let refuted = Tuple::new(vec![Value::int(5), Value::null(0)]);
+        assert_eq!(predicate_condition(&p, &refuted), Condition::False);
+        // A satisfied ground atom drops out, leaving the null's atom.
+        let open = Tuple::new(vec![Value::int(2), Value::null(0)]);
+        assert_eq!(
+            predicate_condition(&p, &open),
+            Condition::eq(Value::null(0), Value::int(2))
+        );
     }
 }

@@ -3,14 +3,35 @@
 //!
 //! Conditions are Boolean combinations of (in)equalities between marked
 //! nulls and constants, interpreted over the infinite domain of all
-//! constants. For that theory the classical decision procedure is complete:
-//! normalize to negation normal form, distribute to DNF (with an explicit
-//! clause budget — the only way the solver ever punts), and check each
-//! conjunctive clause for consistency by congruence closure (union–find).
-//! A clause is satisfiable iff merging its equalities never merges two
-//! distinct constants and no disequality connects two values of the same
-//! class: over an infinite domain nothing else can go wrong, because every
-//! free equivalence class can be assigned its own fresh constant.
+//! constants. Every question reduces to one satisfiability check (validity
+//! of `c` is unsatisfiability of `¬c`), decided by a DPLL-style search:
+//!
+//! 1. **Compile** the condition into negation normal form over an arena of
+//!    `And`/`Or` nodes and atoms, folding ground atoms and `true`/`false`
+//!    on the way. A root that folds to a constant is a *simplification
+//!    win*: no search runs.
+//! 2. **Propagate.** Conjunctions are asserted outright: equalities into a
+//!    backtrackable union–find, disequalities into a list beside it. A
+//!    conflict is two **distinct constants** in one class (this is where
+//!    `Int(1)` and `Str("1")` must stay apart) or a disequality inside one
+//!    class. Each open disjunction is checked against the current classes:
+//!    one with a child already entailed is dropped, one with every child
+//!    refuted is a conflict, and one with a single live child asserts it.
+//! 3. **Decide.** Branch on the open disjunction with the fewest live
+//!    children, one child per branch; on a conflict, undo the union–find
+//!    trail to the last decision and try its next child (asserting the
+//!    negations of the atoms already tried). The first branch that closes
+//!    every disjunction consistently is a model; running out of branches
+//!    is unsatisfiability.
+//!
+//! A consistent state is satisfiable over the infinite domain because every
+//! constant-free class can be assigned its own fresh constant, so no
+//! valuation is ever enumerated. The search is an explicit loop over a
+//! stack of decisions, in space polynomial in the condition, and the
+//! compiler walks the condition with an explicit stack too, so a deeply
+//! nested condition cannot overflow the call stack. The number of
+//! decisions is the budget ([`SolverOptions::max_decisions`]) — the only
+//! way the solver ever punts.
 //!
 //! This is what makes symbolic c-table evaluation polynomial-per-tuple
 //! where possible-world enumeration is exponential in the number of nulls:
@@ -25,7 +46,7 @@
 //! are the expansion-based oracles the property tests check against, in the
 //! same spirit as [`crate::verify`].
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 use relmodel::valuation::{domain_with_fresh, ValuationEnumerator};
@@ -36,16 +57,17 @@ use super::Condition;
 /// Budgets governing how much work the solver may do before punting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverOptions {
-    /// Maximum number of DNF clauses a single query may produce. DNF
-    /// distribution is the one exponential step of the procedure (driven by
-    /// query *size*, not by the number of nulls), so it carries the budget.
-    pub max_dnf_clauses: usize,
+    /// Maximum number of branching decisions a single question may take.
+    /// Branching is the one exponential step of the procedure (driven by
+    /// the number of disjunctions, not by the number of nulls), so it
+    /// carries the budget.
+    pub max_decisions: usize,
 }
 
 impl Default for SolverOptions {
     fn default() -> Self {
         SolverOptions {
-            max_dnf_clauses: 16_384,
+            max_decisions: 16_384,
         }
     }
 }
@@ -54,10 +76,9 @@ impl Default for SolverOptions {
 /// the explicit signal for callers to fall back to world enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverPunt {
-    /// DNF distribution exceeded [`SolverOptions::max_dnf_clauses`].
-    ClauseBudgetExceeded {
-        /// Clauses produced when the budget fired.
-        clauses: usize,
+    /// The search needed more than [`SolverOptions::max_decisions`]
+    /// branching decisions.
+    DecisionBudgetExceeded {
         /// The configured maximum.
         budget: usize,
     },
@@ -66,9 +87,9 @@ pub enum SolverPunt {
 impl fmt::Display for SolverPunt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolverPunt::ClauseBudgetExceeded { clauses, budget } => write!(
+            SolverPunt::DecisionBudgetExceeded { budget } => write!(
                 f,
-                "DNF conversion produced {clauses} clauses, exceeding the budget of {budget}"
+                "the search needed more than the budget of {budget} decisions"
             ),
         }
     }
@@ -80,38 +101,31 @@ impl fmt::Display for SolverPunt {
 pub struct SolverStats {
     /// Validity / satisfiability / entailment questions asked.
     pub calls: usize,
-    /// Questions the structural simplifier resolved outright (to a constant
-    /// `true`/`false`), without building any DNF.
+    /// Questions the compiler's constant folding resolved outright (to
+    /// `true`/`false`), without any search.
     pub simplification_wins: usize,
-    /// Largest DNF (in clauses) any single question required.
-    pub peak_dnf_clauses: usize,
+    /// Branching decisions taken across all questions — the search's unit
+    /// of work, and the unit of [`SolverOptions::max_decisions`].
+    pub decisions: usize,
 }
 
 /// A decision procedure for conditions, carrying its budget and counters.
+/// The solver keeps its arena and search buffers between questions, so
+/// asking many questions of one solver allocates little.
 #[derive(Debug, Clone, Default)]
 pub struct CertaintySolver {
     options: SolverOptions,
     stats: SolverStats,
+    formula: Formula,
+    search: Search,
 }
-
-/// One DNF literal: an equality (`eq = true`) or disequality between two
-/// values (each a constant or a null).
-#[derive(Debug, Clone)]
-struct Literal {
-    eq: bool,
-    lhs: Value,
-    rhs: Value,
-}
-
-/// A conjunctive clause; the empty clause is `true`.
-type Clause = Vec<Literal>;
 
 impl CertaintySolver {
     /// A solver with the given budget.
     pub fn new(options: SolverOptions) -> Self {
         CertaintySolver {
             options,
-            stats: SolverStats::default(),
+            ..CertaintySolver::default()
         }
     }
 
@@ -122,34 +136,12 @@ impl CertaintySolver {
 
     /// Is the condition true under **every** valuation of its nulls?
     pub fn is_valid(&mut self, condition: &Condition) -> Result<bool, SolverPunt> {
-        self.stats.calls += 1;
-        match condition.simplify() {
-            Condition::True => {
-                self.stats.simplification_wins += 1;
-                Ok(true)
-            }
-            Condition::False => {
-                self.stats.simplification_wins += 1;
-                Ok(false)
-            }
-            other => Ok(!self.satisfiable_core(other.negate())?),
-        }
+        Ok(!self.satisfiable(&[(condition, false)])?)
     }
 
     /// Is the condition true under **some** valuation of its nulls?
     pub fn is_satisfiable(&mut self, condition: &Condition) -> Result<bool, SolverPunt> {
-        self.stats.calls += 1;
-        match condition.simplify() {
-            Condition::True => {
-                self.stats.simplification_wins += 1;
-                Ok(true)
-            }
-            Condition::False => {
-                self.stats.simplification_wins += 1;
-                Ok(false)
-            }
-            other => self.satisfiable_core(other),
-        }
+        self.satisfiable(&[(condition, true)])
     }
 
     /// Does every valuation satisfying `premise` satisfy `conclusion`?
@@ -161,175 +153,525 @@ impl CertaintySolver {
         premise: &Condition,
         conclusion: &Condition,
     ) -> Result<bool, SolverPunt> {
+        Ok(!self.satisfiable(&[(premise, true), (conclusion, false)])?)
+    }
+
+    /// Satisfiability of the conjunction of `parts`, each taken as is
+    /// (`true`) or negated (`false`).
+    fn satisfiable(&mut self, parts: &[(&Condition, bool)]) -> Result<bool, SolverPunt> {
         self.stats.calls += 1;
-        let question = premise.clone().and(conclusion.clone().negate());
-        match question.simplify() {
-            Condition::False => {
-                self.stats.simplification_wins += 1;
-                Ok(true)
-            }
-            Condition::True => {
-                self.stats.simplification_wins += 1;
-                Ok(false)
-            }
-            other => Ok(!self.satisfiable_core(other)?),
+        let root = self.formula.compile(parts);
+        if root == TRUE || root == FALSE {
+            self.stats.simplification_wins += 1;
+            return Ok(root == TRUE);
         }
+        let (verdict, decisions) = self
+            .search
+            .run(&self.formula, root, self.options.max_decisions);
+        self.stats.decisions += decisions;
+        verdict
     }
+}
 
-    /// Satisfiability of an already-simplified, non-constant condition.
-    fn satisfiable_core(&mut self, condition: Condition) -> Result<bool, SolverPunt> {
-        let clauses = self.dnf(&nnf(condition))?;
-        Ok(clauses.iter().any(|c| clause_satisfiable(c)))
-    }
+/// An index into [`Formula::nodes`].
+type NodeId = u32;
+/// An index into the interned terms (nulls and constants) of a formula.
+type TermId = u32;
 
-    fn check_budget(&self, clauses: usize) -> Result<(), SolverPunt> {
-        if clauses > self.options.max_dnf_clauses {
-            return Err(SolverPunt::ClauseBudgetExceeded {
-                clauses,
-                budget: self.options.max_dnf_clauses,
-            });
-        }
-        Ok(())
-    }
+/// The folded constants, pre-allocated at fixed ids.
+const TRUE: NodeId = 0;
+const FALSE: NodeId = 1;
 
-    /// DNF of a negation-normal-form condition, under the clause budget.
-    fn dnf(&mut self, condition: &Condition) -> Result<Vec<Clause>, SolverPunt> {
-        let out = match condition {
-            Condition::True => vec![Vec::new()],
-            Condition::False => Vec::new(),
-            Condition::Eq(a, b) => vec![vec![Literal {
-                eq: true,
-                lhs: a.clone(),
-                rhs: b.clone(),
-            }]],
-            Condition::Neq(a, b) => vec![vec![Literal {
-                eq: false,
-                lhs: a.clone(),
-                rhs: b.clone(),
-            }]],
-            Condition::Or(cs) => {
-                let mut clauses = Vec::new();
-                for c in cs {
-                    clauses.extend(self.dnf(c)?);
-                    self.check_budget(clauses.len())?;
-                }
-                clauses
-            }
-            Condition::And(cs) => {
-                let mut acc: Vec<Clause> = vec![Vec::new()];
-                for c in cs {
-                    let sub = self.dnf(c)?;
-                    let mut next = Vec::new();
-                    for a in &acc {
-                        for s in &sub {
-                            let mut merged = a.clone();
-                            merged.extend(s.iter().cloned());
-                            next.push(merged);
-                            self.check_budget(next.len())?;
-                        }
+/// One node of a negation-normal-form formula. `And`/`Or` children are the
+/// slice `kids[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Const(bool),
+    Atom { eq: bool, a: TermId, b: TermId },
+    And { start: u32, len: u32 },
+    Or { start: u32, len: u32 },
+}
+
+/// A condition compiled to negation normal form: an arena of nodes over
+/// interned terms. Rebuilt per question; the buffers are reused.
+#[derive(Debug, Clone, Default)]
+struct Formula {
+    nodes: Vec<Node>,
+    kids: Vec<NodeId>,
+    terms: HashMap<Value, TermId>,
+    /// Per term: is it a constant?
+    constant: Vec<bool>,
+    /// Compiler scratch: finished subformulas, and the children of the
+    /// node being joined.
+    done: Vec<NodeId>,
+    joined: Vec<NodeId>,
+}
+
+/// A step of the compiler's explicit traversal stack.
+enum Task<'c> {
+    /// Compile this condition, negated when the flag is `false`.
+    Visit(&'c Condition, bool),
+    /// Join the last `arity` finished subformulas into an `And` (flag
+    /// `true`) or an `Or`.
+    Join(bool, usize),
+}
+
+impl Formula {
+    /// Compiles the conjunction of `parts` (each negated when its flag is
+    /// `false`) and returns the root, which is [`TRUE`] or [`FALSE`] when
+    /// the folding decides it.
+    fn compile(&mut self, parts: &[(&Condition, bool)]) -> NodeId {
+        self.nodes.clear();
+        self.kids.clear();
+        self.terms.clear();
+        self.constant.clear();
+        self.done.clear();
+        self.nodes.extend([Node::Const(true), Node::Const(false)]);
+        let mut tasks = vec![Task::Join(true, parts.len())];
+        tasks.extend(
+            parts
+                .iter()
+                .rev()
+                .map(|&(c, positive)| Task::Visit(c, positive)),
+        );
+        while let Some(task) = tasks.pop() {
+            match task {
+                Task::Visit(condition, positive) => match condition {
+                    Condition::True => self.done.push(if positive { TRUE } else { FALSE }),
+                    Condition::False => self.done.push(if positive { FALSE } else { TRUE }),
+                    Condition::Eq(a, b) => {
+                        let atom = self.atom(positive, a, b);
+                        self.done.push(atom);
                     }
-                    acc = next;
+                    Condition::Neq(a, b) => {
+                        let atom = self.atom(!positive, a, b);
+                        self.done.push(atom);
+                    }
+                    Condition::Not(inner) => tasks.push(Task::Visit(inner, !positive)),
+                    // De Morgan: a negated conjunction is a disjunction.
+                    Condition::And(cs) | Condition::Or(cs) => {
+                        let and = matches!(condition, Condition::And(_)) == positive;
+                        tasks.push(Task::Join(and, cs.len()));
+                        tasks.extend(cs.iter().rev().map(|c| Task::Visit(c, positive)));
+                    }
+                },
+                Task::Join(and, arity) => {
+                    let start = self.done.len() - arity;
+                    let node = self.join(and, start);
+                    self.done.truncate(start);
+                    self.done.push(node);
                 }
-                acc
             }
-            Condition::Not(_) => unreachable!("negation normal form has no Not nodes"),
+        }
+        self.done.pop().expect("the outer join leaves the root")
+    }
+
+    fn term(&mut self, value: &Value) -> TermId {
+        if let Some(&id) = self.terms.get(value) {
+            return id;
+        }
+        let id = self.constant.len() as TermId;
+        self.constant.push(value.is_const());
+        self.terms.insert(value.clone(), id);
+        id
+    }
+
+    /// The atom `a = b` (`eq`) or `a ≠ b`, folded when it is ground or
+    /// trivial.
+    fn atom(&mut self, eq: bool, a: &Value, b: &Value) -> NodeId {
+        let (a, b) = (self.term(a), self.term(b));
+        let holds = if a == b {
+            eq
+        } else if self.constant[a as usize] && self.constant[b as usize] {
+            !eq
+        } else {
+            return self.push(Node::Atom { eq, a, b });
         };
-        self.stats.peak_dnf_clauses = self.stats.peak_dnf_clauses.max(out.len());
-        Ok(out)
-    }
-}
-
-/// Negation normal form: pushes every `Not` down to the atoms (where it
-/// flips `Eq`/`Neq`), leaving only `And`/`Or` combinations of literals.
-fn nnf(condition: Condition) -> Condition {
-    match condition {
-        Condition::Not(inner) => nnf_negated(*inner),
-        Condition::And(cs) => Condition::And(cs.into_iter().map(nnf).collect()),
-        Condition::Or(cs) => Condition::Or(cs.into_iter().map(nnf).collect()),
-        atom => atom,
-    }
-}
-
-fn nnf_negated(condition: Condition) -> Condition {
-    match condition {
-        Condition::True => Condition::False,
-        Condition::False => Condition::True,
-        Condition::Eq(a, b) => Condition::Neq(a, b),
-        Condition::Neq(a, b) => Condition::Eq(a, b),
-        Condition::And(cs) => Condition::Or(cs.into_iter().map(nnf_negated).collect()),
-        Condition::Or(cs) => Condition::And(cs.into_iter().map(nnf_negated).collect()),
-        Condition::Not(inner) => nnf(*inner),
-    }
-}
-
-/// Congruence closure over one conjunctive clause: union the equalities,
-/// then look for a clash — two **distinct constants** in one class (this is
-/// where `Int(1)` and `Str("1")` must stay apart), or a disequality whose
-/// two sides ended up in the same class. Consistent clauses are satisfiable
-/// over the infinite domain: assign every constant-carrying class its
-/// constant and every free class its own fresh constant.
-fn clause_satisfiable(clause: &[Literal]) -> bool {
-    let mut index: BTreeMap<&Value, usize> = BTreeMap::new();
-    let mut parent: Vec<usize> = Vec::new();
-
-    fn term_id<'a>(
-        value: &'a Value,
-        index: &mut BTreeMap<&'a Value, usize>,
-        parent: &mut Vec<usize>,
-    ) -> usize {
-        if let Some(&i) = index.get(value) {
-            return i;
-        }
-        let i = parent.len();
-        parent.push(i);
-        index.insert(value, i);
-        i
-    }
-
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]]; // path halving
-            i = parent[i];
-        }
-        i
-    }
-
-    // Union the equalities.
-    for lit in clause.iter().filter(|l| l.eq) {
-        let a = term_id(&lit.lhs, &mut index, &mut parent);
-        let b = term_id(&lit.rhs, &mut index, &mut parent);
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            parent[ra] = rb;
+        if holds {
+            TRUE
+        } else {
+            FALSE
         }
     }
-    // Register the terms of disequalities too (they may be absent above).
-    for lit in clause.iter().filter(|l| !l.eq) {
-        term_id(&lit.lhs, &mut index, &mut parent);
-        term_id(&lit.rhs, &mut index, &mut parent);
-    }
-    // Two distinct constants merged into one class?
-    let mut class_constant: BTreeMap<usize, &Value> = BTreeMap::new();
-    for (value, &i) in &index {
-        if value.is_const() {
-            let root = find(&mut parent, i);
-            match class_constant.get(&root) {
-                Some(&prev) if prev != *value => return false,
-                _ => {
-                    class_constant.insert(root, value);
-                }
+
+    /// Joins `done[start..]` into one node: drops units, short-circuits on
+    /// the absorbing constant, flattens same-kind children.
+    fn join(&mut self, and: bool, start: usize) -> NodeId {
+        let (absorbing, unit) = if and { (FALSE, TRUE) } else { (TRUE, FALSE) };
+        self.joined.clear();
+        for &child in &self.done[start..] {
+            if child == absorbing {
+                return absorbing;
+            }
+            match self.nodes[child as usize] {
+                Node::Const(_) => {}
+                Node::And { start, len } if and => self
+                    .joined
+                    .extend_from_slice(&self.kids[start as usize..(start + len) as usize]),
+                Node::Or { start, len } if !and => self
+                    .joined
+                    .extend_from_slice(&self.kids[start as usize..(start + len) as usize]),
+                _ => self.joined.push(child),
+            }
+        }
+        match self.joined.len() {
+            0 => unit,
+            1 => self.joined[0],
+            len => {
+                let start = self.kids.len() as u32;
+                self.kids.extend_from_slice(&self.joined);
+                let len = len as u32;
+                self.push(if and {
+                    Node::And { start, len }
+                } else {
+                    Node::Or { start, len }
+                })
             }
         }
     }
-    // A disequality inside one class?
-    for lit in clause.iter().filter(|l| !l.eq) {
-        let a = index[&lit.lhs];
-        let b = index[&lit.rhs];
-        if find(&mut parent, a) == find(&mut parent, b) {
+
+    fn push(&mut self, node: Node) -> NodeId {
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as NodeId
+    }
+
+    fn children(&self, node: NodeId) -> &[NodeId] {
+        match self.nodes[node as usize] {
+            Node::And { start, len } | Node::Or { start, len } => {
+                &self.kids[start as usize..(start + len) as usize]
+            }
+            Node::Const(_) | Node::Atom { .. } => &[],
+        }
+    }
+}
+
+/// Three-valued truth of a subformula under the current classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Truth {
+    True,
+    False,
+    Open,
+}
+
+/// The asserted (dis)equalities: a union–find without path compression,
+/// so every union is undone by popping its trail entry, plus the list of
+/// asserted disequalities.
+#[derive(Debug, Clone, Default)]
+struct Classes {
+    parent: Vec<TermId>,
+    size: Vec<u32>,
+    /// Per class root: the constant term in the class, if any.
+    constant: Vec<Option<TermId>>,
+    /// Per union: (the absorbed root, the surviving root's previous
+    /// constant).
+    trail: Vec<(TermId, Option<TermId>)>,
+    disequal: Vec<(TermId, TermId)>,
+}
+
+impl Classes {
+    fn reset(&mut self, constant: &[bool]) {
+        let n = constant.len() as TermId;
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.size.clear();
+        self.size.resize(constant.len(), 1);
+        self.constant.clear();
+        self.constant
+            .extend((0..n).map(|t| constant[t as usize].then_some(t)));
+        self.trail.clear();
+        self.disequal.clear();
+    }
+
+    fn find(&self, mut t: TermId) -> TermId {
+        while self.parent[t as usize] != t {
+            t = self.parent[t as usize];
+        }
+        t
+    }
+
+    /// Is there an asserted disequality between the classes `ra` and `rb`
+    /// (both roots)?
+    fn separated(&self, ra: TermId, rb: TermId) -> bool {
+        self.disequal.iter().any(|&(x, y)| {
+            let (rx, ry) = (self.find(x), self.find(y));
+            (rx == ra && ry == rb) || (rx == rb && ry == ra)
+        })
+    }
+
+    /// The truth of `a = b` (`eq`) or `a ≠ b` under the classes.
+    fn truth(&self, eq: bool, a: TermId, b: TermId) -> Truth {
+        let (ra, rb) = (self.find(a), self.find(b));
+        let equal = if ra == rb {
+            true
+        } else if (self.constant[ra as usize].is_some() && self.constant[rb as usize].is_some())
+            || self.separated(ra, rb)
+        {
+            false
+        } else {
+            return Truth::Open;
+        };
+        if equal == eq {
+            Truth::True
+        } else {
+            Truth::False
+        }
+    }
+
+    /// Asserts `a = b` (`eq`) or `a ≠ b`; `false` on a conflict.
+    fn assert(&mut self, eq: bool, a: TermId, b: TermId) -> bool {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return eq;
+        }
+        let (ca, cb) = (self.constant[ra as usize], self.constant[rb as usize]);
+        if !eq {
+            // Classes with two distinct constants can never merge, so the
+            // disequality needs no record.
+            if ca.is_none() || cb.is_none() {
+                self.disequal.push((a, b));
+            }
+            return true;
+        }
+        if (ca.is_some() && cb.is_some()) || self.separated(ra, rb) {
             return false;
         }
+        let (child, root) = if self.size[ra as usize] < self.size[rb as usize] {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.parent[child as usize] = root;
+        self.size[root as usize] += self.size[child as usize];
+        self.trail.push((child, self.constant[root as usize]));
+        self.constant[root as usize] = ca.or(cb);
+        true
     }
-    true
+
+    /// Undoes every assertion made since the state had `trail` unions and
+    /// `disequal` disequalities.
+    fn undo(&mut self, trail: usize, disequal: usize) {
+        while self.trail.len() > trail {
+            let (child, constant) = self.trail.pop().expect("length checked");
+            let root = self.parent[child as usize];
+            self.parent[child as usize] = child;
+            self.size[root as usize] -= self.size[child as usize];
+            self.constant[root as usize] = constant;
+        }
+        self.disequal.truncate(disequal);
+    }
+}
+
+/// A decision: the state to restore, the live children of the disjunction
+/// branched on, and the next child to try.
+#[derive(Debug, Clone)]
+struct Frame {
+    trail: usize,
+    disequal: usize,
+    open: Vec<NodeId>,
+    alternatives: Vec<NodeId>,
+    next: usize,
+}
+
+/// Where propagation stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Propagated {
+    /// The asserted (dis)equalities clash.
+    Conflict,
+    /// Every disjunction is closed and the classes are consistent.
+    Model,
+    /// Branch on this open disjunction, the one with the fewest live
+    /// children.
+    Branch(NodeId),
+}
+
+/// The search state: asserted classes, subformulas still to assert, open
+/// disjunctions, and the decision stack.
+#[derive(Debug, Clone, Default)]
+struct Search {
+    classes: Classes,
+    pending: Vec<NodeId>,
+    open: Vec<NodeId>,
+    frames: Vec<Frame>,
+}
+
+impl Search {
+    /// Is `root` satisfiable? Also returns the decisions taken; punts once
+    /// they exceed `budget`.
+    fn run(
+        &mut self,
+        formula: &Formula,
+        root: NodeId,
+        budget: usize,
+    ) -> (Result<bool, SolverPunt>, usize) {
+        self.classes.reset(&formula.constant);
+        self.pending.clear();
+        self.pending.push(root);
+        self.open.clear();
+        self.frames.clear();
+        let mut decisions = 0;
+        loop {
+            match self.propagate(formula) {
+                Propagated::Model => return (Ok(true), decisions),
+                Propagated::Conflict => {}
+                Propagated::Branch(or) => self.open_frame(formula, or),
+            }
+            // Take the next untried alternative of the innermost decision
+            // (a fresh one, or the one a conflict just refuted).
+            loop {
+                let Some(frame) = self.frames.last_mut() else {
+                    return (Ok(false), decisions);
+                };
+                if frame.next == frame.alternatives.len() {
+                    self.frames.pop();
+                    continue;
+                }
+                self.classes.undo(frame.trail, frame.disequal);
+                self.open.clone_from(&frame.open);
+                self.pending.clear();
+                // Every model in this branch falsifies the atoms already
+                // refuted before it.
+                let refuted = frame.alternatives[..frame.next].iter().all(|&c| {
+                    match formula.nodes[c as usize] {
+                        Node::Atom { eq, a, b } => self.classes.assert(!eq, a, b),
+                        _ => true,
+                    }
+                });
+                let alternative = frame.alternatives[frame.next];
+                frame.next += 1;
+                if !refuted {
+                    self.frames.pop();
+                    continue;
+                }
+                decisions += 1;
+                if decisions > budget {
+                    return (
+                        Err(SolverPunt::DecisionBudgetExceeded { budget }),
+                        decisions,
+                    );
+                }
+                self.pending.push(alternative);
+                break;
+            }
+        }
+    }
+
+    /// Pushes a decision on the open disjunction `or`: its live children
+    /// become the alternatives, tried in order against the current state.
+    fn open_frame(&mut self, formula: &Formula, or: NodeId) {
+        let at = self.open.iter().position(|&n| n == or).expect("open");
+        self.open.swap_remove(at);
+        let alternatives = formula
+            .children(or)
+            .iter()
+            .copied()
+            .filter(|&c| self.truth(formula, c) == Truth::Open)
+            .collect();
+        self.frames.push(Frame {
+            trail: self.classes.trail.len(),
+            disequal: self.classes.disequal.len(),
+            open: self.open.clone(),
+            alternatives,
+            next: 0,
+        });
+    }
+
+    /// Asserts the pending subformulas and propagates through the open
+    /// disjunctions to a fixpoint.
+    fn propagate(&mut self, formula: &Formula) -> Propagated {
+        loop {
+            while let Some(node) = self.pending.pop() {
+                match formula.nodes[node as usize] {
+                    Node::Const(true) => {}
+                    Node::Const(false) => return Propagated::Conflict,
+                    Node::Atom { eq, a, b } => {
+                        if !self.classes.assert(eq, a, b) {
+                            return Propagated::Conflict;
+                        }
+                    }
+                    Node::And { .. } => self.pending.extend_from_slice(formula.children(node)),
+                    Node::Or { .. } => self.open.push(node),
+                }
+            }
+            // (disjunction, live children) of the narrowest open one.
+            let mut narrowest: Option<(NodeId, usize)> = None;
+            let mut i = 0;
+            while i < self.open.len() {
+                let or = self.open[i];
+                let mut live = 0;
+                let mut last = FALSE;
+                let mut closed = false;
+                for &child in formula.children(or) {
+                    match self.truth(formula, child) {
+                        Truth::True => {
+                            closed = true;
+                            break;
+                        }
+                        Truth::False => {}
+                        Truth::Open => {
+                            live += 1;
+                            last = child;
+                        }
+                    }
+                }
+                match live {
+                    _ if closed => {
+                        self.open.swap_remove(i);
+                    }
+                    0 => return Propagated::Conflict,
+                    1 => {
+                        self.open.swap_remove(i);
+                        self.pending.push(last);
+                    }
+                    _ => {
+                        if narrowest.is_none_or(|(_, fewest)| live < fewest) {
+                            narrowest = Some((or, live));
+                        }
+                        i += 1;
+                    }
+                }
+            }
+            if self.pending.is_empty() {
+                return narrowest.map_or(Propagated::Model, |(or, _)| Propagated::Branch(or));
+            }
+        }
+    }
+
+    /// The truth of a subformula under the current classes: exact for
+    /// atoms; for a connective, decided by its atom children alone (a
+    /// nested connective counts as open).
+    fn truth(&self, formula: &Formula, node: NodeId) -> Truth {
+        let (and, kids) = match formula.nodes[node as usize] {
+            Node::Atom { eq, a, b } => return self.classes.truth(eq, a, b),
+            Node::Const(true) => return Truth::True,
+            Node::Const(false) => return Truth::False,
+            Node::And { .. } => (true, formula.children(node)),
+            Node::Or { .. } => (false, formula.children(node)),
+        };
+        // An `And` is false as soon as one child is, an `Or` true as soon
+        // as one child is; otherwise the connective is decided only when
+        // every child is.
+        let (decisive, total) = if and {
+            (Truth::False, Truth::True)
+        } else {
+            (Truth::True, Truth::False)
+        };
+        let mut settled = true;
+        for &kid in kids {
+            let value = match formula.nodes[kid as usize] {
+                Node::Atom { eq, a, b } => self.classes.truth(eq, a, b),
+                _ => Truth::Open,
+            };
+            if value == decisive {
+                return decisive;
+            }
+            settled &= value == total;
+        }
+        if settled {
+            total
+        } else {
+            Truth::Open
+        }
+    }
 }
 
 /// Brute-force validity over the condition's *adequate* finite domain — its
@@ -453,28 +795,101 @@ mod tests {
         assert!(!s.is_satisfiable(&inner.and(neg)).unwrap());
     }
 
-    #[test]
-    fn budget_punts_are_explicit() {
-        let mut s = CertaintySolver::new(SolverOptions { max_dnf_clauses: 4 });
-        // (a₀ ∨ b₀) ∧ (a₁ ∨ b₁) ∧ (a₂ ∨ b₂) distributes to 8 > 4 clauses.
-        let mut c = Condition::True;
-        for i in 0..3u64 {
-            c = c.and(
+    /// ⋀_{i<n} (⊥i = 0 ∨ ⊥i = 1): a DNF of 2ⁿ clauses, one decision per
+    /// conjunct for the search.
+    fn binary_choices(n: u64) -> Condition {
+        (0..n).fold(Condition::True, |acc, i| {
+            acc.and(
                 Condition::eq(Value::null(i), Value::int(0))
                     .or(Condition::eq(Value::null(i), Value::int(1))),
-            );
-        }
+            )
+        })
+    }
+
+    #[test]
+    fn budget_punts_are_explicit() {
+        // Three independent binary choices need three decisions; a budget
+        // of two must punt, not guess.
+        let c = binary_choices(3);
+        let mut s = CertaintySolver::new(SolverOptions { max_decisions: 2 });
         match s.is_satisfiable(&c) {
-            Err(SolverPunt::ClauseBudgetExceeded { clauses, budget }) => {
-                assert_eq!(budget, 4);
-                assert!(clauses > 4);
-            }
+            Err(SolverPunt::DecisionBudgetExceeded { budget }) => assert_eq!(budget, 2),
             other => panic!("expected a budget punt, got {other:?}"),
         }
-        // A generous budget answers the same question.
+        // A zero budget punts on the first decision.
+        let mut s = CertaintySolver::new(SolverOptions { max_decisions: 0 });
+        assert!(s.is_satisfiable(&c).is_err());
+        // A generous budget answers the same question, one decision per
+        // choice.
         let mut s = solver();
         assert!(s.is_satisfiable(&c).unwrap());
-        assert!(s.stats().peak_dnf_clauses >= 8);
+        assert_eq!(s.stats().decisions, 3);
+    }
+
+    #[test]
+    fn propagation_decides_without_branching() {
+        // ⊥0 ≠ 0 ∧ ⊥0 ≠ 1 refutes both children of (⊥0 = 0 ∨ ⊥0 = 1): the
+        // conflict is found before any decision, so even a zero budget
+        // answers.
+        let c = binary_choices(8)
+            .and(Condition::neq(Value::null(0), Value::int(0)))
+            .and(Condition::neq(Value::null(0), Value::int(1)));
+        let mut s = CertaintySolver::new(SolverOptions { max_decisions: 0 });
+        assert!(!s.is_satisfiable(&c).unwrap());
+        assert_eq!(s.stats().decisions, 0);
+        // A disjunction with one live child asserts it: ⊥0 = 1 follows.
+        let unit = Condition::neq(Value::null(0), Value::int(0))
+            .and(binary_choices(1))
+            .and(Condition::neq(Value::null(1), Value::null(0)))
+            .and(Condition::eq(Value::null(1), Value::int(1)));
+        assert!(!s.is_satisfiable(&unit).unwrap());
+    }
+
+    #[test]
+    fn backtracking_restores_the_classes() {
+        // Under ⊥1 = 2 the branch ⊥0 = ⊥1 dies on (⊥0 = 1 ∨ ⊥0 = 3); the
+        // branch ⊥0 = 3 must not inherit its merge.
+        let c = Condition::eq(Value::null(0), Value::null(1))
+            .or(Condition::eq(Value::null(0), Value::int(3)).and(
+                Condition::eq(Value::null(2), Value::null(1))
+                    .or(Condition::eq(Value::null(2), Value::int(9))),
+            ))
+            .and(Condition::eq(Value::null(1), Value::int(2)))
+            .and(
+                Condition::eq(Value::null(0), Value::int(1))
+                    .or(Condition::eq(Value::null(0), Value::int(3))),
+            );
+        let mut s = solver();
+        assert!(s.is_satisfiable(&c).unwrap());
+        assert!(satisfiable_by_enumeration(&c));
+    }
+
+    #[test]
+    fn deep_conditions_do_not_overflow_the_stack() {
+        // A 100k-deep alternation of ¬, ∧ and ∨: the compiler and the
+        // search both run on explicit stacks.
+        let mut c = Condition::eq(Value::null(0), Value::int(0));
+        for i in 0..100_000u64 {
+            let atom = Condition::neq(Value::null(i % 7), Value::int((i % 3) as i64));
+            c = match i % 3 {
+                0 => Condition::And(vec![atom, c]),
+                1 => Condition::Or(vec![c, atom]),
+                _ => Condition::Not(Box::new(c)),
+            };
+        }
+        let mut s = solver();
+        let sat = s.is_satisfiable(&c).unwrap();
+        let valid = s.is_valid(&c).unwrap();
+        assert!(sat || !valid);
+        // Dropping the condition recurses; hand it off piece by piece.
+        let mut stack = vec![c];
+        while let Some(c) = stack.pop() {
+            match c {
+                Condition::And(cs) | Condition::Or(cs) => stack.extend(cs),
+                Condition::Not(inner) => stack.push(*inner),
+                _ => {}
+            }
+        }
     }
 
     #[test]
@@ -495,10 +910,7 @@ mod tests {
 
     #[test]
     fn punt_displays() {
-        let p = SolverPunt::ClauseBudgetExceeded {
-            clauses: 10,
-            budget: 4,
-        };
+        let p = SolverPunt::DecisionBudgetExceeded { budget: 4 };
         assert!(p.to_string().contains("budget"));
     }
 }

@@ -13,9 +13,10 @@
 //! * [`condition`] — Boolean conditions over equalities between constants and
 //!   nulls, with simplification and evaluation under valuations;
 //! * [`condition::solver`] — the certainty solver: validity / satisfiability /
-//!   entailment of conditions decided by DNF + congruence closure over the
-//!   infinite constant domain, with **no** valuation enumeration — the
-//!   decision procedure behind the engine's symbolic strategy;
+//!   entailment of conditions decided by a DPLL-style search (backtrackable
+//!   union–find, propagation, a decision budget) over the infinite constant
+//!   domain, with **no** valuation enumeration — the decision procedure
+//!   behind the engine's symbolic strategy;
 //! * [`ctable`] — conditional tuples, tables, and databases, with their
 //!   closed-world possible-world expansion;
 //! * [`algebra`] — the Imieliński–Lipski algebra: evaluation of full

@@ -42,11 +42,13 @@
 //! The symbolic strategy ([`releval::symbolic`]) evaluates the query with
 //! the Imieliński–Lipski c-table algebra and extracts certain answers with
 //! a certainty solver — exact under CWA for *every* class, polynomial per
-//! output tuple, no world enumerated. It punts explicitly (null-bearing
-//! `Values` literals; solver clause budget), in which case the engine falls
-//! back to the streaming world oracle within the `max_nulls` / `max_worlds`
-//! budget and then to certain⁺ pair evaluation, recording the reason in
-//! [`EngineStats::fallback`]. (`certain⁺` is [`releval::approx`]:
+//! output tuple, no world enumerated: membership is decided per candidate
+//! by a DPLL-style search over the conditions' (dis)equalities. It punts
+//! explicitly (null-bearing `Values` literals; the solver's decision
+//! budget, [`EngineOptions::with_max_decisions`]), in which case the
+//! engine falls back to the streaming world oracle within the `max_nulls` /
+//! `max_worlds` budget and then to certain⁺ pair evaluation, recording the
+//! reason in [`EngineStats::fallback`]. (`certain⁺` is [`releval::approx`]:
 //! under/over-approximating pair evaluation with null unification —
 //! polynomial, and sound under CWA where exact certain answers are
 //! coNP-hard.)
@@ -694,8 +696,8 @@ impl<D: Borrow<Database>> Engine<D> {
         // (worlds visited, early exit, threads, peak worlds in flight,
         // worlds batched)
         let mut world_exec: Option<(u128, bool, usize, usize, u128)> = None;
-        // (condition atoms, solver calls, simplification wins)
-        let mut symbolic_exec: Option<(usize, usize, usize)> = None;
+        // (condition atoms, solver calls, simplification wins, decisions)
+        let mut symbolic_exec: Option<(usize, usize, usize, usize)> = None;
         // (repairs visited, early exit, repairs batched)
         let mut repair_exec: Option<(u128, bool, u128)> = None;
         // Physical-operator telemetry from whichever executor ran.
@@ -714,6 +716,7 @@ impl<D: Borrow<Database>> Engine<D> {
                             exec.condition_atoms,
                             exec.solver_calls,
                             exec.simplification_wins,
+                            exec.solver_decisions,
                         ));
                         physical_ops = Some(exec.op_stats);
                         (exec.answers, None)
@@ -869,10 +872,11 @@ impl<D: Borrow<Database>> Engine<D> {
                 strategy.push_field("world_threads", threads as u64);
                 strategy.push_field("world_early_exit", u64::from(early_exit));
             }
-            if let Some((atoms, calls, wins)) = symbolic_exec {
+            if let Some((atoms, calls, wins, decisions)) = symbolic_exec {
                 strategy.push_field("condition_atoms", atoms as u64);
                 strategy.push_field("solver_calls", calls as u64);
                 strategy.push_field("simplification_wins", wins as u64);
+                strategy.push_field("solver_decisions", decisions as u64);
             }
             if let Some((visited, early_exit, batched)) = repair_exec {
                 strategy.push_field("repairs_visited", clamp_u64(visited));
@@ -917,6 +921,7 @@ impl<D: Borrow<Database>> Engine<D> {
                 condition_atoms: symbolic_exec.map(|e| e.0),
                 solver_calls: symbolic_exec.map(|e| e.1),
                 simplification_wins: symbolic_exec.map(|e| e.2),
+                solver_decisions: symbolic_exec.map(|e| e.3),
                 fallback: decision.fallback,
                 violations: decision.violations,
                 conflict_tuples: decision.conflict_tuples,
@@ -1208,13 +1213,14 @@ mod tests {
 
     #[test]
     fn solver_budget_punt_falls_back_to_worlds_with_a_reason() {
-        // A nested difference tower blows a 1-clause solver budget; the
-        // engine must fall back to the (budgeted) world oracle and still
-        // answer exactly, with the punt on the report.
+        // A nested difference tower leaves a disjunction propagation cannot
+        // settle, so a zero-decision solver budget punts; the engine must
+        // fall back to the (budgeted) world oracle and still answer
+        // exactly, with the punt on the report.
         let db = difference_example();
         let q = qparser::parse("(R minus S) minus (S minus R)").unwrap();
         let report = Engine::new(&db)
-            .options(EngineOptions::default().with_max_dnf_clauses(1))
+            .options(EngineOptions::default().with_max_decisions(0))
             .plan(&q)
             .unwrap();
         assert_eq!(report.strategy, StrategyKind::WorldsGroundTruth);
@@ -1222,13 +1228,14 @@ mod tests {
         assert!(matches!(
             report.stats.fallback,
             Some(FallbackReason::Symbolic(
-                releval::symbolic::PuntReason::SolverBudget { budget: 1, .. }
+                releval::symbolic::PuntReason::SolverBudget { budget: 0 }
             ))
         ));
         assert!(report.stats.worlds_enumerated.is_some());
         // With the default budget the same query stays symbolic and agrees.
         let symbolic = Engine::new(&db).plan(&q).unwrap();
         assert_eq!(symbolic.strategy, StrategyKind::SymbolicCTable);
+        assert!(symbolic.stats.solver_decisions.is_some_and(|d| d > 0));
         assert_eq!(symbolic.answers, report.answers);
     }
 
@@ -1766,6 +1773,28 @@ mod tests {
             "one shard span per worker"
         );
         assert_eq!(shards[0].field_value("index"), Some(0));
+    }
+
+    #[test]
+    fn symbolic_trace_carries_the_solver_decisions() {
+        let db = difference_example();
+        let report = Engine::new(&db)
+            .options(EngineOptions::default().with_trace(true))
+            .plan_text("(R minus S) minus (S minus R)")
+            .unwrap();
+        assert_eq!(report.strategy, StrategyKind::SymbolicCTable);
+        let decisions = report.stats.solver_decisions.expect("symbolic ran");
+        assert!(decisions > 0, "the tower needs a search");
+        let trace = report.stats.trace.as_ref().expect("trace requested");
+        let strategy = trace.find("symbolic-ctable").expect("strategy span");
+        assert_eq!(
+            strategy.field_value("solver_decisions"),
+            Some(decisions as u64)
+        );
+        assert!(report
+            .stats
+            .summary()
+            .contains(&format!("solver decisions {decisions}")));
     }
 
     #[test]

@@ -89,9 +89,9 @@ impl EngineOptions {
         self
     }
 
-    /// Sets the symbolic solver's DNF clause budget.
-    pub fn with_max_dnf_clauses(mut self, max_dnf_clauses: usize) -> Self {
-        self.symbolic_options.max_dnf_clauses = max_dnf_clauses;
+    /// Sets the symbolic solver's decision budget.
+    pub fn with_max_decisions(mut self, max_decisions: usize) -> Self {
+        self.symbolic_options.max_decisions = max_decisions;
         self
     }
 
@@ -156,7 +156,7 @@ impl EngineOptions {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.exhaustive.hash(&mut h);
         self.symbolic.hash(&mut h);
-        self.symbolic_options.max_dnf_clauses.hash(&mut h);
+        self.symbolic_options.max_decisions.hash(&mut h);
         self.max_nulls.hash(&mut h);
         world(&mut h, &self.world_options);
         self.repair_options.max_repairs.hash(&mut h);
@@ -164,7 +164,7 @@ impl EngineOptions {
         world(&mut h, &self.repair_options.world_options);
         self.repair_options
             .symbolic_options
-            .max_dnf_clauses
+            .max_decisions
             .hash(&mut h);
         self.morsel_rows.hash(&mut h);
         self.trace.hash(&mut h);
@@ -194,7 +194,7 @@ mod tests {
         let opts = EngineOptions::exhaustive()
             .with_max_nulls(3)
             .with_max_worlds(100)
-            .with_max_dnf_clauses(7)
+            .with_max_decisions(7)
             .with_max_repairs(12)
             .with_morsel_rows(64)
             .with_trace(true)
@@ -204,7 +204,7 @@ mod tests {
         assert!(opts.trace);
         assert_eq!(opts.max_nulls, 3);
         assert_eq!(opts.world_options.max_worlds, 100);
-        assert_eq!(opts.symbolic_options.max_dnf_clauses, 7);
+        assert_eq!(opts.symbolic_options.max_decisions, 7);
         assert_eq!(opts.repair_options.max_repairs, 12);
         assert_eq!(opts.morsel_rows, Some(64));
         assert_eq!(
@@ -223,7 +223,7 @@ mod tests {
             base.without_symbolic(),
             base.with_max_nulls(3),
             base.with_max_worlds(100),
-            base.with_max_dnf_clauses(7),
+            base.with_max_decisions(7),
             base.with_max_repairs(12),
             base.with_morsel_rows(64),
             base.with_trace(true),

@@ -396,9 +396,12 @@ pub struct EngineStats {
     /// the honest "units evaluated" figure to set against
     /// [`EngineStats::worlds_enumerated`].
     pub solver_calls: Option<usize>,
-    /// Solver questions settled by structural simplification alone (no DNF
-    /// built), when the symbolic strategy ran.
+    /// Solver questions settled by constant folding alone (no search),
+    /// when the symbolic strategy ran.
     pub simplification_wins: Option<usize>,
+    /// Branching decisions the solver's search took across all questions,
+    /// when the symbolic strategy ran — the unit its budget counts.
+    pub solver_decisions: Option<usize>,
     /// Why the planner's first choice was not the strategy that answered —
     /// a symbolic punt, a blown repair budget, an aborted enumeration: the
     /// explicit fallback trail. `None` when the first choice answered.
@@ -467,6 +470,9 @@ impl EngineStats {
         }
         if let Some(calls) = self.solver_calls {
             let _ = write!(out, " · solver calls {calls}");
+        }
+        if let Some(decisions) = self.solver_decisions {
+            let _ = write!(out, " · solver decisions {decisions}");
         }
         if let Some(repairs) = self.repairs_enumerated {
             let _ = write!(out, " · repairs {repairs}");

@@ -16,8 +16,8 @@
 //!    (`ctables::condition::solver`): a complete tuple `t` is certain iff
 //!    the disjunction `⋁ᵢ (tᵢ = t ∧ cᵢ)` over the answer rows `(tᵢ, cᵢ)` is
 //!    **valid** — true under every valuation of the nulls. Validity is
-//!    decided by DNF + congruence closure over the infinite constant
-//!    domain; no valuation is ever enumerated.
+//!    decided by a DPLL-style search over equalities and disequalities on
+//!    the infinite constant domain; no valuation is ever enumerated.
 //!
 //! Only null-free answer rows can be certain (any null-carrying candidate
 //! is killed by a valuation sending its nulls to fresh constants), so the
@@ -26,6 +26,13 @@
 //! `|domain|^|nulls|` evaluated worlds, that is the exponential-to-
 //! polynomial gap `benches/symbolic.rs` measures.
 //!
+//! Membership is indexed by candidate: the complete rows are bucketed by
+//! their tuple, and the null-bearing rows kept in one list. Only rows whose
+//! tuple unifies with `t` can equal it, so `t`'s disjunction covers its own
+//! bucket plus the null-bearing rows that unify with it — not every row of
+//! the answer. A bucket row whose condition is `true` makes `t` certain
+//! with no solver work at all.
+//!
 //! The strategy computes **CWA** certain answers (the c-table expansion is
 //! closed-world): exact for every query class under CWA, and an
 //! over-approximation (`⊇`) of the OWA certain answer elsewhere — the
@@ -33,16 +40,16 @@
 //! never wrongly — in two cases, both reported as a [`PuntReason`]:
 //! queries whose `Values` literals mention nulls (the c-table algebra would
 //! conflate literal nulls with database nulls, the classifier's
-//! counterexample), and conditions whose DNF exceeds the solver's clause
-//! budget. The differential fuzz harness (`tests/symbolic_differential.rs`)
-//! replays random workloads of every class against the streaming world
-//! oracle to keep all of this honest.
+//! counterexample), and membership questions whose search exceeds the
+//! solver's decision budget. The differential fuzz harness
+//! (`tests/symbolic_differential.rs`) replays random workloads of every
+//! class against the streaming world oracle to keep all of this honest.
 
-use std::collections::BTreeSet;
+use std::collections::HashMap;
 
 use ctables::condition::solver::{CertaintySolver, SolverPunt};
 use ctables::condition::Condition;
-use ctables::ctable::ConditionalDatabase;
+use ctables::ctable::{ConditionalDatabase, ConditionalTuple};
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::plan::PlannedQuery;
 use relmodel::{Database, Relation, Semantics, Tuple};
@@ -65,10 +72,8 @@ pub enum PuntReason {
     /// while the c-table algebra would equate the two syntactically —
     /// answering would be unsound, so the strategy refuses.
     NullValuesLiteral,
-    /// The certainty solver's DNF clause budget fired.
+    /// The certainty solver's decision budget fired.
     SolverBudget {
-        /// Clauses produced when the budget fired.
-        clauses: usize,
         /// The configured maximum.
         budget: usize,
     },
@@ -80,9 +85,9 @@ impl std::fmt::Display for PuntReason {
             PuntReason::NullValuesLiteral => {
                 write!(f, "query contains a Values literal with nulls")
             }
-            PuntReason::SolverBudget { clauses, budget } => write!(
+            PuntReason::SolverBudget { budget } => write!(
                 f,
-                "condition solver needed {clauses} DNF clauses, exceeding the budget of {budget}"
+                "condition solver needed more than the budget of {budget} decisions"
             ),
         }
     }
@@ -104,8 +109,10 @@ pub struct SymbolicExecution {
     /// Validity questions asked — the "units evaluated" figure to compare
     /// against worlds visited.
     pub solver_calls: usize,
-    /// Questions the structural simplifier settled without building a DNF.
+    /// Questions the solver's constant folding settled without a search.
     pub simplification_wins: usize,
+    /// Branching decisions the solver's search took across all questions.
+    pub solver_decisions: usize,
     /// Physical-operator telemetry from the c-table execution (the algebra
     /// runs on the same hash-join operator core as every other strategy).
     pub op_stats: OpStats,
@@ -141,35 +148,58 @@ pub fn symbolic_certain_answer(
 
     // Only null-free rows can name certain tuples: a valuation sending every
     // null to a fresh constant turns a null-carrying row into a tuple no
-    // fixed candidate equals.
-    let candidates: BTreeSet<&Tuple> = answer
-        .rows()
-        .iter()
-        .filter(|r| r.tuple.is_complete())
-        .map(|r| &r.tuple)
-        .collect();
+    // fixed candidate equals. The candidates are the buckets of complete
+    // rows, in first-seen order.
+    let mut bucket_of: HashMap<&Tuple, usize> = HashMap::new();
+    let mut buckets: Vec<(&Tuple, Vec<&Condition>)> = Vec::new();
+    let mut symbolic_rows: Vec<&ConditionalTuple> = Vec::new();
+    for row in answer.rows() {
+        if !row.tuple.is_complete() {
+            symbolic_rows.push(row);
+            continue;
+        }
+        let bucket = *bucket_of.entry(&row.tuple).or_insert_with(|| {
+            buckets.push((&row.tuple, Vec::new()));
+            buckets.len() - 1
+        });
+        buckets[bucket].1.push(&row.condition);
+    }
 
     let mut certain = Relation::new(answer.arity());
-    let candidate_count = candidates.len();
-    for t in candidates {
-        // t is certain iff it is produced by *some* row in *every* world:
-        // validity of ⋁ᵢ (tᵢ = t ∧ cᵢ), relative to the global condition
-        // (the lifted database's global is `true`; entailment keeps this
-        // correct for any global-carrying caller).
-        let mut membership = Condition::False;
-        for row in answer.rows() {
-            membership = membership.or(row
-                .condition
-                .clone()
-                .and(Condition::tuples_equal(&row.tuple, t)));
+    let candidate_count = buckets.len();
+    for (t, conditions) in buckets {
+        if conditions.contains(&&Condition::True) {
+            certain.insert(t.clone());
+            continue;
         }
+        // t is certain iff it is produced by *some* row in *every* world:
+        // validity of ⋁ᵢ (tᵢ = t ∧ cᵢ) over the rows that can equal t,
+        // relative to the global condition (the lifted database's global
+        // is `true`; entailment keeps this correct for any global-carrying
+        // caller).
+        let membership = Condition::Or(
+            conditions
+                .into_iter()
+                .cloned()
+                .chain(
+                    symbolic_rows
+                        .iter()
+                        .filter(|row| unifies(&row.tuple, t))
+                        .map(|row| {
+                            row.condition
+                                .clone()
+                                .and(Condition::tuples_equal(&row.tuple, t))
+                        }),
+                )
+                .collect(),
+        );
         match solver.entails(&cdb.global, &membership) {
             Ok(true) => {
                 certain.insert(t.clone());
             }
             Ok(false) => {}
-            Err(SolverPunt::ClauseBudgetExceeded { clauses, budget }) => {
-                return SymbolicOutcome::Punted(PuntReason::SolverBudget { clauses, budget });
+            Err(SolverPunt::DecisionBudgetExceeded { budget }) => {
+                return SymbolicOutcome::Punted(PuntReason::SolverBudget { budget });
             }
         }
     }
@@ -181,7 +211,25 @@ pub fn symbolic_certain_answer(
         candidates: candidate_count,
         solver_calls: stats.calls,
         simplification_wins: stats.simplification_wins,
+        solver_decisions: stats.decisions,
         op_stats,
+    })
+}
+
+/// Can some valuation make the (null-bearing) tuple `row` equal the complete
+/// tuple `t`? Every constant must match, and every null must meet a single
+/// constant wherever it occurs.
+fn unifies(row: &Tuple, t: &Tuple) -> bool {
+    let (row, t) = (row.values(), t.values());
+    row.iter().zip(t).enumerate().all(|(i, (r, c))| {
+        if r.is_null() {
+            row[..i]
+                .iter()
+                .zip(t)
+                .all(|(earlier, d)| earlier != r || d == c)
+        } else {
+            r == c
+        }
     })
 }
 
@@ -318,23 +366,67 @@ mod tests {
 
     #[test]
     fn solver_budget_punt_is_reported() {
-        // A deep difference tower makes the membership conditions' DNF
-        // explode; a 1-clause budget must punt, not hang or lie.
+        // A difference tower leaves a disjunction in the membership
+        // question that propagation cannot settle; a zero-decision budget
+        // must punt, not hang or lie.
         let db = difference_example();
         let q = RaExpr::relation("R")
             .difference(RaExpr::relation("S"))
             .difference(RaExpr::relation("S").difference(RaExpr::relation("R")));
-        let tiny = SymbolicOptions { max_dnf_clauses: 1 };
-        match symbolic_certain_answer(&planned(&q, &db), &db, &tiny) {
-            SymbolicOutcome::Punted(PuntReason::SolverBudget { budget: 1, .. }) => {}
+        let starved = SymbolicOptions { max_decisions: 0 };
+        match symbolic_certain_answer(&planned(&q, &db), &db, &starved) {
+            SymbolicOutcome::Punted(PuntReason::SolverBudget { budget: 0 }) => {}
             other => panic!("expected a solver-budget punt, got {other:?}"),
         }
-        // The default budget answers it, and agrees with the oracle.
+        // The default budget answers it with a real search, and agrees with
+        // the oracle.
         let exec = symbolic(&q, &db);
+        assert!(exec.solver_decisions > 0);
         assert_eq!(
             exec.answers,
             certain_answer_worlds(&q, &db, Semantics::Cwa, &WorldOptions::default()).unwrap()
         );
+    }
+
+    #[test]
+    fn null_rows_join_every_candidate_they_unify_with() {
+        // R = {1}, S = {⊥0}, Q = (R − S) ∪ S. The complete row (1) carries
+        // ⊥0 ≠ 1 and the null row (⊥0) covers the other case, so (1) is
+        // certain only through ⊥0 ≠ 1 ∨ ⊥0 = 1: an index over equal ground
+        // tuples alone would drop it.
+        let db = DatabaseBuilder::new()
+            .relation("R", &["a"])
+            .relation("S", &["a"])
+            .ints("R", &[1])
+            .tuple("S", vec![Value::null(0)])
+            .build();
+        let q = RaExpr::relation("R")
+            .difference(RaExpr::relation("S"))
+            .union(RaExpr::relation("S"));
+        let exec = symbolic(&q, &db);
+        assert_eq!(
+            exec.answers,
+            Relation::from_tuples(1, vec![Tuple::ints(&[1])])
+        );
+        assert_eq!(exec.candidates, 1);
+        assert_eq!(
+            exec.answers,
+            certain_answer_worlds(&q, &db, Semantics::Cwa, &WorldOptions::default()).unwrap()
+        );
+    }
+
+    #[test]
+    fn unification_respects_repeated_nulls_and_constants() {
+        let t = Tuple::ints(&[1, 2]);
+        let row = |a: Value, b: Value| Tuple::new(vec![a, b]);
+        assert!(unifies(&row(Value::null(0), Value::null(1)), &t));
+        assert!(unifies(&row(Value::int(1), Value::null(0)), &t));
+        assert!(!unifies(&row(Value::null(0), Value::null(0)), &t));
+        assert!(!unifies(&row(Value::int(2), Value::null(0)), &t));
+        assert!(unifies(
+            &row(Value::null(0), Value::null(0)),
+            &Tuple::ints(&[3, 3])
+        ));
     }
 
     #[test]
@@ -357,8 +449,8 @@ mod tests {
 
     #[test]
     fn complete_databases_shortcut_through_simplification() {
-        // With no nulls every condition is ground: the simplifier settles
-        // every candidate and the solver never builds a DNF.
+        // With no nulls every condition is ground: constant folding settles
+        // every candidate and the solver never searches.
         let db = DatabaseBuilder::new()
             .relation("R", &["a"])
             .relation("S", &["a"])

@@ -50,9 +50,10 @@ fn main() {
     //
     // The same conditional table, asked a different question: a tuple t is
     // certain iff ⋁ᵢ (tᵢ = t ∧ cᵢ) holds under EVERY valuation — a validity
-    // question the certainty solver decides by DNF + congruence closure over
-    // the infinite constant domain. This is `releval::symbolic`, the engine's
-    // default strategy for full RA under CWA.
+    // question the certainty solver decides by a DPLL-style search over
+    // (dis)equalities on the infinite constant domain. This is
+    // `releval::symbolic`, the engine's default strategy for full RA under
+    // CWA.
     use relalgebra::plan::PlannedQuery;
     use releval::symbolic::{symbolic_certain_answer, SymbolicOptions, SymbolicOutcome};
 

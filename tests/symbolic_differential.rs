@@ -78,8 +78,8 @@ fn symbolic_matches_world_oracle_on_cwa() {
             let symbolic =
                 match CTableStrategy::default().eval_unchecked(&plan, &db, Semantics::Cwa) {
                     Ok(answers) => answers,
-                    // A solver-budget punt is legal (deep difference towers make
-                    // the DNF genuinely explode) — the engine-level test checks
+                    // A solver-budget punt is legal (deep difference towers can
+                    // need many decisions) — the engine-level test checks
                     // the fallback path for those. Anything else is a bug.
                     Err(releval::EvalError::SymbolicPunt(
                         releval::symbolic::PuntReason::SolverBudget { .. },
