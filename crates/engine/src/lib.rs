@@ -111,15 +111,15 @@ use relalgebra::ast::RaExpr;
 use relalgebra::classify::{has_incomplete_values, QueryClass};
 use relalgebra::plan::PlannedQuery;
 use relalgebra::typecheck::TypeError;
-use releval::exec::columnar::approx::execute_approx_counted_with_morsel;
-use releval::exec::columnar::{execute_counted_with_morsel, execute_profiled_with_morsel};
+use releval::exec::columnar::approx::execute_approx_counted_over;
+use releval::exec::columnar::{execute_counted_over, execute_profiled_over};
 use releval::exec::{NodeProfile, OpStats};
 use releval::split::inline_ground_subtrees;
 use releval::strategy::{Strategy, ThreeValuedEvaluation};
 use releval::symbolic::{symbolic_certain_answer, SymbolicOutcome};
 use releval::worlds::{estimated_world_count, stream_certain_answer, ShardProfile};
 use releval::EvalError;
-use relmodel::Database;
+use relmodel::{Database, Relation};
 use repairs::{core_consistent_answer, stream_consistent_answer, ConflictGraph, RepairError};
 
 /// Errors from the engine front door.
@@ -185,8 +185,9 @@ impl From<EvalError> for EngineError {
 /// database once and build the conflict graph exactly once.
 ///
 /// Construction via [`Engine::new`]/[`Engine::over`] measures the database
-/// (two linear scans); via [`Engine::with_context`] it is free. Configure by
-/// chaining [`Engine::semantics`] and [`Engine::options`].
+/// (one linear scan); via [`Engine::with_context`] it is free, and the
+/// engine reuses every batch the context's earlier queries transposed.
+/// Configure by chaining [`Engine::semantics`] and [`Engine::options`].
 #[derive(Debug, Clone)]
 pub struct Engine<D: Borrow<Database> = Database> {
     db: D,
@@ -252,6 +253,17 @@ impl<D: Borrow<Database>> Engine<D> {
         self.options
             .morsel_rows
             .unwrap_or_else(relmodel::batch::morsel_rows)
+    }
+
+    /// Naive evaluation on the columnar core, every scan read from the
+    /// context's per-relation batches.
+    fn execute_naive(&self, plan: &PlannedQuery) -> (Relation, OpStats) {
+        execute_counted_over(
+            plan.physical(),
+            self.db(),
+            self.ctx.batches(),
+            self.morsel(),
+        )
     }
 
     /// The cached conflict hypergraph; `None` when the schema declares no
@@ -808,8 +820,7 @@ impl<D: Borrow<Database>> Engine<D> {
                 (exec.answers, Some(exec.pair.certain))
             }
             StrategyKind::NaiveExact => {
-                let (object, ops) =
-                    execute_counted_with_morsel(plan.physical(), self.db(), self.morsel());
+                let (object, ops) = self.execute_naive(&plan);
                 physical_ops = Some(ops);
                 (object.complete_part(), Some(object))
             }
@@ -843,15 +854,15 @@ impl<D: Borrow<Database>> Engine<D> {
                     // Naïve evaluation computes the CWA certain answer for
                     // RA_cwa (Section 6.2), which contains the OWA one: a
                     // provable over-approximation, reported as `complete`.
-                    let (naive, ops) =
-                        execute_counted_with_morsel(plan.physical(), self.db(), self.morsel());
+                    let (naive, ops) = self.execute_naive(&plan);
                     physical_ops = Some(ops);
                     (naive.complete_part(), Some(naive))
                 } else {
                     // Pair evaluation: the certain⁺ under-approximation.
-                    let (approx, ops) = execute_approx_counted_with_morsel(
+                    let (approx, ops) = execute_approx_counted_over(
                         plan.physical(),
                         self.db(),
+                        self.ctx.batches(),
                         self.morsel(),
                     );
                     physical_ops = Some(ops);
@@ -967,8 +978,12 @@ impl<D: Borrow<Database>> Engine<D> {
     /// [`Engine::explain_analyze`] for an already-planned query.
     pub fn explain_analyze_prepared(&self, plan: &PlannedQuery) -> ExplainAnalyze {
         let execute_started = Instant::now();
-        let (answers, op_stats, profiles) =
-            execute_profiled_with_morsel(plan.physical(), self.db(), self.morsel());
+        let (answers, op_stats, profiles) = execute_profiled_over(
+            plan.physical(),
+            self.db(),
+            self.ctx.batches(),
+            self.morsel(),
+        );
         let execute_time = execute_started.elapsed();
         let by_id: HashMap<u32, &NodeProfile> = profiles.iter().map(|p| (p.id, p)).collect();
         let mut annotated = plan.physical().explain_annotated(&mut |node| {

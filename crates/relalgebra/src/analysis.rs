@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use relmodel::{Constraint, Database, Schema, Semantics};
+use relmodel::{Constraint, Database, Relation, Schema, Semantics};
 
 use crate::ast::RaExpr;
 use crate::classify::{is_divisor_class, QueryClass};
@@ -84,6 +84,28 @@ pub struct RelationCensus {
 }
 
 impl RelationCensus {
+    /// Measures one concrete relation in one scan: its census and its
+    /// distinct null ids, in ascending order.
+    pub fn measure(rel: &Relation) -> (RelationCensus, Vec<u64>) {
+        let mut nullable = vec![false; rel.arity()];
+        let mut positions = 0usize;
+        let mut ids: BTreeSet<u64> = BTreeSet::new();
+        for tuple in rel.iter() {
+            for (i, v) in tuple.values().iter().enumerate() {
+                if let Some(id) = v.as_null() {
+                    nullable[i] = true;
+                    positions += 1;
+                    ids.insert(id.index());
+                }
+            }
+        }
+        let census = RelationCensus {
+            nullable,
+            null_positions: positions,
+        };
+        (census, ids.into_iter().collect())
+    }
+
     /// Is the relation provably free of nulls?
     pub fn is_null_free(&self) -> bool {
         self.null_positions == 0 && self.nullable.iter().all(|b| !b)
@@ -104,20 +126,30 @@ impl NullCensusBuilder {
     /// null ids observed in it (values and, for conditional tables, row
     /// conditions).
     pub fn relation(
-        mut self,
+        self,
         name: impl Into<String>,
         nullable: Vec<bool>,
         null_ids: impl IntoIterator<Item = u64>,
         null_positions: usize,
     ) -> Self {
+        let census = RelationCensus {
+            nullable,
+            null_positions,
+        };
+        self.measured(name, census, null_ids)
+    }
+
+    /// Records one relation whose census is already measured (see
+    /// [`RelationCensus::measure`]), with the distinct null ids observed in
+    /// it.
+    pub fn measured(
+        mut self,
+        name: impl Into<String>,
+        census: RelationCensus,
+        null_ids: impl IntoIterator<Item = u64>,
+    ) -> Self {
         self.ids.extend(null_ids);
-        self.relations.insert(
-            name.into(),
-            RelationCensus {
-                nullable,
-                null_positions,
-            },
-        );
+        self.relations.insert(name.into(), census);
         self
     }
 
@@ -151,23 +183,12 @@ impl NullCensus {
     /// Measures the census of a concrete database: one scan, per-relation
     /// and per-column.
     pub fn of_database(db: &Database) -> Self {
-        let mut builder = NullCensus::builder();
-        for (name, rel) in db.iter() {
-            let mut nullable = vec![false; rel.arity()];
-            let mut positions = 0usize;
-            let mut ids: BTreeSet<u64> = BTreeSet::new();
-            for tuple in rel.iter() {
-                for (i, v) in tuple.values().iter().enumerate() {
-                    if let Some(id) = v.as_null() {
-                        nullable[i] = true;
-                        positions += 1;
-                        ids.insert(id.index());
-                    }
-                }
-            }
-            builder = builder.relation(name, nullable, ids, positions);
-        }
-        builder.build()
+        db.iter()
+            .fold(NullCensus::builder(), |builder, (name, rel)| {
+                let (census, ids) = RelationCensus::measure(rel);
+                builder.measured(name, census, ids)
+            })
+            .build()
     }
 
     /// Was this census constructed without information (worst-case
@@ -191,6 +212,11 @@ impl NullCensus {
     /// conservatively null-bearing.
     pub fn relation_null_free(&self, name: &str) -> bool {
         self.relations.get(name).is_some_and(|c| c.is_null_free())
+    }
+
+    /// The census of the named relation, if censused.
+    pub fn relation(&self, name: &str) -> Option<&RelationCensus> {
+        self.relations.get(name)
     }
 
     /// The per-column nullability of the named relation, if censused.

@@ -28,21 +28,24 @@
 //!   allocate, and a probe touches only `heads`/`next`/`hashes` until a
 //!   hash matches, when the caller verifies column-wise equality.
 //!
-//! Scans transpose each relation **once per execution** and serve every
-//! scan of that relation from the cache (the batched analogue of hoisting
-//! `SplitIndex` construction out of per-node evaluation); the Δ diagonal is
-//! likewise computed once. Conversion back to the set-semantics
+//! Scans read their batches from a [`RelationBatches`]: each relation is
+//! transposed once, by the first scan that needs it, and every later scan
+//! shares that batch. An engine over a published snapshot passes the
+//! snapshot context's slots ([`execute_counted_over`]), so a relation is
+//! transposed once per snapshot version rather than once per query; the
+//! context-free entry points ([`execute_counted_with_morsel`] and friends)
+//! run the same executor over a fresh per-call set. The Δ diagonal is
+//! computed once per execution. Conversion back to the set-semantics
 //! [`Relation`] happens once, at the root.
 
 pub mod approx;
 pub mod ctable;
 pub mod split;
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch};
+use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RelationBatches};
 use relmodel::value::{Constant, Value};
 use relmodel::{Database, Relation};
 
@@ -63,25 +66,31 @@ pub fn execute_counted(plan: &PhysicalPlan, db: &Database) -> (Relation, OpStats
 
 /// [`execute_counted`] with an explicit morsel size — the differential
 /// tests sweep this to pin chunk-boundary behaviour, and benches use it to
-/// isolate the knob.
+/// isolate the knob. Transposes every scanned relation afresh.
 pub fn execute_counted_with_morsel(
     plan: &PhysicalPlan,
     db: &Database,
     morsel: usize,
 ) -> (Relation, OpStats) {
-    let mut exec = ColumnarExec {
-        db,
-        scans: HashMap::new(),
-        delta: None,
-        morsel: morsel.max(1),
-        stats: OpStats::default(),
-        profile: None,
-    };
+    execute_counted_over(plan, db, &RelationBatches::of(db), morsel)
+}
+
+/// [`execute_counted_with_morsel`] reading every scan from `batches`, the
+/// slots of `db`: a relation some earlier execution over the same slots
+/// already transposed is not transposed again. The engine runs its
+/// snapshot context's slots through here.
+pub fn execute_counted_over(
+    plan: &PhysicalPlan,
+    db: &Database,
+    batches: &RelationBatches,
+    morsel: usize,
+) -> (Relation, OpStats) {
+    let mut exec = ColumnarExec::new(db, batches, morsel, false);
     let out = exec.eval(plan.root());
     (out.to_relation(), exec.stats)
 }
 
-/// [`execute_counted_with_morsel`] plus a per-node [`NodeProfile`] for every
+/// [`execute_counted_over`] plus a per-node [`NodeProfile`] for every
 /// operator in the plan — the measurement pass behind `EXPLAIN ANALYZE`.
 ///
 /// Profiles are **inclusive** (a node's time/batches cover its whole
@@ -89,19 +98,13 @@ pub fn execute_counted_with_morsel(
 /// in completion (post) order, so the root is last. Wall-clock lives here
 /// and *not* in [`OpStats`], which stays deterministic and `Eq`-comparable
 /// across executors.
-pub fn execute_profiled_with_morsel(
+pub fn execute_profiled_over(
     plan: &PhysicalPlan,
     db: &Database,
+    batches: &RelationBatches,
     morsel: usize,
 ) -> (Relation, OpStats, Vec<NodeProfile>) {
-    let mut exec = ColumnarExec {
-        db,
-        scans: HashMap::new(),
-        delta: None,
-        morsel: morsel.max(1),
-        stats: OpStats::default(),
-        profile: Some(Vec::with_capacity(plan.operator_count())),
-    };
+    let mut exec = ColumnarExec::new(db, batches, morsel, true);
     let out = exec.eval(plan.root());
     let profiles = exec.profile.take().expect("profiling was requested");
     (out.to_relation(), exec.stats, profiles)
@@ -117,11 +120,10 @@ pub fn execute_into(plan: &PhysicalPlan, db: &Database, stats: &mut OpStats) -> 
 
 struct ColumnarExec<'a> {
     db: &'a Database,
-    /// Per-execution transpose cache: each relation is converted to a batch
-    /// (values and validity sidecars) once, no matter how many scans
-    /// reference it.
-    scans: HashMap<&'a str, Rc<ColumnBatch>>,
-    delta: Option<Rc<ColumnBatch>>,
+    /// Where scans get their batches: each relation is transposed once per
+    /// slot set, however many scans (or executions) reference it.
+    batches: &'a RelationBatches,
+    delta: Option<Arc<ColumnBatch>>,
     morsel: usize,
     stats: OpStats,
     /// When `Some`, every `eval` appends an inclusive [`NodeProfile`] for
@@ -131,9 +133,20 @@ struct ColumnarExec<'a> {
 }
 
 impl<'a> ColumnarExec<'a> {
+    fn new(db: &'a Database, batches: &'a RelationBatches, morsel: usize, profile: bool) -> Self {
+        ColumnarExec {
+            db,
+            batches,
+            delta: None,
+            morsel: morsel.max(1),
+            stats: OpStats::default(),
+            profile: profile.then(Vec::new),
+        }
+    }
+
     /// Evaluates a node to a duplicate-free batch, recording an inclusive
     /// per-node profile when profiling is on.
-    fn eval(&mut self, node: &'a PhysNode) -> Rc<ColumnBatch> {
+    fn eval(&mut self, node: &'a PhysNode) -> Arc<ColumnBatch> {
         if self.profile.is_none() {
             return self.eval_op(node);
         }
@@ -158,25 +171,20 @@ impl<'a> ColumnarExec<'a> {
 
     /// The operator dispatch proper (leaves are sets; every operator
     /// preserves the duplicate-free invariant, deduplicating where it must).
-    fn eval_op(&mut self, node: &'a PhysNode) -> Rc<ColumnBatch> {
+    fn eval_op(&mut self, node: &'a PhysNode) -> Arc<ColumnBatch> {
         self.stats.operators += 1;
         match node.op() {
-            PhysOp::Scan(name) => {
-                let db = self.db;
-                Rc::clone(self.scans.entry(name.as_str()).or_insert_with(|| {
-                    Rc::new(ColumnBatch::from_relation(
-                        db.relation(name)
-                            .expect("physical plans are lowered from typechecked queries"),
-                    ))
-                }))
-            }
-            PhysOp::Values(rel) => Rc::new(ColumnBatch::from_relation(rel)),
+            PhysOp::Scan(name) => self
+                .batches
+                .get(self.db, name)
+                .expect("physical plans are lowered from typechecked queries"),
+            PhysOp::Values(rel) => Arc::new(ColumnBatch::from_relation(rel)),
             PhysOp::Delta => {
                 if self.delta.is_none() {
                     let rows = super::delta_diagonal(self.db);
-                    self.delta = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                    self.delta = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                 }
-                Rc::clone(self.delta.as_ref().expect("just initialised"))
+                Arc::clone(self.delta.as_ref().expect("just initialised"))
             }
             PhysOp::Filter { input, predicate } => {
                 let input = self.eval(input);
@@ -186,17 +194,17 @@ impl<'a> ColumnarExec<'a> {
                 if keep.len() == input.len() {
                     input
                 } else {
-                    Rc::new(input.gather(&keep))
+                    Arc::new(input.gather(&keep))
                 }
             }
             PhysOp::Project { input, columns } => {
                 let input = self.eval(input);
-                Rc::new(project_dedup(&input, columns, self.morsel, &mut self.stats))
+                Arc::new(project_dedup(&input, columns, self.morsel, &mut self.stats))
             }
             PhysOp::NestedProduct { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
-                Rc::new(product(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(product(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::HashJoin {
                 left,
@@ -225,29 +233,29 @@ impl<'a> ColumnarExec<'a> {
                     self.morsel,
                     &mut self.stats,
                 );
-                Rc::new(out)
+                Arc::new(out)
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
-                Rc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::Difference { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 let keep = membership_keep(&l, &r, false, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Intersect { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 let keep = membership_keep(&l, &r, true, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Divide { left, right } => {
                 let dividend = self.eval(left);
                 let divisor = self.eval(right);
-                Rc::new(divide_syntactic(
+                Arc::new(divide_syntactic(
                     &dividend,
                     &divisor,
                     node.arity(),
@@ -729,26 +737,24 @@ mod tests {
 
     #[test]
     fn scan_cache_transposes_each_relation_once() {
-        // R is scanned twice; the per-execution cache must serve the second
-        // scan from the first transpose (same Rc).
+        // R is scanned twice per execution: both scans, and a second
+        // execution over the same slots, share the slot's one transpose.
         let d = db();
         let q = RaExpr::relation("R").union(RaExpr::relation("R"));
         let plan = PlannedQuery::new(q, d.schema()).unwrap();
-        let mut exec = ColumnarExec {
-            db: &d,
-            scans: HashMap::new(),
-            delta: None,
-            morsel: 1024,
-            stats: OpStats::default(),
-            profile: None,
-        };
+        let batches = RelationBatches::of(&d);
+        let mut exec = ColumnarExec::new(&d, &batches, 1024, false);
         exec.eval(plan.physical().root());
-        assert_eq!(exec.scans.len(), 1);
+        drop(exec);
+        let first = Arc::clone(batches.built("R").expect("R transposed"));
         assert_eq!(
-            Rc::strong_count(exec.scans.get("R").expect("R cached")),
-            1,
-            "both scans dropped their clones; the cache holds the last"
+            Arc::strong_count(&first),
+            2,
+            "both scans dropped their clones; the slot and this test hold it"
         );
+        assert!(batches.built("S").is_none(), "unscanned relations stay raw");
+        execute_counted_over(plan.physical(), &d, &batches, 1024);
+        assert!(Arc::ptr_eq(&first, batches.built("R").unwrap()));
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //! possible side degenerates to the plain hash path, with the symbolic
 //! fallback paid only for the few null-bearing rows.
 
-use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RunSplit};
+use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RelationBatches, RunSplit};
 use relmodel::value::Truth;
 use relmodel::Database;
 
@@ -44,15 +43,27 @@ pub fn execute_approx_counted(plan: &PhysicalPlan, db: &Database) -> (ApproxAnsw
     execute_approx_between(plan, db, db)
 }
 
-/// [`execute_approx_counted`] with an explicit morsel size — the engine
-/// threads its configured size through here so long-lived services control
-/// batching per request rather than per process.
+/// [`execute_approx_counted`] with an explicit morsel size. Transposes
+/// every scanned relation afresh.
 pub fn execute_approx_counted_with_morsel(
     plan: &PhysicalPlan,
     db: &Database,
     morsel: usize,
 ) -> (ApproxAnswer, OpStats) {
-    execute_approx_between_with_morsel(plan, db, db, morsel)
+    execute_approx_counted_over(plan, db, &RelationBatches::of(db), morsel)
+}
+
+/// [`execute_approx_counted_with_morsel`] reading every scan from
+/// `batches`, the slots of `db` (see
+/// [`super::execute_counted_over`]): both sides of a scan share the slot's
+/// one batch. The engine runs its snapshot context's slots through here.
+pub fn execute_approx_counted_over(
+    plan: &PhysicalPlan,
+    db: &Database,
+    batches: &RelationBatches,
+    morsel: usize,
+) -> (ApproxAnswer, OpStats) {
+    run(plan, (db, batches), (db, batches), morsel)
 }
 
 /// Pair-evaluates over an **interval** of databases — certain side reads
@@ -69,17 +80,41 @@ pub fn execute_approx_between(
 }
 
 /// [`execute_approx_between`] with an explicit morsel size, for the
-/// differential tests and benches.
+/// differential tests and benches. Transposes every scanned relation
+/// afresh, once per database.
 pub fn execute_approx_between_with_morsel(
     plan: &PhysicalPlan,
     lower: &Database,
     upper: &Database,
     morsel: usize,
 ) -> (ApproxAnswer, OpStats) {
+    let upper_batches = RelationBatches::of(upper);
+    let own_lower;
+    let lower_batches = if std::ptr::eq(lower, upper) {
+        &upper_batches
+    } else {
+        own_lower = RelationBatches::of(lower);
+        &own_lower
+    };
+    run(
+        plan,
+        (lower, lower_batches),
+        (upper, &upper_batches),
+        morsel,
+    )
+}
+
+/// The one pair executor behind every entry point: `lower` and `upper` are
+/// each a database with the slots its scans read.
+fn run(
+    plan: &PhysicalPlan,
+    lower: (&Database, &RelationBatches),
+    upper: (&Database, &RelationBatches),
+    morsel: usize,
+) -> (ApproxAnswer, OpStats) {
     let mut exec = ColApproxExec {
         lower,
         upper,
-        scans: HashMap::new(),
         delta_lower: None,
         delta_upper: None,
         morsel: morsel.max(1),
@@ -99,45 +134,43 @@ pub fn execute_approx_between_with_morsel(
 /// batch, both duplicate-free.
 #[derive(Clone)]
 struct PairBatch {
-    certain: Rc<ColumnBatch>,
-    possible: Rc<ColumnBatch>,
+    certain: Arc<ColumnBatch>,
+    possible: Arc<ColumnBatch>,
 }
 
 struct ColApproxExec<'a> {
-    lower: &'a Database,
-    upper: &'a Database,
-    /// Per-execution transpose cache; with `lower == upper` both sides of a
-    /// scan share one batch.
-    scans: HashMap<&'a str, PairBatch>,
-    delta_lower: Option<Rc<ColumnBatch>>,
-    delta_upper: Option<Rc<ColumnBatch>>,
+    /// The database the certain side scans, with its slots; with
+    /// `lower == upper` both sides of a scan share one batch.
+    lower: (&'a Database, &'a RelationBatches),
+    /// The database the possible side scans, with its slots.
+    upper: (&'a Database, &'a RelationBatches),
+    delta_lower: Option<Arc<ColumnBatch>>,
+    delta_upper: Option<Arc<ColumnBatch>>,
     morsel: usize,
     stats: OpStats,
 }
 
 impl<'a> ColApproxExec<'a> {
+    /// Do both sides read one database (the plain pair evaluation)?
+    fn same_bounds(&self) -> bool {
+        std::ptr::eq(self.lower.0, self.upper.0)
+    }
+
     fn eval(&mut self, node: &'a PhysNode) -> PairBatch {
         self.stats.operators += 1;
         match node.op() {
             PhysOp::Scan(name) => {
-                let (lower, upper) = (self.lower, self.upper);
-                self.scans
-                    .entry(name.as_str())
-                    .or_insert_with(|| {
-                        let expect = "physical plans are lowered from typechecked queries";
-                        let possible = Rc::new(ColumnBatch::from_relation(
-                            upper.relation(name).expect(expect),
-                        ));
-                        let certain = if std::ptr::eq(lower, upper) {
-                            Rc::clone(&possible)
-                        } else {
-                            Rc::new(ColumnBatch::from_relation(
-                                lower.relation(name).expect(expect),
-                            ))
-                        };
-                        PairBatch { certain, possible }
-                    })
-                    .clone()
+                let expect = "physical plans are lowered from typechecked queries";
+                let scan = |(db, batches): (&Database, &RelationBatches)| {
+                    batches.get(db, name).expect(expect)
+                };
+                let possible = scan(self.upper);
+                let certain = if self.same_bounds() {
+                    Arc::clone(&possible)
+                } else {
+                    scan(self.lower)
+                };
+                PairBatch { certain, possible }
             }
             // Literal nulls are rigid: only complete literal tuples are
             // certain (see the logical evaluator for the counterexample).
@@ -148,24 +181,24 @@ impl<'a> ColApproxExec<'a> {
                     .map(|r| r as u32)
                     .collect();
                 PairBatch {
-                    certain: Rc::new(possible.gather(&ground)),
-                    possible: Rc::new(possible),
+                    certain: Arc::new(possible.gather(&ground)),
+                    possible: Arc::new(possible),
                 }
             }
             PhysOp::Delta => {
                 if self.delta_lower.is_none() {
-                    let rows = super::super::delta_diagonal(self.lower);
-                    self.delta_lower = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                    let rows = super::super::delta_diagonal(self.lower.0);
+                    self.delta_lower = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                 }
-                let certain = Rc::clone(self.delta_lower.as_ref().expect("just initialised"));
-                let possible = if std::ptr::eq(self.lower, self.upper) {
-                    Rc::clone(&certain)
+                let certain = Arc::clone(self.delta_lower.as_ref().expect("just initialised"));
+                let possible = if self.same_bounds() {
+                    Arc::clone(&certain)
                 } else {
                     if self.delta_upper.is_none() {
-                        let rows = super::super::delta_diagonal(self.upper);
-                        self.delta_upper = Some(Rc::new(ColumnBatch::from_rows(2, rows.iter())));
+                        let rows = super::super::delta_diagonal(self.upper.0);
+                        self.delta_upper = Some(Arc::new(ColumnBatch::from_rows(2, rows.iter())));
                     }
-                    Rc::clone(self.delta_upper.as_ref().expect("just initialised"))
+                    Arc::clone(self.delta_upper.as_ref().expect("just initialised"))
                 };
                 PairBatch { certain, possible }
             }
@@ -190,13 +223,13 @@ impl<'a> ColApproxExec<'a> {
             PhysOp::Project { input, columns } => {
                 let input = self.eval(input);
                 PairBatch {
-                    certain: Rc::new(project_dedup(
+                    certain: Arc::new(project_dedup(
                         &input.certain,
                         columns,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(project_dedup(
+                    possible: Arc::new(project_dedup(
                         &input.possible,
                         columns,
                         self.morsel,
@@ -208,13 +241,13 @@ impl<'a> ColApproxExec<'a> {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 PairBatch {
-                    certain: Rc::new(product(
+                    certain: Arc::new(product(
                         &l.certain,
                         &r.certain,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(product(
+                    possible: Arc::new(product(
                         &l.possible,
                         &r.possible,
                         self.morsel,
@@ -258,21 +291,21 @@ impl<'a> ColApproxExec<'a> {
                 let possible =
                     self.possible_join(&l.possible, &r.possible, keys, left_arity, residual);
                 PairBatch {
-                    certain: Rc::new(certain),
-                    possible: Rc::new(possible),
+                    certain: Arc::new(certain),
+                    possible: Arc::new(possible),
                 }
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval(left);
                 let r = self.eval(right);
                 PairBatch {
-                    certain: Rc::new(union_batches(
+                    certain: Arc::new(union_batches(
                         &l.certain,
                         &r.certain,
                         self.morsel,
                         &mut self.stats,
                     )),
-                    possible: Rc::new(union_batches(
+                    possible: Arc::new(union_batches(
                         &l.possible,
                         &r.possible,
                         self.morsel,
@@ -323,8 +356,8 @@ impl<'a> ColApproxExec<'a> {
                     &mut self.stats,
                 );
                 PairBatch {
-                    certain: Rc::new(certain),
-                    possible: Rc::new(project_dedup(
+                    certain: Arc::new(certain),
+                    possible: Arc::new(project_dedup(
                         &dividend.possible,
                         &prefix_cols,
                         self.morsel,
@@ -462,11 +495,11 @@ impl<'a> ColApproxExec<'a> {
 }
 
 /// Wraps a gather, reusing the input when every row survived.
-fn gathered(batch: &Rc<ColumnBatch>, keep: Vec<u32>) -> Rc<ColumnBatch> {
+fn gathered(batch: &Arc<ColumnBatch>, keep: Vec<u32>) -> Arc<ColumnBatch> {
     if keep.len() == batch.len() {
-        Rc::clone(batch)
+        Arc::clone(batch)
     } else {
-        Rc::new(batch.gather(&keep))
+        Arc::new(batch.gather(&keep))
     }
 }
 

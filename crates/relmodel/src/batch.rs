@@ -21,8 +21,11 @@
 //! beyond any workload this workspace generates, and half-width ids keep
 //! the executor's hash-table chains and selection vectors dense.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
+use crate::database::Database;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
@@ -179,11 +182,16 @@ impl ColumnBatch {
         }
     }
 
-    /// Transposes a relation into a batch (the once-per-execution leaf
-    /// conversion). Row order follows the relation's deterministic
-    /// iteration order.
+    /// Transposes a relation into a batch (the leaf conversion; see
+    /// [`RelationBatches`] for how often it runs). Row order follows the
+    /// relation's deterministic iteration order. Every column reserves
+    /// exactly `rel.len()` rows up front.
     pub fn from_relation(rel: &Relation) -> Self {
-        Self::from_rows(rel.arity(), rel.iter())
+        let mut batch = ColumnBatch::with_capacity(rel.arity(), rel.len());
+        for t in rel.iter() {
+            batch.push_tuple(t);
+        }
+        batch
     }
 
     /// Transposes borrowed tuples into a batch.
@@ -455,6 +463,68 @@ impl OverlayBatch {
     }
 }
 
+/// One lazily transposed [`ColumnBatch`] per relation of one database: the
+/// leaf batches every scan of the columnar executors reads.
+///
+/// A slot is filled by the first scan that asks for it and shared by every
+/// later scan, on any thread. Its owner decides how long transposes live: a
+/// per-call set lives for one execution, while a set owned by a published
+/// snapshot's context lives as long as the snapshot. Slots are themselves
+/// shared: [`RelationBatches::carry`] gives a successor database the very
+/// slot of every relation it still shares with its predecessor, so a batch
+/// built on either version serves both.
+#[derive(Debug, Default)]
+pub struct RelationBatches {
+    slots: BTreeMap<String, Arc<OnceLock<Arc<ColumnBatch>>>>,
+}
+
+impl RelationBatches {
+    /// Empty slots for every relation of `db`.
+    pub fn of(db: &Database) -> Self {
+        RelationBatches {
+            slots: db
+                .iter()
+                .map(|(name, _)| (name.to_owned(), Arc::default()))
+                .collect(),
+        }
+    }
+
+    /// The slots of `db`, a successor of `prev_db` whose slots are `self`:
+    /// every relation the two databases share
+    /// ([`Database::shares_relation`]) keeps its slot, built or not, and
+    /// every other relation starts empty.
+    pub fn carry(&self, prev_db: &Database, db: &Database) -> Self {
+        RelationBatches {
+            slots: db
+                .iter()
+                .map(|(name, _)| {
+                    let slot = match self.slots.get(name) {
+                        Some(slot) if db.shares_relation(prev_db, name) => Arc::clone(slot),
+                        _ => Arc::default(),
+                    };
+                    (name.to_owned(), slot)
+                })
+                .collect(),
+        }
+    }
+
+    /// The batch of relation `name` of `db`, which must be the database
+    /// these slots were made for: transposed by the first call, shared by
+    /// every later one. `None` when `db` has no such relation.
+    pub fn get(&self, db: &Database, name: &str) -> Option<Arc<ColumnBatch>> {
+        let rel = db.relation(name)?;
+        let slot = self.slots.get(name)?;
+        Some(Arc::clone(
+            slot.get_or_init(|| Arc::new(ColumnBatch::from_relation(rel))),
+        ))
+    }
+
+    /// The batch of relation `name` if some scan has built it already.
+    pub fn built(&self, name: &str) -> Option<&Arc<ColumnBatch>> {
+        self.slots.get(name).and_then(|slot| slot.get())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,5 +707,47 @@ mod tests {
         assert_eq!(b.len(), 2);
         let rel = b.to_relation();
         assert_eq!(rel.len(), 1, "set semantics merge the empty tuples");
+    }
+
+    #[test]
+    fn relation_batches_transpose_once_and_carry_shared_slots() {
+        let schema = crate::Schema::builder()
+            .relation("R", &["a"])
+            .relation("S", &["a"])
+            .build();
+        let mut db = Database::new(schema);
+        db.insert("R", Tuple::ints(&[1])).unwrap();
+        db.insert("S", Tuple::new(vec![Value::null(0)])).unwrap();
+
+        let batches = RelationBatches::of(&db);
+        assert!(batches.built("R").is_none(), "slots start empty");
+        let r = batches.get(&db, "R").unwrap();
+        assert_eq!(*r, ColumnBatch::from_relation(db.relation("R").unwrap()));
+        assert!(Arc::ptr_eq(&r, &batches.get(&db, "R").unwrap()));
+        assert!(batches.get(&db, "Missing").is_none());
+
+        let mut next = db.clone();
+        next.insert("S", Tuple::ints(&[2])).unwrap();
+        let carried = batches.carry(&db, &next);
+        assert!(Arc::ptr_eq(&r, carried.built("R").unwrap()), "R is shared");
+        assert!(carried.built("S").is_none(), "S was written");
+        // Slots themselves are shared: a batch built on the old version
+        // after the carry serves the new one too.
+        let s_old = batches.get(&db, "S").unwrap();
+        assert_eq!(s_old.len(), 1);
+        assert_eq!(carried.get(&next, "S").unwrap().len(), 2);
+        let fresh = RelationBatches::of(&next);
+        let late = fresh.carry(&next, &next);
+        let built = fresh.get(&next, "R").unwrap();
+        assert!(Arc::ptr_eq(&built, late.built("R").unwrap()));
+    }
+
+    #[test]
+    fn from_relation_reserves_exact_capacity() {
+        let rel = Relation::from_tuples(2, (0..100).map(|i| Tuple::ints(&[i, i])));
+        let batch = ColumnBatch::from_relation(&rel);
+        for c in &batch.columns {
+            assert_eq!(c.values.capacity(), 100);
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::relation::Relation;
@@ -18,11 +19,18 @@ use crate::value::{Constant, NullId, Value};
 /// * a **Codd database** is one where every null occurs at most once
 ///   ([`Database::is_codd`]) — this models SQL's unmarked `NULL`;
 /// * a **complete database** has no nulls at all ([`Database::is_complete`]).
+///
+/// Relations are held behind [`Arc`]s, so the database is a persistent
+/// structure: `clone` copies one pointer per relation, and every mutator
+/// ([`Database::insert`], [`Database::relation_mut`],
+/// [`Database::set_relation`]) copies on write, so a clone that inserts into
+/// `R` copies `R` alone and keeps sharing every other relation with the
+/// original. [`Database::shares_relation`] observes that sharing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Database {
     schema: Schema,
-    relations: BTreeMap<String, Relation>,
+    relations: BTreeMap<String, Arc<Relation>>,
 }
 
 impl Database {
@@ -30,7 +38,7 @@ impl Database {
     pub fn new(schema: Schema) -> Self {
         let relations = schema
             .iter()
-            .map(|rs| (rs.name.clone(), Relation::new(rs.arity())))
+            .map(|rs| (rs.name.clone(), Arc::new(Relation::new(rs.arity()))))
             .collect();
         Database { schema, relations }
     }
@@ -42,7 +50,18 @@ impl Database {
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(|r| &**r)
+    }
+
+    /// Does the named relation of `self` share its storage with the same
+    /// relation of `other` (one is a clone of the other that neither side
+    /// wrote to since)? Shared relations are equal; unshared ones may or may
+    /// not be. `false` when either side lacks the relation.
+    pub fn shares_relation(&self, other: &Database, name: &str) -> bool {
+        match (self.relations.get(name), other.relations.get(name)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Looks up a relation by name, or returns an error.
@@ -51,17 +70,20 @@ impl Database {
             .ok_or_else(|| ModelError::UnknownRelation(name.to_owned()))
     }
 
-    /// Mutable access to a relation by name.
+    /// Mutable access to a relation by name. Copies the relation first when
+    /// it is shared with a clone of this database.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.relations.get_mut(name)
+        self.relations.get_mut(name).map(Arc::make_mut)
     }
 
     /// Iterates over `(name, relation)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+        self.relations.iter().map(|(n, r)| (n.as_str(), &**r))
     }
 
-    /// Inserts a tuple into the named relation, checking arity.
+    /// Inserts a tuple into the named relation, checking arity. Copies the
+    /// relation first when it is shared with a clone of this database and
+    /// the tuple is new to it; re-inserting a present tuple copies nothing.
     pub fn insert(&mut self, relation: &str, tuple: Tuple) -> Result<bool, ModelError> {
         let rs = self.schema.require(relation)?;
         if tuple.arity() != rs.arity() {
@@ -71,11 +93,17 @@ impl Database {
                 actual: tuple.arity(),
             });
         }
-        Ok(self
+        let rel = self
             .relations
             .get_mut(relation)
-            .expect("schema relation always has an instance")
-            .insert(tuple))
+            .expect("schema relation always has an instance");
+        if let Some(owned) = Arc::get_mut(rel) {
+            return Ok(owned.insert(tuple));
+        }
+        if rel.contains(&tuple) {
+            return Ok(false);
+        }
+        Ok(Arc::make_mut(rel).insert(tuple))
     }
 
     /// Inserts many tuples into the named relation.
@@ -105,13 +133,13 @@ impl Database {
         } else {
             relation
         };
-        self.relations.insert(name.to_owned(), fixed);
+        self.relations.insert(name.to_owned(), Arc::new(fixed));
         Ok(())
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// All violations of the schema's integrity constraints, as witness
@@ -136,7 +164,7 @@ impl Database {
 
     /// Is every relation free of nulls?
     pub fn is_complete(&self) -> bool {
-        self.relations.values().all(Relation::is_complete)
+        self.relations.values().all(|r| r.is_complete())
     }
 
     /// Does every null occur at most once across the whole database?
@@ -159,17 +187,14 @@ impl Database {
 
     /// All nulls occurring in the database: `Null(D)`.
     pub fn null_ids(&self) -> BTreeSet<NullId> {
-        self.relations
-            .values()
-            .flat_map(Relation::null_ids)
-            .collect()
+        self.relations.values().flat_map(|r| r.null_ids()).collect()
     }
 
     /// All constants occurring in the database: `Const(D)`.
     pub fn constants(&self) -> BTreeSet<Constant> {
         self.relations
             .values()
-            .flat_map(Relation::constants)
+            .flat_map(|r| r.constants())
             .collect()
     }
 
@@ -187,7 +212,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), r.complete_part()))
+                .map(|(n, r)| (n.clone(), Arc::new(r.complete_part())))
                 .collect(),
         }
     }
@@ -212,7 +237,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), r.apply(v)))
+                .map(|(n, r)| (n.clone(), Arc::new(r.apply(v))))
                 .collect(),
         }
     }
@@ -225,7 +250,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), r.map_nulls(f)))
+                .map(|(n, r)| (n.clone(), Arc::new(r.map_nulls(f))))
                 .collect(),
         }
     }
@@ -397,5 +422,37 @@ mod tests {
         // Empty relation with wrong arity is normalised to schema arity.
         db.set_relation("Order", Relation::new(0)).unwrap();
         assert_eq!(db.relation("Order").unwrap().arity(), 2);
+    }
+
+    #[test]
+    fn clones_share_relations_until_written() {
+        let db = orders_db();
+        let mut next = db.clone();
+        assert!(next.shares_relation(&db, "Order") && next.shares_relation(&db, "Pay"));
+
+        // Re-inserting a present tuple is a no-op and copies nothing.
+        assert!(!next.insert("Order", Tuple::strs(&["oid1", "pr1"])).unwrap());
+        assert!(next.shares_relation(&db, "Order"));
+
+        // A new tuple copies exactly the relation it lands in.
+        assert!(next.insert("Order", Tuple::strs(&["oid3", "pr3"])).unwrap());
+        assert!(!next.shares_relation(&db, "Order"));
+        assert!(next.shares_relation(&db, "Pay"));
+        assert_eq!(db.relation("Order").unwrap().len(), 2, "original intact");
+        assert_eq!(next.relation("Order").unwrap().len(), 3);
+
+        // `relation_mut` and `set_relation` copy on write too.
+        let mut third = next.clone();
+        third.relation_mut("Pay").unwrap().insert(Tuple::new(vec![
+            Value::str("pid2"),
+            Value::str("oid3"),
+            Value::int(5),
+        ]));
+        assert!(!third.shares_relation(&next, "Pay"));
+        assert_eq!(next.relation("Pay").unwrap().len(), 1);
+        third.set_relation("Order", Relation::new(2)).unwrap();
+        assert!(!third.shares_relation(&next, "Order"));
+        assert_eq!(next.relation("Order").unwrap().len(), 3);
+        assert!(!third.shares_relation(&next, "Missing"));
     }
 }

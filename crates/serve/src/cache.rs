@@ -219,28 +219,19 @@ impl ShardedResultCache {
 
     /// The cached report for a key, if its shard has it.
     pub fn get(&self, key: &ResultKey) -> Option<Arc<CertainReport>> {
-        self.shard(key)
-            .lock()
-            .expect("result cache shard poisoned")
-            .get(key)
+        crate::recover(self.shard(key).lock()).get(key)
     }
 
     /// Caches a report in the key's shard, evicting FIFO beyond the shard
     /// capacity.
     pub fn insert(&self, key: ResultKey, report: Arc<CertainReport>) {
-        self.shard(&key)
-            .lock()
-            .expect("result cache shard poisoned")
-            .insert(key, report);
+        crate::recover(self.shard(&key).lock()).insert(key, report);
     }
 
     /// Drops every entry (in every shard) not computed against `version`.
     pub fn retain_version(&self, version: u64) {
         for shard in &self.shards {
-            shard
-                .lock()
-                .expect("result cache shard poisoned")
-                .retain_version(version);
+            crate::recover(shard.lock()).retain_version(version);
         }
     }
 
@@ -248,7 +239,7 @@ impl ShardedResultCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("result cache shard poisoned").len())
+            .map(|s| crate::recover(s.lock()).len())
             .sum()
     }
 

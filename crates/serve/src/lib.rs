@@ -12,10 +12,19 @@
 //!   an in-flight query keeps its snapshot alive by `Arc` however many
 //!   versions are published meanwhile, so every report is internally
 //!   consistent with the `snapshot_version` it carries.
-//! * **Per-snapshot dispatch context.** The null census and the (lazy)
-//!   conflict graph live on the snapshot, not the request: N queries on one
-//!   snapshot measure the database once and build the conflict graph exactly
-//!   once, however many threads ask ([`Snapshot::conflict_graph_builds`]).
+//! * **Structural sharing between versions.** A database holds its
+//!   relations by `Arc`, so the next version starts as a pointer copy of the
+//!   current one and a write copies only the relation it touches. The next
+//!   snapshot's context is derived from the current one's
+//!   ([`engine::DbContext::derive`]): every relation the two versions share
+//!   keeps its census entry and its column batch, and only touched
+//!   relations are measured (and, on first scan, transposed) again.
+//! * **Per-snapshot dispatch context.** The null census, one lazily
+//!   transposed column batch per relation, and the (lazy) conflict graph
+//!   live on the snapshot, not the request: N queries on one snapshot
+//!   measure the database once, transpose each relation at most once, and
+//!   build the conflict graph exactly once, however many threads ask
+//!   ([`Snapshot::conflict_graph_builds`]).
 //! * **Plan + result caches.** Plans are cached by whitespace-normalized
 //!   query text and survive data-only version bumps (they depend only on the
 //!   schema, tracked by epoch); certain-answer reports are cached by
@@ -31,6 +40,11 @@
 //!   arming [`ServeOptions::slow_query_threshold`] captures the last N slow
 //!   queries with their full engine span trees
 //!   ([`CertainService::slow_queries`]).
+//!
+//! A panic inside a caller's [`CertainService::update`] closure publishes
+//! nothing and poisons nothing for later callers: every lock the service
+//! takes recovers from poisoning, since nothing behind one is left
+//! half-written and every cache can be rebuilt.
 //!
 //! Reports come back as the engine's own [`CertainReport`], with the
 //! service-only stats fields filled in: `stats.snapshot_version` says which
@@ -70,7 +84,7 @@ pub use cache::{normalize, PlanCache, ResultCache, ResultKey, ShardedResultCache
 pub use snapshot::{Snapshot, SnapshotEngine};
 pub use stats::ServiceTelemetry;
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use engine::{CertainReport, EngineError, EngineOptions, Semantics, StrategyKind};
@@ -80,6 +94,15 @@ use relmodel::Database;
 
 use cache::{PlanCache as Plans, ShardedResultCache as Results};
 use stats::ServiceStats;
+
+/// Takes a lock whether or not a panicking holder poisoned it. No lock of
+/// the service guards a half-written value: the writer mutex guards no data
+/// (a panicking [`CertainService::update`] closure never reaches publish),
+/// the snapshot pointer and publish clock are replaced whole, and the
+/// caches only lose entries that the next miss recomputes.
+pub(crate) fn recover<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Construction-time configuration for a [`CertainService`].
 #[derive(Debug, Clone)]
@@ -147,11 +170,11 @@ pub struct SlowQuery {
 #[derive(Debug)]
 pub struct CertainService {
     /// The published snapshot. The write lock is held only for the pointer
-    /// swap — never while cloning, mutating, or measuring a database.
+    /// swap — never while copying, mutating, or measuring a database.
     current: RwLock<Arc<Snapshot>>,
-    /// Serializes writers, so concurrent updates compose (each clones the
+    /// Serializes writers, so concurrent updates compose (each copies the
     /// latest database) instead of lost-updating each other. Held across the
-    /// whole clone-mutate-measure-publish cycle; readers never take it.
+    /// whole copy-mutate-measure-publish cycle; readers never take it.
     writer: Mutex<()>,
     plans: RwLock<Plans>,
     /// Hash-sharded: unrelated queries take different locks, so a client
@@ -226,7 +249,8 @@ impl CertainService {
     /// The current snapshot. The returned `Arc` pins it: queries answered
     /// through it stay on this version even while writers publish newer ones.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
+        let current = recover(self.current.read());
+        Arc::clone(&current)
     }
 
     /// The current snapshot version (0 at construction, +1 per publish).
@@ -387,12 +411,7 @@ impl CertainService {
         normalized: &str,
     ) -> Result<(Arc<PlannedQuery>, bool), EngineError> {
         let epoch = snap.schema_epoch();
-        if let Some(plan) = self
-            .plans
-            .read()
-            .expect("plan cache lock poisoned")
-            .get(epoch, normalized)
-        {
+        if let Some(plan) = recover(self.plans.read()).get(epoch, normalized) {
             ServiceStats::bump(&self.stats.plan_hits);
             return Ok((plan, true));
         }
@@ -400,26 +419,28 @@ impl CertainService {
         // Plan the ORIGINAL text (normalization is a cache key, not a
         // rewrite), against the pinned snapshot's schema.
         let plan = Arc::new(qparser::parse_and_plan(query, snap.database().schema())?);
-        let plan = self
-            .plans
-            .write()
-            .expect("plan cache lock poisoned")
-            .insert(epoch, normalized.to_owned(), plan);
+        let plan = recover(self.plans.write()).insert(epoch, normalized.to_owned(), plan);
         Ok((plan, false))
     }
 
-    /// Publishes the next snapshot: clones the current database, applies
-    /// `mutate`, and swaps it in as version `current + 1`. Returns the new
-    /// version.
+    /// Publishes the next snapshot: applies `mutate` to a copy of the
+    /// current database and swaps the result in as version `current + 1`.
+    /// Returns the new version.
     ///
-    /// The clone, the mutation, and the (two-linear-scan) measurement all
-    /// happen outside the snapshot lock — readers keep answering on the old
-    /// version throughout and switch atomically at the pointer swap. A
+    /// The copy is structural: it shares every relation with the current
+    /// database, and `mutate` copies a relation only when it writes to it.
+    /// The mutation and the measurement of the touched relations happen
+    /// outside the snapshot lock — readers keep answering on the old version
+    /// throughout and switch atomically at the pointer swap. A
     /// schema-changing mutation additionally starts a new plan-cache epoch.
+    ///
+    /// If `mutate` panics, the panic propagates to the caller and nothing is
+    /// published: the current version stays, and later reads and writes
+    /// proceed normally.
     pub fn update(&self, mutate: impl FnOnce(&mut Database)) -> u64 {
-        let _writing = self.writer.lock().expect("writer lock poisoned");
+        let _writing = recover(self.writer.lock());
         let prev = self.snapshot();
-        let mut db = (**prev.database()).clone();
+        let mut db = Database::clone(prev.database());
         mutate(&mut db);
         self.publish(&prev, db)
     }
@@ -427,7 +448,7 @@ impl CertainService {
     /// Publishes `db` wholesale as the next snapshot (schema may differ
     /// arbitrarily from the current one). Returns the new version.
     pub fn replace(&self, db: Database) -> u64 {
-        let _writing = self.writer.lock().expect("writer lock poisoned");
+        let _writing = recover(self.writer.lock());
         let prev = self.snapshot();
         self.publish(&prev, db)
     }
@@ -438,21 +459,18 @@ impl CertainService {
         let schema_changed = db.schema() != prev.database().schema();
         let epoch = prev.schema_epoch() + u64::from(schema_changed);
         let version = prev.version() + 1;
-        // The expensive part — measuring the census — runs before any reader
-        // is blocked.
-        let next = Arc::new(Snapshot::new(version, epoch, db));
-        *self.current.write().expect("snapshot lock poisoned") = next;
+        // The expensive part — measuring the touched relations — runs before
+        // any reader is blocked.
+        let next = Arc::new(prev.next(version, epoch, db));
+        *recover(self.current.write()) = next;
         if schema_changed {
-            self.plans
-                .write()
-                .expect("plan cache lock poisoned")
-                .reset(epoch);
+            recover(self.plans.write()).reset(epoch);
         }
         // Invalidation proper is by key (stale versions can't match); this
         // only reclaims their memory.
         self.results.retain_version(version);
         ServiceStats::bump(&self.stats.updates);
-        *self.published_at.lock().expect("publish clock poisoned") = Instant::now();
+        *recover(self.published_at.lock()) = Instant::now();
         self.metrics
             .set_gauge("serve_snapshot_version", version as f64);
         version
@@ -493,11 +511,7 @@ impl CertainService {
             .set_gauge("serve_plan_hit_rate", t.plan_hit_rate());
         self.metrics
             .set_gauge("serve_snapshot_version", self.version() as f64);
-        let age = self
-            .published_at
-            .lock()
-            .expect("publish clock poisoned")
-            .elapsed();
+        let age = recover(self.published_at.lock()).elapsed();
         self.metrics
             .set_gauge("serve_snapshot_age_seconds", age.as_secs_f64());
     }
@@ -829,5 +843,30 @@ mod tests {
         let new = service.submit("R").unwrap();
         assert_eq!(new.stats.snapshot_version, Some(2));
         assert_eq!(new.answers, ints(&[1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn a_panicking_update_publishes_nothing_and_poisons_nothing() {
+        let service = CertainService::new(one_relation());
+        service.submit("R").unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.update(|db| {
+                db.insert("R", Tuple::new(vec![Value::int(99)])).unwrap();
+                panic!("caller bug inside the update closure");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(service.version(), 0, "nothing was published");
+        let read = service.submit("R").unwrap();
+        assert_eq!(read.answers, ints(&[1, 2]), "the half-made write is gone");
+        assert!(read.stats.cache_hit, "the result cache survived");
+
+        let v = service.update(|db| {
+            db.insert("R", Tuple::new(vec![Value::int(3)])).unwrap();
+        });
+        assert_eq!(v, 1);
+        assert_eq!(service.replace(one_relation()), 2);
+        assert_eq!(service.submit("R").unwrap().answers, ints(&[1, 2]));
+        assert!(service.metrics_text().contains("serve_snapshot_version 2"));
     }
 }

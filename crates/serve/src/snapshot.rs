@@ -1,19 +1,29 @@
 //! Versioned, immutable database snapshots.
 //!
 //! A [`Snapshot`] is one published state of the service's database: an
-//! `Arc<Database>` (immutable once published — writers clone-and-replace,
+//! `Arc<Database>` (immutable once published — writers copy and replace,
 //! they never mutate in place), the monotone version number the service
 //! assigned it, and the shared [`DbContext`] carrying everything the engine
-//! precomputes about the database — null count, null census, and the lazily
-//! built conflict graph. Because the context lives *on the snapshot* rather
-//! than in any request-scoped engine, N queries against one snapshot measure
-//! the database once and build the conflict graph exactly once
-//! ([`Snapshot::conflict_graph_builds`] proves it by counter).
+//! precomputes about the database — null count, null census, one lazily
+//! transposed column batch per relation, and the lazily built conflict
+//! graph. Because the context lives *on the snapshot* rather than in any
+//! request-scoped engine, N queries against one snapshot measure the
+//! database once, transpose each relation at most once, and build the
+//! conflict graph exactly once ([`Snapshot::conflict_graph_builds`] proves
+//! the last by counter).
+//!
+//! Snapshots form a history in which each version is cheap to derive from
+//! the one before ([`Snapshot::next`]). The database shares every relation
+//! a write did not touch with its predecessor (a [`Database`] clone copies
+//! pointers and copies a relation only when it is written), and the context
+//! carries over the census entry and batch slot of each shared relation, so
+//! a one-tuple insert into `R` copies, measures, and later transposes `R`
+//! alone.
 //!
 //! Readers hold snapshots by `Arc`: an in-flight query keeps its snapshot
-//! (database, context, and any half-read relations) alive however many
-//! versions the service publishes meanwhile — the copy-on-write face of
-//! "readers never block writers".
+//! (database, context, and batches) alive however many versions the
+//! service publishes meanwhile — the copy-on-write face of "readers never
+//! block writers".
 
 use std::sync::Arc;
 
@@ -39,16 +49,29 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Publishes `db` as version `version`: measures the dispatch context
-    /// (two linear scans) once, here, for every query that will ever run
-    /// against this snapshot.
+    /// The first snapshot of a history: publishes `db` as version
+    /// `version`, measuring its dispatch context (one linear scan) once,
+    /// here, for every query that will ever run against it.
     pub(crate) fn new(version: u64, schema_epoch: u64, db: Database) -> Self {
-        let db = Arc::new(db);
         let ctx = Arc::new(DbContext::of(&db));
         Snapshot {
             version,
             schema_epoch,
-            db,
+            db: Arc::new(db),
+            ctx,
+        }
+    }
+
+    /// The successor of `self`: publishes `db` as version `version`,
+    /// deriving its context from this snapshot's. Relations `db` still
+    /// shares with this snapshot's database keep their census entries and
+    /// batch slots; only the relations the write touched are measured.
+    pub(crate) fn next(&self, version: u64, schema_epoch: u64, db: Database) -> Self {
+        let ctx = Arc::new(self.ctx.derive(&self.db, &db));
+        Snapshot {
+            version,
+            schema_epoch,
+            db: Arc::new(db),
             ctx,
         }
     }
@@ -69,8 +92,8 @@ impl Snapshot {
         &self.db
     }
 
-    /// The shared dispatch context (null count, census, lazy conflict
-    /// graph) every engine over this snapshot reuses.
+    /// The shared dispatch context (null count, census, batch slots, lazy
+    /// conflict graph) every engine over this snapshot reuses.
     pub fn context(&self) -> &Arc<DbContext> {
         &self.ctx
     }
