@@ -417,7 +417,10 @@ pub struct EngineStats {
     /// enumeration was considered.
     pub estimated_repairs: Option<u128>,
     /// Repairs actually visited by the streaming fold, when the
-    /// repair-enumeration strategy ran.
+    /// repair-enumeration strategy ran. When the fold factorized (a plan
+    /// linear in the conflict vertices, over a complete database), these
+    /// are **local** repairs: the sum over conflict components of each
+    /// component's maximal independent sets, not their product.
     pub repairs_enumerated: Option<u128>,
     /// Of the visited repairs, how many were evaluated as survival masks
     /// through the batched split executor, when the repair-enumeration

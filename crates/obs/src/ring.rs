@@ -1,7 +1,7 @@
 //! A bounded ring of the most recent slow entries.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The last-N buffer behind `CertainService::slow_queries`: entries are
 /// pushed **whole** under one short mutex hold, so a concurrent reader
@@ -9,6 +9,12 @@ use std::sync::Mutex;
 /// which a trace is half-published. The lock is touched only for queries
 /// that already crossed the slowness threshold, so it is never on the fast
 /// path.
+///
+/// A holder that panics (say, an entry whose `Clone` panics inside
+/// [`SlowQueryRing::snapshot`]) poisons the mutex, but never leaves a
+/// half-written deque behind: entries are pushed and evicted whole. So the
+/// ring takes the lock whether or not it is poisoned, and one bad entry
+/// cannot disable slow-query reporting for the rest of the process.
 #[derive(Debug)]
 pub struct SlowQueryRing<T> {
     capacity: usize,
@@ -24,6 +30,10 @@ impl<T: Clone> SlowQueryRing<T> {
         }
     }
 
+    fn entries(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -34,7 +44,7 @@ impl<T: Clone> SlowQueryRing<T> {
         if self.capacity == 0 {
             return;
         }
-        let mut entries = self.entries.lock().expect("slow-query ring poisoned");
+        let mut entries = self.entries();
         if entries.len() == self.capacity {
             entries.pop_front();
         }
@@ -43,7 +53,7 @@ impl<T: Clone> SlowQueryRing<T> {
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("slow-query ring poisoned").len()
+        self.entries().len()
     }
 
     /// Is the ring empty?
@@ -53,12 +63,7 @@ impl<T: Clone> SlowQueryRing<T> {
 
     /// A copy of the entries, oldest first.
     pub fn snapshot(&self) -> Vec<T> {
-        self.entries
-            .lock()
-            .expect("slow-query ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        self.entries().iter().cloned().collect()
     }
 }
 
@@ -82,6 +87,39 @@ mod tests {
         ring.push(1);
         assert!(ring.is_empty());
         assert_eq!(ring.snapshot(), Vec::<i32>::new());
+    }
+
+    /// An entry whose `Clone` panics while its flag is set.
+    #[derive(Debug)]
+    struct Fragile(std::sync::Arc<std::sync::atomic::AtomicBool>, u32);
+
+    impl Clone for Fragile {
+        fn clone(&self) -> Self {
+            assert!(
+                !self.0.load(std::sync::atomic::Ordering::Relaxed),
+                "clone refused"
+            );
+            Fragile(std::sync::Arc::clone(&self.0), self.1)
+        }
+    }
+
+    #[test]
+    fn a_panicking_holder_does_not_disable_the_ring() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let fail = Arc::new(AtomicBool::new(true));
+        let ring = SlowQueryRing::new(2);
+        ring.push(Fragile(Arc::clone(&fail), 1));
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ring.snapshot())).is_err();
+        assert!(panicked, "the clone panicked while the lock was held");
+        assert!(ring.entries.is_poisoned());
+        fail.store(false, Ordering::Relaxed);
+        ring.push(Fragile(Arc::clone(&fail), 2));
+        ring.push(Fragile(Arc::clone(&fail), 3));
+        assert_eq!(ring.len(), 2);
+        let tags: Vec<u32> = ring.snapshot().iter().map(|e| e.1).collect();
+        assert_eq!(tags, vec![2, 3]);
     }
 
     #[test]

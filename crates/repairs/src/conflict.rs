@@ -16,8 +16,9 @@
 //! would make otherwise-clean tuples look conflicted and shrink the core
 //! for no reason.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
+use relmodel::batch::ColumnBatch;
 use relmodel::constraint::{violations_of, Violation};
 use relmodel::{Database, Tuple};
 
@@ -137,6 +138,35 @@ impl ConflictGraph {
         &self.adjacency[v]
     }
 
+    /// The connected components of the conflict graph: each an ascending
+    /// list of vertex indexes, closed under adjacency, ordered by smallest
+    /// vertex. A repair picks one maximal independent set — one **local
+    /// repair** — per component, independently of the others.
+    pub fn components(&self) -> Vec<Vec<usize>> {
+        let mut seen = vec![false; self.vertices.len()];
+        let mut out = Vec::new();
+        for start in 0..self.vertices.len() {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let mut component = vec![start];
+            let mut stack = vec![start];
+            while let Some(v) = stack.pop() {
+                for &u in &self.adjacency[v] {
+                    if !seen[u] {
+                        seen[u] = true;
+                        component.push(u);
+                        stack.push(u);
+                    }
+                }
+            }
+            component.sort_unstable();
+            out.push(component);
+        }
+        out
+    }
+
     /// An a-priori upper bound on the number of subset-minimal repairs: the
     /// Moon–Moser bound on maximal independent sets of a graph with
     /// [`ConflictGraph::conflict_tuples`] vertices, saturating at
@@ -152,6 +182,32 @@ impl ConflictGraph {
     pub fn core(&self, db: &Database) -> Database {
         let vertex_set: BTreeSet<&Fact> = self.vertices.iter().collect();
         self.retain(db, |fact| !vertex_set.contains(fact))
+    }
+
+    /// The conflict-free core as one column batch per relation of `db`'s
+    /// schema, in schema order — [`ConflictGraph::core`] without building
+    /// a `Database`. One pass over each relation skips its conflict
+    /// vertices and doomed tuples; relations with neither are transposed
+    /// whole.
+    pub(crate) fn core_batches(&self, db: &Database) -> Vec<(String, ColumnBatch)> {
+        let mut excluded: HashMap<&str, HashSet<&Tuple>> = HashMap::new();
+        for (relation, tuple) in self.vertices.iter().chain(&self.doomed) {
+            excluded.entry(relation.as_str()).or_default().insert(tuple);
+        }
+        db.schema()
+            .iter()
+            .map(|rs| {
+                let rel = db.relation(&rs.name).expect("schema lists the relation");
+                let batch = match excluded.get(rs.name.as_str()) {
+                    None => ColumnBatch::from_relation(rel),
+                    Some(skip) => ColumnBatch::from_rows(
+                        rel.arity(),
+                        rel.iter().filter(|t| !skip.contains(t)),
+                    ),
+                };
+                (rs.name.clone(), batch)
+            })
+            .collect()
     }
 
     /// The repair upper bound: `db` minus doomed tuples. Every repair is a
@@ -283,6 +339,60 @@ mod tests {
             "⊥0-keyed tuples conflict; ⊥1 does not"
         );
         assert_eq!(g.core(&db).total_tuples(), 1);
+    }
+
+    #[test]
+    fn core_batches_match_the_core_database() {
+        let db = DatabaseBuilder::new()
+            .relation("R", &["k", "v"])
+            .key("R", &["k"])
+            .deny("R", "v", CompareOp::Eq, Constant::Int(13))
+            .ints("R", &[1, 10])
+            .ints("R", &[1, 20])
+            .ints("R", &[2, 13])
+            .ints("R", &[3, 30])
+            .relation("S", &["a"])
+            .ints("S", &[7])
+            .build();
+        let g = ConflictGraph::build(&db);
+        let core = g.core(&db);
+        let batches = g.core_batches(&db);
+        assert_eq!(batches.len(), 2);
+        for (name, batch) in &batches {
+            assert_eq!(&batch.to_relation(), core.relation(name).unwrap(), "{name}");
+        }
+    }
+
+    #[test]
+    fn components_split_independent_clashes() {
+        // Three tuples on key 1 form a triangle; key 2 is a single edge;
+        // key 3 is clean.
+        let db = DatabaseBuilder::new()
+            .relation("R", &["k", "v"])
+            .key("R", &["k"])
+            .ints("R", &[1, 10])
+            .ints("R", &[2, 20])
+            .ints("R", &[1, 11])
+            .ints("R", &[2, 21])
+            .ints("R", &[1, 12])
+            .ints("R", &[3, 30])
+            .build();
+        let g = ConflictGraph::build(&db);
+        let components = g.components();
+        let mut sizes: Vec<usize> = components.iter().map(Vec::len).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, vec![2, 3]);
+        let mut all: Vec<usize> = components.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..g.conflict_tuples()).collect::<Vec<_>>());
+        for component in &components {
+            assert!(component.windows(2).all(|w| w[0] < w[1]), "ascending");
+            for &v in component {
+                for u in g.neighbors(v) {
+                    assert!(component.contains(u), "closed under adjacency");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //!   (an already-included one, or an undecided one) — a vertex excluded
 //!   with all neighbors excluded can never sit in a *maximal* set.
 //!
+//! The search is [`MaskIter`]; it yields survival masks, which the batched
+//! folds consume directly, and [`RepairIter`] adds the core to yield whole
+//! repair `Database`s. Restricted to one connected component of the
+//! conflict graph, the same search yields that component's **local
+//! repairs**, which the factorized fold (`crate::fold`) folds one component
+//! at a time.
+//!
 //! Distinct decision vectors are distinct tuple sets, so repairs stream out
 //! **structurally deduplicated by construction** — the property the world
 //! iterator needs a dedup pass for. Sharding falls out of the same shape:
@@ -33,128 +40,132 @@ struct Frame {
     exhausted: bool,
 }
 
-/// Streaming iterator over the subset-minimal repairs of a database, one
-/// [`Database`] at a time. Never materializes the repair set.
+/// The include/exclude search itself: streams the maximal independent sets
+/// of (part of) a conflict graph as **survival masks** — the included
+/// vertex indexes — without building any tuple set. [`RepairIter`] wraps it
+/// with the conflict-free core to yield whole repairs.
+///
+/// The search decides the vertices of `order` in sequence. `order` must be
+/// ascending and closed under adjacency (every neighbor of a listed vertex
+/// is listed): the whole vertex set, or one connected component
+/// ([`ConflictGraph::components`]). Then a neighbor is undecided exactly
+/// when its index is larger, and the sets enumerated are the maximal
+/// independent sets of the subgraph `order` spans — the component's
+/// **local repairs**.
 #[derive(Debug, Clone)]
-pub struct RepairIter<'a> {
+pub struct MaskIter<'a> {
     graph: &'a ConflictGraph,
-    /// The conflict-free core all repairs share; yielded repairs are
-    /// `core + included vertices`.
-    core: Database,
+    /// The vertices decided, in decision order.
+    order: Vec<usize>,
+    /// Vertex index → included by the current (partial) decision vector.
+    /// Undecided vertices read `false`.
+    chosen: Vec<bool>,
     decisions: Vec<Frame>,
     /// Forced decisions for the first `prefix_len` vertices (bit `d` of
     /// `prefix` decides vertex `d`): the sharding handle.
     prefix: u64,
     prefix_len: usize,
-    /// The previous [`Self::next_repair`] left a complete decision vector
-    /// in place (so [`Self::included`] can read it); backtrack past it
-    /// before searching on.
+    /// The previous [`Self::next_mask`] left a complete decision vector in
+    /// place (so [`Self::included`] can read it); backtrack past it before
+    /// searching on.
     pending_backtrack: bool,
     done: bool,
 }
 
-impl<'a> RepairIter<'a> {
-    /// Enumerates every subset-minimal repair of `db` under `graph`.
-    pub fn new(db: &Database, graph: &'a ConflictGraph) -> Self {
-        Self::with_prefix(db, graph, 0, 0)
-    }
-
-    /// Enumerates the shard of repairs whose first `prefix_len` vertex
-    /// decisions match the bits of `prefix` (bit `d` ⇒ vertex `d` included).
-    /// The `2^prefix_len` shards partition the repair space; shards whose
-    /// prefix is infeasible yield nothing. `prefix_len` is clamped to the
-    /// vertex count.
-    pub fn with_prefix(
-        db: &Database,
-        graph: &'a ConflictGraph,
-        prefix: u64,
-        prefix_len: usize,
-    ) -> Self {
-        RepairIter {
-            core: graph.core(db),
+impl<'a> MaskIter<'a> {
+    /// The shard of the whole graph's maximal independent sets whose first
+    /// `prefix_len` vertex decisions match the bits of `prefix` (bit `d` ⇒
+    /// vertex `d` included). The `2^prefix_len` shards partition the
+    /// space; shards whose prefix is infeasible yield nothing.
+    /// `prefix_len` is clamped to the vertex count.
+    pub fn with_prefix(graph: &'a ConflictGraph, prefix: u64, prefix_len: usize) -> Self {
+        let n = graph.conflict_tuples();
+        MaskIter {
             graph,
-            decisions: Vec::with_capacity(graph.conflict_tuples()),
+            order: (0..n).collect(),
+            chosen: vec![false; n],
+            decisions: Vec::with_capacity(n),
             prefix,
-            prefix_len: prefix_len.min(graph.conflict_tuples()).min(63),
+            prefix_len: prefix_len.min(n).min(63),
             pending_backtrack: false,
             done: false,
         }
     }
 
-    /// The conflict-free core every repair of this iterator shares.
-    pub fn core(&self) -> &Database {
-        &self.core
+    /// Restarts the search on the local repairs of one connected
+    /// component: the maximal independent sets of the subgraph `component`
+    /// spans, unsharded. `component` must be ascending and closed under
+    /// adjacency, as the entries of [`ConflictGraph::components`] are. The
+    /// buffers are reused, so folding every component costs no allocation
+    /// proportional to the whole graph per component.
+    pub fn restart(&mut self, component: &[usize]) {
+        debug_assert!(component.windows(2).all(|w| w[0] < w[1]));
+        while self.pop().is_some() {}
+        self.order.clear();
+        self.order.extend_from_slice(component);
+        self.prefix_len = 0;
+        self.pending_backtrack = false;
+        self.done = false;
     }
 
     /// The conflict vertices included by the current decision vector —
-    /// indices into [`ConflictGraph::vertices`]. Meaningful only after
-    /// [`Self::next_repair`] returned `true`. Together with [`Self::core`]
-    /// this *is* the repair, as a tuple-survival mask: batched consumers
-    /// read it directly instead of materializing a [`Database`].
+    /// indices into [`ConflictGraph::vertices`], ascending. Meaningful only
+    /// after [`Self::next_mask`] returned `true`.
     pub fn included(&self) -> impl Iterator<Item = usize> + '_ {
         self.decisions
             .iter()
-            .enumerate()
-            .filter_map(|(v, frame)| frame.include.then_some(v))
+            .zip(&self.order)
+            .filter_map(|(frame, &v)| frame.include.then_some(v))
     }
 
-    fn n(&self) -> usize {
-        self.graph.conflict_tuples()
-    }
-
-    /// May vertex `depth` be included? (No included neighbor so far.)
+    /// May the vertex at `depth` be included? (No included neighbor so far;
+    /// undecided neighbors read `false`.)
     fn include_feasible(&self, depth: usize) -> bool {
         self.graph
-            .neighbors(depth)
+            .neighbors(self.order[depth])
             .iter()
-            .all(|&u| u >= depth || !self.decisions[u].include)
+            .all(|&u| !self.chosen[u])
     }
 
-    /// May vertex `depth` be excluded? (Some neighbor can still justify the
-    /// exclusion: one already included, or one not yet decided.)
+    /// May the vertex at `depth` be excluded? (Some neighbor can still
+    /// justify the exclusion: one already included, or one not yet
+    /// decided — a larger index, because `order` is ascending.)
     fn exclude_feasible(&self, depth: usize) -> bool {
+        let v = self.order[depth];
         self.graph
-            .neighbors(depth)
+            .neighbors(v)
             .iter()
-            .any(|&u| u > depth || self.decisions[u].include)
+            .any(|&u| u > v || self.chosen[u])
     }
 
     /// Is the complete decision vector a *maximal* independent set?
     fn maximal(&self) -> bool {
-        (0..self.n()).all(|v| {
-            self.decisions[v].include
-                || self
-                    .graph
-                    .neighbors(v)
-                    .iter()
-                    .any(|&u| self.decisions[u].include)
-        })
+        self.order
+            .iter()
+            .all(|&v| self.chosen[v] || self.graph.neighbors(v).iter().any(|&u| self.chosen[u]))
     }
 
-    /// The repair named by the current (complete) decision vector.
-    fn build(&self) -> Database {
-        let mut repair = self.core.clone();
-        for (v, frame) in self.decisions.iter().enumerate() {
-            if frame.include {
-                let (relation, tuple) = &self.graph.vertices()[v];
-                repair
-                    .insert(relation, tuple.clone())
-                    .expect("conflict vertices come from the same schema");
-            }
-        }
-        repair
+    fn push(&mut self, frame: Frame) {
+        self.chosen[self.order[self.decisions.len()]] = frame.include;
+        self.decisions.push(frame);
+    }
+
+    fn pop(&mut self) -> Option<Frame> {
+        let frame = self.decisions.pop()?;
+        self.chosen[self.order[self.decisions.len()]] = false;
+        Some(frame)
     }
 
     /// Pops decisions until one with an untried alternative is found and
     /// flips it; returns false when the search space is exhausted.
     fn backtrack(&mut self) -> bool {
-        while let Some(frame) = self.decisions.pop() {
+        while let Some(frame) = self.pop() {
             if !frame.exhausted {
                 // The frame had tried `include`; `exclude` is the one
                 // remaining alternative — take it if it is feasible.
                 let depth = self.decisions.len();
                 if self.exclude_feasible(depth) {
-                    self.decisions.push(Frame {
+                    self.push(Frame {
                         include: false,
                         exhausted: true,
                     });
@@ -164,15 +175,11 @@ impl<'a> RepairIter<'a> {
         }
         false
     }
-}
 
-impl RepairIter<'_> {
     /// Advances to the next maximal decision vector; `false` once the
-    /// search space is exhausted. On `true` the current repair is readable
-    /// through [`Self::core`] + [`Self::included`] without materializing
-    /// anything — the [`Iterator`] impl wraps this with the private
-    /// `build` step that assembles the repair `Database`.
-    pub fn next_repair(&mut self) -> bool {
+    /// search space is exhausted. On `true` the current mask is readable
+    /// through [`Self::included`].
+    pub fn next_mask(&mut self) -> bool {
         if self.done {
             return false;
         }
@@ -185,7 +192,7 @@ impl RepairIter<'_> {
         }
         loop {
             let depth = self.decisions.len();
-            if depth == self.n() {
+            if depth == self.order.len() {
                 if self.maximal() {
                     // Leave the vector in place for the accessors; the next
                     // call resumes by backtracking past it.
@@ -234,8 +241,53 @@ impl RepairIter<'_> {
                 }
                 continue;
             };
-            self.decisions.push(frame);
+            self.push(frame);
         }
+    }
+}
+
+/// Streaming iterator over the subset-minimal repairs of a database, one
+/// [`Database`] at a time: the conflict-free core plus each mask of a
+/// [`MaskIter`]. Never materializes the repair set.
+#[derive(Debug, Clone)]
+pub struct RepairIter<'a> {
+    masks: MaskIter<'a>,
+    /// The conflict-free core all repairs share; yielded repairs are
+    /// `core + included vertices`.
+    core: Database,
+}
+
+impl<'a> RepairIter<'a> {
+    /// Enumerates every subset-minimal repair of `db` under `graph`.
+    pub fn new(db: &Database, graph: &'a ConflictGraph) -> Self {
+        Self::with_prefix(db, graph, 0, 0)
+    }
+
+    /// Enumerates the shard of repairs whose first `prefix_len` vertex
+    /// decisions match the bits of `prefix` — see
+    /// [`MaskIter::with_prefix`].
+    pub fn with_prefix(
+        db: &Database,
+        graph: &'a ConflictGraph,
+        prefix: u64,
+        prefix_len: usize,
+    ) -> Self {
+        RepairIter {
+            masks: MaskIter::with_prefix(graph, prefix, prefix_len),
+            core: graph.core(db),
+        }
+    }
+
+    /// The repair named by the current (complete) decision vector.
+    fn build(&self) -> Database {
+        let mut repair = self.core.clone();
+        for v in self.masks.included() {
+            let (relation, tuple) = &self.masks.graph.vertices()[v];
+            repair
+                .insert(relation, tuple.clone())
+                .expect("conflict vertices come from the same schema");
+        }
+        repair
     }
 }
 
@@ -243,7 +295,7 @@ impl Iterator for RepairIter<'_> {
     type Item = Database;
 
     fn next(&mut self) -> Option<Database> {
-        self.next_repair().then(|| self.build())
+        self.masks.next_mask().then(|| self.build())
     }
 }
 
@@ -317,6 +369,50 @@ mod tests {
         for r in &repairs {
             assert_eq!(r.total_tuples(), 1);
         }
+    }
+
+    #[test]
+    fn local_repairs_are_the_restrictions_of_repairs() {
+        // A triangle on key 1, an edge on key 2: 3 × 2 = 6 repairs, and
+        // 3 + 2 local repairs. Each repair restricted to a component is
+        // one of its local repairs, and every local repair occurs.
+        let db = DatabaseBuilder::new()
+            .relation("R", &["k", "v"])
+            .key("R", &["k"])
+            .ints("R", &[1, 10])
+            .ints("R", &[2, 20])
+            .ints("R", &[1, 11])
+            .ints("R", &[2, 21])
+            .ints("R", &[1, 12])
+            .build();
+        let graph = ConflictGraph::build(&db);
+        let mut global: Vec<BTreeSet<usize>> = Vec::new();
+        let mut masks = MaskIter::with_prefix(&graph, 0, 0);
+        while masks.next_mask() {
+            global.push(masks.included().collect());
+        }
+        assert_eq!(global.len(), 6);
+        let components = graph.components();
+        let mut product = 1;
+        for component in &components {
+            let mut local: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
+            masks.restart(component);
+            while masks.next_mask() {
+                assert!(local.insert(masks.included().collect()), "no duplicates");
+            }
+            let restricted: BTreeSet<BTreeSet<usize>> = global
+                .iter()
+                .map(|m| {
+                    m.iter()
+                        .copied()
+                        .filter(|v| component.contains(v))
+                        .collect()
+                })
+                .collect();
+            assert_eq!(local, restricted);
+            product *= local.len();
+        }
+        assert_eq!(product, global.len());
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! contract: O(threads) repairs in flight, early exit the moment the
 //! running intersection empties (∅ in one shard proves ∅ globally), a
 //! budget on repairs **visited**, and sharding via the enumeration-prefix
-//! partition of [`crate::enumerate::RepairIter`].
-
+//! partition of [`crate::enumerate::MaskIter`].
 //!
-//! Since the morsel-native refactor, a repair of a **complete** database is
-//! never materialized as a `Database` either: it is the conflict-free core
-//! (shard-invariant) plus a tuple-survival mask over the conflict vertices,
-//! read straight off [`RepairIter::included`]. Each worker feeds the mask's
-//! rows into reused scratch batches and evaluates the shared plan through
-//! the caching split executor
+//! # Complete databases: survival masks
+//!
+//! A repair of a **complete** database is never materialized as a
+//! `Database`: it is the conflict-free core plus a tuple-survival mask over
+//! the conflict vertices, read straight off [`MaskIter::included`]. The
+//! core's column batches are built once per fold, in one pass that skips
+//! conflict vertices and doomed tuples. Each worker feeds the mask's rows
+//! into reused scratch batches and evaluates the shared plan through the
+//! caching split executor
 //! ([`releval::exec::columnar::split::ShardExec`]); stable subresults and
 //! their hash tables are built on the first repair of a shard and reused by
 //! every later one, and only the volatile answer parts are intersected
@@ -27,6 +29,44 @@
 //! their repairs need the full certain-answer machinery anyway — and
 //! [`stream_consistent_answer_rows`] forces it everywhere as the
 //! differential reference.
+//!
+//! # Linear plans: one component at a time
+//!
+//! A repair is the core plus one maximal independent set — one **local
+//! repair** — per connected component `K` of the conflict graph, chosen
+//! independently. When every derivation of the plan uses at most one
+//! conflict vertex, the plan is *linear*: `Q(core ∪ M₁ ∪ … ∪ Mₖ) =
+//! Q(core) ∪ ⋃_K vol(M_K)`, where `vol(M_K)` is what the split executor
+//! derives from `M_K` alone. Intersecting over the product of choices then
+//! factorizes:
+//!
+//! ```text
+//! ⋂_R Q(R)  =  Q(core) ∪ ⋃_K ⋂_{M ∈ MIS(K)} vol(M)
+//! ```
+//!
+//! (a row outside the right-hand side misses some `vol(M_K)` in every
+//! component, and the repair choosing all those `M_K` lacks it). So a
+//! linear plan on a complete database costs `Σ_K |MIS(K)|` split-executor
+//! elements instead of `∏_K |MIS(K)|`. Linearity is decided on the
+//! physical plan by `linear_volatility`, which tracks whether a node's
+//! result depends on the conflict vertices (*volatile*):
+//!
+//! | operator      | volatile when                 | linear when                     |
+//! |---------------|-------------------------------|---------------------------------|
+//! | scan          | the relation holds a vertex   | always                          |
+//! | values        | never                         | always                          |
+//! | σ, π          | the input is                  | the input is                    |
+//! | ∪             | either side is                | both sides are                  |
+//! | ⋈, ×, ∩       | either side is                | both are, and one side is stable |
+//! | −             | the left side is              | both are, and the right is stable |
+//! | ÷             | never                         | both sides are stable           |
+//! | Δ             | —                             | never (the vertices' constants enter the active domain) |
+//!
+//! Anything non-linear keeps the product fold. On the factorized path the
+//! budget [`RepairOptions::max_repairs`] counts **local** repairs visited
+//! ([`RepairExecution::repairs_visited`]), the fold never exits early (so
+//! the count is deterministic), and a pinned [`RepairOptions::threads`]
+//! partitions the components across workers.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -35,6 +75,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use relalgebra::classify::has_incomplete_values;
+use relalgebra::physical::{PhysNode, PhysOp};
 use relalgebra::plan::PlannedQuery;
 use releval::exec::columnar::split::{ElementInput, ShardExec, ShardSetup};
 use releval::exec::{self, OpStats};
@@ -43,20 +84,22 @@ use releval::worlds::{stream_certain_answer, ShardProfile, WorldOptions};
 use releval::EvalError;
 use relmodel::batch::{morsel_rows, ColumnBatch};
 use relmodel::value::Constant;
-use relmodel::{Database, Relation, Semantics, Tuple, Value};
+use relmodel::{Database, Relation, Semantics, Value};
 
 use crate::conflict::ConflictGraph;
-use crate::enumerate::RepairIter;
+use crate::enumerate::{MaskIter, RepairIter};
 
 /// Options controlling repair enumeration and the per-repair evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairOptions {
     /// Budget on the number of repairs **visited** by the streaming fold
-    /// (early exit can beat it, exactly like the world budget).
+    /// (early exit can beat it, exactly like the world budget). When the
+    /// fold factorizes, it counts local repairs.
     pub max_repairs: u128,
     /// Worker threads for the fold; `None` chooses automatically (the shard
     /// count is rounded down to a power of two — shards are enumeration-
-    /// prefix partitions). Small conflict graphs stay single-threaded.
+    /// prefix partitions, or round-robin component partitions when the fold
+    /// factorizes). Small conflict graphs stay single-threaded.
     pub threads: Option<usize>,
     /// Per-repair world-oracle budget, used when a repair carries nulls and
     /// the symbolic strategy punts. The fold forces its workers' inner
@@ -133,7 +176,10 @@ impl From<EvalError> for RepairError {
 pub struct RepairExecution {
     /// The consistent answer — `⋂ certain(Q, R)` over the visited repairs.
     pub answers: Relation,
-    /// Repairs actually evaluated across all workers.
+    /// Repairs actually evaluated across all workers. When the fold
+    /// factorized ([`RepairExecution::components`] is `Some`), these are
+    /// **local** repairs: `Σ_K |MIS(K)|` over the conflict components, not
+    /// the `∏_K |MIS(K)|` whole repairs they stand for.
     pub repairs_visited: u128,
     /// Of the visited repairs, how many were evaluated as survival masks
     /// through the batched split executor instead of materialized
@@ -142,8 +188,13 @@ pub struct RepairExecution {
     /// [`stream_consistent_answer_rows`] reference) report zero.
     pub repairs_batched: u128,
     /// Did enumeration stop early because the intersection emptied? Early
-    /// exit can only fire when the consistent answer is ∅.
+    /// exit can only fire when the consistent answer is ∅, and never fires
+    /// when the fold factorized.
     pub early_exit: bool,
+    /// `Some(k)` when the fold factorized over the `k` connected components
+    /// of the conflict graph (a linear plan on a complete database; see the
+    /// [module docs](self)); `None` when it enumerated whole repairs.
+    pub components: Option<usize>,
     /// Worker threads used by the fold.
     pub threads: usize,
     /// Repairs whose certain answer needed the symbolic c-table strategy
@@ -161,7 +212,10 @@ pub struct RepairExecution {
 }
 
 /// Per-worker fold state collected at the join.
+#[derive(Default)]
 struct ShardResult {
+    /// The shard's running intersection — or, when the fold factorizes, the
+    /// union of its components' consistent parts with the stable answer.
     acc: Option<Relation>,
     early_exit: bool,
     symbolic_repairs: u64,
@@ -178,6 +232,23 @@ struct SharedState {
     budget_hit: AtomicBool,
     visited: AtomicU64,
     error: Mutex<Option<EvalError>>,
+}
+
+impl SharedState {
+    /// Counts one more repair (or local repair) visited; `false` — with the
+    /// fleet told to stop — when that would exceed the budget. The
+    /// discarded repair is uncounted, so the reported figure is exactly
+    /// the repairs folded.
+    fn admit(&self, budget: u128) -> bool {
+        let visited = self.visited.fetch_add(1, Ordering::Relaxed) + 1;
+        if u128::from(visited) > budget {
+            self.visited.fetch_sub(1, Ordering::Relaxed);
+            self.budget_hit.store(true, Ordering::Relaxed);
+            self.stop.store(true, Ordering::Relaxed);
+            return false;
+        }
+        true
+    }
 }
 
 /// Minimum conflict-vertex count before the auto thread choice shards the
@@ -202,6 +273,50 @@ fn resolve_shards(opts: &RepairOptions, vertices: usize) -> (usize, usize) {
     }
     let prefix_len = prefix_len.min(vertices);
     (prefix_len, 1usize << prefix_len)
+}
+
+/// Linearity of a physical plan node in the conflict vertices: `Some(true)`
+/// when its result depends on them (volatile), `Some(false)` when it does
+/// not (stable), `None` when some derivation may combine two or more
+/// vertices (non-linear). `dirty` names the relations holding conflict
+/// vertices. The table is in the [module docs](self); the fold asks only
+/// when the graph has vertices, so Δ — whose rows include every vertex
+/// constant — is always volatile there, and never linear.
+pub(crate) fn linear_volatility(node: &PhysNode, dirty: &dyn Fn(&str) -> bool) -> Option<bool> {
+    let (left, right) = match node.op() {
+        PhysOp::Scan(name) => return Some(dirty(name)),
+        PhysOp::Values(_) => return Some(false),
+        PhysOp::Delta => return None,
+        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => {
+            return linear_volatility(input, dirty)
+        }
+        PhysOp::NestedProduct { left, right }
+        | PhysOp::HashJoin { left, right, .. }
+        | PhysOp::Union { left, right }
+        | PhysOp::Difference { left, right }
+        | PhysOp::Intersect { left, right }
+        | PhysOp::Divide { left, right } => (left, right),
+    };
+    let (l, r) = (
+        linear_volatility(left, dirty)?,
+        linear_volatility(right, dirty)?,
+    );
+    match node.op() {
+        PhysOp::Union { .. } => Some(l || r),
+        PhysOp::NestedProduct { .. } | PhysOp::HashJoin { .. } | PhysOp::Intersect { .. }
+            if !(l && r) =>
+        {
+            Some(l || r)
+        }
+        PhysOp::Difference { .. } if !r => Some(l),
+        PhysOp::Divide { .. } if !(l || r) => Some(false),
+        _ => None,
+    }
+}
+
+/// Does the plan read Δ anywhere?
+fn reads_delta(node: &PhysNode) -> bool {
+    matches!(node.op(), PhysOp::Delta) || node.children().into_iter().any(reads_delta)
 }
 
 /// The certain answer of one repair under CWA: the physical executor when
@@ -239,6 +354,102 @@ fn repair_certain_answer(
     Ok(exec.answers)
 }
 
+/// The conflict-free core of a complete database, built once per fold and
+/// read by every worker of both batched runners.
+struct Core {
+    /// Each relation's core rows, in schema order.
+    scans: Vec<(String, ColumnBatch)>,
+    /// The core's constants — only when the plan reads Δ, whose stable
+    /// part they are.
+    constants: Option<BTreeSet<Constant>>,
+}
+
+impl Core {
+    fn build(plan: &PlannedQuery, db: &Database, graph: &ConflictGraph) -> Core {
+        let scans = graph.core_batches(db);
+        let constants = reads_delta(plan.physical().root()).then(|| {
+            let mut out = BTreeSet::new();
+            for (_, batch) in &scans {
+                for col in 0..batch.arity() {
+                    out.extend(
+                        batch
+                            .column(col)
+                            .values()
+                            .iter()
+                            .filter_map(Value::as_const)
+                            .cloned(),
+                    );
+                }
+            }
+            out
+        });
+        Core { scans, constants }
+    }
+
+    /// A worker's split-executor setup: the core rows are the stable scans,
+    /// and a relation is static iff no conflict vertex lives in it.
+    fn shard_setup(&self, graph: &ConflictGraph, volatile: &BTreeSet<&str>) -> ShardSetup {
+        let mut setup = ShardSetup::default();
+        for (name, batch) in &self.scans {
+            setup
+                .stable_scans
+                .insert(name.clone(), Rc::new(batch.clone()));
+            setup
+                .static_scans
+                .insert(name.clone(), !volatile.contains(name.as_str()));
+        }
+        let mut diag = ColumnBatch::new(2);
+        for c in self.constants.iter().flatten() {
+            diag.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
+        }
+        setup.stable_delta = Rc::new(diag);
+        setup.static_delta = graph.vertices().is_empty();
+        setup
+    }
+}
+
+/// The relations holding conflict vertices.
+fn volatile_relations(graph: &ConflictGraph) -> BTreeSet<&str> {
+    graph.vertices().iter().map(|(r, _)| r.as_str()).collect()
+}
+
+/// Reusable per-element scratch: one batch per conflict-bearing relation,
+/// refilled with a (local) repair's surviving vertices.
+struct Scratch {
+    scans: HashMap<String, Rc<ColumnBatch>>,
+}
+
+impl Scratch {
+    fn new(db: &Database, volatile: &BTreeSet<&str>) -> Scratch {
+        let scans = volatile
+            .iter()
+            .map(|name| {
+                let arity = db
+                    .schema()
+                    .relation(name)
+                    .expect("conflict vertices come from the schema")
+                    .arity();
+                ((*name).to_string(), Rc::new(ColumnBatch::new(arity)))
+            })
+            .collect();
+        Scratch { scans }
+    }
+
+    fn refill(&mut self, graph: &ConflictGraph, included: impl Iterator<Item = usize>) {
+        for batch in self.scans.values_mut() {
+            Rc::make_mut(batch).clear();
+        }
+        for v in included {
+            let (relation, tuple) = &graph.vertices()[v];
+            let out = self
+                .scans
+                .get_mut(relation.as_str())
+                .expect("scratch exists for every conflict relation");
+            Rc::make_mut(out).push_tuple(tuple);
+        }
+    }
+}
+
 /// Everything a worker needs, shared read-only across the fleet.
 #[derive(Clone, Copy)]
 struct ShardJob<'a> {
@@ -248,28 +459,19 @@ struct ShardJob<'a> {
     opts: &'a RepairOptions,
     null_values_literal: bool,
     prefix_len: usize,
+    workers: usize,
 }
 
 /// Which shard runner the fold uses.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FoldMode {
-    /// Survival-mask evaluation through the split executor wherever the
-    /// input database permits it (the default).
-    Batched,
-    /// The row-materializing reference, forced everywhere.
+#[derive(Clone, Copy)]
+enum Runner<'a> {
+    /// The row-materializing reference (incomplete inputs, and
+    /// [`stream_consistent_answer_rows`] everywhere).
     Rows,
-}
-
-fn run_shard(job: ShardJob<'_>, prefix: u64, shared: &SharedState, mode: FoldMode) -> ShardResult {
-    // The mask path covers complete databases only: their repairs are
-    // complete too, so the per-repair certain answer *is* plan execution —
-    // no symbolic/world-oracle dispatch to thread through. Incomplete
-    // inputs keep the row path.
-    if mode == FoldMode::Batched && job.db.is_complete() {
-        run_shard_batched(job, prefix, shared)
-    } else {
-        run_shard_rows(job, prefix, shared)
-    }
+    /// Survival masks over the product of every component's choices.
+    Batched(&'a Core),
+    /// One component at a time: the plan is linear.
+    Factorized(&'a Core, &'a [Vec<usize>]),
 }
 
 /// The batched shard runner: the same repairs in the same order as
@@ -277,108 +479,55 @@ fn run_shard(job: ShardJob<'_>, prefix: u64, shared: &SharedState, mode: FoldMod
 /// repair is consumed as core + survival mask. Scratch batches are refilled
 /// per repair; stable subresults and hash tables are cached across the
 /// whole shard; only volatile answer parts are intersected per repair.
-fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> ShardResult {
-    let mut shard = ShardResult {
-        acc: None,
-        early_exit: false,
-        symbolic_repairs: 0,
-        world_repairs: 0,
-        repairs_batched: 0,
-        op_stats: OpStats::default(),
-    };
-    let mut iter = RepairIter::with_prefix(job.db, job.graph, prefix, job.prefix_len);
+fn run_shard_batched(
+    job: ShardJob<'_>,
+    core: &Core,
+    prefix: u64,
+    shared: &SharedState,
+) -> ShardResult {
+    let mut shard = ShardResult::default();
+    let mut masks = MaskIter::with_prefix(job.graph, prefix, job.prefix_len);
     let vertices = job.graph.vertices();
-    let volatile_relations: BTreeSet<&str> = vertices.iter().map(|(r, _)| r.as_str()).collect();
-
-    // Shard-invariant setup: the conflict-free core rows are the stable
-    // scans; a relation is static iff no conflict vertex lives in it.
-    let mut setup = ShardSetup::default();
-    let core_consts: BTreeSet<Constant> = {
-        let core = iter.core();
-        for rs in core.schema().iter() {
-            let rel = core.relation(&rs.name).expect("schema lists the relation");
-            setup
-                .stable_scans
-                .insert(rs.name.clone(), Rc::new(ColumnBatch::from_relation(rel)));
-            setup.static_scans.insert(
-                rs.name.clone(),
-                !volatile_relations.contains(rs.name.as_str()),
-            );
-        }
-        core.constants()
-    };
-    let diag: Vec<Tuple> = core_consts
-        .iter()
-        .map(|c| Tuple::new(vec![Value::Const(c.clone()), Value::Const(c.clone())]))
-        .collect();
-    setup.stable_delta = Rc::new(ColumnBatch::from_rows(2, diag.iter()));
-    setup.static_delta = vertices.is_empty();
-
-    // One scratch batch per conflict-bearing relation, refilled per repair.
-    let mut volatile_scans: HashMap<String, Rc<ColumnBatch>> = HashMap::new();
-    for name in &volatile_relations {
-        let arity = job
-            .db
-            .schema()
-            .relation(name)
-            .expect("conflict vertices come from the schema")
-            .arity();
-        volatile_scans.insert((*name).to_string(), Rc::new(ColumnBatch::new(arity)));
-    }
+    let volatile = volatile_relations(job.graph);
+    let mut scratch = Scratch::new(job.db, &volatile);
     let mut volatile_delta = Rc::new(ColumnBatch::new(2));
     let mut extra_consts: BTreeSet<Constant> = BTreeSet::new();
 
-    let mut exec = ShardExec::new(job.plan.physical(), morsel_rows(), setup);
+    let mut exec = ShardExec::new(
+        job.plan.physical(),
+        morsel_rows(),
+        core.shard_setup(job.graph, &volatile),
+    );
     let mut stable_rel: Option<Relation> = None;
     let mut acc_v: Option<Relation> = None;
 
-    while iter.next_repair() {
-        if shared.stop.load(Ordering::Relaxed) {
+    while masks.next_mask() {
+        if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
             break;
         }
-        let visited = shared.visited.fetch_add(1, Ordering::Relaxed) + 1;
-        if u128::from(visited) > job.opts.max_repairs {
-            // This repair is discarded unevaluated — uncount it so the
-            // reported figure is exactly the repairs folded.
-            shared.visited.fetch_sub(1, Ordering::Relaxed);
-            shared.budget_hit.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-
-        // Refill the scratches with the surviving conflict vertices.
-        for batch in volatile_scans.values_mut() {
-            Rc::make_mut(batch).clear();
-        }
-        extra_consts.clear();
-        for v in iter.included() {
-            let (relation, tuple) = &vertices[v];
-            let out = volatile_scans
-                .get_mut(relation.as_str())
-                .expect("scratch exists for every conflict relation");
-            Rc::make_mut(out).push_tuple(tuple);
-            for val in tuple.values() {
-                if let Some(c) = val.as_const() {
-                    if !core_consts.contains(c) {
-                        extra_consts.insert(c.clone());
+        scratch.refill(job.graph, masks.included());
+        // Δ gains a diagonal row for every repair-introduced constant.
+        if let Some(core_consts) = &core.constants {
+            extra_consts.clear();
+            for v in masks.included() {
+                for val in vertices[v].1.values() {
+                    if let Some(c) = val.as_const() {
+                        if !core_consts.contains(c) {
+                            extra_consts.insert(c.clone());
+                        }
                     }
                 }
             }
-        }
-        // Δ gains a diagonal row for every repair-introduced constant.
-        if !extra_consts.is_empty() {
             let delta = Rc::make_mut(&mut volatile_delta);
             delta.clear();
             for c in &extra_consts {
                 delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
             }
-        } else if !volatile_delta.is_empty() {
-            Rc::make_mut(&mut volatile_delta).clear();
         }
 
         shard.repairs_batched += 1;
         let split = exec.eval_element(&ElementInput {
-            volatile_scans: &volatile_scans,
+            volatile_scans: &scratch.scans,
             volatile_delta: &volatile_delta,
         });
         let s_rel = stable_rel.get_or_insert_with(|| split.stable.to_relation());
@@ -405,28 +554,72 @@ fn run_shard_batched(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Sh
     shard
 }
 
+/// The factorized shard runner: for each component assigned to this worker
+/// (round-robin over `job.workers`), one split-executor element per local
+/// repair, whose volatile scans hold only that local repair's vertices. The
+/// volatile answers are intersected within a component and unioned across
+/// components; the result is unioned with the stable (core) answer. One
+/// executor serves every component, so the core's subresults and hash
+/// tables are built once per worker.
+fn run_shard_factorized(
+    job: ShardJob<'_>,
+    core: &Core,
+    components: &[Vec<usize>],
+    worker: usize,
+    shared: &SharedState,
+) -> ShardResult {
+    let mut shard = ShardResult::default();
+    let mine = components.iter().skip(worker).step_by(job.workers);
+    if mine.len() == 0 {
+        return shard;
+    }
+    let volatile = volatile_relations(job.graph);
+    let mut scratch = Scratch::new(job.db, &volatile);
+    let no_delta = Rc::new(ColumnBatch::new(2));
+    let mut exec = ShardExec::new(
+        job.plan.physical(),
+        morsel_rows(),
+        core.shard_setup(job.graph, &volatile),
+    );
+    let mut stable_rel: Option<Relation> = None;
+    let mut union_v = Relation::new(job.plan.physical().arity());
+    let mut masks = MaskIter::with_prefix(job.graph, 0, 0);
+
+    'components: for component in mine {
+        masks.restart(component);
+        let mut acc_v: Option<Relation> = None;
+        while masks.next_mask() {
+            if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
+                break 'components;
+            }
+            scratch.refill(job.graph, masks.included());
+            shard.repairs_batched += 1;
+            let split = exec.eval_element(&ElementInput {
+                volatile_scans: &scratch.scans,
+                volatile_delta: &no_delta,
+            });
+            stable_rel.get_or_insert_with(|| split.stable.to_relation());
+            let answer_v = split.volatile.to_relation();
+            acc_v = Some(match acc_v.take() {
+                None => answer_v,
+                Some(a) => a.intersection(&answer_v),
+            });
+        }
+        if let Some(v) = acc_v {
+            union_v = union_v.union(&v);
+        }
+    }
+    shard.op_stats.merge(&exec.stats);
+    shard.acc = stable_rel.map(|s| s.union(&union_v));
+    shard
+}
+
 /// The row-materializing reference shard runner.
 fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> ShardResult {
-    let mut shard = ShardResult {
-        acc: None,
-        early_exit: false,
-        symbolic_repairs: 0,
-        world_repairs: 0,
-        repairs_batched: 0,
-        op_stats: OpStats::default(),
-    };
+    let mut shard = ShardResult::default();
     let repairs = RepairIter::with_prefix(job.db, job.graph, prefix, job.prefix_len);
     for repair in repairs {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let visited = shared.visited.fetch_add(1, Ordering::Relaxed) + 1;
-        if u128::from(visited) > job.opts.max_repairs {
-            // This repair is discarded unevaluated — uncount it so the
-            // reported figure is exactly the repairs folded.
-            shared.visited.fetch_sub(1, Ordering::Relaxed);
-            shared.budget_hit.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::Relaxed);
+        if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
             break;
         }
         let answer = match repair_certain_answer(
@@ -471,27 +664,29 @@ fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> Shard
 /// [`RepairOptions::max_repairs`] repairs were visited without the fold
 /// converging, and with [`RepairError::Eval`] when a per-repair evaluation
 /// fails; early exit beats both, because ∅ is proven the moment any shard's
-/// intersection empties.
+/// intersection empties. A linear plan over a complete database is folded
+/// one conflict component at a time (see the [module docs](self)).
 pub fn stream_consistent_answer(
     plan: &PlannedQuery,
     db: &Database,
     graph: &ConflictGraph,
     opts: &RepairOptions,
 ) -> Result<RepairExecution, RepairError> {
-    stream_consistent_answer_inner(plan, db, graph, opts, FoldMode::Batched)
+    stream_consistent_answer_inner(plan, db, graph, opts, true)
 }
 
 /// [`stream_consistent_answer`] with the row-materializing shard runner
-/// forced everywhere: every repair is built as a `Database` and evaluated
-/// from scratch. Kept public as the differential-testing reference for the
-/// batched mask path; not intended for production use.
+/// forced everywhere: every repair — never a local one — is built as a
+/// `Database` and evaluated from scratch. Kept public as the
+/// differential-testing reference for the batched and factorized paths;
+/// not intended for production use.
 pub fn stream_consistent_answer_rows(
     plan: &PlannedQuery,
     db: &Database,
     graph: &ConflictGraph,
     opts: &RepairOptions,
 ) -> Result<RepairExecution, RepairError> {
-    stream_consistent_answer_inner(plan, db, graph, opts, FoldMode::Rows)
+    stream_consistent_answer_inner(plan, db, graph, opts, false)
 }
 
 fn stream_consistent_answer_inner(
@@ -499,10 +694,36 @@ fn stream_consistent_answer_inner(
     db: &Database,
     graph: &ConflictGraph,
     opts: &RepairOptions,
-    mode: FoldMode,
+    batch: bool,
 ) -> Result<RepairExecution, RepairError> {
-    let null_values_literal = has_incomplete_values(plan.expr());
-    let (prefix_len, workers) = resolve_shards(opts, graph.conflict_tuples());
+    // The mask paths cover complete databases only: their repairs are
+    // complete too, so the per-repair certain answer *is* plan execution —
+    // no symbolic/world-oracle dispatch to thread through. Incomplete
+    // inputs keep the row path.
+    let core = (batch && db.is_complete()).then(|| Core::build(plan, db, graph));
+    let dirty = volatile_relations(graph);
+    let components = match &core {
+        Some(_)
+            if !dirty.is_empty()
+                && linear_volatility(plan.physical().root(), &|name| dirty.contains(name))
+                    .is_some() =>
+        {
+            Some(graph.components())
+        }
+        _ => None,
+    };
+    let runner = match (&core, &components) {
+        (Some(core), Some(components)) => Runner::Factorized(core, components),
+        (Some(core), None) => Runner::Batched(core),
+        (None, _) => Runner::Rows,
+    };
+    let (prefix_len, workers) = match runner {
+        // Every worker rebuilds the core's stable subresults, which dominate
+        // a linear fold's cost: components are split across workers only
+        // when the caller pins a thread count.
+        Runner::Factorized(..) if opts.threads.is_none() => (0, 1),
+        _ => resolve_shards(opts, graph.conflict_tuples()),
+    };
     let shared = SharedState {
         stop: AtomicBool::new(false),
         budget_hit: AtomicBool::new(false),
@@ -514,14 +735,21 @@ fn stream_consistent_answer_inner(
         db,
         graph,
         opts,
-        null_values_literal,
+        null_values_literal: has_incomplete_values(plan.expr()),
         prefix_len,
+        workers,
     };
     // Shards are timed at the spawn boundary: wall-clock per worker, without
     // touching the fold's inner loop.
-    let timed_shard = |prefix: u64, shared: &SharedState| {
+    let timed_shard = |worker: usize, shared: &SharedState| {
         let started = std::time::Instant::now();
-        let result = run_shard(job, prefix, shared, mode);
+        let result = match runner {
+            Runner::Rows => run_shard_rows(job, worker as u64, shared),
+            Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shared),
+            Runner::Factorized(core, components) => {
+                run_shard_factorized(job, core, components, worker, shared)
+            }
+        };
         let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         (result, nanos)
     };
@@ -529,11 +757,11 @@ fn stream_consistent_answer_inner(
         vec![timed_shard(0, &shared)]
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers as u64)
-                .map(|prefix| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
                     let shared = &shared;
                     let timed_shard = &timed_shard;
-                    scope.spawn(move || timed_shard(prefix, shared))
+                    scope.spawn(move || timed_shard(worker, shared))
                 })
                 .collect();
             handles
@@ -576,17 +804,23 @@ fn stream_consistent_answer_inner(
     let answers = if early_exit {
         Relation::new(plan.physical().arity())
     } else {
+        // Whole-repair shards partition the repairs: their answers
+        // intersect. Factorized shards partition the components, and each
+        // already holds the stable answer: their answers unite.
+        let factorized = components.is_some();
         let mut acc: Option<Relation> = None;
         for (shard, _) in shard_results {
             if let Some(local) = shard.acc {
                 acc = Some(match acc.take() {
                     None => local,
+                    Some(a) if factorized => a.union(&local),
                     Some(a) => a.intersection(&local),
                 });
             }
         }
         // Every database has at least one repair, so a completed fold has
-        // folded at least one answer.
+        // folded at least one answer (and at least one component, when it
+        // factorized).
         acc.expect("repair enumeration yields at least one repair")
     };
     Ok(RepairExecution {
@@ -594,6 +828,7 @@ fn stream_consistent_answer_inner(
         repairs_visited: visited,
         repairs_batched,
         early_exit,
+        components: components.as_ref().map(Vec::len),
         threads: workers,
         symbolic_repairs,
         world_repairs,
@@ -659,9 +894,11 @@ mod tests {
 
     #[test]
     fn early_exit_fires_on_empty_consistent_answers() {
-        // Every repair keeps exactly one of the k=1 tuples, so no v value
-        // survives both repairs: the fold may stop after two repairs even if
-        // more conflicts exist elsewhere.
+        // Every repair keeps exactly one tuple per key, so no v value
+        // survives every repair: the fold may stop well before visiting all
+        // 2^8 repairs. The key self-join pairs each tuple with itself; it
+        // reads R on both join sides, so it is not linear and the fold
+        // enumerates whole repairs.
         let mut b = DatabaseBuilder::new()
             .relation("R", &["k", "v"])
             .key("R", &["k"]);
@@ -669,11 +906,18 @@ mod tests {
             b = b.ints("R", &[k, 10 * k + 1]).ints("R", &[k, 10 * k + 2]);
         }
         let db = b.build();
-        let q = RaExpr::relation("R").project(vec![1]);
+        let q = RaExpr::relation("R")
+            .product(RaExpr::relation("R"))
+            .select(relalgebra::predicate::Predicate::eq(
+                relalgebra::predicate::Operand::col(0),
+                relalgebra::predicate::Operand::col(2),
+            ))
+            .project(vec![1]);
         // Single shard: within a shard the prefix-pinned groups keep their
         // values in the local intersection, so only the unsharded fold is
         // guaranteed to early-exit here.
         let exec = fold(&q, &db, &RepairOptions::default().with_threads(1));
+        assert_eq!(exec.components, None, "R ⋈ R is not linear");
         assert!(exec.answers.is_empty());
         assert!(exec.early_exit);
         assert!(
@@ -863,6 +1107,152 @@ mod tests {
             exec.op_stats.tables_reused > 0,
             "build-side tables are reused across repairs: {:?}",
             exec.op_stats
+        );
+    }
+
+    #[test]
+    fn linear_plans_fold_one_component_at_a_time() {
+        // Eight independent key clashes: 2^8 repairs, but 8 components of
+        // 2 local repairs each. π_v(R) is linear, so the fold visits 16
+        // local repairs and never exits early, even though the answer is
+        // the core value alone.
+        let mut b = DatabaseBuilder::new()
+            .relation("R", &["k", "v"])
+            .key("R", &["k"])
+            .ints("R", &[99, 77]);
+        for k in 0..8i64 {
+            b = b.ints("R", &[k, 10 * k + 1]).ints("R", &[k, 10 * k + 2]);
+        }
+        let db = b.build();
+        let q = RaExpr::relation("R").project(vec![1]);
+        for threads in [1usize, 2, 4] {
+            let exec = fold(&q, &db, &RepairOptions::default().with_threads(threads));
+            assert_eq!(exec.components, Some(8));
+            assert_eq!(exec.repairs_visited, 16, "Σ local repairs, not 2^8");
+            assert_eq!(exec.repairs_batched, 16);
+            assert!(!exec.early_exit);
+            assert_eq!(
+                exec.answers,
+                Relation::from_tuples(1, vec![Tuple::ints(&[77])])
+            );
+            let rows = fold_rows(&q, &db, &RepairOptions::default().with_threads(threads));
+            assert_eq!(rows.components, None);
+            assert_eq!(rows.repairs_visited, 256);
+            assert_eq!(exec.answers, rows.answers);
+        }
+        // The budget counts local repairs.
+        let graph = ConflictGraph::build(&db);
+        let plan = planned(&q, &db);
+        let opts = RepairOptions::default().with_threads(1);
+        assert!(stream_consistent_answer(&plan, &db, &graph, &opts.with_max_repairs(16)).is_ok());
+        assert_eq!(
+            stream_consistent_answer(&plan, &db, &graph, &opts.with_max_repairs(15)).unwrap_err(),
+            RepairError::BudgetExceeded {
+                repairs: 15,
+                budget: 15
+            }
+        );
+    }
+
+    #[test]
+    fn factorized_fold_keeps_answers_that_need_one_vertex_per_component() {
+        // Key 1 clashes three ways; every repair keeps one of its tuples,
+        // each joining S to the same w. Key 2 clashes two ways, with only
+        // one side joining. 300 survives every repair via *some* vertex of
+        // the first component; 400 does not.
+        let db = DatabaseBuilder::new()
+            .relation("R", &["k", "v"])
+            .key("R", &["k"])
+            .ints("R", &[1, 10])
+            .ints("R", &[1, 11])
+            .ints("R", &[1, 12])
+            .ints("R", &[2, 20])
+            .ints("R", &[2, 21])
+            .relation("S", &["v", "w"])
+            .ints("S", &[10, 300])
+            .ints("S", &[11, 300])
+            .ints("S", &[12, 300])
+            .ints("S", &[20, 400])
+            .build();
+        let q = RaExpr::relation("R")
+            .product(RaExpr::relation("S"))
+            .select(relalgebra::predicate::Predicate::eq(
+                relalgebra::predicate::Operand::col(1),
+                relalgebra::predicate::Operand::col(2),
+            ))
+            .project(vec![3]);
+        let exec = fold(&q, &db, &RepairOptions::default().with_threads(1));
+        assert_eq!(exec.components, Some(2));
+        assert_eq!(exec.repairs_visited, 3 + 2);
+        assert_eq!(
+            exec.answers,
+            Relation::from_tuples(1, vec![Tuple::ints(&[300])])
+        );
+        assert_eq!(
+            exec.answers,
+            fold_rows(&q, &db, &RepairOptions::default()).answers
+        );
+    }
+
+    /// The linearity verdict of a query's physical plan when R and T hold
+    /// conflict vertices and S is clean.
+    fn verdict(q: RaExpr) -> Option<bool> {
+        let schema = relmodel::Schema::builder()
+            .relation("R", &["a", "b"])
+            .relation("S", &["a", "b"])
+            .relation("T", &["a", "b"])
+            .build();
+        let plan = PlannedQuery::new(q, &schema).unwrap();
+        linear_volatility(plan.physical().root(), &|name| name == "R" || name == "T")
+    }
+
+    #[test]
+    fn the_linearity_table() {
+        use relalgebra::predicate::{Operand, Predicate};
+        let r = || RaExpr::relation("R");
+        let s = || RaExpr::relation("S");
+        let t = || RaExpr::relation("T");
+        let join = |l: RaExpr, r: RaExpr| {
+            l.product(r)
+                .select(Predicate::eq(Operand::col(1), Operand::col(2)))
+        };
+        let lit = || RaExpr::values(Relation::from_tuples(2, vec![Tuple::ints(&[1, 2])]));
+        // Scans, literals, σ and π.
+        assert_eq!(verdict(r()), Some(true));
+        assert_eq!(verdict(s()), Some(false));
+        assert_eq!(verdict(lit()), Some(false));
+        let sel = r().select(Predicate::eq(Operand::col(0), Operand::int(1)));
+        assert_eq!(verdict(sel.project(vec![1])), Some(true));
+        // ∪ may be volatile on both sides.
+        assert_eq!(verdict(r().union(t())), Some(true));
+        assert_eq!(verdict(s().union(lit())), Some(false));
+        // ⋈, × and ∩: at most one volatile side.
+        assert_eq!(verdict(join(r(), s())), Some(true));
+        assert_eq!(verdict(join(s(), r())), Some(true));
+        assert_eq!(verdict(r().product(s())), Some(true));
+        assert_eq!(verdict(r().intersection(s())), Some(true));
+        assert_eq!(verdict(join(r(), r())), None);
+        assert_eq!(verdict(join(r(), t())), None);
+        assert_eq!(verdict(r().product(r())), None);
+        assert_eq!(verdict(r().intersection(t())), None);
+        // −: volatile on the left only.
+        assert_eq!(verdict(r().difference(s())), Some(true));
+        assert_eq!(verdict(s().difference(lit())), Some(false));
+        assert_eq!(verdict(s().difference(r())), None);
+        assert_eq!(verdict(r().difference(r())), None);
+        // ÷ and Δ: never volatile.
+        let divisor = || RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[2])]));
+        assert_eq!(verdict(s().divide(divisor())), Some(false));
+        assert_eq!(verdict(r().divide(divisor())), None);
+        assert_eq!(verdict(s().divide(t().project(vec![1]))), None);
+        assert_eq!(verdict(RaExpr::Delta), None);
+        assert_eq!(verdict(s().union(RaExpr::Delta)), None);
+        // Non-linearity anywhere below poisons the whole plan, whatever
+        // the other side of a union holds.
+        assert_eq!(verdict(join(r(), r()).project(vec![0, 3]).union(s())), None);
+        assert_eq!(
+            verdict(r().union(r().product(t()).project(vec![0, 3]))),
+            None
         );
     }
 

@@ -166,12 +166,66 @@ fn fuzz_dirty_db(seed: u64, with_nulls: bool) -> Database {
     })
 }
 
+/// `Σ_K |MIS(K)|` over the connected components `K` of the conflict graph,
+/// by brute force: every vertex subset of a component that is independent
+/// and maximal. Components are found here by a flood fill over the graph's
+/// public adjacency, independently of `ConflictGraph::components`.
+fn local_repair_count(graph: &ConflictGraph) -> u128 {
+    let n = graph.conflict_tuples();
+    let mut component_of = vec![usize::MAX; n];
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    for start in 0..n {
+        if component_of[start] != usize::MAX {
+            continue;
+        }
+        let id = components.len();
+        let mut members = Vec::new();
+        let mut stack = vec![start];
+        component_of[start] = id;
+        while let Some(v) = stack.pop() {
+            members.push(v);
+            for &u in graph.neighbors(v) {
+                if component_of[u] == usize::MAX {
+                    component_of[u] = id;
+                    stack.push(u);
+                }
+            }
+        }
+        components.push(members);
+    }
+    let mut total = 0u128;
+    for members in &components {
+        assert!(members.len() <= 20, "component too large to brute-force");
+        let inside = |mask: u32, v: usize| {
+            members
+                .iter()
+                .position(|&m| m == v)
+                .is_some_and(|i| mask & (1 << i) != 0)
+        };
+        for mask in 0u32..(1 << members.len()) {
+            let independent = members.iter().enumerate().all(|(i, &v)| {
+                mask & (1 << i) == 0 || graph.neighbors(v).iter().all(|&u| !inside(mask, u))
+            });
+            let maximal = members.iter().enumerate().all(|(i, &v)| {
+                mask & (1 << i) != 0 || graph.neighbors(v).iter().any(|&u| inside(mask, u))
+            });
+            if independent && maximal {
+                total += 1;
+            }
+        }
+    }
+    total
+}
+
 /// Harness part 2: the mask-batched repair fold equals the row-instantiating
-/// one — same answers, same repairs visited, same early exit — across query
-/// classes, morsel sizes, and both complete and null-bearing inputs.
+/// one — same answers across query classes, morsel sizes, and both complete
+/// and null-bearing inputs. Whole-repair folds also visit the same repairs
+/// and exit early alike; a factorized fold (a linear plan on a complete
+/// input) visits `Σ_K |MIS(K)|` local repairs and never exits early.
 #[test]
 fn batched_repair_fold_matches_row_fold() {
     let _env = ENV_LOCK.lock().expect("env lock poisoned");
+    let (mut factorized, mut whole) = (0u64, 0u64);
     for seed in 0..fuzz_cases() {
         for with_nulls in [false, true] {
             let db = fuzz_dirty_db(seed.wrapping_add(0xc0de), with_nulls);
@@ -191,14 +245,30 @@ fn batched_repair_fold_matches_row_fold() {
                     match (batched, rows) {
                         (Ok(batched), Ok(rows)) => {
                             assert_eq!(batched.answers, rows.answers, "MISMATCH {context}");
-                            assert_eq!(
-                                batched.repairs_visited, rows.repairs_visited,
-                                "visit counts diverge for {context}"
-                            );
-                            assert_eq!(
-                                batched.early_exit, rows.early_exit,
-                                "early exit diverges for {context}"
-                            );
+                            if batched.components.is_some() {
+                                factorized += 1;
+                                // A factorized fold visits each component's
+                                // local repairs once and never stops early.
+                                assert_eq!(
+                                    batched.repairs_visited,
+                                    local_repair_count(&graph),
+                                    "factorized visits are not Σ_K |MIS(K)| for {context}"
+                                );
+                                assert!(
+                                    !batched.early_exit,
+                                    "a factorized fold exited early for {context}"
+                                );
+                            } else {
+                                whole += 1;
+                                assert_eq!(
+                                    batched.repairs_visited, rows.repairs_visited,
+                                    "visit counts diverge for {context}"
+                                );
+                                assert_eq!(
+                                    batched.early_exit, rows.early_exit,
+                                    "early exit diverges for {context}"
+                                );
+                            }
                             let expected_batched = if db.is_complete() {
                                 batched.repairs_visited
                             } else {
@@ -230,4 +300,9 @@ fn batched_repair_fold_matches_row_fold() {
         }
     }
     std::env::remove_var(MORSEL_ROWS_ENV);
+    eprintln!("repair folds: {factorized} factorized, {whole} whole-repair");
+    assert!(
+        factorized > 0 && whole > 0,
+        "the sweep must exercise both fold shapes: {factorized} factorized, {whole} whole"
+    );
 }
