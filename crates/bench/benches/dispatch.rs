@@ -5,8 +5,8 @@
 //! guarantee-carrying report. This bench measures what that dispatch costs
 //! relative to calling the engine-internal primitive directly — since the
 //! physical-plan refactor that primitive is plan-then-execute
-//! (`PlannedQuery::new` + `exec::execute`), the exact work `Engine::plan`
-//! wraps. Target: **< 5 % median overhead** at realistic sizes (the
+//! (`PlannedQuery::new` + `exec::columnar::execute`), the exact work
+//! `Engine::plan` wraps. Target: **< 5 % median overhead** at realistic sizes (the
 //! absolute cost is a classify traversal plus report assembly, independent
 //! of data size).
 //!
@@ -66,7 +66,7 @@ fn main() {
         // is exactly the work `Engine::plan` wraps, minus dispatch/report.
         let direct = measure(format!("direct/{orders}"), budget, || {
             let plan = PlannedQuery::new(q.clone(), db.schema()).expect("query typechecks");
-            exec::execute(plan.physical(), &db).complete_part()
+            exec::columnar::execute(plan.physical(), &db).complete_part()
         });
         let engine = Engine::new(&db);
         let dispatched = measure(format!("engine/{orders}"), budget, || {

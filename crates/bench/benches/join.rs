@@ -5,7 +5,9 @@
 //! The physical plan fuses the selection into a hash equi-join: build a hash
 //! table on one side's key, probe with the other, `O(|R| + |S| + matches)`.
 //! This bench quantifies the gap on a selective join at increasing scale
-//! (the acceptance bar is ≥10× at 1k×1k), and also measures the bulk
+//! (the acceptance bar is ≥10× at 1k×1k), checks that the pair executor's
+//! ground/symbolic run split keeps it within 20× of plain execution at 1%
+//! nulls (asserted in smoke runs too), and also measures the bulk
 //! `Relation::from_tuples` constructor whose per-tuple arity `assert!` was
 //! downgraded to a `debug_assert!` — the constructor every operator's output
 //! lands in.
@@ -81,7 +83,7 @@ fn main() {
         let plan = PlannedQuery::new(q.clone(), db.schema()).expect("query typechecks");
         assert!(plan.physical().has_hash_join(), "fusion must fire");
         // Correctness before speed: both paths must agree.
-        let hash_out = exec::execute(plan.physical(), &db);
+        let hash_out = exec::columnar::execute(plan.physical(), &db);
         let loop_out = releval::engine::eval_unchecked(&q, &db).into_owned();
         assert_eq!(hash_out, loop_out, "hash join != nested loop at n={n}");
         assert_eq!(hash_out.len(), n, "selective join yields n rows");
@@ -98,7 +100,7 @@ fn main() {
             nested.iters
         );
         let hash = measure(format!("hash-join/{n}"), budget, || {
-            exec::execute(plan.physical(), &db)
+            exec::columnar::execute(plan.physical(), &db)
         });
         emit("scaling", "hash", n, &hash);
         println!(
@@ -124,63 +126,60 @@ fn main() {
         );
     }
 
-    // The morsel-driven columnar core against the row-at-a-time executors,
-    // swept across null rates on the mostly-ground join workload. The pair
-    // (certain⁺/possible?) executor is where the batch-granular
-    // ground/symbolic run split pays: the row path allocates a key vector
-    // per probe, a concat per candidate, and a set insert per output row,
-    // while the columnar path hashes raw u64s over cache-resident columns
-    // and falls back per-row only for the symbolic remainder.
-    println!("\n## columnar_vs_row (null-rate sweep, n rows per side)");
+    // The ground/symbolic run split of the pair (certain⁺/possible?)
+    // executor, swept across null rates on the mostly-ground join workload.
+    // Under syntactic equality the plain executor sends every row down the
+    // vectorized ground run; the pair executor does the same for ground
+    // rows and pays the per-row valuation-aware fallback only for the
+    // symbolic remainder. So at a low null rate the pair executor must stay
+    // within a small constant factor of plain execution of the same query —
+    // a pair executor that routed ground rows through the fallback would be
+    // orders of magnitude slower (it is at 50% nulls, where most rows are
+    // symbolic).
+    println!(
+        "\n## pair_vs_plain (columnar ground/symbolic split, null-rate sweep, n rows per side)"
+    );
     println!(
         "{:<22}  {:>12}  {:>12}  {:>9}",
         "bench", "median", "min", "iters"
     );
-    let n = if smoke { 200 } else { 1000 };
+    // Smoke runs keep the full 1k-row size at the gated 1% rate: at a few
+    // hundred rows even a pair executor that sends every row down the
+    // per-row fallback stays within 20x of plain execution.
+    let n = 1000;
     let rates: &[u32] = if smoke { &[1] } else { &[0, 1, 10, 50] };
-    // The swept query projects the join down to the matched `a`s: the row
-    // executors materialize a `BTreeSet` relation per operator (the 1%-null
-    // possible side of the join alone is ~20·n rows), while the columnar
-    // core carries batches end to end, dedups the projection in its hash
-    // kernel, and converts to a relation once, at the root.
+    // The swept query projects the join down to the matched `a`s, so both
+    // executors dedup the projection in their hash kernels and convert to a
+    // relation once, at the root.
     let q_sweep = join_query().project(vec![0]);
-    let mut pair_speedup_at_1pct = 0.0f64;
+    let mut pair_over_plain_at_1pct = f64::INFINITY;
     for &rate in rates {
-        let db = random_database_with_null_rate(n, rate, 42);
-        let plan = PlannedQuery::new(q_sweep.clone(), db.schema()).expect("query typechecks");
-        // Correctness before speed, on both executors.
-        let (col_plain, _) = exec::columnar::execute_counted(plan.physical(), &db);
+        // Correctness before speed, against the logical evaluators (a
+        // nested loop, so on a smaller instance of the same workload).
+        let small = random_database_with_null_rate(200, rate, 42);
+        let plan = PlannedQuery::new(q_sweep.clone(), small.schema()).expect("query typechecks");
         assert_eq!(
-            col_plain,
-            exec::execute(plan.physical(), &db),
-            "columnar != row (plain) at {rate}% nulls"
-        );
-        let col_pair = exec::columnar::approx::execute_approx(plan.physical(), &db);
-        let row_pair = exec::approx::execute_approx(plan.physical(), &db);
-        assert_eq!(
-            col_pair.certain, row_pair.certain,
-            "columnar != row (pair, certain) at {rate}% nulls"
+            exec::columnar::execute(plan.physical(), &small),
+            releval::engine::eval_unchecked(&q_sweep, &small).into_owned(),
+            "columnar != logical (plain) at {rate}% nulls"
         );
         assert_eq!(
-            col_pair.possible, row_pair.possible,
-            "columnar != row (pair, possible) at {rate}% nulls"
+            exec::columnar::approx::execute_approx(plan.physical(), &small),
+            releval::approx::eval_approx_unchecked(&q_sweep, &small),
+            "columnar != logical (pair) at {rate}% nulls"
         );
 
-        for (mode, m) in [
-            (
-                "row-plain",
-                measure(format!("row-plain/{rate}%"), budget, || {
-                    exec::execute(plan.physical(), &db)
-                }),
-            ),
-            (
-                "columnar-plain",
-                measure(format!("columnar-plain/{rate}%"), budget, || {
-                    exec::columnar::execute(plan.physical(), &db)
-                }),
-            ),
-        ] {
-            emit(&format!("null_rate_plain_{rate}pct"), mode, n, &m);
+        let db = random_database_with_null_rate(n, rate, 42);
+        let plan = PlannedQuery::new(q_sweep.clone(), db.schema()).expect("query typechecks");
+        let plain = measure(format!("columnar-plain/{rate}%"), budget, || {
+            exec::columnar::execute(plan.physical(), &db)
+        });
+        emit(&format!("null_rate_plain_{rate}pct"), "columnar", n, &plain);
+        let pair = measure(format!("columnar-pair/{rate}%"), budget, || {
+            exec::columnar::approx::execute_approx(plan.physical(), &db)
+        });
+        emit(&format!("null_rate_pair_{rate}pct"), "columnar", n, &pair);
+        for m in [&plain, &pair] {
             println!(
                 "{:<22}  {:>12}  {:>12}  {:>9}",
                 m.label,
@@ -189,45 +188,21 @@ fn main() {
                 m.iters
             );
         }
-        let row = measure(format!("row-pair/{rate}%"), budget, || {
-            exec::approx::execute_approx(plan.physical(), &db)
-        });
-        emit(&format!("null_rate_pair_{rate}pct"), "row", n, &row);
-        println!(
-            "{:<22}  {:>12}  {:>12}  {:>9}",
-            row.label,
-            fmt_duration(row.median),
-            fmt_duration(row.min),
-            row.iters
-        );
-        let col = measure(format!("columnar-pair/{rate}%"), budget, || {
-            exec::columnar::approx::execute_approx(plan.physical(), &db)
-        });
-        emit(&format!("null_rate_pair_{rate}pct"), "columnar", n, &col);
-        println!(
-            "{:<22}  {:>12}  {:>12}  {:>9}",
-            col.label,
-            fmt_duration(col.median),
-            fmt_duration(col.min),
-            col.iters
-        );
-        let speedup = row.median.as_nanos() as f64 / col.median.as_nanos().max(1) as f64;
+        let ratio = pair.median.as_nanos() as f64 / plain.median.as_nanos().max(1) as f64;
         if rate == 1 {
-            pair_speedup_at_1pct = speedup;
+            pair_over_plain_at_1pct = ratio;
         }
-        println!("columnar vs row pair at {rate}% nulls: {speedup:.1}x");
+        println!("pair / plain at {rate}% nulls: {ratio:.1}x");
     }
     println!(
-        "BENCH {{\"bench\":\"join\",\"experiment\":\"columnar_summary\",\"n\":{n},\
-         \"speedup_columnar_vs_row_pair_1pct\":{pair_speedup_at_1pct:.3}}}"
+        "BENCH {{\"bench\":\"join\",\"experiment\":\"pair_vs_plain_summary\",\"n\":{n},\
+         \"pair_over_plain_1pct\":{pair_over_plain_at_1pct:.3}}}"
     );
-    if !smoke {
-        assert!(
-            pair_speedup_at_1pct >= 5.0,
-            "acceptance: the columnar pair executor must beat the row pair executor \
-             ≥5x at 1k rows / 1% nulls (got {pair_speedup_at_1pct:.1}x)"
-        );
-    }
+    assert!(
+        pair_over_plain_at_1pct <= 20.0,
+        "acceptance: at 1% nulls the columnar pair executor must stay within 20x of \
+         plain execution of the same query (got {pair_over_plain_at_1pct:.1}x)"
+    );
 
     // Bulk relation construction: the operator-output hot path whose
     // per-tuple arity assert became debug-only.

@@ -115,8 +115,8 @@ use releval::exec::columnar::approx::execute_approx_counted_over;
 use releval::exec::columnar::{execute_counted_over, execute_profiled_over};
 use releval::exec::{NodeProfile, OpStats};
 use releval::split::inline_ground_subtrees;
-use releval::strategy::{Strategy, ThreeValuedEvaluation};
 use releval::symbolic::{symbolic_certain_answer, SymbolicOutcome};
+use releval::three_valued::eval_3vl_unchecked;
 use releval::worlds::{estimated_world_count, stream_certain_answer, ShardProfile};
 use releval::EvalError;
 use relmodel::{Database, Relation};
@@ -825,13 +825,10 @@ impl<D: Borrow<Database>> Engine<D> {
                 (object.complete_part(), Some(object))
             }
             StrategyKind::ThreeValuedBaseline => {
-                let raw = ThreeValuedEvaluation.eval_unchecked(&plan, self.db(), self.base())?;
+                let raw = eval_3vl_unchecked(plan.expr(), self.db());
                 (raw.complete_part(), Some(raw))
             }
             StrategyKind::WorldsGroundTruth => {
-                // Bypasses the `Strategy` facade for the telemetry it cannot
-                // carry: worlds visited, early exit, thread count, peak
-                // worlds in flight.
                 let exec = stream_certain_answer(
                     &plan,
                     self.db(),

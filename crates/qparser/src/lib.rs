@@ -23,6 +23,8 @@
 //! ```
 //!
 //! Set operators associate to the left. Columns are 0-based positions.
+//! Queries nested deeper than [`MAX_DEPTH`] levels are refused with
+//! [`ParseError::TooDeep`].
 //!
 //! ```
 //! use qparser::parse;
@@ -39,5 +41,5 @@ pub mod parser;
 pub mod plan;
 
 pub use lexer::{tokenize, LexError, Token};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_DEPTH};
 pub use plan::{parse_and_plan, PlanTextError};

@@ -1,4 +1,12 @@
 //! Recursive-descent parser producing [`RaExpr`]s.
+//!
+//! Every later stage — typechecking, lowering, analysis, each evaluator —
+//! walks the expression recursively, so the parser bounds the depth of the
+//! trees it builds by [`MAX_DEPTH`]: deeper text is refused with
+//! [`ParseError::TooDeep`] instead of overflowing a thread's stack further
+//! down. The bound covers left-deep operator chains (`R minus R minus …`,
+//! `p and p and …`), which parse iteratively but still build deep trees, and
+//! the parser's own recursion, parentheses included.
 
 use std::fmt;
 
@@ -21,7 +29,20 @@ pub enum ParseError {
     },
     /// Input continued after a complete expression.
     TrailingInput(String),
+    /// The query (its expression tree, a predicate inside it, or its
+    /// parenthesised nesting) is deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// The depth limit the input exceeded.
+        limit: usize,
+    },
 }
+
+/// The deepest query [`parse`] accepts: the depth of the expression tree,
+/// counting each selection's predicate as a subtree of the selection and
+/// each operator of a chain as one level, and the nesting depth of the text,
+/// parentheses included. Generated and benchmark queries nest fewer than 20
+/// levels.
+pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -32,6 +53,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::TrailingInput(tok) => {
                 write!(f, "unexpected trailing input starting at `{tok}`")
+            }
+            ParseError::TooDeep { limit } => {
+                write!(f, "query nests deeper than the limit of {limit} levels")
             }
         }
     }
@@ -48,8 +72,12 @@ impl From<LexError> for ParseError {
 /// Parses a query in the textual syntax into a relational algebra expression.
 pub fn parse(input: &str) -> Result<RaExpr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let expr = parser.expr()?;
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
+    let (expr, _) = parser.expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(ParseError::TrailingInput(
             parser.tokens[parser.pos].to_string(),
@@ -58,12 +86,41 @@ pub fn parse(input: &str) -> Result<RaExpr, ParseError> {
     Ok(expr)
 }
 
+/// A parsed node with the depth of the tree it roots (a leaf is 1).
+type Deep<T> = (T, usize);
+
+/// `depth`, unless it exceeds [`MAX_DEPTH`].
+fn bounded(depth: usize) -> Result<usize, ParseError> {
+    if depth > MAX_DEPTH {
+        Err(ParseError::TooDeep { limit: MAX_DEPTH })
+    } else {
+        Ok(depth)
+    }
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many nested productions enclose the current position.
+    nesting: usize,
 }
 
 impl Parser {
+    /// Runs `parse` one nesting level deeper, refusing to recurse past
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Deep<T>, ParseError>,
+    ) -> Result<Deep<T>, ParseError> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(ParseError::TooDeep { limit: MAX_DEPTH });
+        }
+        self.nesting += 1;
+        let out = parse(self);
+        self.nesting -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -93,8 +150,8 @@ impl Parser {
         }
     }
 
-    fn expr(&mut self) -> Result<RaExpr, ParseError> {
-        let mut left = self.term()?;
+    fn expr(&mut self) -> Result<Deep<RaExpr>, ParseError> {
+        let (mut left, mut depth) = self.term()?;
         loop {
             let op = match self.keyword() {
                 Some("union") | Some("minus") | Some("intersect") | Some("divide") => {
@@ -104,7 +161,8 @@ impl Parser {
             };
             let Some(op) = op else { break };
             self.next();
-            let right = self.term()?;
+            let (right, right_depth) = self.term()?;
+            depth = bounded(1 + depth.max(right_depth))?;
             left = match op.as_str() {
                 "union" => left.union(right),
                 "minus" => left.difference(right),
@@ -113,45 +171,45 @@ impl Parser {
                 _ => unreachable!("operator keywords are matched above"),
             };
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn term(&mut self) -> Result<RaExpr, ParseError> {
+    fn term(&mut self) -> Result<Deep<RaExpr>, ParseError> {
         match self.next() {
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(e)
             }
             Some(Token::Ident(word)) => match word.as_str() {
                 "select" => {
                     self.expect(&Token::LBracket, "`[` after select")?;
-                    let pred = self.predicate()?;
+                    let (pred, pred_depth) = self.nested(Self::predicate)?;
                     self.expect(&Token::RBracket, "`]` after predicate")?;
                     self.expect(&Token::LParen, "`(` after select[..]")?;
-                    let inner = self.expr()?;
+                    let (inner, depth) = self.nested(Self::expr)?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(inner.select(pred))
+                    Ok((inner.select(pred), bounded(1 + depth.max(pred_depth))?))
                 }
                 "project" => {
                     self.expect(&Token::LBracket, "`[` after project")?;
                     let cols = self.columns()?;
                     self.expect(&Token::RBracket, "`]` after columns")?;
                     self.expect(&Token::LParen, "`(` after project[..]")?;
-                    let inner = self.expr()?;
+                    let (inner, depth) = self.nested(Self::expr)?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(inner.project(cols))
+                    Ok((inner.project(cols), bounded(1 + depth)?))
                 }
                 "product" => {
                     self.expect(&Token::LParen, "`(` after product")?;
-                    let a = self.expr()?;
+                    let (a, a_depth) = self.nested(Self::expr)?;
                     self.expect(&Token::Comma, "`,` between product operands")?;
-                    let b = self.expr()?;
+                    let (b, b_depth) = self.nested(Self::expr)?;
                     self.expect(&Token::RParen, "`)`")?;
-                    Ok(a.product(b))
+                    Ok((a.product(b), bounded(1 + a_depth.max(b_depth))?))
                 }
-                "delta" => Ok(RaExpr::Delta),
-                name => Ok(RaExpr::relation(name)),
+                "delta" => Ok((RaExpr::Delta, 1)),
+                name => Ok((RaExpr::relation(name), 1)),
             },
             other => Err(ParseError::Unexpected {
                 found: other.map_or_else(|| "end of input".to_owned(), |t| t.to_string()),
@@ -184,47 +242,50 @@ impl Parser {
         Ok(cols)
     }
 
-    fn predicate(&mut self) -> Result<Predicate, ParseError> {
+    fn predicate(&mut self) -> Result<Deep<Predicate>, ParseError> {
         self.disjunction()
     }
 
-    fn disjunction(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.conjunction()?;
+    fn disjunction(&mut self) -> Result<Deep<Predicate>, ParseError> {
+        let (mut left, mut depth) = self.conjunction()?;
         while self.keyword() == Some("or") {
             self.next();
-            let right = self.conjunction()?;
+            let (right, right_depth) = self.conjunction()?;
+            depth = bounded(1 + depth.max(right_depth))?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn conjunction(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.atom()?;
+    fn conjunction(&mut self) -> Result<Deep<Predicate>, ParseError> {
+        let (mut left, mut depth) = self.atom()?;
         while self.keyword() == Some("and") {
             self.next();
-            let right = self.atom()?;
+            let (right, right_depth) = self.atom()?;
+            depth = bounded(1 + depth.max(right_depth))?;
             left = left.and(right);
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn atom(&mut self) -> Result<Predicate, ParseError> {
+    fn atom(&mut self) -> Result<Deep<Predicate>, ParseError> {
         match self.peek() {
             Some(Token::Ident(s)) if s == "not" => {
                 self.next();
-                Ok(self.atom()?.negate())
+                let (p, depth) = self.nested(Self::atom)?;
+                Ok((p.negate(), bounded(1 + depth)?))
             }
             Some(Token::Ident(s)) if s == "true" => {
                 self.next();
-                Ok(Predicate::True)
+                Ok((Predicate::True, 1))
             }
             Some(Token::Ident(s)) if s == "false" => {
                 self.next();
-                Ok(Predicate::False)
+                Ok((Predicate::False, 1))
             }
             Some(Token::LParen) => {
                 self.next();
-                let p = self.predicate()?;
+                let p = self.nested(Self::predicate)?;
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(p)
             }
@@ -242,11 +303,12 @@ impl Parser {
                     }
                 };
                 let right = self.operand()?;
-                Ok(if negated {
+                let atom = if negated {
                     Predicate::neq(left, right)
                 } else {
                     Predicate::eq(left, right)
-                })
+                };
+                Ok((atom, 1))
             }
         }
     }
@@ -333,5 +395,57 @@ mod tests {
         assert!(parse("project[#-1](R)").is_err());
         let err = parse("select['a' <> ](R)").unwrap_err();
         assert!(err.to_string().contains("expected"));
+    }
+
+    /// Depth of an expression tree, a selection's predicate counting as a
+    /// subtree of the selection (the measure [`MAX_DEPTH`] bounds).
+    fn depth(e: &RaExpr) -> usize {
+        fn pred(p: &Predicate) -> usize {
+            match p {
+                Predicate::And(a, b) | Predicate::Or(a, b) => 1 + pred(a).max(pred(b)),
+                Predicate::Not(a) => 1 + pred(a),
+                _ => 1,
+            }
+        }
+        match e {
+            RaExpr::Relation(_) | RaExpr::Values(_) | RaExpr::Delta => 1,
+            RaExpr::Select(a, p) => 1 + depth(a).max(pred(p)),
+            RaExpr::Project(a, _) => 1 + depth(a),
+            RaExpr::Product(a, b)
+            | RaExpr::Union(a, b)
+            | RaExpr::Difference(a, b)
+            | RaExpr::Intersection(a, b)
+            | RaExpr::Divide(a, b) => 1 + depth(a).max(depth(b)),
+        }
+    }
+
+    #[test]
+    fn depth_is_bounded_at_the_limit_exactly() {
+        let too_deep = Err(ParseError::TooDeep { limit: MAX_DEPTH });
+        // Chains: the limit is the tree's depth, not the recursion's.
+        let chain = |n: usize| vec!["R"; n].join(" minus ");
+        assert_eq!(depth(&parse(&chain(MAX_DEPTH)).unwrap()), MAX_DEPTH);
+        assert_eq!(parse(&chain(MAX_DEPTH + 1)), too_deep);
+        let conj = |n: usize| format!("select[{}](R)", vec!["#0 = 1"; n].join(" and "));
+        assert_eq!(depth(&parse(&conj(MAX_DEPTH - 1)).unwrap()), MAX_DEPTH);
+        assert_eq!(parse(&conj(MAX_DEPTH)), too_deep);
+        // Prefix nesting: projections, negations, parentheses.
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}R{}", open.repeat(n), close.repeat(n));
+        assert_eq!(
+            depth(&parse(&nest("project[#0](", ")", MAX_DEPTH - 1)).unwrap()),
+            MAX_DEPTH
+        );
+        assert_eq!(parse(&nest("project[#0](", ")", MAX_DEPTH)), too_deep);
+        let nots = format!("select[{}#0 = 1](R)", "not ".repeat(MAX_DEPTH));
+        assert_eq!(parse(&nots), too_deep);
+        // Parentheses build no tree, but each one is a level of recursion.
+        assert_eq!(
+            parse(&nest("(", ")", MAX_DEPTH)).unwrap(),
+            RaExpr::relation("R")
+        );
+        assert_eq!(parse(&nest("(", ")", MAX_DEPTH + 1)), too_deep);
+        let message = ParseError::TooDeep { limit: MAX_DEPTH }.to_string();
+        assert!(message.contains("128"), "{message}");
     }
 }

@@ -33,6 +33,7 @@ use relmodel::value::{Constant, NullId, Value};
 use relmodel::{Database, Relation, Tuple};
 
 use crate::error::EvalError;
+use crate::exec::delta_diagonal;
 
 /// The result of pair evaluation: an under- and an over-approximation of the
 /// query's answer across all valuations.
@@ -55,14 +56,35 @@ pub fn eval_approx(expr: &RaExpr, db: &Database) -> Result<ApproxAnswer, EvalErr
 /// Pair-evaluates without re-running the type checker (callers guarantee the
 /// expression type-checks against the database schema).
 pub fn eval_approx_unchecked(expr: &RaExpr, db: &Database) -> ApproxAnswer {
+    eval_approx_between_unchecked(expr, db, db)
+}
+
+/// Pair-evaluates over an **interval** of databases: the certain side reads
+/// every leaf from `lower`, the possible side from `upper` (both must
+/// type-check the expression). For any database `D` with `lower ⊆ D ⊆
+/// upper` (tuple-wise, same schema) and any valuation `v`, the invariant
+/// `v(certain) ⊆ Q(v(D)) ⊆ v(possible)` holds at every node by the same
+/// induction that proves the single-database evaluator sound — only the
+/// leaf case changes, and there `v(lower_R) ⊆ v(D_R) ⊆ v(upper_R)` is
+/// immediate.
+///
+/// Consistent query answering relies on this: every subset-repair of an
+/// inconsistent database lies between its conflict-free core (`lower`) and
+/// the database minus its doomed tuples (`upper`). This is the reference
+/// the columnar `execute_approx_between` is differentially tested against;
+/// with `lower == upper` it is [`eval_approx_unchecked`].
+pub fn eval_approx_between_unchecked(
+    expr: &RaExpr,
+    lower: &Database,
+    upper: &Database,
+) -> ApproxAnswer {
+    let eval = |e: &RaExpr| eval_approx_between_unchecked(e, lower, upper);
     match expr {
         RaExpr::Relation(name) => {
-            let rel = db
-                .relation(name)
-                .expect("type checker guarantees the relation exists");
+            let expect = "type checker guarantees the relation exists";
             ApproxAnswer {
-                certain: rel.clone(),
-                possible: rel.clone(),
+                certain: lower.relation(name).expect(expect).clone(),
+                possible: upper.relation(name).expect(expect).clone(),
             }
         }
         RaExpr::Values(rel) => ApproxAnswer {
@@ -81,17 +103,13 @@ pub fn eval_approx_unchecked(expr: &RaExpr, db: &Database) -> ApproxAnswer {
             // The diagonal over the active domain: (x, x) is certainly in Δ
             // for every x occurring in the database, and every world's
             // diagonal entry is the valuation of one of them.
-            let mut out = Relation::new(2);
-            for v in db.active_domain() {
-                out.insert(Tuple::new(vec![v.clone(), v]));
-            }
             ApproxAnswer {
-                certain: out.clone(),
-                possible: out,
+                certain: Relation::from_tuples(2, delta_diagonal(lower)),
+                possible: Relation::from_tuples(2, delta_diagonal(upper)),
             }
         }
         RaExpr::Select(e, p) => {
-            let input = eval_approx_unchecked(e, db);
+            let input = eval(e);
             let mut certain = Relation::new(input.certain.arity());
             for t in input.certain.iter() {
                 if p.eval_3vl_marked(t).is_true() {
@@ -108,31 +126,31 @@ pub fn eval_approx_unchecked(expr: &RaExpr, db: &Database) -> ApproxAnswer {
             ApproxAnswer { certain, possible }
         }
         RaExpr::Project(e, cols) => {
-            let input = eval_approx_unchecked(e, db);
+            let input = eval(e);
             ApproxAnswer {
                 certain: project(&input.certain, cols),
                 possible: project(&input.possible, cols),
             }
         }
         RaExpr::Product(a, b) => {
-            let left = eval_approx_unchecked(a, db);
-            let right = eval_approx_unchecked(b, db);
+            let left = eval(a);
+            let right = eval(b);
             ApproxAnswer {
                 certain: product(&left.certain, &right.certain),
                 possible: product(&left.possible, &right.possible),
             }
         }
         RaExpr::Union(a, b) => {
-            let left = eval_approx_unchecked(a, db);
-            let right = eval_approx_unchecked(b, db);
+            let left = eval(a);
+            let right = eval(b);
             ApproxAnswer {
                 certain: left.certain.union(&right.certain),
                 possible: left.possible.union(&right.possible),
             }
         }
         RaExpr::Intersection(a, b) => {
-            let left = eval_approx_unchecked(a, db);
-            let right = eval_approx_unchecked(b, db);
+            let left = eval(a);
+            let right = eval(b);
             // Certainly in both: syntactic equality is the only certain
             // equality across valuations.
             let certain = left.certain.intersection(&right.certain);
@@ -147,8 +165,8 @@ pub fn eval_approx_unchecked(expr: &RaExpr, db: &Database) -> ApproxAnswer {
             ApproxAnswer { certain, possible }
         }
         RaExpr::Difference(a, b) => {
-            let left = eval_approx_unchecked(a, db);
-            let right = eval_approx_unchecked(b, db);
+            let left = eval(a);
+            let right = eval(b);
             // Certainly in A and not even *possibly* equal to anything
             // possibly in B.
             let mut certain = Relation::new(left.certain.arity());
@@ -167,8 +185,8 @@ pub fn eval_approx_unchecked(expr: &RaExpr, db: &Database) -> ApproxAnswer {
             ApproxAnswer { certain, possible }
         }
         RaExpr::Divide(a, b) => {
-            let dividend = eval_approx_unchecked(a, db);
-            let divisor = eval_approx_unchecked(b, db);
+            let dividend = eval(a);
+            let divisor = eval(b);
             let prefix_arity = dividend.certain.arity() - divisor.certain.arity();
             let prefix_cols: Vec<usize> = (0..prefix_arity).collect();
             // A prefix is certainly in A ÷ B if pairing it with anything

@@ -1,50 +1,44 @@
 //! The physical-plan executor: one hash-join operator core under every
 //! evaluator.
 //!
-//! [`relalgebra::physical`] lowers a query to a [`PhysicalPlan`] once; this
-//! module executes that plan under the three row models the strategies need:
+//! [`relalgebra::physical`] lowers a query to a [`PhysicalPlan`] once;
+//! [`columnar`] executes that plan on a morsel-driven batched core under the
+//! three row models the strategies need:
 //!
-//! * **plain tuples** ([`execute`]) — syntactic value equality; this is what
-//!   naïve evaluation *is*, and (on complete inputs) textbook evaluation. The
-//!   worlds strategy runs this executor once per possible world against the
-//!   single shared plan.
-//! * **the certain⁺/possible? pair** ([`approx::execute_approx`]) — the
-//!   sound approximation's under/over pair, with marked-null three-valued
-//!   filters and unification-aware set operators.
-//! * **condition-carrying c-table rows** ([`ctable::execute_ctable`]) — the
+//! * **plain tuples** ([`columnar::execute`]) — syntactic value equality;
+//!   this is what naïve evaluation *is*, and (on complete inputs) textbook
+//!   evaluation. The worlds strategy runs this executor once per possible
+//!   world against the single shared plan.
+//! * **the certain⁺/possible? pair** ([`columnar::approx`]) — the sound
+//!   approximation's under/over pair, with marked-null three-valued filters
+//!   and unification-aware set operators.
+//! * **condition-carrying c-table rows** ([`columnar::ctable`]) — the
 //!   Imieliński–Lipski algebra re-expressed on the operator core; rows carry
 //!   [`ctables::condition::Condition`]s instead of being filtered outright.
 //!
 //! All three share the same kernel shape: **hash what is ground, loop what
 //! is symbolic**. Under syntactic equality every row is "ground" (a marked
-//! null is just a value), so plain execution is pure build/probe hashing —
-//! hash equi-join, hash union/difference/intersection, hash-lookup division.
+//! null is just a value), so plain execution is pure build/probe hashing.
 //! Under valuation-aware semantics a key containing a null can match rows a
-//! hash lookup would miss, so the kernel's `SplitIndex` partitions rows
-//! into hashable ground keys and a (typically small) symbolic remainder that
-//! the model-specific operators handle pair by pair.
+//! hash lookup would miss, so each operator splits its input into a ground
+//! run for the hash path and a (typically small) symbolic remainder that the
+//! model-specific operators handle pair by pair.
 //!
-//! Executors compute the active-domain diagonal `Δ` **once per execution**
-//! and serve every `Delta` node from that cache — the worlds strategy used
-//! to recompute (and clone) the domain on every `Δ` evaluation in every
-//! world.
+//! The logical evaluators — [`crate::engine`], [`crate::approx`], and
+//! [`ctables::algebra`] — define what each executor computes; the
+//! differential suites hold the columnar core to them.
 //!
-//! [`OpStats`] counts what actually happened (operators run, hash joins,
-//! build/probe rows, symbolic fallback pairs); the engine surfaces it in
-//! [`CertainReport`](../../engine) alongside the plan's `EXPLAIN` text.
+//! This module keeps what every executor shares: [`OpStats`] counts what
+//! actually happened (operators run, hash joins, build/probe rows, symbolic
+//! fallback pairs); the engine surfaces it in
+//! [`CertainReport`](../../engine) alongside the plan's `EXPLAIN` text, and
+//! [`NodeProfile`] is the per-operator record behind `EXPLAIN ANALYZE`.
 
-pub mod approx;
 pub mod columnar;
-pub mod ctable;
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-
-use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
+use relalgebra::physical::PhysicalPlan;
 use relalgebra::predicate::Predicate;
-use relmodel::value::Value;
-use relmodel::{Database, Relation, Tuple};
-
+use relmodel::{Database, Tuple};
 /// Execution telemetry: what the physical operators actually did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
@@ -64,7 +58,6 @@ pub struct OpStats {
     /// syntactically ground.
     pub fallback_pairs: usize,
     /// Morsel chunks processed by the columnar executors' operator loops.
-    /// Zero for the row-at-a-time reference path.
     pub batches: usize,
     /// Probe-side rows routed through the vectorized ground run of a
     /// run-splitting columnar operator (join, ∪/−/∩ membership, ÷). Under
@@ -208,315 +201,14 @@ pub struct NodeProfile {
     pub nanos: u64,
 }
 
-/// Executes a physical plan over a database under **syntactic** value
-/// equality (nulls are ordinary values) — the evaluation the naïve,
-/// complete, and per-world strategies share.
-pub fn execute(plan: &PhysicalPlan, db: &Database) -> Relation {
-    execute_counted(plan, db).0
-}
-
-/// [`execute`] plus the operator telemetry.
-pub fn execute_counted<'a>(plan: &'a PhysicalPlan, db: &'a Database) -> (Relation, OpStats) {
-    let mut exec = PlainExec {
-        db,
-        delta: None,
-        stats: OpStats::default(),
-    };
-    let rows = exec.eval(plan.root());
-    (
-        Relation::from_tuples(plan.arity(), rows.into_iter().map(Cow::into_owned)),
-        exec.stats,
-    )
-}
-
-/// [`execute`] with a caller-provided stats accumulator — the worlds
-/// strategy threads one accumulator through its whole per-world loop.
-pub fn execute_into(plan: &PhysicalPlan, db: &Database, stats: &mut OpStats) -> Relation {
-    let (answers, run) = execute_counted(plan, db);
-    stats.merge(&run);
-    answers
-}
-
-/// Rows flowing between plain operators: leaves are **borrowed** from the
-/// database (or the plan's literal relations), so a scan copies nothing and
-/// operators only pay for the rows they actually build — the same zero-copy
-/// discipline as the logical interpreter's `Cow<Relation>`, per row.
-type Rows<'a> = Vec<Cow<'a, Tuple>>;
-
-struct PlainExec<'a> {
-    db: &'a Database,
-    /// The Δ diagonal, computed on first use and reused for every `Delta`
-    /// node of this execution.
-    delta: Option<Vec<Tuple>>,
-    stats: OpStats,
-}
-
-impl<'a> PlainExec<'a> {
-    /// Evaluates a node to a duplicate-free row vector.
-    fn eval(&mut self, node: &'a PhysNode) -> Rows<'a> {
-        self.stats.operators += 1;
-        match node.op() {
-            PhysOp::Scan(name) => self
-                .db
-                .relation(name)
-                .expect("physical plans are lowered from typechecked queries")
-                .iter()
-                .map(Cow::Borrowed)
-                .collect(),
-            PhysOp::Values(rel) => rel.iter().map(Cow::Borrowed).collect(),
-            PhysOp::Delta => {
-                self.ensure_delta();
-                self.delta
-                    .as_deref()
-                    .expect("just initialised")
-                    .iter()
-                    .map(|t| Cow::Owned(t.clone()))
-                    .collect()
-            }
-            PhysOp::Filter { input, predicate } => {
-                let mut rows = self.eval(input);
-                rows.retain(|t| predicate.eval_naive(t));
-                rows
-            }
-            PhysOp::Project { input, columns } => {
-                let rows = self.eval(input);
-                let mut seen: HashSet<Tuple> = HashSet::with_capacity(rows.len());
-                let mut out = Vec::with_capacity(rows.len());
-                for t in rows {
-                    let projected = t.project(columns);
-                    if seen.insert(projected.clone()) {
-                        out.push(Cow::Owned(projected));
-                    }
-                }
-                out
-            }
-            PhysOp::NestedProduct { left, right } => {
-                let left = self.eval(left);
-                let right = self.eval(right);
-                let mut out = Vec::with_capacity(left.len().saturating_mul(right.len()));
-                for l in &left {
-                    for r in &right {
-                        out.push(Cow::Owned(l.concat(r)));
-                    }
-                }
-                out
-            }
-            PhysOp::HashJoin {
-                left,
-                right,
-                keys,
-                residual,
-            } => {
-                let left = self.eval(left);
-                let right = self.eval(right);
-                let left_refs: Vec<&Tuple> = left.iter().map(|c| c.as_ref()).collect();
-                let right_refs: Vec<&Tuple> = right.iter().map(|c| c.as_ref()).collect();
-                syntactic_hash_join(
-                    &left_refs,
-                    &right_refs,
-                    keys,
-                    |row| residual.as_ref().is_none_or(|p| p.eval_naive(row)),
-                    &mut self.stats,
-                )
-                .into_iter()
-                .map(Cow::Owned)
-                .collect()
-            }
-            PhysOp::Union { left, right } => {
-                let mut rows = self.eval(left);
-                let seen: HashSet<&Tuple> = rows.iter().map(|c| c.as_ref()).collect();
-                let right = self.eval(right);
-                let mut fresh = Vec::new();
-                for t in right {
-                    if !seen.contains(t.as_ref()) {
-                        fresh.push(t);
-                    }
-                }
-                // Two-phase extend keeps `seen`'s borrows of `rows` legal.
-                drop(seen);
-                rows.extend(fresh);
-                rows
-            }
-            PhysOp::Difference { left, right } => {
-                let mut rows = self.eval(left);
-                // `Cow`'s Hash/Eq delegate to the underlying tuple, so
-                // borrowed and owned rows compare and hash identically.
-                let exclude: HashSet<Cow<'a, Tuple>> = self.eval(right).into_iter().collect();
-                rows.retain(|t| !exclude.contains(t));
-                rows
-            }
-            PhysOp::Intersect { left, right } => {
-                let mut rows = self.eval(left);
-                let keep: HashSet<Cow<'a, Tuple>> = self.eval(right).into_iter().collect();
-                rows.retain(|t| keep.contains(t));
-                rows
-            }
-            PhysOp::Divide { left, right } => {
-                let dividend = self.eval(left);
-                let divisor = self.eval(right);
-                hash_divide(&dividend, &divisor, node.arity())
-                    .into_iter()
-                    .map(Cow::Owned)
-                    .collect()
-            }
-        }
-    }
-
-    fn ensure_delta(&mut self) {
-        if self.delta.is_none() {
-            self.delta = Some(delta_diagonal(self.db));
-        }
-    }
-}
-
 /// The `Δ` diagonal of `db`'s active domain — one `(v, v)` tuple per value.
 /// Shared by the plain and pair executors, which both compute it once per
-/// execution and serve every `Delta` node from the cache.
+/// execution and serve every `Delta` node from that one copy.
 pub(crate) fn delta_diagonal(db: &Database) -> Vec<Tuple> {
     db.active_domain()
         .into_iter()
         .map(|v| Tuple::new(vec![v.clone(), v]))
         .collect()
-}
-
-/// The shared syntactic hash equi-join: builds a hash table on the smaller
-/// side's key columns, probes with the other, and keeps concatenated rows
-/// passing `keep` (the residual predicate under the caller's semantics).
-/// Under syntactic equality every value — marked nulls included — is an
-/// exact hash key, so this one kernel serves naïve evaluation, per-world
-/// evaluation, and the certain side of the approximation pair.
-pub(crate) fn syntactic_hash_join(
-    left: &[&Tuple],
-    right: &[&Tuple],
-    keys: &[(usize, usize)],
-    mut keep: impl FnMut(&Tuple) -> bool,
-    stats: &mut OpStats,
-) -> Vec<Tuple> {
-    let left_cols: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
-    let right_cols: Vec<usize> = keys.iter().map(|(_, r)| *r).collect();
-    let build_left = left.len() <= right.len();
-    let (build, probe, build_cols, probe_cols) = if build_left {
-        (left, right, &left_cols, &right_cols)
-    } else {
-        (right, left, &right_cols, &left_cols)
-    };
-    stats.hash_joins += 1;
-    stats.build_rows += build.len();
-    stats.probe_rows += probe.len();
-    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::with_capacity(build.len());
-    for t in build {
-        table.entry(t.key(build_cols)).or_default().push(t);
-    }
-    let mut out = Vec::new();
-    for p in probe {
-        if let Some(bucket) = table.get(&p.key(probe_cols)) {
-            for b in bucket {
-                let row = if build_left { b.concat(p) } else { p.concat(b) };
-                if keep(&row) {
-                    out.push(row);
-                }
-            }
-        }
-    }
-    stats.join_rows_out += out.len();
-    out
-}
-
-/// Hash-lookup relational division: group dividend suffixes by prefix, then
-/// check each prefix's suffix set against the divisor with O(1) lookups —
-/// no `Relation::contains` tree walks in the inner loop.
-fn hash_divide(
-    dividend: &[Cow<'_, Tuple>],
-    divisor: &[Cow<'_, Tuple>],
-    prefix_arity: usize,
-) -> Vec<Tuple> {
-    let dividend_arity = prefix_arity + divisor.first().map_or(0, |t| t.arity());
-    let prefix_cols: Vec<usize> = (0..prefix_arity).collect();
-    let suffix_cols: Vec<usize> = (prefix_arity..dividend_arity).collect();
-    let mut groups: HashMap<Vec<Value>, HashSet<Vec<Value>>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for t in dividend {
-        let prefix = t.key(&prefix_cols);
-        let entry = groups.entry(prefix.clone()).or_default();
-        if entry.is_empty() {
-            order.push(prefix);
-        }
-        entry.insert(t.key(&suffix_cols));
-    }
-    let divisor_keys: Vec<Vec<Value>> = divisor.iter().map(|s| s.key(&suffix_keys_of(s))).collect();
-    let mut out = Vec::new();
-    for prefix in order {
-        let suffixes = &groups[&prefix];
-        if divisor_keys.iter().all(|s| suffixes.contains(s)) {
-            out.push(Tuple::new(prefix));
-        }
-    }
-    out
-}
-
-fn suffix_keys_of(s: &Tuple) -> Vec<usize> {
-    (0..s.arity()).collect()
-}
-
-/// Rows partitioned for valuation-aware probing: rows whose key columns are
-/// all constants are hashed exactly; rows with nulls in the key can match
-/// values a hash lookup would miss, so they sit in a symbolic remainder the
-/// caller pairs up explicitly. `R` is the row type — a plain [`Tuple`] for
-/// the approximation pair, a condition-carrying row for c-tables.
-pub(crate) struct SplitIndex<'a, R> {
-    ground: HashMap<Vec<Value>, Vec<&'a R>>,
-    symbolic: Vec<&'a R>,
-    all: Vec<&'a R>,
-}
-
-impl<'a, R> SplitIndex<'a, R> {
-    /// Indexes `rows` by the values of `key_cols` of `tuple_of(row)`.
-    pub fn build(
-        rows: impl IntoIterator<Item = &'a R>,
-        key_cols: &[usize],
-        tuple_of: impl Fn(&R) -> &Tuple,
-    ) -> Self {
-        let mut ground: HashMap<Vec<Value>, Vec<&'a R>> = HashMap::new();
-        let mut symbolic = Vec::new();
-        let mut all = Vec::new();
-        for row in rows {
-            let t = tuple_of(row);
-            if t.key_is_complete(key_cols) {
-                ground.entry(t.key(key_cols)).or_default().push(row);
-            } else {
-                symbolic.push(row);
-            }
-            all.push(row);
-        }
-        SplitIndex {
-            ground,
-            symbolic,
-            all,
-        }
-    }
-
-    /// Rows that could match a probe tuple: for a ground probe key, the
-    /// exact hash bucket plus every symbolic row; for a null-bearing probe
-    /// key, every row. The result is a superset of the semantically matching
-    /// rows — callers re-check each candidate under their own semantics.
-    pub fn candidates(&self, probe: &Tuple, key_cols: &[usize]) -> Vec<&'a R> {
-        if probe.key_is_complete(key_cols) {
-            let mut out: Vec<&'a R> = self
-                .ground
-                .get(&probe.key(key_cols))
-                .map(|bucket| bucket.to_vec())
-                .unwrap_or_default();
-            out.extend(self.symbolic.iter().copied());
-            out
-        } else {
-            self.all.to_vec()
-        }
-    }
-
-    /// How many rows sit outside the hash path.
-    pub fn symbolic_len(&self) -> usize {
-        self.symbolic.len()
-    }
 }
 
 /// The full join predicate of a hash join — its equi-key atoms (in
@@ -542,43 +234,9 @@ pub(crate) fn join_predicate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::eval_unchecked;
     use relalgebra::ast::RaExpr;
     use relalgebra::plan::PlannedQuery;
-    use relalgebra::predicate::{Operand, Predicate};
-    use relmodel::{DatabaseBuilder, Value};
-
-    fn db() -> Database {
-        DatabaseBuilder::new()
-            .relation("R", &["a", "b"])
-            .relation("S", &["b", "c"])
-            .relation("U", &["b"])
-            .ints("R", &[1, 10])
-            .ints("R", &[2, 20])
-            .ints("R", &[1, 20])
-            .tuple("R", vec![Value::int(3), Value::null(0)])
-            .ints("S", &[10, 100])
-            .ints("S", &[20, 200])
-            .tuple("S", vec![Value::null(0), Value::int(300)])
-            .ints("U", &[10])
-            .ints("U", &[20])
-            .build()
-    }
-
-    fn run(expr: &RaExpr) -> (Relation, OpStats) {
-        let d = db();
-        let plan = PlannedQuery::new(expr.clone(), d.schema()).unwrap();
-        execute_counted(plan.physical(), &d)
-    }
-
-    /// Physical execution must agree with the logical tree-walking
-    /// interpreter on every operator (syntactic semantics on both sides).
-    fn assert_matches_logical(expr: &RaExpr) {
-        let d = db();
-        let (physical, _) = run(expr);
-        let logical = eval_unchecked(expr, &d).into_owned();
-        assert_eq!(physical, logical, "physical != logical for {expr}");
-    }
+    use relmodel::Schema;
 
     /// Merging shard telemetry must sum **every** field — the worlds
     /// evaluator folds per-shard `OpStats` together, and a field skipped by
@@ -612,8 +270,8 @@ mod tests {
         assert_eq!(OpStats::from_array(a.to_array()), a);
         // The same summary (table counters included) reaches the
         // `explain_executed` footer verbatim, `-- `-prefixed per line.
-        let d = db();
-        let plan = PlannedQuery::new(RaExpr::relation("R"), d.schema()).unwrap();
+        let schema = Schema::builder().relation("R", &["a", "b"]).build();
+        let plan = PlannedQuery::new(RaExpr::relation("R"), &schema).unwrap();
         let footer = explain_executed(plan.physical(), &merged);
         for line in merged.summary().lines() {
             assert!(
@@ -621,145 +279,5 @@ mod tests {
                 "footer must carry every summary line: {footer}"
             );
         }
-    }
-
-    #[test]
-    fn equi_join_hashes_and_matches_the_interpreter() {
-        let q = RaExpr::relation("R")
-            .product(RaExpr::relation("S"))
-            .select(Predicate::eq(Operand::col(1), Operand::col(2)));
-        let (out, stats) = run(&q);
-        assert_eq!(stats.hash_joins, 1);
-        assert!(stats.build_rows > 0 && stats.probe_rows > 0);
-        // The null key ⊥0 matches syntactically: R(3,⊥0) ⋈ S(⊥0,300).
-        assert!(out.contains(&Tuple::new(vec![
-            Value::int(3),
-            Value::null(0),
-            Value::null(0),
-            Value::int(300)
-        ])));
-        assert_matches_logical(&q);
-    }
-
-    #[test]
-    fn residual_predicates_filter_join_output() {
-        let q = RaExpr::relation("R").product(RaExpr::relation("S")).select(
-            Predicate::eq(Operand::col(1), Operand::col(2))
-                .and(Predicate::neq(Operand::col(0), Operand::col(3))),
-        );
-        assert_matches_logical(&q);
-    }
-
-    #[test]
-    fn every_operator_matches_the_interpreter() {
-        let r = RaExpr::relation("R");
-        let cases = vec![
-            r.clone(),
-            r.clone().project(vec![1]),
-            r.clone()
-                .select(Predicate::eq(Operand::col(0), Operand::int(1))),
-            r.clone().product(RaExpr::relation("U")),
-            r.clone().project(vec![0]).union(RaExpr::relation("U")),
-            r.clone().project(vec![1]).difference(RaExpr::relation("U")),
-            r.clone()
-                .project(vec![1])
-                .intersection(RaExpr::relation("U")),
-            r.clone().divide(RaExpr::relation("U")),
-            RaExpr::Delta,
-            RaExpr::Delta.union(RaExpr::Delta),
-            RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[7])]))
-                .union(r.clone().project(vec![0])),
-        ];
-        for q in cases {
-            assert_matches_logical(&q);
-        }
-    }
-
-    #[test]
-    fn hash_divide_handles_the_textbook_cases() {
-        let q = RaExpr::relation("R").divide(RaExpr::relation("U"));
-        let (out, _) = run(&q);
-        assert_eq!(out.len(), 1);
-        assert!(out.contains(&Tuple::ints(&[1])));
-        // Empty divisor: every prefix qualifies.
-        let mut d = db();
-        d.set_relation("U", Relation::new(1)).unwrap();
-        let plan = PlannedQuery::new(
-            RaExpr::relation("R").divide(RaExpr::relation("U")),
-            d.schema(),
-        )
-        .unwrap();
-        let out = execute(plan.physical(), &d);
-        assert_eq!(out.len(), 3, "∀ over ∅ holds for all prefixes");
-    }
-
-    #[test]
-    fn delta_is_computed_once_per_execution() {
-        // Two Δ nodes, one execution: the cache serves the second.
-        let q = RaExpr::Delta
-            .union(RaExpr::Delta.select(Predicate::eq(Operand::col(0), Operand::col(1))));
-        let d = db();
-        let plan = PlannedQuery::new(q.clone(), d.schema()).unwrap();
-        let mut exec = PlainExec {
-            db: &d,
-            delta: None,
-            stats: OpStats::default(),
-        };
-        let rows = exec.eval(plan.physical().root());
-        assert!(exec.delta.is_some(), "Δ cache must be populated");
-        assert_eq!(
-            Relation::from_tuples(2, rows.into_iter().map(Cow::into_owned)),
-            eval_unchecked(&q, &d).into_owned()
-        );
-    }
-
-    #[test]
-    fn leaf_rows_are_borrowed_not_cloned() {
-        // Scans must not copy the database: the zero-copy discipline the
-        // logical interpreter's `Cow<Relation>` established, kept per row.
-        let d = db();
-        let plan = PlannedQuery::new(RaExpr::relation("R"), d.schema()).unwrap();
-        let mut exec = PlainExec {
-            db: &d,
-            delta: None,
-            stats: OpStats::default(),
-        };
-        let rows = exec.eval(plan.physical().root());
-        assert!(
-            rows.iter().all(|c| matches!(c, Cow::Borrowed(_))),
-            "scan rows must be borrowed from the database"
-        );
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let q = RaExpr::relation("R")
-            .product(RaExpr::relation("S"))
-            .select(Predicate::eq(Operand::col(1), Operand::col(2)));
-        let (_, stats) = run(&q);
-        let mut total = OpStats::default();
-        total.merge(&stats);
-        total.merge(&stats);
-        assert_eq!(total.hash_joins, 2 * stats.hash_joins);
-        assert_eq!(total.operators, 2 * stats.operators);
-    }
-
-    #[test]
-    fn split_index_routes_ground_and_symbolic_rows() {
-        let rows = [
-            Tuple::ints(&[1, 10]),
-            Tuple::ints(&[2, 20]),
-            Tuple::new(vec![Value::null(0), Value::int(30)]),
-        ];
-        let index = SplitIndex::build(rows.iter(), &[0], |t| t);
-        assert_eq!(index.symbolic_len(), 1);
-        // Ground probe: its bucket plus the symbolic row.
-        let candidates = index.candidates(&Tuple::ints(&[1, 99]), &[0]);
-        assert_eq!(candidates.len(), 2);
-        // Null probe: everything.
-        let probe = Tuple::new(vec![Value::null(7), Value::int(0)]);
-        assert_eq!(index.candidates(&probe, &[0]).len(), 3);
-        // Unmatched ground probe: only the symbolic row.
-        assert_eq!(index.candidates(&Tuple::ints(&[9, 9]), &[0]).len(), 1);
     }
 }

@@ -1,9 +1,11 @@
 //! The morsel-driven columnar executor: batch the ground, isolate the
 //! symbolic.
 //!
-//! This module is the batched counterpart of the row-at-a-time executor in
-//! [`super`] (which is kept as the differential-fuzz reference). The same
-//! [`PhysicalPlan`] runs under both; the difference is purely physical:
+//! This module is the physical executor of every strategy. It computes what
+//! the logical tree-walking evaluators define ([`crate::engine`] for plain
+//! tuples, [`crate::approx`] for the pair, `ctables::algebra` for c-tables)
+//! over the lowered [`PhysicalPlan`], and differs from them only
+//! physically:
 //!
 //! * **Columnar batches.** Operators consume and produce
 //!   [`ColumnBatch`]es — column vectors of [`Value`] with a
@@ -15,8 +17,8 @@
 //!   ([`morsel_rows`] rows at a time, overridable via the `MORSEL_ROWS`
 //!   environment variable) so a chunk's columns stay cache-resident;
 //!   [`OpStats::batches`] counts the chunks.
-//! * **Ground/symbolic runs.** The `SplitIndex` idea of the row core,
-//!   lifted to batch granularity: [`ColumnBatch::ground_split`] reads the
+//! * **Ground/symbolic runs.** Hash what is ground, loop what is symbolic,
+//!   at batch granularity: [`ColumnBatch::ground_split`] reads the
 //!   sidecars — built **once per input relation per execution**, during the
 //!   leaf transpose, and reused by every operator — and partitions a batch
 //!   into a ground run for the tight hash/compare loops and a symbolic
@@ -52,9 +54,9 @@ use relmodel::{Database, Relation};
 use super::{NodeProfile, OpStats};
 
 /// Executes a physical plan over a database under **syntactic** value
-/// equality, on the batched core — the columnar counterpart of
-/// [`super::execute`], and the executor the naive/complete strategies and
-/// the worlds fold now run.
+/// equality, on the batched core — the physical counterpart of
+/// [`crate::engine::eval_unchecked`], and the executor the naive/complete
+/// strategies and the worlds fold run.
 pub fn execute(plan: &PhysicalPlan, db: &Database) -> Relation {
     execute_counted(plan, db).0
 }
@@ -717,22 +719,35 @@ mod tests {
         ]
     }
 
-    /// The batched executor must agree with the row-at-a-time reference on
+    /// The batched executor must agree with the logical interpreter on
     /// every operator, at every morsel size (chunk boundaries included).
     #[test]
-    fn columnar_matches_row_reference_across_morsel_sizes() {
+    fn columnar_matches_logical_reference_across_morsel_sizes() {
         let d = db();
         for q in cases() {
             let plan = PlannedQuery::new(q.clone(), d.schema()).unwrap();
-            let reference = super::super::execute(plan.physical(), &d);
+            let reference = crate::engine::eval_unchecked(&q, &d).into_owned();
             for morsel in [1, 2, 3, 1024] {
                 let (batched, _) = execute_counted_with_morsel(plan.physical(), &d, morsel);
                 assert_eq!(
                     batched, reference,
-                    "columnar != row for {q} (morsel {morsel})"
+                    "columnar != logical for {q} (morsel {morsel})"
                 );
             }
         }
+    }
+
+    #[test]
+    fn division_handles_the_textbook_cases() {
+        let q = RaExpr::relation("R").divide(RaExpr::relation("U"));
+        let mut d = db();
+        let plan = PlannedQuery::new(q, d.schema()).unwrap();
+        let out = execute(plan.physical(), &d);
+        assert_eq!(out, Relation::from_tuples(1, vec![Tuple::ints(&[1])]));
+        // Empty divisor: every prefix qualifies.
+        d.set_relation("U", Relation::new(1)).unwrap();
+        let out = execute(plan.physical(), &d);
+        assert_eq!(out.len(), 3, "∀ over ∅ holds for all prefixes");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The certain⁺/possible? approximation pair on the batched columnar core.
 //!
-//! Same semantics as the row pair executor in [`super::super::approx`]
-//! (kept as the differential-fuzz reference) — every operator produces an
-//! under-approximating `certain` batch and an over-approximating `possible`
-//! batch — but the valuation-aware operators now run the batch-granular
-//! ground/symbolic run split:
+//! Same semantics as the logical pair evaluator in [`crate::approx`] —
+//! every operator produces an under-approximating `certain` batch and an
+//! over-approximating `possible` batch — but run over the rewritten
+//! [`PhysicalPlan`], with the valuation-aware operators on the
+//! batch-granular ground/symbolic run split:
 //!
 //! * the **certain** side of every operator is syntactic, so it rides the
 //!   shared columnar kernels directly (hash join, membership, division);
@@ -32,8 +32,8 @@ use super::{
 };
 use crate::approx::{unifiable_pairs, ApproxAnswer};
 
-/// Pair-evaluates a physical plan on the batched core: the columnar
-/// counterpart of [`super::super::approx::execute_approx`].
+/// Pair-evaluates a physical plan on the batched core: the physical
+/// counterpart of [`crate::approx::eval_approx_unchecked`].
 pub fn execute_approx(plan: &PhysicalPlan, db: &Database) -> ApproxAnswer {
     execute_approx_counted(plan, db).0
 }
@@ -68,8 +68,8 @@ pub fn execute_approx_counted_over(
 
 /// Pair-evaluates over an **interval** of databases — certain side reads
 /// leaves from `lower`, possible side from `upper` — with the same
-/// soundness invariant as the row version (see
-/// [`super::super::approx::execute_approx_between`]); consistent query
+/// soundness invariant as the logical version (see
+/// [`crate::approx::eval_approx_between_unchecked`]); consistent query
 /// answering's conflict-free-core approximation calls this directly.
 pub fn execute_approx_between(
     plan: &PhysicalPlan,
@@ -506,6 +506,7 @@ fn gathered(batch: &Arc<ColumnBatch>, keep: Vec<u32>) -> Arc<ColumnBatch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::approx::{eval_approx_between_unchecked, eval_approx_unchecked};
     use relalgebra::ast::RaExpr;
     use relalgebra::plan::PlannedQuery;
     use relalgebra::predicate::{Operand, Predicate};
@@ -556,14 +557,14 @@ mod tests {
         ]
     }
 
-    /// The batched pair executor must agree with the row pair executor on
-    /// both sides, for every operator, at every morsel size.
+    /// The batched pair executor must agree with the logical pair evaluator
+    /// on both sides, for every operator, at every morsel size.
     #[test]
-    fn columnar_pair_matches_row_pair_across_morsel_sizes() {
+    fn columnar_pair_matches_logical_pair_across_morsel_sizes() {
         let d = db();
         for q in cases() {
             let plan = PlannedQuery::new(q.clone(), d.schema()).unwrap();
-            let reference = super::super::super::approx::execute_approx(plan.physical(), &d);
+            let reference = eval_approx_unchecked(&q, &d);
             for morsel in [1, 2, 3, 1024] {
                 let (batched, _) =
                     execute_approx_between_with_morsel(plan.physical(), &d, &d, morsel);
@@ -579,16 +580,15 @@ mod tests {
         }
     }
 
-    /// Interval evaluation must match the row version too — this is the
-    /// entry point consistent query answering relies on.
+    /// Interval evaluation must match the logical interval evaluator too —
+    /// this is the entry point consistent query answering relies on.
     #[test]
-    fn interval_evaluation_matches_row_reference() {
+    fn interval_evaluation_matches_logical_reference() {
         let d = db();
         let lower = d.complete_part();
         for q in cases() {
             let plan = PlannedQuery::new(q.clone(), d.schema()).unwrap();
-            let (reference, _) =
-                super::super::super::approx::execute_approx_between(plan.physical(), &lower, &d);
+            let reference = eval_approx_between_unchecked(&q, &lower, &d);
             let (batched, _) = execute_approx_between(plan.physical(), &lower, &d);
             assert_eq!(batched.certain, reference.certain, "certain for {q}");
             assert_eq!(batched.possible, reference.possible, "possible for {q}");
@@ -596,16 +596,39 @@ mod tests {
     }
 
     #[test]
-    fn probe_traffic_routes_through_ground_and_symbolic_runs() {
+    fn joins_with_null_keys_keep_the_possible_side_complete() {
+        // R(2,⊥0) can join S(10,100) and S(⊥0,200) in some valuation; the
+        // possible side must keep those pairs even though the hash key ⊥0
+        // matches nothing syntactically except itself.
         let d = db();
         let q = RaExpr::relation("R")
             .product(RaExpr::relation("S"))
             .select(Predicate::eq(Operand::col(1), Operand::col(2)));
         let plan = PlannedQuery::new(q, d.schema()).unwrap();
-        let (_, stats) = execute_approx_counted(plan.physical(), &d);
+        let (answer, stats) = execute_approx_counted(plan.physical(), &d);
+        assert!(stats.hash_joins >= 1, "certain side must hash");
         assert!(stats.ground_rows > 0, "R(1,10) probes the ground run");
         assert!(stats.symbolic_rows > 0, "R(2,⊥0) takes the fallback");
         assert!(stats.fallback_pairs > 0);
         assert!(stats.batches > 0);
+        assert!(answer.possible.len() > answer.certain.len());
+    }
+
+    #[test]
+    fn fixes_the_naive_difference_failure_like_the_logical_evaluator() {
+        let d = DatabaseBuilder::new()
+            .relation("R", &["a", "b"])
+            .relation("S", &["a", "b"])
+            .tuple("R", vec![Value::int(1), Value::null(0)])
+            .tuple("S", vec![Value::int(1), Value::null(1)])
+            .build();
+        let q = RaExpr::relation("R")
+            .difference(RaExpr::relation("S"))
+            .project(vec![0]);
+        let plan = PlannedQuery::new(q.clone(), d.schema()).unwrap();
+        let out = execute_approx(plan.physical(), &d);
+        assert!(out.certain.is_empty());
+        assert!(out.possible.contains(&Tuple::ints(&[1])));
+        assert_eq!(out, eval_approx_unchecked(&q, &d));
     }
 }

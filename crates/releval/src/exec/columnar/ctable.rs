@@ -2,15 +2,16 @@
 //!
 //! C-table rows carry [`Condition`]s — inherently symbolic state — so the
 //! rows themselves stay row-shaped ([`ConditionalTuple`]); what this
-//! executor batches is the *probe traffic*. The `SplitIndex` of the row
-//! executor (kept in [`super::super::ctable`] as the differential-fuzz
-//! reference) is replaced by a `GroundIndex`: the shared raw-`u64`
-//! `RowTable` kernel over the ground-keyed rows plus an explicit symbolic
-//! remainder, probed in morsel-sized chunks. Ground/ground key meetings
-//! resolve in the hash table without materialising a candidate list or a
-//! key vector; only null-involving pairs emit equality atoms, exactly as
-//! the row executor does. [`OpStats`] telemetry records batches and the
-//! ground/symbolic routing.
+//! executor batches is the *probe traffic*. Each keyed operator indexes its
+//! build side in a `GroundIndex`: the shared raw-`u64` `RowTable` kernel
+//! over the ground-keyed rows plus an explicit symbolic remainder, probed
+//! in morsel-sized chunks. Ground/ground key meetings resolve in the hash
+//! table without materialising a candidate list or a key vector — unequal
+//! ground keys never materialise the unsatisfiable row the logical algebra
+//! ([`ctables::algebra`]) carries to its final `simplify()`; only
+//! null-involving pairs emit equality atoms (`⊥ᵢ = c`, `⊥ᵢ = ⊥ⱼ`), exactly
+//! as the logical algebra does. [`OpStats`] telemetry records batches and
+//! the ground/symbolic routing.
 
 use std::collections::BTreeSet;
 
@@ -26,9 +27,10 @@ use super::super::OpStats;
 use super::{hash_tuple_key, RowTable};
 
 /// Evaluates a physical plan over a conditional database on the batched
-/// core — the columnar counterpart of
-/// [`super::super::ctable::execute_ctable`], including the propagation of
-/// the database's global condition and the final simplification pass.
+/// core, returning a conditional table with `[[A]]_cwa = Q([[D]]_cwa)` —
+/// the physical counterpart of [`ctables::algebra::eval_ctable_unchecked`],
+/// including the propagation of the database's global condition and the
+/// final simplification pass.
 pub fn execute_ctable(plan: &PhysicalPlan, cdb: &ConditionalDatabase) -> ConditionalTable {
     execute_ctable_counted(plan, cdb).0
 }
@@ -59,10 +61,10 @@ pub fn execute_ctable_counted_with_morsel(
     (table.and_condition(&cdb.global).simplify(), exec.stats)
 }
 
-/// The batched replacement for `SplitIndex` over conditional rows: ground
-/// keys chain in a [`RowTable`] under the shared hash kernel, symbolic rows
-/// are listed for the per-row fallback. Built once per operator input and
-/// probed for every chunk of the opposing side.
+/// Conditional rows indexed by key: ground keys chain in a [`RowTable`]
+/// under the shared hash kernel, symbolic rows are listed for the per-row
+/// fallback. Built once per operator input and probed for every chunk of
+/// the opposing side.
 struct GroundIndex {
     cols: Vec<usize>,
     table: RowTable,
@@ -368,10 +370,12 @@ impl CTableExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctables::algebra::eval_ctable_unchecked;
     use relalgebra::ast::RaExpr;
     use relalgebra::plan::PlannedQuery;
     use relalgebra::predicate::{Operand, Predicate};
     use relmodel::valuation::ValuationEnumerator;
+    use relmodel::value::Constant;
     use relmodel::{Database, DatabaseBuilder};
 
     fn db() -> Database {
@@ -388,16 +392,17 @@ mod tests {
             .build()
     }
 
-    /// Semantic equality against the row executor: identical instantiations
-    /// under every valuation over an adequate domain. (Structural equality
-    /// is too strong — candidate order differs between the two indexes, and
-    /// condition trees are order-sensitive.)
-    fn assert_matches_row_reference(expr: &RaExpr, morsel: usize) {
+    /// Semantic equality against the logical algebra: identical
+    /// instantiations under every valuation over an adequate domain.
+    /// (Structural equality is too strong — the executor prunes rows and
+    /// terms whose conditions the logical algebra only discharges in its
+    /// final `simplify()`, and condition trees are order-sensitive.)
+    fn assert_matches_logical_reference(expr: &RaExpr, morsel: usize) {
         let d = db();
         let cdb = ConditionalDatabase::from_database(&d);
         let plan = PlannedQuery::new(expr.clone(), d.schema()).unwrap();
         let (batched, _) = execute_ctable_counted_with_morsel(plan.physical(), &cdb, morsel);
-        let reference = super::super::super::ctable::execute_ctable(plan.physical(), &cdb);
+        let reference = eval_ctable_unchecked(expr, &cdb);
         let mut nulls = cdb.null_ids();
         nulls.extend(batched.null_ids());
         nulls.extend(reference.null_ids());
@@ -415,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn every_operator_matches_the_row_executor_across_morsel_sizes() {
+    fn every_operator_matches_the_logical_algebra_across_morsel_sizes() {
         let r = RaExpr::relation("R");
         let join = RaExpr::relation("R")
             .product(RaExpr::relation("S"))
@@ -438,13 +443,13 @@ mod tests {
         ];
         for q in cases {
             for morsel in [1, 3, 1024] {
-                assert_matches_row_reference(&q, morsel);
+                assert_matches_logical_reference(&q, morsel);
             }
         }
     }
 
     #[test]
-    fn hash_join_routes_ground_and_symbolic_probes() {
+    fn hash_join_emits_conditions_for_null_keys() {
         let q = RaExpr::relation("R")
             .product(RaExpr::relation("S"))
             .select(Predicate::eq(Operand::col(1), Operand::col(2)));
@@ -461,5 +466,25 @@ mod tests {
             r.tuple.values()[0] == Value::int(2)
                 && r.condition == Condition::eq(Value::null(0), Value::int(10))
         }));
+    }
+
+    #[test]
+    fn global_condition_is_propagated_like_the_logical_entry_point() {
+        let schema = relmodel::Schema::builder().relation("R", &["a"]).build();
+        let rel = relmodel::Relation::from_tuples(1, vec![Tuple::ints(&[1])]);
+        let mut cdb = ConditionalDatabase::new(schema.clone());
+        cdb.set_table("R", ConditionalTable::from_relation(&rel));
+        let cdb = cdb.with_global(Condition::eq(Value::null(0), Value::int(0)));
+        let plan = PlannedQuery::new(RaExpr::relation("R"), &schema).unwrap();
+        let answer = execute_ctable(plan.physical(), &cdb);
+        let at = |c: i64| {
+            relmodel::Valuation::from_pairs(vec![(relmodel::value::NullId(0), Constant::Int(c))])
+        };
+        assert!(answer.instantiate(&at(7)).is_empty(), "⊥0 = 7 violates it");
+        assert_eq!(answer.instantiate(&at(0)).len(), 1);
+        let logical = eval_ctable_unchecked(&RaExpr::relation("R"), &cdb);
+        for c in [0, 7] {
+            assert_eq!(answer.instantiate(&at(c)), logical.instantiate(&at(c)));
+        }
     }
 }

@@ -24,13 +24,13 @@
 //! * [`exec`] — the physical-plan executor: one hash-join operator core
 //!   (hash equi-join, hash set operators, hash-lookup division) that runs
 //!   plain tuples, the approximation pair, and condition-carrying c-table
-//!   rows over the same [`relalgebra::physical::PhysicalPlan`]. The hot
-//!   path is the **morsel-driven columnar core** ([`exec::columnar`]):
-//!   relations transpose once per execution into
-//!   [`relmodel::batch::ColumnBatch`]es, operators process fixed-size
-//!   morsels with ground rows in tight hash loops and symbolic rows in a
-//!   per-row fallback. The row-at-a-time executors are retained as the
-//!   differential-fuzz reference. Every strategy below executes through
+//!   rows over the same [`relalgebra::physical::PhysicalPlan`]. It is the
+//!   **morsel-driven columnar core** ([`exec::columnar`]): relations
+//!   transpose once per execution into [`relmodel::batch::ColumnBatch`]es,
+//!   operators process fixed-size morsels with ground rows in tight hash
+//!   loops and symbolic rows in a per-row fallback. The logical evaluators
+//!   ([`engine`], [`approx`], `ctables::algebra`) stay the reference the
+//!   differential suites hold it to. Every strategy below executes through
 //!   the batched core; the worlds strategy lowers once and runs the plan
 //!   per world;
 //! * [`approx`] — certain⁺/possible? *pair evaluation* with marked-null
@@ -43,9 +43,6 @@
 //!   (`ctables::condition::solver`) — polynomial per output tuple where
 //!   world enumeration is exponential in the number of nulls, punting
 //!   explicitly where it cannot answer;
-//! * [`strategy`] — the [`strategy::Strategy`] trait: all evaluators behind
-//!   one plan-driven interface, so an engine typechecks a query once and
-//!   dispatches freely;
 //! * [`split`] — subtree-split execution: evaluate the analyzer's *ground*
 //!   (world-invariant) plan regions once on the plain executor and inline
 //!   the results as complete literals, so only the genuinely uncertain
@@ -65,7 +62,6 @@ pub mod exec;
 pub mod fo;
 pub mod naive;
 pub mod split;
-pub mod strategy;
 pub mod symbolic;
 pub mod three_valued;
 pub mod worlds;
@@ -79,10 +75,7 @@ pub mod prelude {
     pub use crate::fo::{eval_sentence, satisfies};
     pub use crate::naive::{certain_answer_naive, eval_naive};
     pub use crate::split::{inline_ground_subtrees, SplitOutcome};
-    pub use crate::strategy::{
-        CompleteEvaluation, NaiveEvaluation, Strategy, ThreeValuedEvaluation, WorldEnumeration,
-    };
-    pub use crate::symbolic::{symbolic_certain_answer, CTableStrategy, SymbolicOptions};
+    pub use crate::symbolic::{symbolic_certain_answer, SymbolicOptions};
     pub use crate::three_valued::eval_3vl;
     pub use crate::worlds::{certain_answer_worlds, possible_answers, WorldOptions};
 }

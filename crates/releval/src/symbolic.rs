@@ -52,12 +52,10 @@ use ctables::condition::Condition;
 use ctables::ctable::{ConditionalDatabase, ConditionalTuple};
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::plan::PlannedQuery;
-use relmodel::{Database, Relation, Semantics, Tuple};
+use relmodel::{Database, Relation, Tuple};
 
-use crate::error::EvalError;
 use crate::exec::columnar::ctable::execute_ctable_counted;
 use crate::exec::OpStats;
-use crate::strategy::Strategy;
 
 /// Options governing the symbolic strategy — exactly the certainty solver's
 /// budget, re-exported under the strategy's name: the solver *is* the only
@@ -233,41 +231,13 @@ fn unifies(row: &Tuple, t: &Tuple) -> bool {
     })
 }
 
-/// The symbolic c-table strategy behind the common [`Strategy`] interface.
-///
-/// Computes the CWA certain answer regardless of the `semantics` argument
-/// (like naïve evaluation, it is a deterministic evaluator; the dispatching
-/// engine accounts for what the answer is worth under OWA). A punt surfaces
-/// as [`EvalError::SymbolicPunt`] — callers with a fallback should catch it
-/// and degrade explicitly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CTableStrategy(pub SymbolicOptions);
-
-impl Strategy for CTableStrategy {
-    fn name(&self) -> &'static str {
-        "symbolic-ctable"
-    }
-
-    fn eval_unchecked(
-        &self,
-        plan: &PlannedQuery,
-        db: &Database,
-        _semantics: Semantics,
-    ) -> Result<Relation, EvalError> {
-        match symbolic_certain_answer(plan, db, &self.0) {
-            SymbolicOutcome::Answered(exec) => Ok(exec.answers),
-            SymbolicOutcome::Punted(reason) => Err(EvalError::SymbolicPunt(reason)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worlds::{certain_answer_worlds, WorldOptions};
     use relalgebra::ast::RaExpr;
     use relmodel::builder::{difference_example, orders_and_payments_example};
-    use relmodel::{DatabaseBuilder, Value};
+    use relmodel::{DatabaseBuilder, Semantics, Value};
 
     fn planned(expr: &RaExpr, db: &Database) -> PlannedQuery {
         PlannedQuery::new(expr.clone(), db.schema()).unwrap()
@@ -356,12 +326,6 @@ mod tests {
             symbolic_certain_answer(&plan, &db, &SymbolicOptions::default()),
             SymbolicOutcome::Punted(PuntReason::NullValuesLiteral)
         );
-        // Through the Strategy facade the punt is a typed error.
-        let err = CTableStrategy::default().eval_unchecked(&plan, &db, Semantics::Cwa);
-        assert!(matches!(
-            err,
-            Err(EvalError::SymbolicPunt(PuntReason::NullValuesLiteral))
-        ));
     }
 
     #[test]

@@ -768,21 +768,10 @@ pub fn certain_answer_worlds(
     )
 }
 
-/// [`certain_answer_worlds`] for a pre-typechecked plan: skips the type
-/// checker and reads the output arity off the plan.
-pub fn certain_answer_worlds_planned(
-    plan: &PlannedQuery,
-    db: &Database,
-    semantics: Semantics,
-    opts: &WorldOptions,
-) -> Result<Relation, EvalError> {
-    Ok(stream_certain_answer(plan, db, semantics, opts)?.answers)
-}
-
-/// [`certain_answer_worlds_planned`] plus the number of worlds **visited**
-/// by the streaming fold — the honest figure for telemetry, as opposed to
-/// the [`estimated_world_count`] upper bound (early exit can make it much
-/// smaller).
+/// [`certain_answer_worlds`] for a pre-typechecked plan, plus the number of
+/// worlds **visited** by the streaming fold — the honest figure for
+/// telemetry, as opposed to the [`estimated_world_count`] upper bound (early
+/// exit can make it much smaller).
 pub fn certain_answer_worlds_counted(
     plan: &PlannedQuery,
     db: &Database,

@@ -120,7 +120,8 @@ impl Column {
 }
 
 /// The ground/symbolic partition of a batch's rows with respect to a set of
-/// key columns — the `SplitIndex` idea lifted to batch granularity.
+/// key columns: ground rows can be hashed exactly, symbolic rows (a null in
+/// some key column) need the valuation-aware per-row fallback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunSplit {
     /// Every key column's sidecar is empty: the whole batch is one ground

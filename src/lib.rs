@@ -56,9 +56,9 @@
 //!   lints, null-census-aware certainty preservation — surfaced through
 //!   [`Engine::analyze`])
 //! - [`releval`]: the evaluation strategies (complete / naïve / SQL 3VL /
-//!   possible worlds / certain⁺ / symbolic c-tables) behind a common
-//!   [`releval::strategy::Strategy`] trait, executing one shared physical
-//!   operator core ([`releval::exec`])
+//!   possible worlds / certain⁺ / symbolic c-tables) as plain functions, the
+//!   logical evaluators that define them, and the one physical operator core
+//!   they execute on ([`releval::exec`])
 //! - [`engine`]: the classify-and-dispatch front door re-exported above
 //!   (including [`engine::Semantics::ConsistentAnswers`])
 //! - [`repairs`]: consistent query answering — conflict hypergraphs,

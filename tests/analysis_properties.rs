@@ -173,7 +173,7 @@ fn ground_facts_mean_world_invariance() {
                 continue;
             }
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let naive = releval::exec::execute(plan.physical(), &db).complete_part();
+            let naive = releval::exec::columnar::execute(plan.physical(), &db).complete_part();
             let oracle = stream_certain_answer(
                 &plan,
                 &db,

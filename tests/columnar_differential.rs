@@ -1,25 +1,29 @@
 //! Differential fuzz harness for the morsel-driven columnar core: the
-//! batched executors replayed against their row-at-a-time references on
-//! random workloads.
+//! batched executors replayed against the row-at-a-time logical evaluators
+//! that define them, on random workloads.
 //!
-//! The columnar rewrite keeps the row executors (`releval::exec`,
-//! `exec::approx`, `exec::ctable`) precisely so this harness can hold the
-//! batched core to them, case by case, across seeded random databases ×
-//! random queries of every [`QueryClass`]:
+//! The columnar core is the only physical executor, so this harness holds
+//! it to the row-at-a-time tree walks (the "row executors" of the test
+//! names), case by case, across seeded random databases × random queries of
+//! every [`QueryClass`]:
 //!
-//! 1. plain tuples: `exec::columnar::execute` == `exec::execute`, exact
-//!    relation equality, swept across morsel sizes (1 row per morsel
-//!    maximises chunk boundaries; the default covers the vectorized path);
+//! 1. plain tuples: `exec::columnar::execute` ==
+//!    `releval::engine::eval_unchecked`, exact relation equality, swept
+//!    across morsel sizes (1 row per morsel maximises chunk boundaries; the
+//!    default covers the vectorized path);
 //! 2. the certain⁺/possible? pair: `exec::columnar::approx` ==
-//!    `exec::approx`, both sides, including the **interval** entry point
-//!    (`execute_approx_between`) consistent query answering depends on;
+//!    `releval::approx::eval_approx_unchecked`, both sides, including the
+//!    **interval** entry point (`execute_approx_between` against
+//!    `eval_approx_between_unchecked`) consistent query answering depends
+//!    on;
 //! 3. condition-carrying c-table rows: `exec::columnar::ctable` ≡
-//!    `exec::ctable`, compared semantically (identical instantiations in
-//!    every world over an adequate domain) — candidate order differs
-//!    between the two indexes, so condition trees differ structurally;
+//!    `ctables::algebra::eval_ctable_unchecked`, compared semantically
+//!    (identical instantiations in every world over an adequate domain) —
+//!    the executor prunes rows the logical algebra only discharges in its
+//!    final simplification, so condition trees differ structurally;
 //! 4. the null-rate-swept mostly-ground workload
 //!    (`random_database_with_null_rate`): the ground-run fast path at
-//!    0%/1%/10%/50% nulls against both row references.
+//!    0%/1%/10%/50% nulls against the plain and pair references.
 //!
 //! The `FUZZ_CASES` environment variable scales the sweep, as in
 //! `physical_differential.rs`; `FUZZ_CASES=1000` is the acceptance-grade
@@ -36,6 +40,7 @@ use incomplete_data::{ctables, relalgebra, releval, relmodel};
 use ctables::ctable::ConditionalDatabase;
 use relalgebra::ast::RaExpr;
 use relalgebra::predicate::{Operand, Predicate};
+use releval::approx::{eval_approx_between_unchecked, eval_approx_unchecked};
 use releval::exec;
 use relmodel::valuation::ValuationEnumerator;
 
@@ -76,7 +81,7 @@ fn fuzz_query(class: QueryClass, seed: u64) -> RaExpr {
     }
 }
 
-/// Batched plain execution == row plain execution, across morsel sizes.
+/// Batched plain execution == the logical interpreter, across morsel sizes.
 #[test]
 fn columnar_plain_matches_row_executor() {
     for seed in 0..fuzz_cases() {
@@ -84,13 +89,13 @@ fn columnar_plain_matches_row_executor() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(5).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let reference = exec::execute(plan.physical(), &db);
+            let reference = releval::engine::eval_unchecked(&q, &db).into_owned();
             for morsel in MORSELS {
                 let (batched, stats) =
                     exec::columnar::execute_counted_with_morsel(plan.physical(), &db, morsel);
                 assert_eq!(
                     batched, reference,
-                    "MISMATCH columnar vs row for {q} ({class}, seed {seed}, morsel {morsel}) \
+                    "MISMATCH columnar vs logical for {q} ({class}, seed {seed}, morsel {morsel}) \
                      over\n{db}"
                 );
                 assert_eq!(
@@ -102,8 +107,8 @@ fn columnar_plain_matches_row_executor() {
     }
 }
 
-/// Batched pair execution == row pair execution, both sides, across morsel
-/// sizes.
+/// Batched pair execution == the logical pair evaluator, both sides, across
+/// morsel sizes.
 #[test]
 fn columnar_approx_matches_row_pair_executor() {
     for seed in 0..fuzz_cases() {
@@ -111,7 +116,7 @@ fn columnar_approx_matches_row_pair_executor() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(7).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let reference = exec::approx::execute_approx(plan.physical(), &db);
+            let reference = eval_approx_unchecked(&q, &db);
             for morsel in MORSELS {
                 let (batched, _) = exec::columnar::approx::execute_approx_between_with_morsel(
                     plan.physical(),
@@ -145,7 +150,7 @@ fn columnar_approx_between_matches_row_interval_executor() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(9).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let (reference, _) = exec::approx::execute_approx_between(plan.physical(), &lower, &db);
+            let reference = eval_approx_between_unchecked(&q, &lower, &db);
             let (batched, _) =
                 exec::columnar::approx::execute_approx_between(plan.physical(), &lower, &db);
             assert_eq!(
@@ -160,9 +165,9 @@ fn columnar_approx_between_matches_row_interval_executor() {
     }
 }
 
-/// Batched c-table execution ≡ row c-table execution, compared semantically
-/// (identical instantiations in every world over an adequate domain),
-/// across morsel sizes.
+/// Batched c-table execution ≡ the logical Imieliński–Lipski algebra,
+/// compared semantically (identical instantiations in every world over an
+/// adequate domain), across morsel sizes.
 #[test]
 fn columnar_ctable_matches_row_executor_semantically() {
     // The valuation sweep is |domain|^|nulls| per case; cap the per-case
@@ -176,7 +181,7 @@ fn columnar_ctable_matches_row_executor_semantically() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(11).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let reference = exec::ctable::execute_ctable(plan.physical(), &cdb);
+            let reference = ctables::algebra::eval_ctable_unchecked(&q, &cdb);
             for morsel in MORSELS {
                 let (batched, _) = exec::columnar::ctable::execute_ctable_counted_with_morsel(
                     plan.physical(),
@@ -200,8 +205,8 @@ fn columnar_ctable_matches_row_executor_semantically() {
     }
 }
 
-/// The null-rate-swept mostly-ground workload: the ground-run fast path the
-/// tentpole is about, checked against both row references at every rate.
+/// The null-rate-swept mostly-ground workload: the ground-run fast path,
+/// checked against the plain and pair logical references at every rate.
 /// Rows are ~200 per relation, so this also covers multi-morsel execution
 /// at small morsel sizes.
 #[test]
@@ -222,14 +227,14 @@ fn null_rate_sweep_agrees_with_row_executors() {
             let db = random_database_with_null_rate(200, rate, seed);
             for q in &queries {
                 let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-                let reference = exec::execute(plan.physical(), &db);
+                let reference = releval::engine::eval_unchecked(q, &db).into_owned();
                 let (batched, _) =
                     exec::columnar::execute_counted_with_morsel(plan.physical(), &db, 64);
                 assert_eq!(
                     batched, reference,
                     "plain mismatch at {rate}% nulls for {q} (seed {seed})"
                 );
-                let pair_ref = exec::approx::execute_approx(plan.physical(), &db);
+                let pair_ref = eval_approx_unchecked(q, &db);
                 let (pair, stats) = exec::columnar::approx::execute_approx_between_with_morsel(
                     plan.physical(),
                     &db,

@@ -1,23 +1,29 @@
 //! Differential fuzz harness for the physical-plan layer: the physical
-//! executors replayed against the logical tree-walking interpreters on
+//! executor replayed against the logical tree-walking interpreters on
 //! random workloads, plus plan-snapshot tests locking the join-fusion
-//! rewrites.
+//! rewrites and the engine's plan telemetry.
 //!
-//! Every strategy now executes a rewritten [`PhysicalPlan`] — hash joins
-//! where the interpreters loop over `σ(A×B)`, hash set operators, pushed
+//! Every strategy executes a rewritten [`PhysicalPlan`] — hash joins where
+//! the interpreters loop over `σ(A×B)`, hash set operators, pushed
 //! selections. The rewrites are only sound if they preserve semantics under
-//! **all three** row models, so this harness checks each of them, case by
+//! **all three** row models, so this harness checks each of them through
+//! the executor's default entry points (the ones the engine calls), case by
 //! case, across seeded random databases × random queries of every
 //! [`QueryClass`], under both CWA and OWA where semantics matter:
 //!
-//! 1. plain tuples: `exec::execute` == `releval::engine::eval_unchecked`;
-//! 2. the certain⁺/possible? pair: `exec::approx::execute_approx` ==
-//!    `releval::approx::eval_approx_unchecked` (both sides);
-//! 3. condition-carrying c-table rows: `exec::ctable::execute_ctable` ≡
+//! 1. plain tuples: `exec::columnar::execute` ==
+//!    `releval::engine::eval_unchecked`;
+//! 2. the certain⁺/possible? pair: `exec::columnar::approx::execute_approx`
+//!    == `releval::approx::eval_approx_unchecked` (both sides);
+//! 3. condition-carrying c-table rows:
+//!    `exec::columnar::ctable::execute_ctable` ≡
 //!    `ctables::algebra::eval_ctable_unchecked`, compared semantically (same
 //!    instantiation in every world over an adequate domain);
 //! 4. the streaming world oracle (physical per-world execution) against a
 //!    materializing fold over the *logical* interpreter, CWA and OWA.
+//!
+//! `columnar_differential.rs` repeats 1–3 across morsel sizes and adds the
+//! interval entry point and a null-rate sweep.
 //!
 //! The `FUZZ_CASES` environment variable scales the sweep, as in
 //! `symbolic_differential.rs`; `FUZZ_CASES=1000` is the acceptance-grade
@@ -81,7 +87,7 @@ fn plain_physical_matches_logical_interpreter() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(5).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let physical = exec::execute(plan.physical(), &db);
+            let physical = exec::columnar::execute(plan.physical(), &db);
             let logical = releval::engine::eval_unchecked(&q, &db).into_owned();
             assert_eq!(
                 physical, logical,
@@ -99,7 +105,7 @@ fn approx_physical_matches_logical_pair_evaluator() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(7).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let physical = exec::approx::execute_approx(plan.physical(), &db);
+            let physical = exec::columnar::approx::execute_approx(plan.physical(), &db);
             let logical = releval::approx::eval_approx_unchecked(&q, &db);
             assert_eq!(
                 physical.certain, logical.certain,
@@ -131,7 +137,7 @@ fn ctable_physical_matches_logical_algebra() {
         for class in ALL_CLASSES {
             let q = fuzz_query(class, seed.wrapping_mul(11).wrapping_add(class as u64));
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let physical = exec::ctable::execute_ctable(plan.physical(), &cdb);
+            let physical = exec::columnar::ctable::execute_ctable(plan.physical(), &cdb);
             let logical = ctables::algebra::eval_ctable_unchecked(&q, &cdb);
             let mut nulls = cdb.null_ids();
             nulls.extend(physical.null_ids());

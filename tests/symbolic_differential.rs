@@ -7,7 +7,7 @@
 //! treatment from day one: seeded loops over `datagen::random_database` ×
 //! random queries of **every** [`QueryClass`], asserting
 //!
-//! 1. `CTableStrategy` == `stream_certain_answer` under CWA, case by case
+//! 1. `symbolic_certain_answer` == `stream_certain_answer` under CWA, case by case
 //!    (zero mismatches tolerated), and
 //! 2. engine reports never violate their stated guarantee, whatever
 //!    strategy the planner picked.
@@ -22,8 +22,7 @@ use datagen::{
     QueryGenConfig, RandomDbConfig,
 };
 use incomplete_data::prelude::*;
-use releval::strategy::Strategy;
-use releval::symbolic::CTableStrategy;
+use releval::symbolic::{symbolic_certain_answer, PuntReason, SymbolicOptions, SymbolicOutcome};
 use releval::worlds::{stream_certain_answer, WorldOptions};
 
 fn fuzz_cases() -> u64 {
@@ -75,20 +74,19 @@ fn symbolic_matches_world_oracle_on_cwa() {
             let q = fuzz_query(class, seed.wrapping_mul(7).wrapping_add(class as u64));
             assert_eq!(relalgebra::classify::classify(&q), class, "generator drift");
             let plan = relalgebra::plan::PlannedQuery::new(q.clone(), db.schema()).unwrap();
-            let symbolic =
-                match CTableStrategy::default().eval_unchecked(&plan, &db, Semantics::Cwa) {
-                    Ok(answers) => answers,
-                    // A solver-budget punt is legal (deep difference towers can
-                    // need many decisions) — the engine-level test checks
-                    // the fallback path for those. Anything else is a bug.
-                    Err(releval::EvalError::SymbolicPunt(
-                        releval::symbolic::PuntReason::SolverBudget { .. },
-                    )) => {
-                        punted += 1;
-                        continue;
-                    }
-                    Err(e) => panic!("unexpected symbolic error: {e} ({q}, seed {seed})"),
-                };
+            let symbolic = match symbolic_certain_answer(&plan, &db, &SymbolicOptions::default()) {
+                SymbolicOutcome::Answered(exec) => exec.answers,
+                // A solver-budget punt is legal (deep difference towers can
+                // need many decisions) — the engine-level test checks the
+                // fallback path for those. Anything else is a bug.
+                SymbolicOutcome::Punted(PuntReason::SolverBudget { .. }) => {
+                    punted += 1;
+                    continue;
+                }
+                SymbolicOutcome::Punted(reason) => {
+                    panic!("unexpected symbolic punt: {reason} ({q}, seed {seed})")
+                }
+            };
             let oracle =
                 stream_certain_answer(&plan, &db, Semantics::Cwa, &WorldOptions::default())
                     .unwrap();
@@ -181,8 +179,9 @@ fn engine_symbolic_reports_match_raw_strategy() {
         let q = fuzz_query(QueryClass::FullRa, seed.wrapping_mul(3).wrapping_add(2));
         let report = Engine::new(&db).plan(&q).unwrap();
         let plan = relalgebra::plan::PlannedQuery::new(q.clone(), db.schema()).unwrap();
-        match CTableStrategy::default().eval_unchecked(&plan, &db, Semantics::Cwa) {
-            Ok(raw) => {
+        match symbolic_certain_answer(&plan, &db, &SymbolicOptions::default()) {
+            SymbolicOutcome::Answered(exec) => {
+                let raw = exec.answers;
                 if report.strategy != StrategyKind::SymbolicCTable {
                     // Only the analyzer is allowed to pre-empt symbolic, and
                     // only with a naïve-exact dispatch it can prove.
@@ -196,7 +195,7 @@ fn engine_symbolic_reports_match_raw_strategy() {
                 assert_eq!(report.guarantee, Guarantee::Exact, "{q} (seed {seed})");
                 assert_eq!(report.answers, raw, "{q} (seed {seed})");
             }
-            Err(releval::EvalError::SymbolicPunt(reason)) => {
+            SymbolicOutcome::Punted(reason) => {
                 // Subtree inlining can shrink the plan enough that the
                 // engine's symbolic run no longer punts where the raw one
                 // does; otherwise the world-oracle fallback must be on the
@@ -230,7 +229,6 @@ fn engine_symbolic_reports_match_raw_strategy() {
                     "fallback answer must still be exact for {q} (seed {seed})"
                 );
             }
-            Err(e) => panic!("unexpected symbolic error: {e} ({q}, seed {seed})"),
         }
     }
 }
