@@ -114,10 +114,11 @@ use relalgebra::typecheck::TypeError;
 use releval::exec::columnar::approx::execute_approx_counted_over;
 use releval::exec::columnar::{execute_counted_over, execute_profiled_over};
 use releval::exec::{NodeProfile, OpStats};
+use releval::fold::ShardProfile;
 use releval::split::inline_ground_subtrees;
 use releval::symbolic::{symbolic_certain_answer, SymbolicOutcome};
 use releval::three_valued::eval_3vl_unchecked;
-use releval::worlds::{estimated_world_count, stream_certain_answer, ShardProfile};
+use releval::worlds::{estimated_world_count, stream_certain_answer};
 use releval::EvalError;
 use relmodel::{Database, Relation};
 use repairs::{core_consistent_answer, stream_consistent_answer, ConflictGraph, RepairError};

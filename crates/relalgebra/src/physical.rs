@@ -341,6 +341,64 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
+/// Linearity of a plan node in the *volatile* relations — those whose
+/// contents differ between the elements an enumeration fold visits (the
+/// relations holding conflict vertices, for repairs). `Some(true)` when the
+/// node's result depends on them (volatile), `Some(false)` when it does not
+/// (stable), `None` when some derivation may combine two or more volatile
+/// rows (non-linear). `volatile` names the volatile relations.
+///
+/// | operator      | volatile when                 | linear when                     |
+/// |---------------|-------------------------------|---------------------------------|
+/// | scan          | the relation is volatile      | always                          |
+/// | values        | never                         | always                          |
+/// | σ, π          | the input is                  | the input is                    |
+/// | ∪             | either side is                | both sides are                  |
+/// | ⋈, ×, ∩       | either side is                | both are, and one side is stable |
+/// | −             | the left side is              | both are, and the right is stable |
+/// | ÷             | never                         | both sides are stable           |
+/// | Δ             | —                             | never (volatile rows' constants enter the active domain) |
+///
+/// A linear plan's answer over stable rows `G` plus independent volatile
+/// choices `M₁ … Mₖ` is `Q(G) ∪ ⋃_K vol(M_K)`, which is what lets a fold
+/// visit each component's choices on their own.
+pub fn linear_volatility(node: &PhysNode, volatile: &dyn Fn(&str) -> bool) -> Option<bool> {
+    let (left, right) = match node.op() {
+        PhysOp::Scan(name) => return Some(volatile(name)),
+        PhysOp::Values(_) => return Some(false),
+        PhysOp::Delta => return None,
+        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => {
+            return linear_volatility(input, volatile)
+        }
+        PhysOp::NestedProduct { left, right }
+        | PhysOp::HashJoin { left, right, .. }
+        | PhysOp::Union { left, right }
+        | PhysOp::Difference { left, right }
+        | PhysOp::Intersect { left, right }
+        | PhysOp::Divide { left, right } => (left, right),
+    };
+    let (l, r) = (
+        linear_volatility(left, volatile)?,
+        linear_volatility(right, volatile)?,
+    );
+    match node.op() {
+        PhysOp::Union { .. } => Some(l || r),
+        PhysOp::NestedProduct { .. } | PhysOp::HashJoin { .. } | PhysOp::Intersect { .. }
+            if !(l && r) =>
+        {
+            Some(l || r)
+        }
+        PhysOp::Difference { .. } if !r => Some(l),
+        PhysOp::Divide { .. } if !(l || r) => Some(false),
+        _ => None,
+    }
+}
+
+/// Does the plan read Δ anywhere?
+pub fn reads_delta(node: &PhysNode) -> bool {
+    matches!(node.op(), PhysOp::Delta) || node.children().into_iter().any(reads_delta)
+}
+
 /// Direct (unoptimized) translation of the logical tree.
 fn translate(expr: &RaExpr, schema: &Schema) -> PhysNode {
     match expr {
@@ -826,6 +884,67 @@ mod tests {
         assert_eq!(
             annotated,
             "hash-join [l#1 = r#0] (#0)\n  scan R (#1)\n  scan S (#2)\n"
+        );
+    }
+
+    /// The linearity verdict of a query's physical plan when R and T are
+    /// volatile and S is stable.
+    fn verdict(q: RaExpr) -> Option<bool> {
+        let schema = Schema::builder()
+            .relation("R", &["a", "b"])
+            .relation("S", &["a", "b"])
+            .relation("T", &["a", "b"])
+            .build();
+        let plan = PhysicalPlan::lower(&q, &schema).unwrap();
+        linear_volatility(plan.root(), &|name| name == "R" || name == "T")
+    }
+
+    #[test]
+    fn the_linearity_table() {
+        let r = || RaExpr::relation("R");
+        let s = || RaExpr::relation("S");
+        let t = || RaExpr::relation("T");
+        let join = |l: RaExpr, r: RaExpr| {
+            l.product(r)
+                .select(Predicate::eq(Operand::col(1), Operand::col(2)))
+        };
+        let lit = || RaExpr::values(Relation::from_tuples(2, vec![Tuple::ints(&[1, 2])]));
+        // Scans, literals, σ and π.
+        assert_eq!(verdict(r()), Some(true));
+        assert_eq!(verdict(s()), Some(false));
+        assert_eq!(verdict(lit()), Some(false));
+        let sel = r().select(Predicate::eq(Operand::col(0), Operand::int(1)));
+        assert_eq!(verdict(sel.project(vec![1])), Some(true));
+        // ∪ may be volatile on both sides.
+        assert_eq!(verdict(r().union(t())), Some(true));
+        assert_eq!(verdict(s().union(lit())), Some(false));
+        // ⋈, × and ∩: at most one volatile side.
+        assert_eq!(verdict(join(r(), s())), Some(true));
+        assert_eq!(verdict(join(s(), r())), Some(true));
+        assert_eq!(verdict(r().product(s())), Some(true));
+        assert_eq!(verdict(r().intersection(s())), Some(true));
+        assert_eq!(verdict(join(r(), r())), None);
+        assert_eq!(verdict(join(r(), t())), None);
+        assert_eq!(verdict(r().product(r())), None);
+        assert_eq!(verdict(r().intersection(t())), None);
+        // −: volatile on the left only.
+        assert_eq!(verdict(r().difference(s())), Some(true));
+        assert_eq!(verdict(s().difference(lit())), Some(false));
+        assert_eq!(verdict(s().difference(r())), None);
+        assert_eq!(verdict(r().difference(r())), None);
+        // ÷ and Δ: never volatile.
+        let divisor = || RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[2])]));
+        assert_eq!(verdict(s().divide(divisor())), Some(false));
+        assert_eq!(verdict(r().divide(divisor())), None);
+        assert_eq!(verdict(s().divide(t().project(vec![1]))), None);
+        assert_eq!(verdict(RaExpr::Delta), None);
+        assert_eq!(verdict(s().union(RaExpr::Delta)), None);
+        // Non-linearity anywhere below poisons the whole plan, whatever
+        // the other side of a union holds.
+        assert_eq!(verdict(join(r(), r()).project(vec![0, 3]).union(s())), None);
+        assert_eq!(
+            verdict(r().union(r().product(t()).project(vec![0, 3]))),
+            None
         );
     }
 }

@@ -48,6 +48,8 @@
 //!   the results as complete literals, so only the genuinely uncertain
 //!   remainder needs symbolic or world-enumeration treatment.
 //!
+//! [`fold`] is the enumeration-fold driver (shards, budget, early exit,
+//! merge) that the world fold and the `repairs` crate's repair fold share.
 //! [`fo`] provides model checking of first-order formulas (the logical-theory
 //! view of Section 4) over complete and naïve databases.
 
@@ -60,6 +62,7 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod fo;
+pub mod fold;
 pub mod naive;
 pub mod split;
 pub mod symbolic;

@@ -2,21 +2,13 @@
 //!
 //! The classical definition (equation (1) of the paper) is
 //! `certain(Q, D) = ⋂ { Q(D') | D' ∈ [[D]] }`. This module computes it by
-//! folding that intersection world-by-world over a [`relmodel::WorldIter`] —
-//! worlds are never materialized into a `Vec<Database>`. The fold has three
-//! properties the materializing implementation lacked:
-//!
-//! * **O(threads) worlds in memory.** Each worker holds one world (plus one
-//!   OWA extension) at a time; the old path held `|domain|^|nulls|` complete
-//!   databases before evaluating anything.
-//! * **Early exit.** The running intersection only shrinks, so the moment it
-//!   hits ∅ the certain answer *is* ∅ and enumeration stops — on many hard
-//!   queries that happens after a handful of worlds out of millions.
-//! * **Parallelism.** The valuation space is sharded into contiguous ranges
-//!   across `std::thread` workers; each worker folds its shard locally and
-//!   the shard intersections are merged at the join. A worker whose local
-//!   intersection empties signals the others to stop (its local fold is a
-//!   superset of the global one, so ∅ locally proves ∅ globally).
+//! folding that intersection world by world through the enumeration-fold
+//! driver [`crate::fold`], which owns the sharding, the budget on worlds
+//! visited, early exit on an empty intersection, and the merge. Worlds are
+//! never materialized into a `Vec<Database>`: each worker holds one world
+//! (plus one OWA extension) at a time. What this module supplies is the
+//! choice space: the valuation space, cut into contiguous ranges across
+//! workers, with every valuation extended by each OWA extension subset.
 //!
 //! Enumeration cost is still exponential in the number of nulls — that is
 //! precisely the complexity gap the paper discusses, and the reason this code
@@ -26,15 +18,9 @@
 //! a-priori world count dwarfs the budget can still finish (and finish
 //! correctly) if the intersection collapses early.
 //!
-//! Since the physical-plan refactor the fold **lowers the query once** and
-//! executes the shared [`PhysicalPlan`] in every world through
-//! [`crate::exec`]: no per-world re-typechecking, no per-world logical tree
-//! walk, hash joins instead of `σ(A×B)` loops, and the active-domain
-//! diagonal `Δ` computed once per world execution instead of once per `Δ`
-//! node evaluation.
-//!
-//! Since the morsel-native refactor the fold is **batched**: a world is
-//! never materialized as a `Database` at all. Each worker partitions every
+//! The fold **lowers the query once** and executes the shared
+//! [`PhysicalPlan`] in every world, and it is **batched**: a world is never
+//! materialized as a `Database` at all. Each worker partitions every
 //! relation once into an [`OverlayBatch`] — the ground rows (identical in
 //! every world) and the symbolic remainder — and per world only resolves
 //! the symbolic rows into a reused scratch batch, executing the shared plan
@@ -42,16 +28,12 @@
 //! and the hash tables over them (join build sides, membership tables) are
 //! computed for the first world of a shard and reused by every later one,
 //! so the marginal cost of a world is proportional to its handful of
-//! volatile rows. The intersection itself distributes the same way: with
-//! every world's answer of the form `S ∪ Vᵢ` for a shard-constant `S`,
-//! `⋂ᵢ (S ∪ Vᵢ) = S ∪ ⋂ᵢ Vᵢ` — the fold intersects only the volatile
-//! parts and unions `S` in once, at the end of the shard. The row fold is
-//! retained as [`stream_certain_answer_rows`], the differential reference
-//! and benchmark baseline.
+//! volatile rows, and only the volatile answer parts are intersected. The
+//! row fold is retained as [`stream_certain_answer_rows`], the differential
+//! reference and benchmark baseline.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use relalgebra::ast::RaExpr;
 use relalgebra::physical::PhysicalPlan;
@@ -63,8 +45,9 @@ use relmodel::value::{Constant, NullId, Value};
 use relmodel::{Database, Relation, Semantics, Tuple};
 
 use crate::error::EvalError;
-use crate::exec::columnar::split::{ElementInput, ShardExec, ShardSetup};
+use crate::exec::columnar::split::{ShardExec, ShardSetup};
 use crate::exec::{self, OpStats};
+use crate::fold::{self, Combine, FoldError, Scratch, Shard, ShardProfile};
 
 /// Options controlling possible-world enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +60,8 @@ pub struct WorldOptions {
     /// answers); larger values let tests probe non-monotone queries.
     pub max_owa_extra: usize,
     /// Budget on the number of worlds *visited* by the streaming fold (and,
-    /// for the materializing helpers, on the a-priori valuation count).
+    /// for [`enumerate_worlds`] and [`possible_answers`], on the a-priori
+    /// valuation count).
     pub max_worlds: u128,
     /// Worker threads for the streaming fold; `None` chooses automatically
     /// from the machine's parallelism (small workloads stay single-threaded).
@@ -174,7 +158,7 @@ fn enumeration_setup(
 
 /// The a-priori budget check used by the materializing helpers, which must
 /// refuse *before* enumerating: the streaming fold instead bounds worlds
-/// visited (see [`Budgeted`]).
+/// visited.
 fn check_apriori_budget(world_count: u128, opts: &WorldOptions) -> Result<(), EvalError> {
     if world_count > opts.max_worlds {
         return Err(EvalError::WorldBudgetExceeded {
@@ -183,46 +167,6 @@ fn check_apriori_budget(world_count: u128, opts: &WorldOptions) -> Result<(), Ev
         });
     }
     Ok(())
-}
-
-/// Iterator adapter enforcing the visited-worlds budget on a world stream:
-/// yields `Ok(world)` until the budget is exceeded, then a single
-/// `Err(WorldBudgetExceeded)`. Single source of truth for the single-threaded
-/// streaming consumers (the sharded fold counts across workers atomically).
-struct Budgeted<I> {
-    inner: I,
-    visited: u128,
-    budget: u128,
-    exhausted: bool,
-}
-
-fn budgeted<I: Iterator<Item = Database>>(inner: I, budget: u128) -> Budgeted<I> {
-    Budgeted {
-        inner,
-        visited: 0,
-        budget,
-        exhausted: false,
-    }
-}
-
-impl<I: Iterator<Item = Database>> Iterator for Budgeted<I> {
-    type Item = Result<Database, EvalError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.exhausted {
-            return None;
-        }
-        let world = self.inner.next()?;
-        self.visited += 1;
-        if self.visited > self.budget {
-            self.exhausted = true;
-            return Some(Err(EvalError::WorldBudgetExceeded {
-                worlds: self.visited,
-                budget: self.budget,
-            }));
-        }
-        Some(Ok(world))
-    }
 }
 
 /// Telemetry from one streaming certain-answer execution.
@@ -255,35 +199,6 @@ pub struct WorldExecution {
     pub shards: Vec<ShardProfile>,
 }
 
-/// Wall-clock and work volume of one worker shard of an enumeration fold.
-/// Shared by the worlds fold here and the repairs fold in the `repairs`
-/// crate (the same shard-and-merge shape).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardProfile {
-    /// Wall-clock the shard ran for, in nanoseconds.
-    pub nanos: u64,
-    /// Worlds (or repairs) the shard folded through the batched split
-    /// executor; zero under the row-instantiating reference fold.
-    pub units: u128,
-}
-
-/// Per-worker fold state collected at the join.
-struct ShardResult {
-    acc: Option<Relation>,
-    early_exit: bool,
-    op_stats: OpStats,
-    worlds_batched: u128,
-}
-
-/// Shared cross-worker signals. There is no error channel: physical
-/// execution of a typechecked plan over complete worlds is infallible, so
-/// the only ways a fold ends are completion, early exit, and the budget.
-struct SharedState {
-    stop: AtomicBool,
-    budget_hit: AtomicBool,
-    visited: AtomicU64,
-}
-
 /// How many valuations a workload must have before the *auto* thread choice
 /// spawns workers; below this, spawn overhead dominates. An explicit
 /// [`WorldOptions::threads`] pin is always honoured.
@@ -296,12 +211,23 @@ fn resolve_threads(opts: &WorldOptions, valuations: u128) -> usize {
     if valuations < PARALLEL_MIN_VALUATIONS {
         return 1;
     }
-    let auto = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
     let max_useful = (valuations / (PARALLEL_MIN_VALUATIONS / 2)).min(64) as usize;
-    auto.clamp(1, max_useful.max(1))
+    fold::auto_workers().clamp(1, max_useful.max(1))
+}
+
+/// Cuts the valuation space into at most `threads` contiguous, non-empty
+/// ranges, one per shard.
+fn shard_ranges(valuations: u128, threads: usize) -> Vec<(u128, u128)> {
+    let chunk = valuations.div_ceil(threads as u128);
+    // Saturating arithmetic: when the valuation space itself saturates
+    // u128, `(i + 1) * chunk` would overflow for the last shard.
+    (0..threads as u128)
+        .map(|i| {
+            let start = i.saturating_mul(chunk).min(valuations);
+            (start, start.saturating_add(chunk).min(valuations))
+        })
+        .filter(|(s, e)| s < e)
+        .collect()
 }
 
 /// Everything a worker needs, shared read-only across the fleet. The
@@ -314,81 +240,37 @@ struct ShardJob<'a> {
     domain: &'a [relmodel::value::Constant],
     semantics: Semantics,
     max_extra: usize,
-    budget: u128,
 }
+
+/// A shard runner: folds the worlds of one valuation range.
+type ShardRunner = fn(ShardJob<'_>, (u128, u128), &mut Shard<'_>);
 
 /// The row-instantiating reference fold: materializes each world as a
 /// `Database` and executes the plan from scratch in it. Retained as the
 /// differential baseline for the batched shard runner below.
-fn run_shard_rows(job: ShardJob<'_>, range: (u128, u128), shared: &SharedState) -> ShardResult {
-    let ShardJob {
-        plan,
-        db,
-        domain,
-        semantics,
-        max_extra,
-        budget,
-    } = job;
-    let worlds = WorldIter::new(db, domain, semantics, max_extra)
+fn run_shard_rows(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'_>) {
+    let worlds = WorldIter::new(job.db, job.domain, job.semantics, job.max_extra)
         .without_dedup()
         .valuation_range(range.0, range.1);
-    let mut acc: Option<Relation> = None;
-    let mut early_exit = false;
-    let mut op_stats = OpStats::default();
-    for world in worlds {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let visited = shared.visited.fetch_add(1, Ordering::Relaxed) + 1;
-        if u128::from(visited) > budget {
-            // This world is discarded unevaluated — uncount it so the
-            // reported figure is exactly the worlds folded.
-            shared.visited.fetch_sub(1, Ordering::Relaxed);
-            shared.budget_hit.store(true, Ordering::Relaxed);
-            shared.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-        let answer = exec::columnar::execute_into(plan, &world, &mut op_stats);
-        let folded = match acc.take() {
-            None => answer,
-            Some(a) => a.intersection(&answer),
-        };
-        let empty = folded.is_empty();
-        acc = Some(folded);
-        if empty {
-            // The global intersection is a subset of this local one: ∅ here
-            // proves the certain answer is ∅ everywhere. Stop the fleet.
-            early_exit = true;
-            shared.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-    }
-    ShardResult {
-        acc,
-        early_exit,
-        op_stats,
-        worlds_batched: 0,
-    }
+    shard.fold_rows(worlds, |world, stats| {
+        Ok(exec::columnar::execute_into(job.plan, &world, stats))
+    });
 }
 
 /// The batched shard runner: enumerates the same worlds as
-/// [`run_shard_rows`] — identical `(valuation, extension-subset)` order,
-/// budget, and stop discipline — but never materializes a `Database`.
-/// Per world it refills one set of per-worker scratch batches (the overlay
-/// images of the symbolic rows, the chosen OWA extension tuples, and the Δ
-/// diagonal of any world-introduced constants) and evaluates the shared
-/// plan through the caching split executor. The fold then exploits
-/// `⋂ᵢ (S ∪ Vᵢ) = S ∪ ⋂ᵢ Vᵢ`: only the volatile answer parts are
-/// intersected per world, and the shard-constant stable part `S` is
-/// converted and unioned in once.
-fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedState) -> ShardResult {
+/// [`run_shard_rows`] — identical `(valuation, extension-subset)` order —
+/// but never materializes a `Database`. Per world it refills one set of
+/// per-worker scratch batches (the overlay images of the symbolic rows, the
+/// chosen OWA extension tuples, and the Δ diagonal of any world-introduced
+/// constants) and evaluates the shared plan through the caching split
+/// executor.
+fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'_>) {
     let ShardJob {
         plan,
         db,
         domain,
-        semantics: _,
         max_extra,
-        budget,
+        ..
     } = job;
 
     // ---- shard-invariant setup: overlays, stable leaves, OWA candidates ----
@@ -420,26 +302,15 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
     } else {
         Vec::new()
     };
-
-    // One scratch batch per relation that can ever receive volatile rows,
-    // cleared and refilled per world — no per-world allocation.
-    let mut volatile_scans: HashMap<String, Rc<ColumnBatch>> = HashMap::new();
-    for (name, overlay) in &overlays {
-        if !overlay.is_all_ground() || max_extra > 0 {
-            volatile_scans.insert(
-                name.clone(),
-                Rc::new(ColumnBatch::new(overlay.stable().arity())),
-            );
-        }
-    }
-    let mut volatile_delta = Rc::new(ColumnBatch::new(2));
-    let mut extra_consts: BTreeSet<Constant> = BTreeSet::new();
-
+    // A scratch batch for every relation that can ever receive volatile
+    // rows: symbolic rows, or OWA extension tuples.
+    let mut scratch = Scratch::new(
+        overlays
+            .iter()
+            .filter(|(_, overlay)| !overlay.is_all_ground() || max_extra > 0)
+            .map(|(name, overlay)| (name.clone(), overlay.stable().arity())),
+    );
     let mut exec = ShardExec::new(plan, morsel_rows(), setup);
-    let mut stable_rel: Option<Relation> = None;
-    let mut acc_v: Option<Relation> = None;
-    let mut early_exit = false;
-    let mut worlds_batched: u128 = 0;
 
     let valuations =
         ValuationEnumerator::with_range(nulls.iter().copied(), domain.to_vec(), range.0, range.1);
@@ -448,95 +319,32 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shared: &SharedStat
         // subset (the unextended world) comes first, exactly as WorldIter
         // yields them.
         for subset in BoundedSubsetIter::new(candidates.len(), max_extra) {
-            if shared.stop.load(Ordering::Relaxed) {
+            if !shard.admit() {
                 break 'outer;
             }
-            let visited = shared.visited.fetch_add(1, Ordering::Relaxed) + 1;
-            if u128::from(visited) > budget {
-                // This world is discarded unevaluated — uncount it so the
-                // reported figure is exactly the worlds folded.
-                shared.visited.fetch_sub(1, Ordering::Relaxed);
-                shared.budget_hit.store(true, Ordering::Relaxed);
-                shared.stop.store(true, Ordering::Relaxed);
-                break 'outer;
-            }
-
-            // Refill the scratches with this world's volatile rows.
-            for batch in volatile_scans.values_mut() {
-                Rc::make_mut(batch).clear();
-            }
-            extra_consts.clear();
+            scratch.clear();
             for (name, overlay) in &overlays {
-                if overlay.is_all_ground() {
-                    continue;
+                if !overlay.is_all_ground() {
+                    overlay.resolve_into(&v, scratch.scan(name));
                 }
-                let out = volatile_scans
-                    .get_mut(name.as_str())
-                    .expect("scratch exists for every overlay relation");
-                overlay.resolve_into(&v, Rc::make_mut(out));
             }
             for &ci in &subset {
                 let (name, tuple) = &candidates[ci];
-                let out = volatile_scans
-                    .get_mut(name.as_str())
-                    .expect("scratch exists under OWA extension");
-                Rc::make_mut(out).push_tuple(tuple);
-                for val in tuple.values() {
-                    if let Some(c) = val.as_const() {
-                        if !base_consts.contains(c) {
-                            extra_consts.insert(c.clone());
-                        }
-                    }
-                }
+                scratch.scan(name).push_tuple(tuple);
             }
-            // Δ gains a diagonal row for every world-introduced constant.
-            for (_, c) in v.iter() {
-                if !base_consts.contains(c) {
-                    extra_consts.insert(c.clone());
-                }
-            }
-            if !extra_consts.is_empty() {
-                let delta = Rc::make_mut(&mut volatile_delta);
-                delta.clear();
-                for c in &extra_consts {
-                    delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
-                }
-            } else if !volatile_delta.is_empty() {
-                Rc::make_mut(&mut volatile_delta).clear();
-            }
-
-            worlds_batched += 1;
-            let split = exec.eval_element(&ElementInput {
-                volatile_scans: &volatile_scans,
-                volatile_delta: &volatile_delta,
-            });
-            let s_rel = stable_rel.get_or_insert_with(|| split.stable.to_relation());
-            let answer_v = split.volatile.to_relation();
-            let folded = match acc_v.take() {
-                None => answer_v,
-                Some(a) => a.intersection(&answer_v),
-            };
-            // `⋂ (S ∪ Vᵢ)` is empty iff `S` and `⋂ Vᵢ` both are — the
-            // early exit fires on exactly the same world as the row fold.
-            let empty = s_rel.is_empty() && folded.is_empty();
-            acc_v = Some(folded);
-            if empty {
-                early_exit = true;
-                shared.stop.store(true, Ordering::Relaxed);
+            let extension = subset.iter().flat_map(|&ci| candidates[ci].1.values());
+            scratch.refill_delta(
+                &base_consts,
+                extension
+                    .filter_map(Value::as_const)
+                    .chain(v.iter().map(|(_, c)| c)),
+            );
+            if !shard.fold_split(&exec.eval_element(&scratch.input())) {
                 break 'outer;
             }
         }
     }
-    let acc = match (stable_rel, acc_v) {
-        (Some(s), Some(v)) => Some(s.union(&v)),
-        _ => None,
-    };
-    ShardResult {
-        acc,
-        early_exit,
-        op_stats: exec.stats,
-        worlds_batched,
-    }
+    shard.op_stats.merge(&exec.stats);
 }
 
 /// The streaming, parallel, early-exiting certain answer for a
@@ -559,7 +367,7 @@ pub fn stream_certain_answer(
         db,
         semantics,
         opts,
-        FoldMode::Batched,
+        run_shard_batched,
     )
 }
 
@@ -579,17 +387,8 @@ pub fn stream_certain_answer_rows(
         db,
         semantics,
         opts,
-        FoldMode::Rows,
+        run_shard_rows,
     )
-}
-
-/// Which shard runner a streaming fold uses.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum FoldMode {
-    /// The split executor over overlay/mask scratches (the default).
-    Batched,
-    /// The row-instantiating reference.
-    Rows,
 }
 
 /// The fold itself, over an already-typechecked expression and its lowered
@@ -603,118 +402,46 @@ fn stream_certain_answer_inner(
     db: &Database,
     semantics: Semantics,
     opts: &WorldOptions,
-    mode: FoldMode,
+    run_shard: ShardRunner,
 ) -> Result<WorldExecution, EvalError> {
-    let run_shard = match mode {
-        FoldMode::Batched => run_shard_batched,
-        FoldMode::Rows => run_shard_rows,
-    };
-    let arity = physical.arity();
     let (domain, max_extra) = enumeration_setup(expr, db, semantics, opts)?;
     let valuations = valuation_count(domain.len(), db.null_ids().len());
-    let threads = resolve_threads(opts, valuations);
-    let shared = SharedState {
-        stop: AtomicBool::new(false),
-        budget_hit: AtomicBool::new(false),
-        visited: AtomicU64::new(0),
-    };
+    let ranges = shard_ranges(valuations, resolve_threads(opts, valuations));
     let job = ShardJob {
         plan: physical,
         db,
         domain: &domain,
         semantics,
         max_extra,
-        budget: opts.max_worlds,
     };
-
-    // `workers` is the number of shards actually run — range chunking can
-    // produce fewer non-empty shards than the resolved thread count, and the
-    // telemetry must report what really happened.
-    // Shards are timed at the spawn boundary: wall-clock per worker, without
-    // touching the fold's inner loop.
-    let timed_shard = |range: (u128, u128), shared: &SharedState| {
-        let started = std::time::Instant::now();
-        let result = run_shard(job, range, shared);
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        (result, nanos)
-    };
-    let (shard_results, workers): (Vec<(ShardResult, u64)>, usize) = if threads == 1 {
-        (vec![timed_shard((0, valuations), &shared)], 1)
-    } else {
-        let chunk = valuations.div_ceil(threads as u128);
-        // Saturating arithmetic: when the valuation space itself saturates
-        // u128, `(i + 1) * chunk` would overflow for the last shard.
-        let ranges: Vec<(u128, u128)> = (0..threads as u128)
-            .map(|i| {
-                let start = i.saturating_mul(chunk).min(valuations);
-                (start, start.saturating_add(chunk).min(valuations))
-            })
-            .filter(|(s, e)| s < e)
-            .collect();
-        let workers = ranges.len().max(1);
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&range| {
-                    let shared = &shared;
-                    let timed_shard = &timed_shard;
-                    scope.spawn(move || timed_shard(range, shared))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("world worker panicked"))
-                .collect()
-        });
-        (results, workers)
-    };
-
-    let early_exit = shard_results.iter().any(|(r, _)| r.early_exit);
-    let visited = u128::from(shared.visited.load(Ordering::Relaxed));
-    if !early_exit && shared.budget_hit.load(Ordering::Relaxed) {
-        return Err(EvalError::WorldBudgetExceeded {
+    let folded = fold::run(
+        ranges.len(),
+        opts.max_worlds,
+        Combine::Intersect,
+        |worker, shard| run_shard(job, ranges[worker], shard),
+    )
+    .map_err(|e| match e {
+        FoldError::Budget { visited } => EvalError::WorldBudgetExceeded {
             worlds: visited,
             budget: opts.max_worlds,
-        });
-    }
-    let mut op_stats = OpStats::default();
-    let mut worlds_batched: u128 = 0;
-    let mut shards = Vec::with_capacity(shard_results.len());
-    for (shard, nanos) in &shard_results {
-        op_stats.merge(&shard.op_stats);
-        worlds_batched += shard.worlds_batched;
-        shards.push(ShardProfile {
-            nanos: *nanos,
-            units: shard.worlds_batched,
-        });
-    }
-    let answers = if early_exit {
-        Relation::new(arity)
-    } else {
-        let mut acc: Option<Relation> = None;
-        for (shard, _) in shard_results {
-            if let Some(local) = shard.acc {
-                acc = Some(match acc.take() {
-                    None => local,
-                    Some(a) => a.intersection(&local),
-                });
-            }
-        }
-        // Zero worlds visited is unreachable: the empty-domain case errored
-        // above and a null-free database has exactly one world. Guard anyway.
-        acc.ok_or(EvalError::EmptyDomain {
-            nulls: db.null_ids().len(),
-        })?
-    };
+        },
+        FoldError::Eval(e) => e,
+    })?;
+    // Zero worlds visited is unreachable: the empty-domain case errored
+    // above and a null-free database has exactly one world. Guard anyway.
+    let answers = folded.answers.ok_or(EvalError::EmptyDomain {
+        nulls: db.null_ids().len(),
+    })?;
+    let workers = folded.shards.len();
     Ok(WorldExecution {
         answers,
-        worlds_visited: visited,
-        worlds_batched,
-        early_exit,
+        worlds_visited: folded.visited,
+        worlds_batched: folded.batched,
+        early_exit: folded.early_exit,
         threads: workers,
         peak_worlds_in_flight: workers * (1 + usize::from(max_extra > 0)),
-        op_stats,
-        shards,
+        op_stats: folded.op_stats,
+        shards: folded.shards,
     })
 }
 
@@ -763,63 +490,9 @@ pub fn certain_answer_worlds(
 ) -> Result<Relation, EvalError> {
     let physical = PhysicalPlan::lower(expr, db.schema())?;
     Ok(
-        stream_certain_answer_inner(expr, &physical, db, semantics, opts, FoldMode::Batched)?
+        stream_certain_answer_inner(expr, &physical, db, semantics, opts, run_shard_batched)?
             .answers,
     )
-}
-
-/// [`certain_answer_worlds`] for a pre-typechecked plan, plus the number of
-/// worlds **visited** by the streaming fold — the honest figure for
-/// telemetry, as opposed to the [`estimated_world_count`] upper bound (early
-/// exit can make it much smaller).
-pub fn certain_answer_worlds_counted(
-    plan: &PlannedQuery,
-    db: &Database,
-    semantics: Semantics,
-    opts: &WorldOptions,
-) -> Result<(Relation, u128), EvalError> {
-    let exec = stream_certain_answer(plan, db, semantics, opts)?;
-    Ok((exec.answers, exec.worlds_visited))
-}
-
-/// The certain answer to a Boolean query: true iff the query is nonempty in
-/// every possible world. Streams worlds with early exit on the first world
-/// where the query fails; errors on zero-world inputs instead of vacuously
-/// answering.
-pub fn certain_boolean_worlds(
-    expr: &RaExpr,
-    db: &Database,
-    semantics: Semantics,
-    opts: &WorldOptions,
-) -> Result<bool, EvalError> {
-    let physical = PhysicalPlan::lower(expr, db.schema())?;
-    let (domain, max_extra) = enumeration_setup(expr, db, semantics, opts)?;
-    let worlds = WorldIter::new(db, &domain, semantics, max_extra).without_dedup();
-    for world in budgeted(worlds, opts.max_worlds) {
-        if exec::columnar::execute(&physical, &world?).is_empty() {
-            return Ok(false); // fails in this world — certainly-true refuted
-        }
-    }
-    Ok(true)
-}
-
-/// The *possible* (maybe) answers to a query: tuples that appear in the answer
-/// in at least one world, folded as a streaming union. Used by examples to
-/// contrast certain and possible information.
-pub fn possible_answer_union(
-    expr: &RaExpr,
-    db: &Database,
-    semantics: Semantics,
-    opts: &WorldOptions,
-) -> Result<Relation, EvalError> {
-    let physical = PhysicalPlan::lower(expr, db.schema())?;
-    let (domain, max_extra) = enumeration_setup(expr, db, semantics, opts)?;
-    let mut acc = Relation::new(physical.arity());
-    let worlds = WorldIter::new(db, &domain, semantics, max_extra).without_dedup();
-    for world in budgeted(worlds, opts.max_worlds) {
-        acc = acc.union(&exec::columnar::execute(&physical, &world?));
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -832,6 +505,15 @@ mod tests {
 
     fn planned(expr: &RaExpr, db: &Database) -> PlannedQuery {
         PlannedQuery::new(expr.clone(), db.schema()).unwrap()
+    }
+
+    /// The Boolean query "`q` is nonempty" is certain iff its 0-ary
+    /// projection's certain answer holds the empty tuple.
+    fn certainly_nonempty(q: &RaExpr, db: &Database) -> bool {
+        let exists = q.clone().project(vec![]);
+        certain_answer_worlds(&exists, db, Semantics::Cwa, &WorldOptions::default())
+            .unwrap()
+            .contains(&Tuple::new(vec![]))
     }
 
     #[test]
@@ -847,17 +529,12 @@ mod tests {
         let certain =
             certain_answer_worlds(&unpaid, &db, Semantics::Cwa, &WorldOptions::default()).unwrap();
         assert!(certain.is_empty());
-        let exists_unpaid = unpaid.clone().project(vec![]);
-        assert!(certain_boolean_worlds(
-            &exists_unpaid,
-            &db,
-            Semantics::Cwa,
-            &WorldOptions::default()
-        )
-        .unwrap());
+        assert!(certainly_nonempty(&unpaid, &db));
         // ... and the possible answers include both orders.
-        let possible =
-            possible_answer_union(&unpaid, &db, Semantics::Cwa, &WorldOptions::default()).unwrap();
+        let possible = possible_answers(&unpaid, &db, Semantics::Cwa, &WorldOptions::default())
+            .unwrap()
+            .iter()
+            .fold(Relation::new(1), |acc, answer| acc.union(answer));
         assert_eq!(possible.len(), 2);
     }
 
@@ -871,11 +548,7 @@ mod tests {
         let certain =
             certain_answer_worlds(&q, &db, Semantics::Cwa, &WorldOptions::default()).unwrap();
         assert!(certain.is_empty());
-        let nonempty = q.project(vec![]);
-        assert!(
-            certain_boolean_worlds(&nonempty, &db, Semantics::Cwa, &WorldOptions::default())
-                .unwrap()
-        );
+        assert!(certainly_nonempty(&q, &db));
     }
 
     #[test]
@@ -955,17 +628,21 @@ mod tests {
             builder = builder.tuple("R", vec![Value::null(i), Value::null(i + 10)]);
         }
         let db = builder.build();
-        let opts = WorldOptions {
-            max_worlds: 100,
-            ..WorldOptions::default()
-        };
-        let err = certain_answer_worlds(&RaExpr::relation("R"), &db, Semantics::Cwa, &opts);
-        match err {
-            Err(EvalError::WorldBudgetExceeded { worlds, budget }) => {
-                assert_eq!(budget, 100);
-                assert!(worlds >= 100, "budget fires only after visiting it");
-            }
-            other => panic!("expected budget error, got {other:?}"),
+        for threads in [None, Some(1), Some(3)] {
+            let opts = WorldOptions {
+                max_worlds: 100,
+                threads,
+                ..WorldOptions::default()
+            };
+            let err = certain_answer_worlds(&RaExpr::relation("R"), &db, Semantics::Cwa, &opts);
+            assert_eq!(
+                err,
+                Err(EvalError::WorldBudgetExceeded {
+                    worlds: 100,
+                    budget: 100
+                }),
+                "the refused world is uncounted ({threads:?} threads)"
+            );
         }
     }
 
@@ -1170,9 +847,8 @@ mod tests {
         let opts = WorldOptions::with_fresh(0);
         for result in [
             certain_answer_worlds(&q, &db, Semantics::Cwa, &opts).map(|_| ()),
-            certain_boolean_worlds(&q.clone().project(vec![]), &db, Semantics::Cwa, &opts)
-                .map(|_| ()),
-            possible_answer_union(&q, &db, Semantics::Cwa, &opts).map(|_| ()),
+            stream_certain_answer(&planned(&q, &db), &db, Semantics::Cwa, &opts).map(|_| ()),
+            stream_certain_answer_rows(&planned(&q, &db), &db, Semantics::Cwa, &opts).map(|_| ()),
             possible_answers(&q, &db, Semantics::Cwa, &opts).map(|_| ()),
             enumerate_worlds(&q, &db, Semantics::Cwa, &opts).map(|_| ()),
         ] {

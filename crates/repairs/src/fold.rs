@@ -7,11 +7,12 @@
 //! database, so the per-repair certain answer is delegated to the existing
 //! machinery — the physical executor directly when the repair is complete,
 //! the symbolic c-table strategy when it is not, and the streaming world
-//! oracle when symbolic punts. The outer fold keeps the worlds engine's
-//! contract: O(threads) repairs in flight, early exit the moment the
-//! running intersection empties (∅ in one shard proves ∅ globally), a
-//! budget on repairs **visited**, and sharding via the enumeration-prefix
-//! partition of [`crate::enumerate::MaskIter`].
+//! oracle when symbolic punts. The outer fold runs on the enumeration-fold
+//! driver [`releval::fold`], which owns the sharding, the budget on repairs
+//! **visited**, early exit on an empty intersection, the error slot and the
+//! merge. This module supplies the choice space: repairs from the
+//! enumeration-prefix partition of [`crate::enumerate::MaskIter`], or the
+//! conflict components.
 //!
 //! # Complete databases: survival masks
 //!
@@ -24,9 +25,8 @@
 //! caching split executor
 //! ([`releval::exec::columnar::split::ShardExec`]); stable subresults and
 //! their hash tables are built on the first repair of a shard and reused by
-//! every later one, and only the volatile answer parts are intersected
-//! (`⋂ᵢ (S ∪ Vᵢ) = S ∪ ⋂ᵢ Vᵢ`). Incomplete databases keep the row path —
-//! their repairs need the full certain-answer machinery anyway — and
+//! every later one. Incomplete databases keep the row path — their repairs
+//! need the full certain-answer machinery anyway — and
 //! [`stream_consistent_answer_rows`] forces it everywhere as the
 //! differential reference.
 //!
@@ -48,19 +48,8 @@
 //! component, and the repair choosing all those `M_K` lacks it). So a
 //! linear plan on a complete database costs `Σ_K |MIS(K)|` split-executor
 //! elements instead of `∏_K |MIS(K)|`. Linearity is decided on the
-//! physical plan by `linear_volatility`, which tracks whether a node's
-//! result depends on the conflict vertices (*volatile*):
-//!
-//! | operator      | volatile when                 | linear when                     |
-//! |---------------|-------------------------------|---------------------------------|
-//! | scan          | the relation holds a vertex   | always                          |
-//! | values        | never                         | always                          |
-//! | σ, π          | the input is                  | the input is                    |
-//! | ∪             | either side is                | both sides are                  |
-//! | ⋈, ×, ∩       | either side is                | both are, and one side is stable |
-//! | −             | the left side is              | both are, and the right is stable |
-//! | ÷             | never                         | both sides are stable           |
-//! | Δ             | —                             | never (the vertices' constants enter the active domain) |
+//! physical plan by the table of [`relalgebra::physical::linear_volatility`],
+//! with the relations holding conflict vertices as the volatile ones.
 //!
 //! Anything non-linear keeps the product fold. On the factorized path the
 //! budget [`RepairOptions::max_repairs`] counts **local** repairs visited
@@ -68,19 +57,18 @@
 //! the count is deterministic), and a pinned [`RepairOptions::threads`]
 //! partitions the components across workers.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use relalgebra::classify::has_incomplete_values;
-use relalgebra::physical::{PhysNode, PhysOp};
+use relalgebra::physical::{linear_volatility, reads_delta};
 use relalgebra::plan::PlannedQuery;
-use releval::exec::columnar::split::{ElementInput, ShardExec, ShardSetup};
+use releval::exec::columnar::split::{ShardExec, ShardSetup};
 use releval::exec::{self, OpStats};
+use releval::fold::{self, Combine, FoldError, Scratch, Shard, ShardProfile};
 use releval::symbolic::{symbolic_certain_answer, SymbolicOptions, SymbolicOutcome};
-use releval::worlds::{stream_certain_answer, ShardProfile, WorldOptions};
+use releval::worlds::{stream_certain_answer, WorldOptions};
 use releval::EvalError;
 use relmodel::batch::{morsel_rows, ColumnBatch};
 use relmodel::value::Constant;
@@ -211,46 +199,6 @@ pub struct RepairExecution {
     pub shards: Vec<ShardProfile>,
 }
 
-/// Per-worker fold state collected at the join.
-#[derive(Default)]
-struct ShardResult {
-    /// The shard's running intersection — or, when the fold factorizes, the
-    /// union of its components' consistent parts with the stable answer.
-    acc: Option<Relation>,
-    early_exit: bool,
-    symbolic_repairs: u64,
-    world_repairs: u64,
-    repairs_batched: u64,
-    op_stats: OpStats,
-}
-
-/// Shared cross-worker signals. Unlike the worlds fold, per-repair
-/// evaluation *can* fail (an incomplete repair may blow the inner world
-/// budget), so an error slot is needed.
-struct SharedState {
-    stop: AtomicBool,
-    budget_hit: AtomicBool,
-    visited: AtomicU64,
-    error: Mutex<Option<EvalError>>,
-}
-
-impl SharedState {
-    /// Counts one more repair (or local repair) visited; `false` — with the
-    /// fleet told to stop — when that would exceed the budget. The
-    /// discarded repair is uncounted, so the reported figure is exactly
-    /// the repairs folded.
-    fn admit(&self, budget: u128) -> bool {
-        let visited = self.visited.fetch_add(1, Ordering::Relaxed) + 1;
-        if u128::from(visited) > budget {
-            self.visited.fetch_sub(1, Ordering::Relaxed);
-            self.budget_hit.store(true, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
-            return false;
-        }
-        true
-    }
-}
-
 /// Minimum conflict-vertex count before the auto thread choice shards the
 /// enumeration; below it, spawn overhead dominates.
 const PARALLEL_MIN_VERTICES: usize = 10;
@@ -262,10 +210,7 @@ fn resolve_shards(opts: &RepairOptions, vertices: usize) -> (usize, usize) {
     let requested = match opts.threads {
         Some(pinned) => pinned.max(1),
         None if vertices < PARALLEL_MIN_VERTICES => 1,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
+        None => fold::auto_workers(),
     };
     let mut prefix_len = 0usize;
     while prefix_len < 6 && (1usize << (prefix_len + 1)) <= requested {
@@ -275,48 +220,12 @@ fn resolve_shards(opts: &RepairOptions, vertices: usize) -> (usize, usize) {
     (prefix_len, 1usize << prefix_len)
 }
 
-/// Linearity of a physical plan node in the conflict vertices: `Some(true)`
-/// when its result depends on them (volatile), `Some(false)` when it does
-/// not (stable), `None` when some derivation may combine two or more
-/// vertices (non-linear). `dirty` names the relations holding conflict
-/// vertices. The table is in the [module docs](self); the fold asks only
-/// when the graph has vertices, so Δ — whose rows include every vertex
-/// constant — is always volatile there, and never linear.
-pub(crate) fn linear_volatility(node: &PhysNode, dirty: &dyn Fn(&str) -> bool) -> Option<bool> {
-    let (left, right) = match node.op() {
-        PhysOp::Scan(name) => return Some(dirty(name)),
-        PhysOp::Values(_) => return Some(false),
-        PhysOp::Delta => return None,
-        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => {
-            return linear_volatility(input, dirty)
-        }
-        PhysOp::NestedProduct { left, right }
-        | PhysOp::HashJoin { left, right, .. }
-        | PhysOp::Union { left, right }
-        | PhysOp::Difference { left, right }
-        | PhysOp::Intersect { left, right }
-        | PhysOp::Divide { left, right } => (left, right),
-    };
-    let (l, r) = (
-        linear_volatility(left, dirty)?,
-        linear_volatility(right, dirty)?,
-    );
-    match node.op() {
-        PhysOp::Union { .. } => Some(l || r),
-        PhysOp::NestedProduct { .. } | PhysOp::HashJoin { .. } | PhysOp::Intersect { .. }
-            if !(l && r) =>
-        {
-            Some(l || r)
-        }
-        PhysOp::Difference { .. } if !r => Some(l),
-        PhysOp::Divide { .. } if !(l || r) => Some(false),
-        _ => None,
-    }
-}
-
-/// Does the plan read Δ anywhere?
-fn reads_delta(node: &PhysNode) -> bool {
-    matches!(node.op(), PhysOp::Delta) || node.children().into_iter().any(reads_delta)
+/// Per-shard counts of repairs whose certain answer left the physical
+/// executor.
+#[derive(Default)]
+struct Fallbacks {
+    symbolic: u128,
+    world: u128,
 }
 
 /// The certain answer of one repair under CWA: the physical executor when
@@ -327,20 +236,21 @@ fn repair_certain_answer(
     repair: &Database,
     opts: &RepairOptions,
     null_values_literal: bool,
-    shard: &mut ShardResult,
+    op_stats: &mut OpStats,
+    fallbacks: &mut Fallbacks,
 ) -> Result<Relation, EvalError> {
     if repair.is_complete() {
         return Ok(exec::columnar::execute_into(
             plan.physical(),
             repair,
-            &mut shard.op_stats,
+            op_stats,
         ));
     }
     if !null_values_literal {
         match symbolic_certain_answer(plan, repair, &opts.symbolic_options) {
             SymbolicOutcome::Answered(exec) => {
-                shard.symbolic_repairs += 1;
-                shard.op_stats.merge(&exec.op_stats);
+                fallbacks.symbolic += 1;
+                op_stats.merge(&exec.op_stats);
                 return Ok(exec.answers);
             }
             SymbolicOutcome::Punted(_) => {}
@@ -349,8 +259,8 @@ fn repair_certain_answer(
     let mut world_opts = opts.world_options;
     world_opts.threads = Some(1);
     let exec = stream_certain_answer(plan, repair, Semantics::Cwa, &world_opts)?;
-    shard.world_repairs += 1;
-    shard.op_stats.merge(&exec.op_stats);
+    fallbacks.world += 1;
+    op_stats.merge(&exec.op_stats);
     Ok(exec.answers)
 }
 
@@ -413,43 +323,6 @@ fn volatile_relations(graph: &ConflictGraph) -> BTreeSet<&str> {
     graph.vertices().iter().map(|(r, _)| r.as_str()).collect()
 }
 
-/// Reusable per-element scratch: one batch per conflict-bearing relation,
-/// refilled with a (local) repair's surviving vertices.
-struct Scratch {
-    scans: HashMap<String, Rc<ColumnBatch>>,
-}
-
-impl Scratch {
-    fn new(db: &Database, volatile: &BTreeSet<&str>) -> Scratch {
-        let scans = volatile
-            .iter()
-            .map(|name| {
-                let arity = db
-                    .schema()
-                    .relation(name)
-                    .expect("conflict vertices come from the schema")
-                    .arity();
-                ((*name).to_string(), Rc::new(ColumnBatch::new(arity)))
-            })
-            .collect();
-        Scratch { scans }
-    }
-
-    fn refill(&mut self, graph: &ConflictGraph, included: impl Iterator<Item = usize>) {
-        for batch in self.scans.values_mut() {
-            Rc::make_mut(batch).clear();
-        }
-        for v in included {
-            let (relation, tuple) = &graph.vertices()[v];
-            let out = self
-                .scans
-                .get_mut(relation.as_str())
-                .expect("scratch exists for every conflict relation");
-            Rc::make_mut(out).push_tuple(tuple);
-        }
-    }
-}
-
 /// Everything a worker needs, shared read-only across the fleet.
 #[derive(Clone, Copy)]
 struct ShardJob<'a> {
@@ -475,183 +348,104 @@ enum Runner<'a> {
 }
 
 /// The batched shard runner: the same repairs in the same order as
-/// [`run_shard_rows`] — identical budget and stop discipline — but each
-/// repair is consumed as core + survival mask. Scratch batches are refilled
-/// per repair; stable subresults and hash tables are cached across the
-/// whole shard; only volatile answer parts are intersected per repair.
-fn run_shard_batched(
-    job: ShardJob<'_>,
-    core: &Core,
-    prefix: u64,
-    shared: &SharedState,
-) -> ShardResult {
-    let mut shard = ShardResult::default();
+/// [`run_shard_rows`], each consumed as core + survival mask. Scratch
+/// batches are refilled per repair; stable subresults and hash tables are
+/// cached across the whole shard.
+fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Shard<'_>) {
     let mut masks = MaskIter::with_prefix(job.graph, prefix, job.prefix_len);
     let vertices = job.graph.vertices();
-    let volatile = volatile_relations(job.graph);
-    let mut scratch = Scratch::new(job.db, &volatile);
-    let mut volatile_delta = Rc::new(ColumnBatch::new(2));
-    let mut extra_consts: BTreeSet<Constant> = BTreeSet::new();
-
-    let mut exec = ShardExec::new(
-        job.plan.physical(),
-        morsel_rows(),
-        core.shard_setup(job.graph, &volatile),
-    );
-    let mut stable_rel: Option<Relation> = None;
-    let mut acc_v: Option<Relation> = None;
-
+    let (mut exec, mut scratch) = element_exec(job, core);
     while masks.next_mask() {
-        if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
+        if !shard.admit() {
             break;
         }
-        scratch.refill(job.graph, masks.included());
-        // Δ gains a diagonal row for every repair-introduced constant.
+        refill(&mut scratch, job.graph, masks.included());
         if let Some(core_consts) = &core.constants {
-            extra_consts.clear();
-            for v in masks.included() {
-                for val in vertices[v].1.values() {
-                    if let Some(c) = val.as_const() {
-                        if !core_consts.contains(c) {
-                            extra_consts.insert(c.clone());
-                        }
-                    }
-                }
-            }
-            let delta = Rc::make_mut(&mut volatile_delta);
-            delta.clear();
-            for c in &extra_consts {
-                delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
-            }
+            let included = masks.included().flat_map(|v| vertices[v].1.values());
+            scratch.refill_delta(core_consts, included.filter_map(Value::as_const));
         }
-
-        shard.repairs_batched += 1;
-        let split = exec.eval_element(&ElementInput {
-            volatile_scans: &scratch.scans,
-            volatile_delta: &volatile_delta,
-        });
-        let s_rel = stable_rel.get_or_insert_with(|| split.stable.to_relation());
-        let answer_v = split.volatile.to_relation();
-        let folded = match acc_v.take() {
-            None => answer_v,
-            Some(a) => a.intersection(&answer_v),
-        };
-        // `⋂ (S ∪ Vᵢ)` is empty iff `S` and `⋂ Vᵢ` both are — the early
-        // exit fires on exactly the same repair as the row fold.
-        let empty = s_rel.is_empty() && folded.is_empty();
-        acc_v = Some(folded);
-        if empty {
-            shard.early_exit = true;
-            shared.stop.store(true, Ordering::Relaxed);
+        if !shard.fold_split(&exec.eval_element(&scratch.input())) {
             break;
         }
     }
     shard.op_stats.merge(&exec.stats);
-    shard.acc = match (stable_rel, acc_v) {
-        (Some(s), Some(v)) => Some(s.union(&v)),
-        _ => None,
-    };
-    shard
 }
 
 /// The factorized shard runner: for each component assigned to this worker
 /// (round-robin over `job.workers`), one split-executor element per local
-/// repair, whose volatile scans hold only that local repair's vertices. The
-/// volatile answers are intersected within a component and unioned across
-/// components; the result is unioned with the stable (core) answer. One
-/// executor serves every component, so the core's subresults and hash
-/// tables are built once per worker.
+/// repair, whose volatile scans hold only that local repair's vertices.
+/// Each component is one run of the shard's meet: its volatile answers are
+/// intersected, and the runs unite. One executor serves every component, so
+/// the core's subresults and hash tables are built once per worker.
 fn run_shard_factorized(
     job: ShardJob<'_>,
     core: &Core,
     components: &[Vec<usize>],
     worker: usize,
-    shared: &SharedState,
-) -> ShardResult {
-    let mut shard = ShardResult::default();
+    shard: &mut Shard<'_>,
+) {
     let mine = components.iter().skip(worker).step_by(job.workers);
     if mine.len() == 0 {
-        return shard;
+        return;
     }
-    let volatile = volatile_relations(job.graph);
-    let mut scratch = Scratch::new(job.db, &volatile);
-    let no_delta = Rc::new(ColumnBatch::new(2));
-    let mut exec = ShardExec::new(
-        job.plan.physical(),
-        morsel_rows(),
-        core.shard_setup(job.graph, &volatile),
-    );
-    let mut stable_rel: Option<Relation> = None;
-    let mut union_v = Relation::new(job.plan.physical().arity());
+    let (mut exec, mut scratch) = element_exec(job, core);
     let mut masks = MaskIter::with_prefix(job.graph, 0, 0);
-
     'components: for component in mine {
         masks.restart(component);
-        let mut acc_v: Option<Relation> = None;
         while masks.next_mask() {
-            if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
+            if !shard.admit() {
                 break 'components;
             }
-            scratch.refill(job.graph, masks.included());
-            shard.repairs_batched += 1;
-            let split = exec.eval_element(&ElementInput {
-                volatile_scans: &scratch.scans,
-                volatile_delta: &no_delta,
-            });
-            stable_rel.get_or_insert_with(|| split.stable.to_relation());
-            let answer_v = split.volatile.to_relation();
-            acc_v = Some(match acc_v.take() {
-                None => answer_v,
-                Some(a) => a.intersection(&answer_v),
-            });
+            refill(&mut scratch, job.graph, masks.included());
+            shard.fold_split(&exec.eval_element(&scratch.input()));
         }
-        if let Some(v) = acc_v {
-            union_v = union_v.union(&v);
-        }
+        shard.close_run();
     }
     shard.op_stats.merge(&exec.stats);
-    shard.acc = stable_rel.map(|s| s.union(&union_v));
-    shard
+}
+
+/// A worker's split executor over the core, and its scratch: one batch per
+/// conflict-bearing relation.
+fn element_exec<'a>(job: ShardJob<'a>, core: &Core) -> (ShardExec<'a>, Scratch) {
+    let volatile = volatile_relations(job.graph);
+    let scratch = Scratch::new(volatile.iter().map(|name| {
+        let schema = job.db.schema().relation(name);
+        let arity = schema
+            .expect("conflict vertices come from the schema")
+            .arity();
+        (name.to_string(), arity)
+    }));
+    let setup = core.shard_setup(job.graph, &volatile);
+    (
+        ShardExec::new(job.plan.physical(), morsel_rows(), setup),
+        scratch,
+    )
+}
+
+/// Refills the scratch scans with the vertices a (local) repair keeps.
+fn refill(scratch: &mut Scratch, graph: &ConflictGraph, included: impl Iterator<Item = usize>) {
+    scratch.clear();
+    for v in included {
+        let (relation, tuple) = &graph.vertices()[v];
+        scratch.scan(relation).push_tuple(tuple);
+    }
 }
 
 /// The row-materializing reference shard runner.
-fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shared: &SharedState) -> ShardResult {
-    let mut shard = ShardResult::default();
+fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shard: &mut Shard<'_>) -> Fallbacks {
+    let mut fallbacks = Fallbacks::default();
     let repairs = RepairIter::with_prefix(job.db, job.graph, prefix, job.prefix_len);
-    for repair in repairs {
-        if shared.stop.load(Ordering::Relaxed) || !shared.admit(job.opts.max_repairs) {
-            break;
-        }
-        let answer = match repair_certain_answer(
+    shard.fold_rows(repairs, |repair, op_stats| {
+        repair_certain_answer(
             job.plan,
             &repair,
             job.opts,
             job.null_values_literal,
-            &mut shard,
-        ) {
-            Ok(a) => a,
-            Err(e) => {
-                let mut slot = shared.error.lock().expect("error slot poisoned");
-                slot.get_or_insert(e);
-                shared.stop.store(true, Ordering::Relaxed);
-                break;
-            }
-        };
-        let folded = match shard.acc.take() {
-            None => answer,
-            Some(a) => a.intersection(&answer),
-        };
-        let empty = folded.is_empty();
-        shard.acc = Some(folded);
-        if empty {
-            // The global intersection is a subset of this local one: ∅ here
-            // proves the consistent answer is ∅ everywhere. Stop the fleet.
-            shard.early_exit = true;
-            shared.stop.store(true, Ordering::Relaxed);
-            break;
-        }
-    }
-    shard
+            op_stats,
+            &mut fallbacks,
+        )
+    });
+    fallbacks
 }
 
 /// The streaming, parallel, early-exiting consistent answer for a
@@ -724,12 +518,6 @@ fn stream_consistent_answer_inner(
         Runner::Factorized(..) if opts.threads.is_none() => (0, 1),
         _ => resolve_shards(opts, graph.conflict_tuples()),
     };
-    let shared = SharedState {
-        stop: AtomicBool::new(false),
-        budget_hit: AtomicBool::new(false),
-        visited: AtomicU64::new(0),
-        error: Mutex::new(None),
-    };
     let job = ShardJob {
         plan,
         db,
@@ -739,101 +527,47 @@ fn stream_consistent_answer_inner(
         prefix_len,
         workers,
     };
-    // Shards are timed at the spawn boundary: wall-clock per worker, without
-    // touching the fold's inner loop.
-    let timed_shard = |worker: usize, shared: &SharedState| {
-        let started = std::time::Instant::now();
-        let result = match runner {
-            Runner::Rows => run_shard_rows(job, worker as u64, shared),
-            Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shared),
+    // Whole-repair shards partition the repairs: their answers intersect.
+    // Factorized shards partition the components, and each already holds
+    // the stable answer: their answers unite.
+    let combine = match runner {
+        Runner::Factorized(..) => Combine::Union,
+        _ => Combine::Intersect,
+    };
+    let folded = fold::run(workers, opts.max_repairs, combine, |worker, shard| {
+        match runner {
+            Runner::Rows => return run_shard_rows(job, worker as u64, shard),
+            Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shard),
             Runner::Factorized(core, components) => {
-                run_shard_factorized(job, core, components, worker, shared)
-            }
-        };
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        (result, nanos)
-    };
-    let shard_results: Vec<(ShardResult, u64)> = if workers == 1 {
-        vec![timed_shard(0, &shared)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let shared = &shared;
-                    let timed_shard = &timed_shard;
-                    scope.spawn(move || timed_shard(worker, shared))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("repair worker panicked"))
-                .collect()
-        })
-    };
-
-    let early_exit = shard_results.iter().any(|(r, _)| r.early_exit);
-    let visited = u128::from(shared.visited.load(Ordering::Relaxed));
-    let mut op_stats = OpStats::default();
-    let mut symbolic_repairs = 0u128;
-    let mut world_repairs = 0u128;
-    let mut repairs_batched = 0u128;
-    let mut shards = Vec::with_capacity(shard_results.len());
-    for (shard, nanos) in &shard_results {
-        op_stats.merge(&shard.op_stats);
-        symbolic_repairs += u128::from(shard.symbolic_repairs);
-        world_repairs += u128::from(shard.world_repairs);
-        repairs_batched += u128::from(shard.repairs_batched);
-        shards.push(ShardProfile {
-            nanos: *nanos,
-            units: u128::from(shard.repairs_batched),
-        });
-    }
-    if !early_exit {
-        // ∅ proven early makes budget and per-repair failures moot; without
-        // it they are fatal, per-repair errors first (they explain *why*).
-        if let Some(e) = shared.error.lock().expect("error slot poisoned").take() {
-            return Err(RepairError::Eval(e));
-        }
-        if shared.budget_hit.load(Ordering::Relaxed) {
-            return Err(RepairError::BudgetExceeded {
-                repairs: visited,
-                budget: opts.max_repairs,
-            });
-        }
-    }
-    let answers = if early_exit {
-        Relation::new(plan.physical().arity())
-    } else {
-        // Whole-repair shards partition the repairs: their answers
-        // intersect. Factorized shards partition the components, and each
-        // already holds the stable answer: their answers unite.
-        let factorized = components.is_some();
-        let mut acc: Option<Relation> = None;
-        for (shard, _) in shard_results {
-            if let Some(local) = shard.acc {
-                acc = Some(match acc.take() {
-                    None => local,
-                    Some(a) if factorized => a.union(&local),
-                    Some(a) => a.intersection(&local),
-                });
+                run_shard_factorized(job, core, components, worker, shard)
             }
         }
+        // The mask paths run complete repairs only.
+        Fallbacks::default()
+    })
+    .map_err(|e| match e {
+        FoldError::Budget { visited } => RepairError::BudgetExceeded {
+            repairs: visited,
+            budget: opts.max_repairs,
+        },
+        FoldError::Eval(e) => RepairError::Eval(e),
+    })?;
+    Ok(RepairExecution {
         // Every database has at least one repair, so a completed fold has
         // folded at least one answer (and at least one component, when it
         // factorized).
-        acc.expect("repair enumeration yields at least one repair")
-    };
-    Ok(RepairExecution {
-        answers,
-        repairs_visited: visited,
-        repairs_batched,
-        early_exit,
+        answers: folded
+            .answers
+            .expect("repair enumeration yields at least one repair"),
+        repairs_visited: folded.visited,
+        repairs_batched: folded.batched,
+        early_exit: folded.early_exit,
         components: components.as_ref().map(Vec::len),
         threads: workers,
-        symbolic_repairs,
-        world_repairs,
-        op_stats,
-        shards,
+        symbolic_repairs: folded.tallies.iter().map(|t| t.symbolic).sum(),
+        world_repairs: folded.tallies.iter().map(|t| t.world).sum(),
+        op_stats: folded.op_stats,
+        shards: folded.shards,
     })
 }
 
@@ -1191,68 +925,6 @@ mod tests {
         assert_eq!(
             exec.answers,
             fold_rows(&q, &db, &RepairOptions::default()).answers
-        );
-    }
-
-    /// The linearity verdict of a query's physical plan when R and T hold
-    /// conflict vertices and S is clean.
-    fn verdict(q: RaExpr) -> Option<bool> {
-        let schema = relmodel::Schema::builder()
-            .relation("R", &["a", "b"])
-            .relation("S", &["a", "b"])
-            .relation("T", &["a", "b"])
-            .build();
-        let plan = PlannedQuery::new(q, &schema).unwrap();
-        linear_volatility(plan.physical().root(), &|name| name == "R" || name == "T")
-    }
-
-    #[test]
-    fn the_linearity_table() {
-        use relalgebra::predicate::{Operand, Predicate};
-        let r = || RaExpr::relation("R");
-        let s = || RaExpr::relation("S");
-        let t = || RaExpr::relation("T");
-        let join = |l: RaExpr, r: RaExpr| {
-            l.product(r)
-                .select(Predicate::eq(Operand::col(1), Operand::col(2)))
-        };
-        let lit = || RaExpr::values(Relation::from_tuples(2, vec![Tuple::ints(&[1, 2])]));
-        // Scans, literals, σ and π.
-        assert_eq!(verdict(r()), Some(true));
-        assert_eq!(verdict(s()), Some(false));
-        assert_eq!(verdict(lit()), Some(false));
-        let sel = r().select(Predicate::eq(Operand::col(0), Operand::int(1)));
-        assert_eq!(verdict(sel.project(vec![1])), Some(true));
-        // ∪ may be volatile on both sides.
-        assert_eq!(verdict(r().union(t())), Some(true));
-        assert_eq!(verdict(s().union(lit())), Some(false));
-        // ⋈, × and ∩: at most one volatile side.
-        assert_eq!(verdict(join(r(), s())), Some(true));
-        assert_eq!(verdict(join(s(), r())), Some(true));
-        assert_eq!(verdict(r().product(s())), Some(true));
-        assert_eq!(verdict(r().intersection(s())), Some(true));
-        assert_eq!(verdict(join(r(), r())), None);
-        assert_eq!(verdict(join(r(), t())), None);
-        assert_eq!(verdict(r().product(r())), None);
-        assert_eq!(verdict(r().intersection(t())), None);
-        // −: volatile on the left only.
-        assert_eq!(verdict(r().difference(s())), Some(true));
-        assert_eq!(verdict(s().difference(lit())), Some(false));
-        assert_eq!(verdict(s().difference(r())), None);
-        assert_eq!(verdict(r().difference(r())), None);
-        // ÷ and Δ: never volatile.
-        let divisor = || RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[2])]));
-        assert_eq!(verdict(s().divide(divisor())), Some(false));
-        assert_eq!(verdict(r().divide(divisor())), None);
-        assert_eq!(verdict(s().divide(t().project(vec![1]))), None);
-        assert_eq!(verdict(RaExpr::Delta), None);
-        assert_eq!(verdict(s().union(RaExpr::Delta)), None);
-        // Non-linearity anywhere below poisons the whole plan, whatever
-        // the other side of a union holds.
-        assert_eq!(verdict(join(r(), r()).project(vec![0, 3]).union(s())), None);
-        assert_eq!(
-            verdict(r().union(r().product(t()).project(vec![0, 3]))),
-            None
         );
     }
 

@@ -24,6 +24,8 @@
 //! | valuation-range sharding            | decision-prefix sharding                     |
 //! | streaming ∩ fold, early exit        | [`fold::stream_consistent_answer`]           |
 //! | budget = worlds visited             | budget = repairs visited                     |
+//! | fold driver [`releval::fold`]       | the same driver                              |
+//! | `S ∪ ⋂ᵢ Vᵢ` over overlay scratches   | `S ∪ ⋂ᵢ Vᵢ` over survival masks; per conflict component for linear plans |
 //! | certain⁺ pair approximation         | conflict-free core over the repair interval ([`core_approx`]) |
 //!
 //! The sound polynomial shortcut deserves a word: tuples in no conflict

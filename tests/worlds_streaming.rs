@@ -44,7 +44,14 @@ fn query_for(class: QueryClass, seed: u64) -> RaExpr {
 }
 
 const ALL_CLASSES: [QueryClass; 3] = [QueryClass::Positive, QueryClass::RaCwa, QueryClass::FullRa];
-const CASES: u64 = 12;
+
+/// `FUZZ_CASES` scales the sweep as in the sibling harnesses (default 12).
+fn fuzz_cases() -> u64 {
+    std::env::var("FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12)
+}
 
 /// The materializing baseline the streaming engine replaced: collect every
 /// (structurally deduplicated) world, evaluate, intersect.
@@ -68,7 +75,7 @@ fn materializing_certain(
 #[test]
 fn streaming_equals_materializing_everywhere() {
     for class in ALL_CLASSES {
-        for seed in 0..CASES {
+        for seed in 0..fuzz_cases() {
             let db = small_db(seed * 71 + 3);
             let q = query_for(class, seed * 17 + 5);
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
