@@ -53,6 +53,19 @@
 //! polynomial, and sound under CWA where exact certain answers are
 //! coNP-hard.)
 //!
+//! Every row of this table, the analyzer's upgrades and the consistent-answer
+//! rows below included, is one pure function in the `dispatch` module: from
+//! the class, the semantics, the analyzer's root facts, the null count, the
+//! conflict-graph facts and the options to an ordered chain of at most three
+//! steps, each with its strategy, its guarantee and the fallback reason that
+//! put it there. The engine walks the chain. A punt or an aborted repair
+//! fold hands over to the next step; a forced strategy
+//! ([`Engine::plan_with`]) is a one-step chain, so there it is a typed
+//! error. The world step's budget, `nulls ≤ max_nulls ∧ estimate ≤
+//! max_worlds`, is the table's one guard, checked when the walk reaches the
+//! step — a symbolic request never pays for the world-count estimate unless
+//! it punts.
+//!
 //! ## Consistent query answering
 //!
 //! Inconsistency is incompleteness's twin: a database violating its
@@ -88,6 +101,7 @@
 #![warn(missing_docs)]
 
 mod context;
+mod dispatch;
 mod options;
 mod report;
 mod semantics;
@@ -106,11 +120,11 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use relalgebra::analysis;
+use relalgebra::analysis::{self, Analysis};
 use relalgebra::ast::RaExpr;
-use relalgebra::classify::{has_incomplete_values, QueryClass};
+use relalgebra::classify::QueryClass;
 use relalgebra::plan::PlannedQuery;
-use relalgebra::typecheck::TypeError;
+use relalgebra::typecheck::{check_depth, TypeError};
 use releval::exec::columnar::approx::execute_approx_counted_over;
 use releval::exec::columnar::{execute_counted_over, execute_profiled_over};
 use releval::exec::{NodeProfile, OpStats};
@@ -122,6 +136,8 @@ use releval::worlds::{estimated_world_count, stream_certain_answer};
 use releval::EvalError;
 use relmodel::{Database, Relation};
 use repairs::{core_consistent_answer, stream_consistent_answer, ConflictGraph, RepairError};
+
+use dispatch::{Conflicts, Dispatch, Input, Step};
 
 /// Errors from the engine front door.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,14 +309,6 @@ impl<D: Borrow<Database>> Engine<D> {
         self.semantics.base()
     }
 
-    /// The engine [`Semantics`] dispatch decisions are taken under: the
-    /// declared one, with `ConsistentAnswers` lowered to `Cwa` when the
-    /// certain-answer pipeline is the delegate (a consistent database's
-    /// only repair is itself).
-    fn dispatch_semantics(&self) -> Semantics {
-        Semantics::from(self.base())
-    }
-
     /// Replaces the planner options.
     pub fn options(mut self, options: EngineOptions) -> Self {
         self.options = options;
@@ -315,7 +323,7 @@ impl<D: Borrow<Database>> Engine<D> {
     /// Classifies, dispatches, executes, and reports on `query`.
     pub fn plan(&self, query: &RaExpr) -> Result<CertainReport, EngineError> {
         let started = Instant::now();
-        let plan = PlannedQuery::new(query.clone(), self.db().schema())?;
+        let plan = self.typecheck(query)?;
         self.finish(plan, started)
     }
 
@@ -337,27 +345,19 @@ impl<D: Borrow<Database>> Engine<D> {
     /// Executes `query` with a caller-chosen strategy instead of the
     /// planner's choice. The report's guarantee is still computed honestly
     /// for the query's class — forcing [`StrategyKind::NaiveExact`] on a full
-    /// RA query yields `no-guarantee`, not `exact`.
+    /// RA query yields `no-guarantee`, not `exact`. A forced strategy has
+    /// nothing to fall back to, so a punt or a blown budget is an error.
     pub fn plan_with(
         &self,
         strategy: StrategyKind,
         query: &RaExpr,
     ) -> Result<CertainReport, EngineError> {
         let started = Instant::now();
-        let plan = PlannedQuery::new(query.clone(), self.db().schema())?;
-        let plan_time = started.elapsed();
-        let decision = Decision {
-            strategy,
-            guarantee: strategy.guarantee(plan.class(), self.semantics),
-            class: plan.class(),
-            forced: true,
-            ..Decision::default()
-        };
-        let mut report = self.execute(plan, decision, plan_time, started)?;
+        let plan = self.typecheck(query)?;
+        let dispatch = dispatch::forced(strategy, plan.class(), self.semantics);
         // Forced dispatch skips the analyzer, so there is no dispatch phase
         // to time inside the plan span.
-        wrap_trace(&mut report, None);
-        Ok(report)
+        self.walk(&dispatch, &plan, &plan, started, None)
     }
 
     /// The paper's "what SQL does" baseline through the front door: evaluates
@@ -377,21 +377,8 @@ impl<D: Borrow<Database>> Engine<D> {
     /// database, without executing anything: which strategy would run, and
     /// what guarantee the answer would carry.
     pub fn select_strategy(&self, query: &RaExpr, class: QueryClass) -> (StrategyKind, Guarantee) {
-        let decision = self.decide(query, class);
-        (decision.strategy, decision.guarantee)
-    }
-
-    /// The dispatch semantics a given (possibly reduced) plan is executed
-    /// under: the declared one, lowered from OWA to CWA when the query is
-    /// monotone (monotonicity makes the two certain answers coincide).
-    fn effective_semantics(&self, query: &RaExpr) -> Semantics {
-        if self.base() == relmodel::Semantics::Owa
-            && analysis::analyze(query, self.ctx.census()).root().monotone
-        {
-            Semantics::Cwa
-        } else {
-            self.dispatch_semantics()
-        }
+        let (_, step) = self.preview(query, class);
+        (step.strategy, step.guarantee)
     }
 
     /// Statically analyzes `query` against this engine's database — no
@@ -400,7 +387,7 @@ impl<D: Borrow<Database>> Engine<D> {
     /// to [`Engine::select_strategy`]), the lint diagnostics (`QL…` codes),
     /// and an annotated plan rendering.
     pub fn analyze(&self, query: &RaExpr) -> Result<AnalysisReport, EngineError> {
-        let plan = PlannedQuery::new(query.clone(), self.db().schema())?;
+        let plan = self.typecheck(query)?;
         Ok(self.analysis_report(&plan))
     }
 
@@ -411,449 +398,271 @@ impl<D: Borrow<Database>> Engine<D> {
     }
 
     fn analysis_report(&self, plan: &PlannedQuery) -> AnalysisReport {
-        let analysis = analysis::analyze(plan.expr(), self.ctx.census());
+        let census = self.ctx.census();
+        let (analysis, step) = self.preview(plan.expr(), plan.class());
         let facts = analysis.root().clone();
-        let decision = self.decide(plan.expr(), plan.class());
-        let diagnostics = analysis::lint(plan.expr(), self.ctx.census(), Some(self.db().schema()));
-        let annotated = analysis::annotate(plan.expr(), self.ctx.census());
         AnalysisReport {
             class: plan.class(),
             certainty_preserving: facts.certainty_preserving(self.base()),
             facts,
-            strategy: decision.strategy,
-            guarantee: decision.guarantee,
-            diagnostics,
-            annotated,
+            strategy: step.strategy,
+            guarantee: step.guarantee,
+            diagnostics: analysis::lint(plan.expr(), census, Some(self.db().schema())),
+            annotated: analysis::annotate(plan.expr(), census),
         }
+    }
+
+    /// Typechecks `query` against this database's schema. The depth bound
+    /// is checked first, because cloning the query recurses.
+    fn typecheck(&self, query: &RaExpr) -> Result<PlannedQuery, EngineError> {
+        check_depth(query)?;
+        Ok(PlannedQuery::new(query.clone(), self.db().schema())?)
+    }
+
+    /// The dispatch table's decision for a query of `class` with the given
+    /// analysis, over this engine's database and options.
+    fn dispatch(&self, class: QueryClass, analysis: &Analysis) -> Dispatch {
+        // Only consistent answering reads the conflict graph, which is
+        // built on first use.
+        let graph = self
+            .semantics
+            .is_consistent_answers()
+            .then(|| self.conflict_graph());
+        let conflicts = graph
+            .flatten()
+            .filter(|g| !g.is_conflict_free())
+            .map(|g| Conflicts {
+                violations: g.violation_count(),
+                conflict_tuples: g.conflict_tuples(),
+                estimated_repairs: g.estimated_repairs(),
+            });
+        dispatch::dispatch(&Input {
+            class,
+            semantics: self.semantics,
+            facts: analysis.root(),
+            inlinable: analysis.has_inlinable_subtree(),
+            nulls: self.ctx.nulls(),
+            conflicts,
+            options: &self.options,
+        })
+    }
+
+    /// The first step at or after `index` whose world guard, if any, admits
+    /// `expr`, and the world estimate when a guard was checked. A guarded
+    /// step is never a chain's last.
+    fn admit(&self, steps: &[Step], mut index: usize, expr: &RaExpr) -> (usize, Option<u128>) {
+        let mut estimate = None;
+        while let Some(guard) = steps[index].guard {
+            let worlds = estimated_world_count(expr, self.db(), &self.options.world_options);
+            estimate = Some(worlds);
+            if guard.admits(worlds) {
+                break;
+            }
+            index += 1;
+        }
+        (index, estimate)
+    }
+
+    /// The analysis of `query`, and the step its dispatch answers at unless
+    /// it punts or aborts at run time: what the previews report.
+    fn preview(&self, query: &RaExpr, class: QueryClass) -> (Analysis, Step) {
+        let analysis = analysis::analyze(query, self.ctx.census());
+        let chain = self.dispatch(class, &analysis).chain;
+        let step = chain[self.admit(&chain, 0, query).0];
+        (analysis, step)
     }
 
     fn finish(&self, plan: PlannedQuery, started: Instant) -> Result<CertainReport, EngineError> {
         // Tracing disabled costs exactly this branch: no timers start, no
         // spans allocate anywhere below.
         let decide_started = self.options.trace.then(Instant::now);
-        let decision = self.decide(plan.expr(), plan.class());
+        let analysis = analysis::analyze(plan.expr(), self.ctx.census());
+        let mut dispatch = self.dispatch(plan.class(), &analysis);
         let dispatch_time = decide_started.map(|t| t.elapsed());
-        let (plan, decision) = if decision.split {
-            self.inline_ground(plan, decision)
-        } else {
-            (plan, decision)
-        };
         // Subtree inlining is preparation work, so it counts toward the
         // plan phase, not strategy execution.
-        let plan_time = started.elapsed();
-        let mut report = self.execute(plan, decision, plan_time, started)?;
-        wrap_trace(&mut report, dispatch_time);
-        Ok(report)
+        let reduced = dispatch
+            .split
+            .then(|| self.inline_ground(&plan, &mut dispatch.analyzer))
+            .flatten();
+        let executed = reduced.as_ref().unwrap_or(&plan);
+        self.walk(&dispatch, &plan, executed, started, dispatch_time)
     }
 
-    /// Performs the subtree split a [`Decision`] with `split` requested:
-    /// evaluates the maximal ground proper subtrees plainly, inlines them as
-    /// complete literals, and re-plans the reduced query. The dispatch is
-    /// **not** revisited — the decision was already taken on the analyzer's
-    /// split class, so preview ([`Engine::select_strategy`]) and execution
-    /// always agree.
-    fn inline_ground(&self, plan: PlannedQuery, decision: Decision) -> (PlannedQuery, Decision) {
+    /// Performs a split dispatch's subtree split: evaluates the maximal
+    /// ground proper subtrees plainly, inlines them as complete literals,
+    /// and re-plans the reduced query (`None` when nothing was inlined).
+    /// The dispatch is **not** revisited — it was already taken on the
+    /// analyzer's split class, so preview ([`Engine::select_strategy`]) and
+    /// execution always agree.
+    fn inline_ground(
+        &self,
+        plan: &PlannedQuery,
+        analyzer: &mut Option<AnalyzerStats>,
+    ) -> Option<PlannedQuery> {
         let outcome = inline_ground_subtrees(plan.expr(), self.db(), self.ctx.census());
         if outcome.inlined == 0 {
-            return (plan, decision);
+            return None;
         }
-        match PlannedQuery::new(outcome.expr, self.db().schema()) {
-            Ok(reduced) => {
-                let analyzer = decision.analyzer.map(|a| AnalyzerStats {
-                    inlined_subtrees: outcome.inlined,
-                    ..a
-                });
-                (
-                    reduced,
-                    Decision {
-                        analyzer,
-                        ..decision
-                    },
-                )
-            }
-            // Defensive: a subtree of a typechecked query re-plans cleanly;
-            // if it ever did not, run the original plan unchanged.
-            Err(_) => (plan, decision),
+        // Defensive: a subtree of a typechecked query re-plans cleanly; if
+        // it ever did not, run the original plan unchanged.
+        let reduced = PlannedQuery::new(outcome.expr, self.db().schema()).ok()?;
+        if let Some(analyzer) = analyzer {
+            analyzer.inlined_subtrees = outcome.inlined;
         }
+        Some(reduced)
     }
 
-    fn decide(&self, query: &RaExpr, class: QueryClass) -> Decision {
-        if self.semantics == Semantics::ConsistentAnswers {
-            return self.decide_consistent(query, class);
-        }
-        self.decide_certain(query, class)
-    }
-
-    /// The consistent-answer dispatch: delegate when the database is clean,
-    /// enumerate repairs while the conflict graph is small, degrade to the
-    /// conflict-free-core approximation (with the reason on the report)
-    /// beyond that.
-    fn decide_consistent(&self, query: &RaExpr, class: QueryClass) -> Decision {
-        let Some(graph) = self.conflict_graph().filter(|g| !g.is_conflict_free()) else {
-            // No violations: the only repair is the database itself, so the
-            // consistent answer *is* the CWA certain answer — delegate to
-            // the whole certain-answer pipeline, guarantees included.
-            let violations = Some(0);
-            return Decision {
-                violations,
-                ..self.decide_certain(query, class)
-            };
-        };
-        let violations = Some(graph.violation_count());
-        let conflict_tuples = Some(graph.conflict_tuples());
-        let estimated = graph.estimated_repairs();
-        let budget = self.options.repair_options.max_repairs;
-        if estimated <= budget {
-            Decision {
-                strategy: StrategyKind::RepairEnumeration,
-                guarantee: StrategyKind::RepairEnumeration.guarantee(class, self.semantics),
-                class,
-                estimated_repairs: Some(estimated),
-                violations,
-                conflict_tuples,
-                ..Decision::default()
-            }
-        } else {
-            // The explicit degradation the repair budget exists for: one
-            // polynomial pass over the repair interval instead of an
-            // exponential enumeration, labelled `Sound` and explained.
-            Decision {
-                strategy: StrategyKind::ConflictFreeCore,
-                guarantee: StrategyKind::ConflictFreeCore.guarantee(class, self.semantics),
-                class,
-                estimated_repairs: Some(estimated),
-                violations,
-                conflict_tuples,
-                degraded: true,
-                fallback: Some(FallbackReason::RepairBudget { estimated, budget }),
-                ..Decision::default()
-            }
-        }
-    }
-
-    /// The certain-answer dispatch, taken under [`Engine::dispatch_semantics`]
-    /// (so a consistent-answer delegate behaves exactly like a CWA engine),
-    /// refined by the static analyzer:
-    ///
-    /// * **certainty preservation** — a query the analyzer proves naïve-exact
-    ///   (by class, by groundness under CWA, or by groundness + monotonicity
-    ///   under OWA) dispatches to [`StrategyKind::NaiveExact`] with
-    ///   [`Guarantee::Exact`], even beyond the class-based theorem;
-    /// * **OWA-as-CWA** — a monotone query has `certain_owa = certain_cwa`,
-    ///   so under OWA the planner may use the CWA machinery (symbolic,
-    ///   worlds) at full strength;
-    /// * **subtree splitting** — when the unsound region is a proper subtree,
-    ///   the ground remainder is evaluated plainly and inlined
-    ///   ([`releval::split`]), and the dispatch is taken on the analyzer's
-    ///   [`relalgebra::analysis::NodeFacts::split_class`]: a mixed query
-    ///   whose non-monotone core is ground upgrades all the way to
-    ///   `NaiveExact`/`Exact`.
-    fn decide_certain(&self, query: &RaExpr, class: QueryClass) -> Decision {
-        let analysis = analysis::analyze(query, self.ctx.census());
-        let facts = analysis.root();
-        let class_sound = class.naive_evaluation_sound(self.base());
-        let analyzer = AnalyzerStats {
-            ground: facts.ground,
-            monotone: facts.monotone,
-            upgraded: false,
-            owa_as_cwa: false,
-            inlined_subtrees: 0,
-        };
-        if class_sound || facts.certainty_preserving(self.base()) {
-            return Decision {
-                strategy: StrategyKind::NaiveExact,
-                guarantee: Guarantee::Exact,
-                class,
-                analyzer: Some(AnalyzerStats {
-                    upgraded: !class_sound,
-                    ..analyzer
-                }),
-                ..Decision::default()
-            };
-        }
-        // For a monotone query the OWA certain answer equals the CWA one,
-        // so the planner may dispatch under the CWA rules at full strength.
-        let owa_as_cwa = self.base() == relmodel::Semantics::Owa && facts.monotone;
-        let semantics = if owa_as_cwa {
-            Semantics::Cwa
-        } else {
-            self.dispatch_semantics()
-        };
-        let analyzer = AnalyzerStats {
-            owa_as_cwa,
-            ..analyzer
-        };
-        // Subtree splitting: sound whenever the split-off region has the
-        // same value in every (effective-CWA) world.
-        let split = semantics == Semantics::Cwa && analysis.has_inlinable_subtree();
-        let dispatch_class = if split { facts.split_class } else { class };
-        if split && dispatch_class.naive_evaluation_sound(relmodel::Semantics::Cwa) {
-            // After inlining the ground regions, what remains is in the
-            // naïve-exact fragment: the mixed-query upgrade.
-            return Decision {
-                strategy: StrategyKind::NaiveExact,
-                guarantee: Guarantee::Exact,
-                class,
-                split: true,
-                analyzer: Some(AnalyzerStats {
-                    upgraded: true,
-                    ..analyzer
-                }),
-                ..Decision::default()
-            };
-        }
-        // Beyond the naïve theorem, the symbolic c-table strategy is the
-        // planner's first choice under (effective) CWA: exact, polynomial
-        // per output tuple, no world enumeration. (Under OWA its answer is
-        // only an over-approximation for non-monotone classes, so the
-        // planner keeps the pre-symbolic rules there.)
-        if self.options.symbolic && semantics == Semantics::Cwa {
-            if !has_incomplete_values(query) {
-                return Decision {
-                    strategy: StrategyKind::SymbolicCTable,
-                    guarantee: StrategyKind::SymbolicCTable.guarantee(class, semantics),
-                    class,
-                    split,
-                    analyzer: Some(analyzer),
-                    ..Decision::default()
-                };
-            }
-            // Null-bearing `Values` literals would make the c-table algebra
-            // conflate literal and database nulls: rule symbolic out at
-            // planning time and record why. The fallback policy is the same
-            // as for an execution-time solver punt — the world oracle within
-            // budget, then the approximation — so both punt kinds honour the
-            // one documented contract.
-            return Decision {
-                class,
-                split,
-                analyzer: Some(analyzer),
-                ..self.enumerate_or_approximate(
-                    query,
-                    class,
-                    semantics,
-                    Some(FallbackReason::Symbolic(
-                        releval::symbolic::PuntReason::NullValuesLiteral,
-                    )),
-                    true,
-                )
-            };
-        }
-        Decision {
-            class,
-            split,
-            analyzer: Some(analyzer),
-            ..self.enumerate_or_approximate(query, class, semantics, None, self.options.exhaustive)
-        }
-    }
-
-    /// The pre-symbolic decision logic: possible-world enumeration within
-    /// budget when `allow_worlds`, otherwise (or beyond budget, with
-    /// [`EngineStats::degraded`] set) the sound approximation. Also the
-    /// landing path when the symbolic strategy punts — the fallback reason
-    /// carries the reason into the report. `semantics` is the *effective*
-    /// dispatch semantics (OWA lowered to CWA for monotone queries).
-    fn enumerate_or_approximate(
+    /// Walks a dispatch's chain over `executed` — the `dispatched` plan, or
+    /// its reduction after a subtree split — and assembles the report. A
+    /// punt or an abort hands over to the next step, which reports the
+    /// cause; any other failure, or a punt or abort with no step left, is
+    /// the caller's error. A leading world step is guarded on the query as
+    /// dispatched, like the rest of the dispatch; a later one on the plan
+    /// that punted.
+    fn walk(
         &self,
-        query: &RaExpr,
-        class: QueryClass,
-        semantics: Semantics,
-        fallback_reason: Option<FallbackReason>,
-        allow_worlds: bool,
-    ) -> Decision {
-        let fallback = StrategyKind::SoundApproximation;
-        if !allow_worlds {
-            return Decision {
-                strategy: fallback,
-                guarantee: fallback.guarantee(class, semantics),
-                class,
-                fallback: fallback_reason,
-                ..Decision::default()
-            };
-        }
-        let estimate = estimated_world_count(query, self.db(), &self.options.world_options);
-        let within_budget = self.ctx.nulls() <= self.options.max_nulls
-            && estimate <= self.options.world_options.max_worlds;
-        if within_budget {
-            Decision {
-                strategy: StrategyKind::WorldsGroundTruth,
-                guarantee: StrategyKind::WorldsGroundTruth.guarantee(class, semantics),
-                class,
-                estimated_worlds: Some(estimate),
-                fallback: fallback_reason,
-                ..Decision::default()
-            }
-        } else {
-            // The explicit degradation the budget exists for: report the
-            // approximation instead of hanging on an exponential enumeration.
-            Decision {
-                strategy: fallback,
-                guarantee: fallback.guarantee(class, semantics),
-                class,
-                estimated_worlds: Some(estimate),
-                degraded: true,
-                fallback: fallback_reason,
-                ..Decision::default()
-            }
-        }
-    }
-
-    fn execute(
-        &self,
-        plan: PlannedQuery,
-        decision: Decision,
-        plan_time: std::time::Duration,
+        dispatch: &Dispatch,
+        dispatched: &PlannedQuery,
+        executed: &PlannedQuery,
         started: Instant,
+        dispatch_time: Option<Duration>,
     ) -> Result<CertainReport, EngineError> {
-        let execute_started = Instant::now();
-        // (worlds visited, early exit, threads, peak worlds in flight,
-        // worlds batched)
-        let mut world_exec: Option<(u128, bool, usize, usize, u128)> = None;
-        // (condition atoms, solver calls, simplification wins, decisions)
-        let mut symbolic_exec: Option<(usize, usize, usize, usize)> = None;
-        // (repairs visited, early exit, repairs batched)
-        let mut repair_exec: Option<(u128, bool, u128)> = None;
-        // Physical-operator telemetry from whichever executor ran.
-        let mut physical_ops: Option<OpStats> = None;
-        // Per-worker wall-clock of an enumeration fold, for the trace.
-        let mut shard_profiles: Vec<ShardProfile> = Vec::new();
-        // The conflict graph the repair strategies run against: the cached
-        // one, or (for a forced repair strategy on a constraint-free
-        // schema) the empty graph, whose single repair is the database.
+        let plan_time = started.elapsed();
+        let steps = &dispatch.chain;
+        let mut cause = None;
+        let (mut index, mut estimated_worlds) = self.admit(steps, 0, dispatched.expr());
+        let (step, run) = loop {
+            let step = steps[index];
+            match self.run(step.strategy, executed) {
+                Ok(run) => break (step, run),
+                Err(e) => match fallback_reason(&e) {
+                    Some(reason) if index + 1 < steps.len() => {
+                        cause = Some(reason);
+                        let (next, estimate) = self.admit(steps, index + 1, executed.expr());
+                        (index, estimated_worlds) = (next, estimate.or(estimated_worlds));
+                    }
+                    _ => return Err(e),
+                },
+            }
+        };
+        let total_time = started.elapsed();
+        let mut stats = EngineStats {
+            plan_time,
+            execute_time: total_time - plan_time,
+            total_time,
+            nulls: self.ctx.nulls(),
+            estimated_worlds,
+            degraded: step.degraded,
+            fallback: cause.or(step.fallback),
+            violations: dispatch.violations,
+            conflict_tuples: dispatch.conflict_tuples,
+            estimated_repairs: dispatch.estimated_repairs,
+            plan_text: executed.physical().explain(),
+            analyzer: dispatch.analyzer,
+            ..run.stats
+        };
+        if self.options.trace {
+            stats.trace = Some(trace(
+                &stats,
+                step.strategy,
+                run.time,
+                &run.shards,
+                dispatch_time,
+            ));
+        }
+        Ok(CertainReport {
+            answers: run.answers,
+            object_answer: run.object_answer,
+            strategy: step.strategy,
+            guarantee: step.guarantee,
+            class: dispatched.class(),
+            semantics: self.semantics,
+            stats,
+        })
+    }
+
+    /// Runs one strategy over `plan`: its answers, and the counters it
+    /// fills into [`EngineStats`].
+    fn run(&self, strategy: StrategyKind, plan: &PlannedQuery) -> Result<Run, EngineError> {
+        let started = Instant::now();
+        let mut stats = EngineStats::default();
+        let mut shards = Vec::new();
+        // The repair strategies run against the cached conflict graph, or
+        // (forced on a constraint-free schema) the empty graph, whose single
+        // repair is the database.
         let empty_graph = ConflictGraph::default();
-        let (answers, object_answer) = match decision.strategy {
-            StrategyKind::SymbolicCTable => {
-                match symbolic_certain_answer(&plan, self.db(), &self.options.symbolic_options) {
-                    SymbolicOutcome::Answered(exec) => {
-                        symbolic_exec = Some((
-                            exec.condition_atoms,
-                            exec.solver_calls,
-                            exec.simplification_wins,
-                            exec.solver_decisions,
-                        ));
-                        physical_ops = Some(exec.op_stats);
-                        (exec.answers, None)
-                    }
-                    SymbolicOutcome::Punted(reason) => {
-                        if decision.forced {
-                            // The caller asked for symbolic and nothing else:
-                            // surface the punt as a typed error, like the
-                            // forced ground-truth door does with its budget.
-                            return Err(EngineError::Eval(EvalError::SymbolicPunt(reason)));
-                        }
-                        // Fall back to the streaming world oracle within
-                        // budget (then to the sound approximation), with the
-                        // reason on the report. The guarantee is computed
-                        // under the same effective semantics the symbolic
-                        // choice was (OWA lowered to CWA for a monotone
-                        // plan — re-derived here because `plan` may be the
-                        // reduced, post-inlining query).
-                        let effective = self.effective_semantics(plan.expr());
-                        let fallback = self.enumerate_or_approximate(
-                            plan.expr(),
-                            plan.class(),
-                            effective,
-                            Some(FallbackReason::Symbolic(reason)),
-                            true,
-                        );
-                        let fallback = Decision {
-                            class: decision.class,
-                            analyzer: decision.analyzer,
-                            violations: decision.violations,
-                            ..fallback
-                        };
-                        return self.execute(plan, fallback, plan_time, started);
-                    }
-                }
-            }
-            StrategyKind::RepairEnumeration => {
-                let graph = self.conflict_graph().unwrap_or(&empty_graph);
-                match stream_consistent_answer(
-                    &plan,
-                    self.db(),
-                    graph,
-                    &self.options.repair_options,
-                ) {
-                    Ok(exec) => {
-                        repair_exec =
-                            Some((exec.repairs_visited, exec.early_exit, exec.repairs_batched));
-                        physical_ops = Some(exec.op_stats);
-                        shard_profiles = exec.shards;
-                        (exec.answers, None)
-                    }
-                    Err(e) => {
-                        if decision.forced {
-                            // The caller asked for enumeration and nothing
-                            // else: surface the failure as a typed error.
-                            return Err(EngineError::Repair(e));
-                        }
-                        // Degrade to the polynomial core approximation with
-                        // the abort — and its cause — on the report: the
-                        // runtime twin of the planning-time repair-budget
-                        // fallback.
-                        let abort = match e {
-                            RepairError::BudgetExceeded { repairs, budget } => {
-                                RepairAbort::RepairBudget { repairs, budget }
-                            }
-                            RepairError::Eval(EvalError::WorldBudgetExceeded {
-                                worlds,
-                                budget,
-                            }) => RepairAbort::PerRepairWorldBudget { worlds, budget },
-                            RepairError::Eval(_) => RepairAbort::PerRepairEvaluation,
-                        };
-                        let fallback = Decision {
-                            strategy: StrategyKind::ConflictFreeCore,
-                            guarantee: StrategyKind::ConflictFreeCore
-                                .guarantee(plan.class(), self.semantics),
-                            degraded: true,
-                            fallback: Some(FallbackReason::RepairEnumerationAborted(abort)),
-                            forced: false,
-                            ..decision
-                        };
-                        return self.execute(plan, fallback, plan_time, started);
-                    }
-                }
-            }
-            StrategyKind::ConflictFreeCore => {
-                let graph = self.conflict_graph().unwrap_or(&empty_graph);
-                let exec = core_consistent_answer(&plan, self.db(), graph);
-                physical_ops = Some(exec.op_stats);
-                (exec.answers, Some(exec.pair.certain))
-            }
+        let graph = || self.conflict_graph().unwrap_or(&empty_graph);
+        let (answers, object_answer) = match strategy {
             StrategyKind::NaiveExact => {
-                let (object, ops) = self.execute_naive(&plan);
-                physical_ops = Some(ops);
+                let (object, ops) = self.execute_naive(plan);
+                stats.physical_ops = Some(ops);
                 (object.complete_part(), Some(object))
             }
-            StrategyKind::ThreeValuedBaseline => {
-                let raw = eval_3vl_unchecked(plan.expr(), self.db());
-                (raw.complete_part(), Some(raw))
+            StrategyKind::SymbolicCTable => {
+                let exec = match symbolic_certain_answer(
+                    plan,
+                    self.db(),
+                    &self.options.symbolic_options,
+                ) {
+                    SymbolicOutcome::Answered(exec) => exec,
+                    SymbolicOutcome::Punted(reason) => {
+                        return Err(EvalError::SymbolicPunt(reason).into())
+                    }
+                };
+                stats.condition_atoms = Some(exec.condition_atoms);
+                stats.solver_calls = Some(exec.solver_calls);
+                stats.simplification_wins = Some(exec.simplification_wins);
+                stats.solver_decisions = Some(exec.solver_decisions);
+                stats.physical_ops = Some(exec.op_stats);
+                (exec.answers, None)
             }
             StrategyKind::WorldsGroundTruth => {
                 let exec = stream_certain_answer(
-                    &plan,
+                    plan,
                     self.db(),
                     self.base(),
                     &self.options.world_options,
                 )?;
-                world_exec = Some((
-                    exec.worlds_visited,
-                    exec.early_exit,
-                    exec.threads,
-                    exec.peak_worlds_in_flight,
-                    exec.worlds_batched,
-                ));
-                physical_ops = Some(exec.op_stats);
-                shard_profiles = exec.shards;
+                stats.worlds_enumerated = Some(exec.worlds_visited);
+                stats.worlds_batched = Some(exec.worlds_batched);
+                stats.world_early_exit = exec.early_exit;
+                stats.world_threads = Some(exec.threads);
+                stats.peak_worlds_in_flight = Some(exec.peak_worlds_in_flight);
+                stats.physical_ops = Some(exec.op_stats);
+                shards = exec.shards;
                 (exec.answers, None)
+            }
+            StrategyKind::RepairEnumeration => {
+                let exec = stream_consistent_answer(
+                    plan,
+                    self.db(),
+                    graph(),
+                    &self.options.repair_options,
+                )?;
+                stats.repairs_enumerated = Some(exec.repairs_visited);
+                stats.repairs_batched = Some(exec.repairs_batched);
+                stats.repair_early_exit = exec.early_exit;
+                stats.physical_ops = Some(exec.op_stats);
+                shards = exec.shards;
+                (exec.answers, None)
+            }
+            StrategyKind::ConflictFreeCore => {
+                let exec = core_consistent_answer(plan, self.db(), graph());
+                stats.physical_ops = Some(exec.op_stats);
+                (exec.answers, Some(exec.pair.certain))
+            }
+            StrategyKind::ThreeValuedBaseline => {
+                let raw = eval_3vl_unchecked(plan.expr(), self.db());
+                (raw.complete_part(), Some(raw))
             }
             StrategyKind::SoundApproximation => {
                 if plan.class() == QueryClass::RaCwa && self.base() == relmodel::Semantics::Owa {
                     // Naïve evaluation computes the CWA certain answer for
                     // RA_cwa (Section 6.2), which contains the OWA one: a
                     // provable over-approximation, reported as `complete`.
-                    let (naive, ops) = self.execute_naive(&plan);
-                    physical_ops = Some(ops);
+                    let (naive, ops) = self.execute_naive(plan);
+                    stats.physical_ops = Some(ops);
                     (naive.complete_part(), Some(naive))
                 } else {
                     // Pair evaluation: the certain⁺ under-approximation.
@@ -863,91 +672,17 @@ impl<D: Borrow<Database>> Engine<D> {
                         self.ctx.batches(),
                         self.morsel(),
                     );
-                    physical_ops = Some(ops);
+                    stats.physical_ops = Some(ops);
                     (approx.certain.complete_part(), Some(approx.certain))
                 }
             }
         };
-        let execute_time = execute_started.elapsed();
-        // The execute span is assembled here, at the literal the fallback
-        // recursions bottom out in, so a degraded run traces the strategy
-        // that actually answered. The entry points wrap it into the root
-        // "query" span after this returns.
-        let trace = self.options.trace.then(|| {
-            let mut strategy = obs::Span::with_duration(decision.strategy.name(), execute_time);
-            if let Some((visited, early_exit, threads, _, batched)) = world_exec {
-                strategy.push_field("worlds_visited", clamp_u64(visited));
-                strategy.push_field("worlds_batched", clamp_u64(batched));
-                strategy.push_field("world_threads", threads as u64);
-                strategy.push_field("world_early_exit", u64::from(early_exit));
-            }
-            if let Some((atoms, calls, wins, decisions)) = symbolic_exec {
-                strategy.push_field("condition_atoms", atoms as u64);
-                strategy.push_field("solver_calls", calls as u64);
-                strategy.push_field("simplification_wins", wins as u64);
-                strategy.push_field("solver_decisions", decisions as u64);
-            }
-            if let Some((visited, early_exit, batched)) = repair_exec {
-                strategy.push_field("repairs_visited", clamp_u64(visited));
-                strategy.push_field("repairs_batched", clamp_u64(batched));
-                strategy.push_field("repair_early_exit", u64::from(early_exit));
-            }
-            if let Some(ops) = &physical_ops {
-                strategy.push_field("operators", ops.operators as u64);
-                strategy.push_field("batches", ops.batches as u64);
-                strategy.push_field("tables_built", ops.tables_built as u64);
-                strategy.push_field("tables_reused", ops.tables_reused as u64);
-            }
-            for (index, shard) in shard_profiles.iter().enumerate() {
-                let mut span = obs::Span::with_duration("shard", Duration::from_nanos(shard.nanos));
-                span.push_field("index", index as u64);
-                span.push_field("units_batched", clamp_u64(shard.units));
-                strategy.push_child(span);
-            }
-            let mut execute_span = obs::Span::with_duration("execute", execute_time);
-            execute_span.push_child(strategy);
-            execute_span
-        });
-        Ok(CertainReport {
+        Ok(Run {
             answers,
             object_answer,
-            strategy: decision.strategy,
-            guarantee: decision.guarantee,
-            class: decision.class,
-            semantics: self.semantics,
-            stats: EngineStats {
-                plan_time,
-                execute_time,
-                total_time: started.elapsed(),
-                nulls: self.ctx.nulls(),
-                estimated_worlds: decision.estimated_worlds,
-                worlds_enumerated: world_exec.map(|e| e.0),
-                worlds_batched: world_exec.map(|e| e.4),
-                degraded: decision.degraded,
-                world_early_exit: world_exec.is_some_and(|e| e.1),
-                world_threads: world_exec.map(|e| e.2),
-                peak_worlds_in_flight: world_exec.map(|e| e.3),
-                condition_atoms: symbolic_exec.map(|e| e.0),
-                solver_calls: symbolic_exec.map(|e| e.1),
-                simplification_wins: symbolic_exec.map(|e| e.2),
-                solver_decisions: symbolic_exec.map(|e| e.3),
-                fallback: decision.fallback,
-                violations: decision.violations,
-                conflict_tuples: decision.conflict_tuples,
-                estimated_repairs: decision.estimated_repairs,
-                repairs_enumerated: repair_exec.map(|e| e.0),
-                repairs_batched: repair_exec.map(|e| e.2),
-                repair_early_exit: repair_exec.is_some_and(|e| e.1),
-                plan_text: plan.physical().explain(),
-                physical_ops,
-                analyzer: decision.analyzer,
-                // The serving-layer fields: a direct engine call is always a
-                // fresh computation against no snapshot; `serve` stamps them.
-                cache_hit: false,
-                plan_cache_hit: false,
-                snapshot_version: None,
-                trace,
-            },
+            stats,
+            shards,
+            time: started.elapsed(),
         })
     }
 
@@ -963,7 +698,7 @@ impl<D: Borrow<Database>> Engine<D> {
     /// planner would dispatch this query to; it answers "where does the
     /// plan spend its time", not "what is the certain answer".
     pub fn explain_analyze(&self, query: &RaExpr) -> Result<ExplainAnalyze, EngineError> {
-        let plan = PlannedQuery::new(query.clone(), self.db().schema())?;
+        let plan = self.typecheck(query)?;
         Ok(self.explain_analyze_prepared(&plan))
     }
 
@@ -1021,71 +756,94 @@ fn clamp_u64(v: u128) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
 }
 
-/// Wraps a recorded execute span into the root `query` span, with the plan
-/// phase (and the analyze + dispatch slice, when timed) attached — called by
-/// the entry points once `execute` has returned, because fallback paths
-/// recurse through `execute` and only the outermost call knows the whole
-/// query's shape. No-op when tracing is off.
-fn wrap_trace(report: &mut CertainReport, dispatch_time: Option<Duration>) {
-    if let Some(execute_span) = report.stats.trace.take() {
-        let mut plan_span = obs::Span::with_duration("plan", report.stats.plan_time);
-        plan_span.push_field("nulls", report.stats.nulls as u64);
-        if let Some(d) = dispatch_time {
-            plan_span.push_child(obs::Span::with_duration("analyze+dispatch", d));
-        }
-        let mut root = obs::Span::with_duration("query", report.stats.total_time);
-        root.push_child(plan_span);
-        root.push_child(execute_span);
-        report.stats.trace = Some(root);
-    }
+/// What one strategy run produced.
+struct Run {
+    answers: Relation,
+    object_answer: Option<Relation>,
+    /// The strategy's own counters; the walker fills in the rest.
+    stats: EngineStats,
+    /// Per-worker wall-clock of an enumeration fold, for the trace.
+    shards: Vec<ShardProfile>,
+    /// The run's wall-clock.
+    time: Duration,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Decision {
+/// The reason the next step reports when a run's error hands over to it:
+/// a symbolic punt or an aborted repair fold. Any other error ends the walk.
+fn fallback_reason(e: &EngineError) -> Option<FallbackReason> {
+    use RepairError::{BudgetExceeded, Eval as PerRepair};
+    Some(match e.clone() {
+        EngineError::Eval(EvalError::SymbolicPunt(punt)) => FallbackReason::Symbolic(punt),
+        EngineError::Repair(e) => FallbackReason::RepairEnumerationAborted(match e {
+            BudgetExceeded { repairs, budget } => RepairAbort::RepairBudget { repairs, budget },
+            PerRepair(EvalError::WorldBudgetExceeded { worlds, budget }) => {
+                RepairAbort::PerRepairWorldBudget { worlds, budget }
+            }
+            PerRepair(_) => RepairAbort::PerRepairEvaluation,
+        }),
+        _ => return None,
+    })
+}
+
+/// The query's span tree, read from its finished stats: the plan phase
+/// (with the analyze + dispatch slice, when timed) and the execute phase,
+/// which holds the answering strategy's span — its counters as fields, one
+/// child per enumeration-fold shard.
+fn trace(
+    stats: &EngineStats,
     strategy: StrategyKind,
-    guarantee: Guarantee,
-    /// The class of the *original* query — what the report declares, even
-    /// when subtree inlining hands the executor a reduced plan.
-    class: QueryClass,
-    /// Evaluate ground subtrees plainly and inline them before executing
-    /// the strategy ([`releval::split`]).
-    split: bool,
-    /// What the analyzer contributed, for the report.
-    analyzer: Option<AnalyzerStats>,
-    estimated_worlds: Option<u128>,
-    degraded: bool,
-    /// Why the planner's first choice is not the one executing (symbolic
-    /// rule-out or punt, repair budget, aborted enumeration).
-    fallback: Option<FallbackReason>,
-    /// Violations witnessed, when consistent answering dispatched.
-    violations: Option<usize>,
-    /// Conflict vertices, when consistent answering dispatched.
-    conflict_tuples: Option<usize>,
-    /// The Moon–Moser repair estimate, when enumeration was considered.
-    estimated_repairs: Option<u128>,
-    /// Caller-forced strategy: punts become errors instead of fallbacks.
-    forced: bool,
-}
-
-/// The all-`None` baseline every decision starts from; `strategy` and
-/// `guarantee` are always overridden at the construction site.
-impl Default for Decision {
-    fn default() -> Self {
-        Decision {
-            strategy: StrategyKind::NaiveExact,
-            guarantee: Guarantee::NoGuarantee,
-            class: QueryClass::FullRa,
-            split: false,
-            analyzer: None,
-            estimated_worlds: None,
-            degraded: false,
-            fallback: None,
-            violations: None,
-            conflict_tuples: None,
-            estimated_repairs: None,
-            forced: false,
+    run_time: Duration,
+    shards: &[ShardProfile],
+    dispatch_time: Option<Duration>,
+) -> obs::Span {
+    let count = |n: Option<usize>| n.map(|n| n as u64);
+    let worlds = stats
+        .worlds_enumerated
+        .map(|_| u64::from(stats.world_early_exit));
+    let repairs = stats
+        .repairs_enumerated
+        .map(|_| u64::from(stats.repair_early_exit));
+    let ops = |field: fn(&OpStats) -> usize| stats.physical_ops.as_ref().map(|o| field(o) as u64);
+    let fields = [
+        ("worlds_visited", stats.worlds_enumerated.map(clamp_u64)),
+        ("worlds_batched", stats.worlds_batched.map(clamp_u64)),
+        ("world_threads", count(stats.world_threads)),
+        ("world_early_exit", worlds),
+        ("condition_atoms", count(stats.condition_atoms)),
+        ("solver_calls", count(stats.solver_calls)),
+        ("simplification_wins", count(stats.simplification_wins)),
+        ("solver_decisions", count(stats.solver_decisions)),
+        ("repairs_visited", stats.repairs_enumerated.map(clamp_u64)),
+        ("repairs_batched", stats.repairs_batched.map(clamp_u64)),
+        ("repair_early_exit", repairs),
+        ("operators", ops(|o| o.operators)),
+        ("batches", ops(|o| o.batches)),
+        ("tables_built", ops(|o| o.tables_built)),
+        ("tables_reused", ops(|o| o.tables_reused)),
+    ];
+    let mut span = obs::Span::with_duration(strategy.name(), run_time);
+    for (name, value) in fields {
+        if let Some(value) = value {
+            span.push_field(name, value);
         }
     }
+    for (index, shard) in shards.iter().enumerate() {
+        let mut child = obs::Span::with_duration("shard", Duration::from_nanos(shard.nanos));
+        child.push_field("index", index as u64);
+        child.push_field("units_batched", clamp_u64(shard.units));
+        span.push_child(child);
+    }
+    let mut execute = obs::Span::with_duration("execute", stats.execute_time);
+    execute.push_child(span);
+    let mut plan = obs::Span::with_duration("plan", stats.plan_time);
+    plan.push_field("nulls", stats.nulls as u64);
+    if let Some(d) = dispatch_time {
+        plan.push_child(obs::Span::with_duration("analyze+dispatch", d));
+    }
+    let mut root = obs::Span::with_duration("query", stats.total_time);
+    root.push_child(plan);
+    root.push_child(execute);
+    root
 }
 
 #[cfg(test)]

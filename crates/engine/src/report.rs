@@ -352,7 +352,8 @@ impl fmt::Display for AnalysisReport {
 pub struct EngineStats {
     /// Time to parse (if textual), typecheck and classify the query.
     pub plan_time: Duration,
-    /// Time spent executing the selected strategy.
+    /// Time spent walking the dispatch chain: the strategy that answered,
+    /// plus any step that punted or aborted before it.
     pub execute_time: Duration,
     /// End-to-end time of the engine call.
     pub total_time: Duration,

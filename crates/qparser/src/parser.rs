@@ -37,12 +37,12 @@ pub enum ParseError {
     },
 }
 
-/// The deepest query [`parse`] accepts: the depth of the expression tree,
-/// counting each selection's predicate as a subtree of the selection and
-/// each operator of a chain as one level, and the nesting depth of the text,
-/// parentheses included. Generated and benchmark queries nest fewer than 20
-/// levels.
-pub const MAX_DEPTH: usize = 128;
+/// The deepest query [`parse`] accepts, for both the expression tree it
+/// builds ([`RaExpr::depth`]: each operator of a chain is one level) and
+/// the nesting depth of the text, parentheses included. It is the bound
+/// `relalgebra` puts on every expression, so any tree `parse` builds also
+/// passes `PlannedQuery::new`'s depth check.
+pub use relalgebra::ast::MAX_DEPTH;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -397,43 +397,23 @@ mod tests {
         assert!(err.to_string().contains("expected"));
     }
 
-    /// Depth of an expression tree, a selection's predicate counting as a
-    /// subtree of the selection (the measure [`MAX_DEPTH`] bounds).
-    fn depth(e: &RaExpr) -> usize {
-        fn pred(p: &Predicate) -> usize {
-            match p {
-                Predicate::And(a, b) | Predicate::Or(a, b) => 1 + pred(a).max(pred(b)),
-                Predicate::Not(a) => 1 + pred(a),
-                _ => 1,
-            }
-        }
-        match e {
-            RaExpr::Relation(_) | RaExpr::Values(_) | RaExpr::Delta => 1,
-            RaExpr::Select(a, p) => 1 + depth(a).max(pred(p)),
-            RaExpr::Project(a, _) => 1 + depth(a),
-            RaExpr::Product(a, b)
-            | RaExpr::Union(a, b)
-            | RaExpr::Difference(a, b)
-            | RaExpr::Intersection(a, b)
-            | RaExpr::Divide(a, b) => 1 + depth(a).max(depth(b)),
-        }
-    }
-
     #[test]
     fn depth_is_bounded_at_the_limit_exactly() {
         let too_deep = Err(ParseError::TooDeep { limit: MAX_DEPTH });
         // Chains: the limit is the tree's depth, not the recursion's.
         let chain = |n: usize| vec!["R"; n].join(" minus ");
-        assert_eq!(depth(&parse(&chain(MAX_DEPTH)).unwrap()), MAX_DEPTH);
+        assert_eq!(parse(&chain(MAX_DEPTH)).unwrap().depth(), MAX_DEPTH);
         assert_eq!(parse(&chain(MAX_DEPTH + 1)), too_deep);
         let conj = |n: usize| format!("select[{}](R)", vec!["#0 = 1"; n].join(" and "));
-        assert_eq!(depth(&parse(&conj(MAX_DEPTH - 1)).unwrap()), MAX_DEPTH);
+        assert_eq!(parse(&conj(MAX_DEPTH - 1)).unwrap().depth(), MAX_DEPTH);
         assert_eq!(parse(&conj(MAX_DEPTH)), too_deep);
         // Prefix nesting: projections, negations, parentheses.
         let nest =
             |open: &str, close: &str, n: usize| format!("{}R{}", open.repeat(n), close.repeat(n));
         assert_eq!(
-            depth(&parse(&nest("project[#0](", ")", MAX_DEPTH - 1)).unwrap()),
+            parse(&nest("project[#0](", ")", MAX_DEPTH - 1))
+                .unwrap()
+                .depth(),
             MAX_DEPTH
         );
         assert_eq!(parse(&nest("project[#0](", ")", MAX_DEPTH)), too_deep);

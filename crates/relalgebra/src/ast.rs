@@ -17,6 +17,14 @@ use relmodel::Relation;
 
 use crate::predicate::Predicate;
 
+/// The deepest expression the workspace accepts, by [`RaExpr::depth`].
+/// Typechecking, lowering, analysis and every evaluator walk an expression
+/// recursively, so deeper trees are refused at the door (with
+/// `TypeError::TooDeep`, or `ParseError::TooDeep` for text) instead of
+/// overflowing a thread's stack further down. Generated and benchmark
+/// queries nest fewer than 20 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A relational algebra expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RaExpr {
@@ -152,6 +160,50 @@ impl RaExpr {
         let mut n = 0;
         self.visit(&mut |_| n += 1);
         n
+    }
+
+    /// The depth of the expression tree, a leaf being 1 and a selection's
+    /// predicate counting as a subtree of the selection: the measure
+    /// [`MAX_DEPTH`] bounds. Walks an explicit stack, so it is safe on trees
+    /// too deep for any recursive walk.
+    pub fn depth(&self) -> usize {
+        enum Node<'a> {
+            Expr(&'a RaExpr),
+            Pred(&'a Predicate),
+        }
+        let mut deepest = 0;
+        let mut stack = vec![(Node::Expr(self), 1)];
+        while let Some((node, depth)) = stack.pop() {
+            deepest = deepest.max(depth);
+            let below = depth + 1;
+            match node {
+                Node::Expr(RaExpr::Select(e, p)) => {
+                    stack.push((Node::Expr(e), below));
+                    stack.push((Node::Pred(p), below));
+                }
+                Node::Expr(RaExpr::Project(e, _)) => stack.push((Node::Expr(e), below)),
+                Node::Expr(
+                    RaExpr::Product(a, b)
+                    | RaExpr::Union(a, b)
+                    | RaExpr::Difference(a, b)
+                    | RaExpr::Intersection(a, b)
+                    | RaExpr::Divide(a, b),
+                ) => {
+                    stack.push((Node::Expr(a), below));
+                    stack.push((Node::Expr(b), below));
+                }
+                Node::Pred(Predicate::And(a, b) | Predicate::Or(a, b)) => {
+                    stack.push((Node::Pred(a), below));
+                    stack.push((Node::Pred(b), below));
+                }
+                Node::Pred(Predicate::Not(a)) => stack.push((Node::Pred(a), below)),
+                Node::Expr(RaExpr::Relation(_) | RaExpr::Values(_) | RaExpr::Delta)
+                | Node::Pred(
+                    Predicate::True | Predicate::False | Predicate::Eq(..) | Predicate::NotEq(..),
+                ) => {}
+            }
+        }
+        deepest
     }
 
     /// Applies `f` to every sub-expression, parents before children.

@@ -16,7 +16,7 @@ use relmodel::Schema;
 use crate::ast::RaExpr;
 use crate::classify::{classify, QueryClass};
 use crate::physical::PhysicalPlan;
-use crate::typecheck::{output_arity, TypeError};
+use crate::typecheck::{check_depth, output_arity, TypeError};
 
 /// A typechecked and classified query, bound to the schema it was checked
 /// against, carrying its lowered physical plan.
@@ -36,6 +36,7 @@ impl PlannedQuery {
     /// Typechecks `expr` against `schema`, classifies it into the smallest
     /// fragment of the paper's taxonomy, and lowers it to a physical plan.
     pub fn new(expr: RaExpr, schema: &Schema) -> Result<Self, TypeError> {
+        check_depth(&expr)?;
         let arity = output_arity(&expr, schema)?;
         let class = classify(&expr);
         let physical = PhysicalPlan::lower_unchecked(&expr, schema);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use relmodel::Schema;
 
-use crate::ast::RaExpr;
+use crate::ast::{RaExpr, MAX_DEPTH};
 
 /// Errors detected while type-checking an expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +42,11 @@ pub enum TypeError {
         /// Arity of the divisor.
         divisor: usize,
     },
+    /// The expression is deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// The depth limit the expression exceeded.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for TypeError {
@@ -61,11 +66,24 @@ impl fmt::Display for TypeError {
                 f,
                 "division requires divisor arity ({divisor}) strictly smaller than dividend arity ({dividend})"
             ),
+            TypeError::TooDeep { limit } => {
+                write!(f, "expression nests deeper than the limit of {limit} levels")
+            }
         }
     }
 }
 
 impl std::error::Error for TypeError {}
+
+/// Refuses an expression deeper than [`MAX_DEPTH`]. Every recursive walk
+/// of an expression — its typecheck, its `clone`, its analysis — must come
+/// after this check.
+pub fn check_depth(expr: &RaExpr) -> Result<(), TypeError> {
+    if expr.depth() > MAX_DEPTH {
+        return Err(TypeError::TooDeep { limit: MAX_DEPTH });
+    }
+    Ok(())
+}
 
 /// Computes the output arity of an expression over the given schema, checking
 /// all arity constraints along the way.

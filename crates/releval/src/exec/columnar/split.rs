@@ -37,12 +37,13 @@
 //! * fully static subtrees (ground-only scans, literals) evaluate **once**,
 //!   volatile permanently empty.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
 use relalgebra::predicate::Predicate;
 use relmodel::batch::{morsel_ranges, ColumnBatch};
+use relmodel::value::{Constant, Value};
 
 use super::{
     build_key_table, divide_syntactic, hash_key, membership_keep, product, project_dedup,
@@ -71,21 +72,51 @@ impl Split {
 }
 
 /// The shard-invariant leaf data a [`ShardExec`] is constructed over.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardSetup {
     /// Relation name → its element-invariant rows: the ground rows of the
     /// base batch for worlds, the conflict-free core rows for repairs.
-    pub stable_scans: HashMap<String, Rc<ColumnBatch>>,
+    stable_scans: HashMap<String, Rc<ColumnBatch>>,
     /// Relation name → is the relation **identical** in every element of
     /// the shard (no symbolic rows, no OWA extension candidates, no
     /// conflict vertices)?
-    pub static_scans: HashMap<String, bool>,
+    static_scans: HashMap<String, bool>,
     /// The element-invariant part of the Δ diagonal (one `(c, c)` row per
     /// base constant — base constants survive into every element).
-    pub stable_delta: Rc<ColumnBatch>,
+    stable_delta: Rc<ColumnBatch>,
     /// Is Δ invariant across elements (no element ever contributes a
     /// constant beyond the base ones)?
-    pub static_delta: bool,
+    static_delta: bool,
+}
+
+impl ShardSetup {
+    /// The leaf data of one shard. `scans` lists each relation's
+    /// element-invariant rows and whether the relation is static. `delta`
+    /// holds the constants every element shares, and whether Δ is static,
+    /// for a plan that reads Δ ([`relalgebra::physical::reads_delta`]);
+    /// a plan that does not passes `None`, and neither the shard nor its
+    /// elements build any Δ rows.
+    pub fn new(
+        scans: impl IntoIterator<Item = (String, ColumnBatch, bool)>,
+        delta: Option<(&BTreeSet<Constant>, bool)>,
+    ) -> ShardSetup {
+        let mut stable_scans = HashMap::new();
+        let mut static_scans = HashMap::new();
+        for (name, batch, is_static) in scans {
+            static_scans.insert(name.clone(), is_static);
+            stable_scans.insert(name, Rc::new(batch));
+        }
+        let mut stable_delta = ColumnBatch::new(2);
+        for c in delta.iter().flat_map(|(constants, _)| constants.iter()) {
+            stable_delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
+        }
+        ShardSetup {
+            stable_scans,
+            static_scans,
+            stable_delta: Rc::new(stable_delta),
+            static_delta: delta.is_none_or(|(_, is_static)| is_static),
+        }
+    }
 }
 
 /// Per-element leaf data: each relation's volatile remainder and Δ's extra
@@ -815,17 +846,17 @@ mod tests {
             .difference(RaExpr::relation("S"));
         let plan = PlannedQuery::new(q, base.schema()).unwrap();
 
-        let mut setup = ShardSetup::default();
-        for rs in base.schema().iter() {
-            let rel = base.relation(&rs.name).unwrap();
-            setup
-                .stable_scans
-                .insert(rs.name.clone(), Rc::new(ColumnBatch::from_relation(rel)));
-            // R varies per element; S is static.
-            setup.static_scans.insert(rs.name.clone(), rs.name == "S");
-        }
-        setup.stable_delta = Rc::new(ColumnBatch::new(2));
-        setup.static_delta = true;
+        // R varies per element; S is static.
+        let setup = ShardSetup::new(
+            base.iter().map(|(name, rel)| {
+                (
+                    name.to_owned(),
+                    ColumnBatch::from_relation(rel),
+                    name == "S",
+                )
+            }),
+            None,
+        );
         let mut exec = ShardExec::new(plan.physical(), 1024, setup);
 
         // Element i adds the row (i, 10·i) to R.

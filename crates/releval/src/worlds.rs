@@ -33,10 +33,9 @@
 //! reference and benchmark baseline.
 
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 use relalgebra::ast::RaExpr;
-use relalgebra::physical::PhysicalPlan;
+use relalgebra::physical::{reads_delta, PhysicalPlan};
 use relalgebra::plan::PlannedQuery;
 use relmodel::batch::{morsel_rows, ColumnBatch, OverlayBatch};
 use relmodel::semantics::{adequate_domain, all_complete_tuples, BoundedSubsetIter, WorldIter};
@@ -275,26 +274,29 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'
 
     // ---- shard-invariant setup: overlays, stable leaves, OWA candidates ----
     let nulls: Vec<NullId> = db.null_ids().into_iter().collect();
-    let base_consts: BTreeSet<Constant> = db.constants();
-    let mut setup = ShardSetup::default();
-    let mut overlays: Vec<(String, OverlayBatch)> = Vec::new();
-    for rs in db.schema().iter() {
-        let rel = db.relation(&rs.name).expect("schema lists the relation");
-        let overlay = OverlayBatch::new(&ColumnBatch::from_relation(rel));
-        setup
-            .static_scans
-            .insert(rs.name.clone(), overlay.is_all_ground() && max_extra == 0);
-        setup
-            .stable_scans
-            .insert(rs.name.clone(), Rc::new(overlay.stable().clone()));
-        overlays.push((rs.name.clone(), overlay));
-    }
-    let base_diag: Vec<Tuple> = base_consts
+    // Δ work — its stable diagonal and each world's refill — only for a
+    // plan that reads Δ.
+    let base_consts: Option<BTreeSet<Constant>> = reads_delta(plan.root()).then(|| db.constants());
+    let overlays: Vec<(String, OverlayBatch)> = db
+        .schema()
         .iter()
-        .map(|c| Tuple::new(vec![Value::Const(c.clone()), Value::Const(c.clone())]))
+        .map(|rs| {
+            let rel = db.relation(&rs.name).expect("schema lists the relation");
+            (
+                rs.name.clone(),
+                OverlayBatch::new(&ColumnBatch::from_relation(rel)),
+            )
+        })
         .collect();
-    setup.stable_delta = Rc::new(ColumnBatch::from_rows(2, base_diag.iter()));
-    setup.static_delta = nulls.is_empty() && max_extra == 0;
+    let setup = ShardSetup::new(
+        overlays.iter().map(|(name, overlay)| {
+            let is_static = overlay.is_all_ground() && max_extra == 0;
+            (name.clone(), overlay.stable().clone(), is_static)
+        }),
+        base_consts
+            .as_ref()
+            .map(|base| (base, nulls.is_empty() && max_extra == 0)),
+    );
     // Mirrors WorldIter's extension candidates: every complete tuple over
     // the valuation domain, enumerated in the same order.
     let candidates: Vec<(String, Tuple)> = if max_extra > 0 {
@@ -332,13 +334,15 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'
                 let (name, tuple) = &candidates[ci];
                 scratch.scan(name).push_tuple(tuple);
             }
-            let extension = subset.iter().flat_map(|&ci| candidates[ci].1.values());
-            scratch.refill_delta(
-                &base_consts,
-                extension
-                    .filter_map(Value::as_const)
-                    .chain(v.iter().map(|(_, c)| c)),
-            );
+            if let Some(base) = &base_consts {
+                let extension = subset.iter().flat_map(|&ci| candidates[ci].1.values());
+                scratch.refill_delta(
+                    base,
+                    extension
+                        .filter_map(Value::as_const)
+                        .chain(v.iter().map(|(_, c)| c)),
+                );
+            }
             if !shard.fold_split(&exec.eval_element(&scratch.input())) {
                 break 'outer;
             }

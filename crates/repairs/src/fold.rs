@@ -59,7 +59,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::rc::Rc;
 
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::physical::{linear_volatility, reads_delta};
@@ -295,27 +294,6 @@ impl Core {
         });
         Core { scans, constants }
     }
-
-    /// A worker's split-executor setup: the core rows are the stable scans,
-    /// and a relation is static iff no conflict vertex lives in it.
-    fn shard_setup(&self, graph: &ConflictGraph, volatile: &BTreeSet<&str>) -> ShardSetup {
-        let mut setup = ShardSetup::default();
-        for (name, batch) in &self.scans {
-            setup
-                .stable_scans
-                .insert(name.clone(), Rc::new(batch.clone()));
-            setup
-                .static_scans
-                .insert(name.clone(), !volatile.contains(name.as_str()));
-        }
-        let mut diag = ColumnBatch::new(2);
-        for c in self.constants.iter().flatten() {
-            diag.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
-        }
-        setup.stable_delta = Rc::new(diag);
-        setup.static_delta = graph.vertices().is_empty();
-        setup
-    }
 }
 
 /// The relations holding conflict vertices.
@@ -415,7 +393,17 @@ fn element_exec<'a>(job: ShardJob<'a>, core: &Core) -> (ShardExec<'a>, Scratch) 
             .arity();
         (name.to_string(), arity)
     }));
-    let setup = core.shard_setup(job.graph, &volatile);
+    // The core rows are the stable scans; a relation is static iff no
+    // conflict vertex lives in it.
+    let setup = ShardSetup::new(
+        core.scans.iter().map(|(name, batch)| {
+            let is_static = !volatile.contains(name.as_str());
+            (name.clone(), batch.clone(), is_static)
+        }),
+        core.constants
+            .as_ref()
+            .map(|constants| (constants, job.graph.vertices().is_empty())),
+    );
     (
         ShardExec::new(job.plan.physical(), morsel_rows(), setup),
         scratch,

@@ -376,3 +376,391 @@ fn forced_strategies_report_honest_guarantees_per_class() {
         assert_eq!(report.guarantee, guarantee, "forced {strategy}");
     }
 }
+
+/// What one fallback-chain row expects on the report: the step that
+/// answered, its guarantee, and every dispatch field the chain fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChainOutcome {
+    strategy: StrategyKind,
+    guarantee: Guarantee,
+    fallback: Option<FallbackReason>,
+    degraded: bool,
+    estimated_worlds: Option<u128>,
+    estimated_repairs: Option<u128>,
+}
+
+impl ChainOutcome {
+    fn of(report: &CertainReport) -> Self {
+        ChainOutcome {
+            strategy: report.strategy,
+            guarantee: report.guarantee,
+            fallback: report.stats.fallback,
+            degraded: report.stats.degraded,
+            estimated_worlds: report.stats.estimated_worlds,
+            estimated_repairs: report.stats.estimated_repairs,
+        }
+    }
+}
+
+fn solver_budget_punt() -> Option<FallbackReason> {
+    Some(FallbackReason::Symbolic(
+        releval::symbolic::PuntReason::SolverBudget { budget: 0 },
+    ))
+}
+
+/// R(k, v) with key k, one conflicting pair on k = 1 and two null-bearing
+/// tuples: two repairs, each carrying both nulls.
+fn dirty_nullable_db() -> Database {
+    relmodel::DatabaseBuilder::new()
+        .relation("R", &["k", "v"])
+        .key("R", &["k"])
+        .ints("R", &[1, 10])
+        .ints("R", &[1, 20])
+        .tuple("R", vec![Value::int(2), Value::null(0)])
+        .tuple("R", vec![Value::int(3), Value::null(1)])
+        .build()
+}
+
+/// `R ∪ {(⊥0, 7)}`: the null-bearing literal rules symbolic out (per
+/// repair too), and keeps every intersection nonempty so no early exit
+/// rescues a starved world budget.
+fn union_with_null_literal() -> RaExpr {
+    RaExpr::relation("R").union(RaExpr::values(Relation::from_tuples(
+        2,
+        vec![Tuple::new(vec![Value::null(0), Value::int(7)])],
+    )))
+}
+
+/// The fallback chains, pinned row by row: every way the planner's first
+/// choice can hand over to a later step — a runtime solver punt, a
+/// planning-time symbolic rule-out, a world budget, a repair budget, an
+/// aborted repair fold — and what the report says about it afterwards.
+#[test]
+fn the_fallback_chain_rows() {
+    use Guarantee::*;
+    use StrategyKind::*;
+
+    let tower = incomplete_data::qparser::parse("(R minus S) minus (S minus R)").unwrap();
+    let difference = relmodel::builder::difference_example();
+    let punting = EngineOptions::default().with_max_decisions(0);
+
+    // A null-bearing `Values` literal joined against the database null.
+    let literal_db = relmodel::DatabaseBuilder::new()
+        .relation("R", &["a", "b"])
+        .tuple("R", vec![Value::int(1), Value::null(0)])
+        .build();
+    let literal_query = RaExpr::relation("R")
+        .product(RaExpr::values(Relation::from_tuples(
+            2,
+            vec![Tuple::new(vec![Value::null(0), Value::int(7)])],
+        )))
+        .select(relalgebra::predicate::Predicate::eq(
+            relalgebra::predicate::Operand::col(1),
+            relalgebra::predicate::Operand::col(2),
+        ))
+        .project(vec![0, 3]);
+    let null_literal = Some(FallbackReason::Symbolic(
+        releval::symbolic::PuntReason::NullValuesLiteral,
+    ));
+
+    let dirty = relmodel::DatabaseBuilder::new()
+        .relation("R", &["k", "v"])
+        .key("R", &["k"])
+        .ints("R", &[1, 10])
+        .ints("R", &[1, 20])
+        .ints("R", &[2, 30])
+        .build();
+    let keys = incomplete_data::qparser::parse("project[#1](R)").unwrap();
+    let mut starved_repairs = incomplete_data::repairs::RepairOptions::default();
+    starved_repairs.world_options.max_worlds = 1;
+
+    // (name, db, semantics, options, query, planning-time head, outcome)
+    type Row<'a> = (
+        &'a str,
+        &'a Database,
+        engine::Semantics,
+        EngineOptions,
+        &'a RaExpr,
+        StrategyKind,
+        ChainOutcome,
+    );
+    let rows: Vec<Row<'_>> = vec![
+        // Symbolic punts at run time; the world oracle answers exactly,
+        // with the punt on the report.
+        (
+            "runtime punt → worlds",
+            &difference,
+            engine::Semantics::Cwa,
+            punting,
+            &tower,
+            SymbolicCTable,
+            ChainOutcome {
+                strategy: WorldsGroundTruth,
+                guarantee: Exact,
+                fallback: solver_budget_punt(),
+                degraded: false,
+                estimated_worlds: Some(4),
+                estimated_repairs: None,
+            },
+        ),
+        // The same punt beyond the world budget ends at the approximation,
+        // degraded, the punt still named.
+        (
+            "runtime punt → world budget → approximation",
+            &difference,
+            engine::Semantics::Cwa,
+            punting.with_max_worlds(1),
+            &tower,
+            SymbolicCTable,
+            ChainOutcome {
+                strategy: SoundApproximation,
+                guarantee: Sound,
+                fallback: solver_budget_punt(),
+                degraded: true,
+                estimated_worlds: Some(4),
+                estimated_repairs: None,
+            },
+        ),
+        // The planning-time rule-out takes the same chain.
+        (
+            "null literal rule-out → worlds",
+            &literal_db,
+            engine::Semantics::Cwa,
+            EngineOptions::default(),
+            &literal_query,
+            WorldsGroundTruth,
+            ChainOutcome {
+                strategy: WorldsGroundTruth,
+                guarantee: Exact,
+                fallback: null_literal,
+                degraded: false,
+                estimated_worlds: Some(4),
+                estimated_repairs: None,
+            },
+        ),
+        (
+            "null literal rule-out → world budget → approximation",
+            &literal_db,
+            engine::Semantics::Cwa,
+            EngineOptions::default().with_max_worlds(1),
+            &literal_query,
+            SoundApproximation,
+            ChainOutcome {
+                strategy: SoundApproximation,
+                guarantee: Sound,
+                fallback: null_literal,
+                degraded: true,
+                estimated_worlds: Some(4),
+                estimated_repairs: None,
+            },
+        ),
+        // The repair budget refuses enumeration at planning time.
+        (
+            "repair budget → core",
+            &dirty,
+            engine::Semantics::ConsistentAnswers,
+            EngineOptions::default().with_max_repairs(1),
+            &keys,
+            ConflictFreeCore,
+            ChainOutcome {
+                strategy: ConflictFreeCore,
+                guarantee: Sound,
+                fallback: Some(FallbackReason::RepairBudget {
+                    estimated: 2,
+                    budget: 1,
+                }),
+                degraded: true,
+                estimated_worlds: None,
+                estimated_repairs: Some(2),
+            },
+        ),
+    ];
+
+    for (name, db, semantics, options, q, head, expected) in rows {
+        let engine = Engine::new(db).semantics(semantics).options(options);
+        let report = engine.plan(q).unwrap();
+        assert_eq!(ChainOutcome::of(&report), expected, "{name}");
+        assert_eq!(
+            engine.select_strategy(q, classify(q)).0,
+            head,
+            "the preview stops where planning does: {name}"
+        );
+    }
+
+    // An enumeration that aborts at run time (each repair's world oracle
+    // starves) degrades to the core with the cause on the report.
+    let report = Engine::new(&dirty_nullable_db())
+        .consistent_answers()
+        .options(EngineOptions::default().with_repair_options(starved_repairs))
+        .plan(&union_with_null_literal())
+        .unwrap();
+    let outcome = ChainOutcome::of(&report);
+    assert!(
+        matches!(
+            outcome.fallback,
+            Some(FallbackReason::RepairEnumerationAborted(
+                RepairAbort::PerRepairWorldBudget { budget: 1, .. }
+            ))
+        ),
+        "repair abort → core: {outcome:?}"
+    );
+    assert_eq!(
+        outcome,
+        ChainOutcome {
+            strategy: ConflictFreeCore,
+            guarantee: Sound,
+            fallback: outcome.fallback,
+            degraded: true,
+            estimated_worlds: None,
+            estimated_repairs: Some(2),
+        },
+        "repair abort → core"
+    );
+}
+
+/// The one chain where a punt happens on a *reduced* plan: under OWA a
+/// monotone query dispatches by the CWA rules (OWA-as-CWA), a ground
+/// subtree is inlined, and the reduced plan's solver punts at run time. The
+/// world step that answers keeps the effective CWA guarantee.
+#[test]
+fn a_split_plan_under_owa_as_cwa_that_punts_at_run_time() {
+    use Guarantee::*;
+    use StrategyKind::*;
+
+    // R = {(⊥0, ⊥1)}, S = {1}. Refuting `⊥0 ≠ 1 ∧ ⊥1 ≠ 2` takes a case
+    // split, which a zero-decision budget refuses; `π∅(S)` is a ground
+    // subtree.
+    let db = relmodel::DatabaseBuilder::new()
+        .relation("R", &["a", "b"])
+        .relation("S", &["a"])
+        .tuple("R", vec![Value::null(0), Value::null(1)])
+        .ints("S", &[1])
+        .build();
+    let parse = |text| incomplete_data::qparser::parse(text).unwrap();
+    let q = parse("select[#0 != 1 and #1 != 2](R)")
+        .project(vec![])
+        .product(parse("S").project(vec![]));
+    let engine = Engine::new(&db)
+        .semantics(Semantics::Owa)
+        .options(EngineOptions::default().with_max_decisions(0));
+    assert_eq!(
+        engine.select_strategy(&q, classify(&q)),
+        (SymbolicCTable, Exact),
+        "monotone under OWA: the CWA rules apply"
+    );
+    let report = engine.plan(&q).unwrap();
+    let analyzer = report.stats.analyzer.expect("the analyzer dispatched");
+    assert!(
+        analyzer.owa_as_cwa && analyzer.inlined_subtrees > 0,
+        "{analyzer:?}"
+    );
+    assert_eq!(
+        ChainOutcome::of(&report),
+        ChainOutcome {
+            strategy: WorldsGroundTruth,
+            guarantee: Exact,
+            fallback: solver_budget_punt(),
+            degraded: false,
+            estimated_worlds: Some(25),
+            estimated_repairs: None,
+        }
+    );
+    assert!(report.answers.is_empty(), "some world sets ⊥0 = 1");
+
+    let starved = Engine::new(&db)
+        .semantics(Semantics::Owa)
+        .options(
+            EngineOptions::default()
+                .with_max_decisions(0)
+                .with_max_worlds(1),
+        )
+        .plan(&q)
+        .unwrap();
+    assert_eq!(
+        ChainOutcome::of(&starved),
+        ChainOutcome {
+            strategy: SoundApproximation,
+            guarantee: Sound,
+            fallback: solver_budget_punt(),
+            degraded: true,
+            estimated_worlds: Some(25),
+            estimated_repairs: None,
+        }
+    );
+}
+
+/// Every forced door errs with a typed error where the planner's own chain
+/// would have degraded: the caller asked for one strategy and nothing else.
+#[test]
+fn forced_doors_err_instead_of_degrading() {
+    let difference = relmodel::builder::difference_example();
+    let tower = incomplete_data::qparser::parse("(R minus S) minus (S minus R)").unwrap();
+    let punting = Engine::new(&difference).options(EngineOptions::default().with_max_decisions(0));
+    assert!(matches!(
+        punting.plan_with(StrategyKind::SymbolicCTable, &tower),
+        Err(EngineError::Eval(releval::EvalError::SymbolicPunt(
+            releval::symbolic::PuntReason::SolverBudget { budget: 0 }
+        )))
+    ));
+
+    let literal_db = dirty_nullable_db();
+    let literal_query = union_with_null_literal();
+    assert!(matches!(
+        Engine::new(&literal_db).plan_with(StrategyKind::SymbolicCTable, &literal_query),
+        Err(EngineError::Eval(releval::EvalError::SymbolicPunt(
+            releval::symbolic::PuntReason::NullValuesLiteral
+        )))
+    ));
+
+    // `R ∪ S` keeps (1) in every world, so no early exit rescues a starved
+    // world budget.
+    let mut b = relmodel::DatabaseBuilder::new()
+        .relation("R", &["a"])
+        .relation("S", &["a"]);
+    for i in 0..6u64 {
+        b = b.tuple("S", vec![Value::null(i)]);
+    }
+    let wide = b.ints("R", &[1]).build();
+    let union = incomplete_data::qparser::parse("R union S").unwrap();
+    let starved = Engine::new(&wide).options(EngineOptions::exhaustive().with_max_worlds(10));
+    for err in [
+        starved.ground_truth(&union).unwrap_err(),
+        starved
+            .plan_with(StrategyKind::WorldsGroundTruth, &union)
+            .unwrap_err(),
+    ] {
+        assert!(
+            matches!(
+                err,
+                EngineError::Eval(releval::EvalError::WorldBudgetExceeded { budget: 10, .. })
+            ),
+            "{err:?}"
+        );
+    }
+
+    let keys = incomplete_data::qparser::parse("project[#1](R)").unwrap();
+    let over_budget = Engine::new(&literal_db)
+        .consistent_answers()
+        .options(EngineOptions::default().with_max_repairs(1));
+    assert!(matches!(
+        over_budget.plan_with(StrategyKind::RepairEnumeration, &keys),
+        Err(EngineError::Repair(
+            incomplete_data::repairs::RepairError::BudgetExceeded { budget: 1, .. }
+        ))
+    ));
+
+    let mut starved_repairs = incomplete_data::repairs::RepairOptions::default();
+    starved_repairs.world_options.max_worlds = 1;
+    let aborting = Engine::new(&literal_db)
+        .consistent_answers()
+        .options(EngineOptions::default().with_repair_options(starved_repairs));
+    assert!(matches!(
+        aborting.plan_with(StrategyKind::RepairEnumeration, &literal_query),
+        Err(EngineError::Repair(
+            incomplete_data::repairs::RepairError::Eval(releval::EvalError::WorldBudgetExceeded {
+                budget: 1,
+                ..
+            })
+        ))
+    ));
+}

@@ -7,10 +7,14 @@
 //! [`qparser::MAX_DEPTH`]. These tests drive that bound through every text
 //! entry point, on a small 2 MiB thread, in both shapes of deep text:
 //! prefix nesting (which recurses in the parser) and left-deep operator
-//! chains (which parse iteratively but build deep trees).
+//! chains (which parse iteratively but build deep trees). Expressions built
+//! through the library API meet the same bound, [`RaExpr::depth`] against
+//! [`MAX_DEPTH`], at every engine door and in [`PlannedQuery::new`].
 
 use incomplete_data::prelude::*;
 use incomplete_data::qparser::{self, ParseError, PlanTextError, MAX_DEPTH};
+use relalgebra::predicate::{Operand, Predicate};
+use relalgebra::typecheck::TypeError;
 use relmodel::{DatabaseBuilder, Value};
 
 /// A stack small enough that an unbounded recursion over a few thousand
@@ -113,4 +117,59 @@ fn a_mixed_query_at_the_limit_is_answered_on_a_small_stack() {
             Err(ParseError::TooDeep { limit: MAX_DEPTH })
         );
     });
+}
+
+/// Expressions ten thousand levels deep, built through the API: a
+/// difference chain and a selection under a chain of negations. Each door
+/// refuses them before any recursive walk, on a 2 MiB stack. The trees are
+/// built and dropped on a large stack: dropping one recurses.
+#[test]
+fn deep_expressions_are_refused_at_every_engine_door() {
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(|| {
+            let levels = 10_000;
+            let mut chain = RaExpr::relation("R");
+            let mut negations = Predicate::eq(Operand::col(0), Operand::col(1));
+            for _ in 0..levels {
+                chain = chain.difference(RaExpr::relation("S"));
+                negations = Predicate::Not(Box::new(negations));
+            }
+            let selection = RaExpr::relation("R").select(negations);
+            assert_eq!(chain.depth(), levels + 1);
+            assert_eq!(selection.depth(), levels + 2);
+            let db = db();
+            let too_deep = TypeError::TooDeep { limit: MAX_DEPTH };
+            for deep in [&chain, &selection] {
+                std::thread::scope(|scope| {
+                    std::thread::Builder::new()
+                        .stack_size(SMALL_STACK)
+                        .spawn_scoped(scope, || {
+                            let engine = Engine::new(&db);
+                            let refused = |err: EngineError| {
+                                assert_eq!(err, EngineError::Type(too_deep.clone()));
+                            };
+                            refused(engine.plan(deep).unwrap_err());
+                            refused(engine.ground_truth(deep).unwrap_err());
+                            refused(
+                                engine
+                                    .plan_with(StrategyKind::NaiveExact, deep)
+                                    .unwrap_err(),
+                            );
+                            refused(engine.analyze(deep).unwrap_err());
+                            refused(engine.explain_analyze(deep).unwrap_err());
+                        })
+                        .expect("thread spawns")
+                        .join()
+                        .expect("no panic and no overflow on a 2 MiB stack");
+                });
+                assert_eq!(
+                    PlannedQuery::new(deep.clone(), db.schema()),
+                    Err(too_deep.clone())
+                );
+            }
+        })
+        .expect("thread spawns")
+        .join()
+        .expect("the deep trees build and drop on a large stack");
 }

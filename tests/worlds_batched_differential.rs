@@ -82,16 +82,30 @@ fn fuzz_db(seed: u64) -> Database {
     })
 }
 
+/// Fixed queries reading Δ over [`random_schema`]. No generator emits Δ,
+/// yet the batched world fold refills Δ per world (the constants a
+/// valuation or extension introduces) where the row fold materializes it.
+const DELTA_QUERIES: [&str; 4] = [
+    "project[#0](delta) minus S",
+    "R minus delta",
+    "select[#0 = #2](product(R, delta))",
+    "product(S, R) divide delta",
+];
+
 /// Harness part 1: the overlay-batched world fold equals the
 /// row-instantiating one — same answers, same worlds visited, same early
-/// exit — across semantics, query classes, and morsel sizes.
+/// exit — across semantics, query classes, Δ-reading queries, and morsel
+/// sizes.
 #[test]
 fn batched_world_fold_matches_row_fold() {
     let _env = ENV_LOCK.lock().expect("env lock poisoned");
     for seed in 0..fuzz_cases() {
         let db = fuzz_db(seed);
-        for class in ALL_CLASSES {
-            let q = fuzz_query(class, seed.wrapping_mul(5).wrapping_add(class as u64));
+        let random = ALL_CLASSES
+            .map(|class| fuzz_query(class, seed.wrapping_mul(5).wrapping_add(class as u64)));
+        let delta = DELTA_QUERIES.map(|text| parse(text).unwrap());
+        for q in random.into_iter().chain(delta) {
+            let class = relalgebra::classify::classify(&q);
             let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
             for (semantics, owa_extra) in [(Semantics::Cwa, 0usize), (Semantics::Owa, 1)] {
                 // Cap the world space so a rare large case pre-errors (in
