@@ -14,7 +14,10 @@
 //!   whose certain answer stays non-empty (no early exit: the comparison is
 //!   enumeration against enumeration);
 //! * `early-exit` — a query with an empty certain answer, where streaming
-//!   stops after a handful of worlds and materializing cannot stop at all.
+//!   stops after a handful of worlds and materializing cannot stop at all;
+//! * `factorized_vs_product` — a linear query over several null components
+//!   folded one component at a time, against `Q ∩ Q` (the same answer, but
+//!   not linear) folded over the whole valuation product, gated at ≥10x.
 //!
 //! Each measurement is also emitted as a machine-readable `BENCH {…}` json
 //! line so CI can scrape results. `BENCH_SMOKE=1` shrinks the workload and
@@ -85,9 +88,14 @@ fn main() {
 
     // A query whose certain answer is pinned non-empty by a literal tuple
     // over an existing constant: the intersection never empties, so early
-    // exit never fires and both paths enumerate the same world space.
-    let pinned = RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[0])]))
-        .union(RaExpr::relation("R").project(vec![0]));
+    // exit never fires and both paths enumerate the same world space. It
+    // reads R twice (`R ∩ R`), so it is not linear and the streaming fold
+    // enumerates whole worlds rather than one null component at a time.
+    let pinned = RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[0])])).union(
+        RaExpr::relation("R")
+            .intersection(RaExpr::relation("R"))
+            .project(vec![0]),
+    );
     let plan = PlannedQuery::new(pinned.clone(), db.schema()).expect("query typechecks");
     let opts = opts_with_threads(1);
     let worlds = enumerate_worlds(&pinned, &db, Semantics::Cwa, &opts)
@@ -95,6 +103,7 @@ fn main() {
         .len() as u128;
     let exec = stream_certain_answer(&plan, &db, Semantics::Cwa, &opts).expect("streams");
     assert!(!exec.early_exit, "the pinned query must not early-exit");
+    assert_eq!(exec.components, None, "the pinned query enumerates worlds");
     assert_eq!(
         exec.answers,
         materializing_certain(&pinned, &db, &opts),
@@ -192,6 +201,83 @@ fn main() {
     );
 
     batched_vs_rows(smoke, budget);
+    factorized_vs_product(smoke, budget);
+}
+
+/// A linear query over single-null tuples, against the same answer read
+/// twice: `Q = {0} ∪ π₀(R)` folds `nulls · |dom|` component valuations,
+/// while `Q ∩ Q` is not linear and folds all `|dom|^nulls` worlds. The
+/// literal pins both answers non-empty, so neither fold stops early.
+/// Gated at ≥10x wall-clock, in `BENCH_SMOKE` too.
+fn factorized_vs_product(smoke: bool, budget: Duration) {
+    let nulls = if smoke { 5 } else { 6 };
+    let schema = Schema::builder().relation("R", &["a", "b"]).build();
+    let mut db = Database::new(schema);
+    for i in 0..4 {
+        db.insert("R", Tuple::ints(&[i, i])).expect("fits schema");
+    }
+    for n in 0..nulls {
+        let row = Tuple::new(vec![Value::null(n), Value::int(n as i64 % 4)]);
+        db.insert("R", row).expect("fits schema");
+    }
+    let q = RaExpr::values(Relation::from_tuples(1, vec![Tuple::ints(&[0])]))
+        .union(RaExpr::relation("R").project(vec![0]));
+    let linear = PlannedQuery::new(q.clone(), db.schema()).expect("typechecks");
+    let doubled = PlannedQuery::new(q.clone().intersection(q), db.schema()).expect("typechecks");
+    let opts = opts_with_threads(1);
+
+    let factorized = stream_certain_answer(&linear, &db, Semantics::Cwa, &opts).expect("streams");
+    let product = stream_certain_answer(&doubled, &db, Semantics::Cwa, &opts).expect("streams");
+    assert_eq!(factorized.components, Some(nulls as usize));
+    assert_eq!(product.components, None, "Q ∩ Q is not linear");
+    assert_eq!(
+        factorized.answers, product.answers,
+        "the two folds must agree"
+    );
+    assert!(!factorized.early_exit && !product.early_exit);
+
+    println!(
+        "\n## factorized_vs_product ({nulls} null components, {} component valuations \
+         vs {} worlds)",
+        factorized.worlds_visited, product.worlds_visited
+    );
+    let m_factorized = measure("factorized/1", budget, || {
+        stream_certain_answer(&linear, &db, Semantics::Cwa, &opts).expect("streams")
+    });
+    let m_product = measure("product/1", budget, || {
+        stream_certain_answer(&doubled, &db, Semantics::Cwa, &opts).expect("streams")
+    });
+    emit(
+        "factorized_vs_product",
+        "factorized",
+        1,
+        factorized.worlds_visited,
+        &m_factorized,
+    );
+    emit(
+        "factorized_vs_product",
+        "product",
+        1,
+        product.worlds_visited,
+        &m_product,
+    );
+    let speedup = m_product.median.as_nanos() as f64 / m_factorized.median.as_nanos().max(1) as f64;
+    println!(
+        "factorized {} vs product {}: {speedup:.1}x",
+        fmt_duration(m_factorized.median),
+        fmt_duration(m_product.median)
+    );
+    println!(
+        "BENCH {{\"bench\":\"worlds\",\"experiment\":\"factorized_vs_product_summary\",\
+         \"components\":{nulls},\"component_valuations\":{},\"worlds\":{},\
+         \"speedup_factorized_vs_product\":{speedup:.3}}}",
+        factorized.worlds_visited, product.worlds_visited
+    );
+    assert!(
+        speedup >= 10.0,
+        "acceptance: folding each null component's valuations must beat the \
+         valuation product ≥10x on the no-early-exit workload (got {speedup:.1}x)"
+    );
 }
 
 /// `R(a,b) ⋈ S(b,c)` with `n` ground rows per side and a single marked null

@@ -363,7 +363,9 @@ pub struct EngineStats {
     /// truth was considered.
     pub estimated_worlds: Option<u128>,
     /// Worlds actually **visited** by the streaming fold, when the worlds
-    /// strategy ran. Early exit can make this far smaller than the estimate.
+    /// strategy ran. Early exit can make this far smaller than the estimate,
+    /// and so can a fold that took one null component at a time: it counts
+    /// component valuations (`releval::worlds::WorldExecution::components`).
     pub worlds_enumerated: Option<u128>,
     /// Of the visited worlds, how many were evaluated as valuation overlays
     /// through the batched split executor (stable subresults and hash

@@ -343,7 +343,8 @@ impl fmt::Display for PhysicalPlan {
 
 /// Linearity of a plan node in the *volatile* relations — those whose
 /// contents differ between the elements an enumeration fold visits (the
-/// relations holding conflict vertices, for repairs). `Some(true)` when the
+/// relations holding conflict vertices, for repairs; the relations holding
+/// a row with a marked null, for possible worlds). `Some(true)` when the
 /// node's result depends on them (volatile), `Some(false)` when it does not
 /// (stable), `None` when some derivation may combine two or more volatile
 /// rows (non-linear). `volatile` names the volatile relations.
@@ -361,7 +362,9 @@ impl fmt::Display for PhysicalPlan {
 ///
 /// A linear plan's answer over stable rows `G` plus independent volatile
 /// choices `M₁ … Mₖ` is `Q(G) ∪ ⋃_K vol(M_K)`, which is what lets a fold
-/// visit each component's choices on their own.
+/// visit each component's choices on their own: a conflict component's
+/// local repairs, or a null component's valuations. [`fold_shape`] turns
+/// the verdict into a fold's plan.
 pub fn linear_volatility(node: &PhysNode, volatile: &dyn Fn(&str) -> bool) -> Option<bool> {
     let (left, right) = match node.op() {
         PhysOp::Scan(name) => return Some(volatile(name)),
@@ -391,6 +394,63 @@ pub fn linear_volatility(node: &PhysNode, volatile: &dyn Fn(&str) -> bool) -> Op
         PhysOp::Difference { .. } if !r => Some(l),
         PhysOp::Divide { .. } if !(l || r) => Some(false),
         _ => None,
+    }
+}
+
+/// How an enumeration fold over independent components may take a plan
+/// apart: the verdict of [`fold_shape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldShape<'p> {
+    /// The whole plan is linear ([`linear_volatility`] accepts it);
+    /// `volatile` says whether it reads a volatile relation at all.
+    Linear {
+        /// Does the plan's result depend on the volatile relations?
+        volatile: bool,
+    },
+    /// The root is `left − right` with both sides linear and `right`
+    /// volatile: `⋂ (A − B) = ⋂ A − ⋃ B` folds each side on its own.
+    Difference {
+        /// The minuend `A`.
+        left: &'p PhysNode,
+        /// Does `A` depend on the volatile relations?
+        left_volatile: bool,
+        /// The subtrahend `B`, volatile.
+        right: &'p PhysNode,
+    },
+    /// Anything else: the fold must visit the product of the components'
+    /// choices.
+    Product,
+}
+
+/// The factorization verdict of a plan, one row per root shape:
+///
+/// | root                         | verdict                                   |
+/// |------------------------------|-------------------------------------------|
+/// | linear plan                  | [`FoldShape::Linear`]                     |
+/// | `A − B`, A linear, B linear and volatile | [`FoldShape::Difference`]     |
+/// | anything else                | [`FoldShape::Product`]                    |
+///
+/// A linear plan `Q` over stable rows `G` plus independent choices
+/// `M₁ … Mₖ` answers `Q(G) ∪ ⋃_K vol(M_K)`; a root difference of linear
+/// sides intersects to `⋂ A − ⋃ B` over any set of elements. `volatile`
+/// names the volatile relations, as for [`linear_volatility`].
+pub fn fold_shape<'p>(root: &'p PhysNode, volatile: &dyn Fn(&str) -> bool) -> FoldShape<'p> {
+    if let Some(volatile) = linear_volatility(root, volatile) {
+        return FoldShape::Linear { volatile };
+    }
+    let PhysOp::Difference { left, right } = root.op() else {
+        return FoldShape::Product;
+    };
+    match (
+        linear_volatility(left, volatile),
+        linear_volatility(right, volatile),
+    ) {
+        (Some(left_volatile), Some(true)) => FoldShape::Difference {
+            left,
+            left_volatile,
+            right,
+        },
+        _ => FoldShape::Product,
     }
 }
 
@@ -946,5 +1006,51 @@ mod tests {
             verdict(r().union(r().product(t()).project(vec![0, 3]))),
             None
         );
+    }
+
+    #[test]
+    fn the_fold_shape_table() {
+        let schema = Schema::builder()
+            .relation("R", &["a", "b"])
+            .relation("S", &["a", "b"])
+            .build();
+        let shape = |q: RaExpr| {
+            let plan = PhysicalPlan::lower(&q, &schema).unwrap();
+            let label = match fold_shape(plan.root(), &|name| name == "R") {
+                FoldShape::Linear { volatile } => format!("linear {volatile}"),
+                FoldShape::Difference {
+                    left,
+                    left_volatile,
+                    right,
+                } => format!(
+                    "difference {} {left_volatile} {}",
+                    left.op_label(),
+                    right.op_label()
+                ),
+                FoldShape::Product => "product".to_string(),
+            };
+            label
+        };
+        let r = || RaExpr::relation("R");
+        let s = || RaExpr::relation("S");
+        assert_eq!(shape(r().project(vec![0])), "linear true");
+        assert_eq!(shape(s().difference(s())), "linear false");
+        assert_eq!(shape(r().difference(s())), "linear true");
+        // A root difference with a volatile right side: both sides linear.
+        assert_eq!(shape(s().difference(r())), "difference scan S false scan R");
+        assert_eq!(
+            shape(r().project(vec![0]).difference(r().project(vec![1]))),
+            "difference π[#0] true π[#1]"
+        );
+        // A non-linear side, a difference below the root, or Δ: the product.
+        assert_eq!(shape(r().intersection(r()).difference(r())), "product");
+        assert_eq!(shape(s().difference(r().intersection(r()))), "product");
+        assert_eq!(shape(s().difference(r()).project(vec![0])), "product");
+        assert_eq!(
+            shape(s().difference(r()).difference(r())),
+            "product",
+            "(A − B) − C with a volatile B is not linear on the left"
+        );
+        assert_eq!(shape(RaExpr::Delta.difference(r())), "product");
     }
 }

@@ -144,7 +144,8 @@ struct NodeCache {
 }
 
 /// The split executor for one enumeration shard: construct once per worker,
-/// call [`ShardExec::eval_element`] once per world/repair. All caches are
+/// call [`ShardExec::eval_element`] (or [`ShardExec::eval_subtree`]) once
+/// per world/repair. All caches are
 /// keyed by plan-node address — the plan outlives the executor and its boxed
 /// tree never moves, so addresses are stable identities.
 pub struct ShardExec<'p> {
@@ -177,6 +178,15 @@ impl<'p> ShardExec<'p> {
     pub fn eval_element(&mut self, elem: &ElementInput<'_>) -> Split {
         let root: &'p PhysNode = self.plan.root();
         self.eval(root, elem)
+    }
+
+    /// Evaluates one subtree of the executor's plan for one element, with
+    /// the same caches as [`ShardExec::eval_element`]: a fold that needs
+    /// the two sides of a root difference on their own evaluates each
+    /// through one executor. `node` must be a node of the plan the
+    /// executor was built over, since caches are keyed by node address.
+    pub fn eval_subtree(&mut self, node: &'p PhysNode, elem: &ElementInput<'_>) -> Split {
+        self.eval(node, elem)
     }
 
     fn key(node: &PhysNode) -> usize {

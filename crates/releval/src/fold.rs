@@ -27,6 +27,14 @@
 //!   `⋂ᵢ Vᵢ` both are, so early exit fires on the same element as the
 //!   row-materializing reference, which intersects whole answers
 //!   ([`Shard::fold_rows`]).
+//! * **Runs.** A factorized fold intersects one *run* of elements per
+//!   independent component and unites the runs ([`Shard::close_run`]). A
+//!   run whose intersection is empty adds nothing, so `fold_split` tells
+//!   the shard to stop that run (a run stop), never the fleet.
+//! * **The possible side.** `⋂ (A − B) = ⋂ A − ⋃ B` over any set of
+//!   elements. Given the certain `⋂ A`, [`Shard::subtract_split`] removes
+//!   each element's rows of `B` from it; the shards meet by ∩, and a shard
+//!   whose remainder empties proves the answer ∅ and stops the fleet.
 //! * **Errors and the merge.** An element's evaluation may fail; the first
 //!   error is kept and the fleet stops. At the join early exit beats an
 //!   error, because ∅ is proven whatever else failed, and an error beats the
@@ -103,6 +111,34 @@ pub struct Folded<T> {
     pub tallies: Vec<T>,
 }
 
+impl Folded<()> {
+    /// This fold followed by `next` on the same workers, as the two sides
+    /// of a difference are: visits, telemetry and each worker's profile add
+    /// up, and the answer and early exit are `next`'s.
+    pub fn then(mut self, next: Folded<()>) -> Folded<()> {
+        self.op_stats.merge(&next.op_stats);
+        let mut shards = next.shards;
+        for (i, profile) in self.shards.into_iter().enumerate() {
+            match shards.get_mut(i) {
+                Some(later) => {
+                    later.nanos = later.nanos.saturating_add(profile.nanos);
+                    later.units += profile.units;
+                }
+                None => shards.push(profile),
+            }
+        }
+        Folded {
+            answers: next.answers,
+            visited: self.visited + next.visited,
+            batched: self.batched + next.batched,
+            early_exit: next.early_exit,
+            op_stats: self.op_stats,
+            shards,
+            tallies: next.tallies,
+        }
+    }
+}
+
 /// The automatic worker count before a fold's own partitioning rule: the
 /// machine's parallelism, capped at 8.
 pub fn auto_workers() -> usize {
@@ -133,16 +169,21 @@ struct Meet {
 }
 
 impl Meet {
-    /// Intersects one volatile part into the open run; `true` when
-    /// `S ∪ ⋂ Vᵢ` over that run is now empty.
+    /// Intersects one volatile part into the open run; `true` when the
+    /// run's intersection `⋂ Vᵢ` is now empty.
     fn meet(&mut self, volatile: Relation) -> bool {
         let run = match self.run.take() {
             None => volatile,
             Some(a) => a.intersection(&volatile),
         };
-        let empty = run.is_empty() && self.stable.as_ref().is_none_or(Relation::is_empty);
+        let empty = run.is_empty();
         self.run = Some(run);
         empty
+    }
+
+    /// Is the stable part `S` empty (or not yet seen)?
+    fn stable_is_empty(&self) -> bool {
+        self.stable.as_ref().is_none_or(Relation::is_empty)
     }
 
     fn finish(self) -> Option<Relation> {
@@ -187,14 +228,43 @@ impl Shard<'_> {
         true
     }
 
-    /// Folds one admitted split-executor element into the shard's meet.
-    /// `false` when the meet emptied and the fleet stopped (early exit).
+    /// Folds one admitted split-executor element into the shard's open
+    /// run. `false` when later elements of the run cannot change the
+    /// answer: in a [`Combine::Intersect`] fold, the meet `S ∪ ⋂ Vᵢ`
+    /// emptied and the fleet stopped (early exit); in a [`Combine::Union`]
+    /// fold, the run's `⋂ Vᵢ` emptied, so the run adds nothing to the union
+    /// (a run stop; the fleet goes on).
     pub fn fold_split(&mut self, split: &Split) -> bool {
         self.batched += 1;
         self.meet
             .stable
             .get_or_insert_with(|| split.stable.to_relation());
-        let empty = self.meet.meet(split.volatile.to_relation());
+        let run_empty = self.meet.meet(split.volatile.to_relation());
+        match self.control.combine {
+            Combine::Intersect => !self.exits(run_empty && self.meet.stable_is_empty()),
+            Combine::Union => !run_empty,
+        }
+    }
+
+    /// Folds one admitted split-executor element into the possible side
+    /// of a difference `⋂ A − ⋃ B`: the shard's answer starts at `minuend`
+    /// (the certain `⋂ A`) and loses every row the element derives, so it
+    /// is `minuend − ⋃ᵢ (S ∪ Vᵢ)` over the shard's elements. The shards of a
+    /// [`Combine::Intersect`] fold then meet to `minuend − ⋃ B` over every
+    /// element. `false` when the answer emptied and the fleet stopped
+    /// (early exit).
+    pub fn subtract_split(&mut self, minuend: &Relation, split: &Split) -> bool {
+        self.batched += 1;
+        // `S` is the same in every element of the shard: subtract it once.
+        let mut rest = match self.meet.stable.take() {
+            None => minuend.difference(&split.stable.to_relation()),
+            Some(rest) => rest,
+        };
+        for row in 0..split.volatile.len() {
+            rest.remove(&split.volatile.tuple_at(row));
+        }
+        let empty = rest.is_empty();
+        self.meet.stable = Some(rest);
         !self.exits(empty)
     }
 
@@ -479,6 +549,52 @@ mod tests {
     fn an_error_beats_the_budget() {
         let outcome = race(2, &[Err(failure())]);
         assert_eq!(outcome.unwrap_err(), FoldError::Eval(failure()));
+    }
+
+    fn split(stable: &[i64], volatile: &[i64]) -> Split {
+        Split {
+            stable: Rc::new(ColumnBatch::from_relation(&rel(stable))),
+            volatile: Rc::new(ColumnBatch::from_relation(&rel(volatile))),
+        }
+    }
+
+    #[test]
+    fn union_runs_stop_when_empty_and_the_possible_side_subtracts() {
+        // Runs {1, 2} ∩ {2} and {3} ∩ {4}: the second empties and says so,
+        // without stopping the fleet.
+        let certain = run(1, 100, Combine::Union, |_, shard| {
+            assert!(shard.admit() && shard.fold_split(&split(&[9], &[1, 2])));
+            assert!(shard.admit() && shard.fold_split(&split(&[9], &[2])));
+            shard.close_run();
+            assert!(shard.admit() && shard.fold_split(&split(&[9], &[3])));
+            assert!(shard.admit() && !shard.fold_split(&split(&[9], &[4])));
+            shard.close_run();
+            assert!(shard.admit(), "a run stop is not a fleet stop");
+        })
+        .unwrap();
+        assert_eq!(certain.answers, Some(rel(&[2, 9])));
+        assert!(!certain.early_exit);
+        // {1, 2, 3} loses each element's rows, and stops the fleet once
+        // nothing is left.
+        let minuend = rel(&[1, 2, 3]);
+        let possible = run(1, 100, Combine::Intersect, |_, shard| {
+            assert!(shard.admit() && shard.subtract_split(&minuend, &split(&[1], &[2])));
+            assert!(shard.admit() && !shard.subtract_split(&minuend, &split(&[1], &[3])));
+            assert!(!shard.admit());
+        })
+        .unwrap();
+        assert_eq!(
+            (possible.answers.clone(), possible.visited),
+            (Some(rel(&[])), 2)
+        );
+        assert!(possible.early_exit);
+        // The last admitted element of the first fold was never folded.
+        let both = certain.then(possible);
+        assert_eq!(
+            (both.answers, both.visited, both.batched),
+            (Some(rel(&[])), 7, 6)
+        );
+        assert_eq!(both.shards.len(), 1, "one worker's profiles add up");
     }
 
     #[test]

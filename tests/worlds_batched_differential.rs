@@ -10,8 +10,10 @@
 //! 1. possible worlds: `releval::worlds::stream_certain_answer` (valuation
 //!    overlays through the split executor) ==
 //!    `stream_certain_answer_rows` (one materialized `Database` per world),
-//!    under CWA and OWA-with-extension — answers, worlds visited, and
-//!    early-exit behaviour all equal, world by world;
+//!    under CWA and OWA-with-extension — answers equal; whole-world folds
+//!    also visit the same worlds and exit early alike, while a factorized
+//!    fold (a linear plan, or a root difference of linear sides) folds the
+//!    null components a flood fill finds and stays within their space;
 //! 2. repairs: `repairs::fold::stream_consistent_answer` (core + survival
 //!    masks) == `stream_consistent_answer_rows`, on complete *and*
 //!    null-bearing inconsistent databases (the latter checks the fallback
@@ -22,7 +24,8 @@
 //! env-mutating tests. `FUZZ_CASES` scales the sweep as in the sibling
 //! harnesses; `FUZZ_CASES=1000` is the acceptance-grade run.
 
-use std::sync::Mutex;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use datagen::random::random_schema;
 use datagen::{
@@ -36,11 +39,21 @@ use incomplete_data::repairs::{
 use incomplete_data::{relalgebra, releval, relmodel};
 
 use relalgebra::ast::RaExpr;
-use releval::worlds::{stream_certain_answer, stream_certain_answer_rows, WorldOptions};
+use releval::worlds::{
+    stream_certain_answer, stream_certain_answer_rows, valuation_domain, WorldOptions,
+};
 use relmodel::batch::MORSEL_ROWS_ENV;
+use relmodel::value::NullId;
 
 /// Serializes the env-mutating tests: `MORSEL_ROWS` is process-global.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes the env lock even after the other test panicked while holding
+/// it: each test sets every variable it reads, so one failure must not
+/// mask the other test's result.
+fn env_lock() -> MutexGuard<'static, ()> {
+    ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fuzz_cases() -> u64 {
     std::env::var("FUZZ_CASES")
@@ -92,15 +105,51 @@ const DELTA_QUERIES: [&str; 4] = [
     "product(S, R) divide delta",
 ];
 
+/// The null components' sizes, by a flood fill over "shares a tuple",
+/// independently of the fold's own union-find.
+fn null_component_sizes(db: &Database) -> Vec<u32> {
+    let mut neighbours: BTreeMap<NullId, BTreeSet<NullId>> = BTreeMap::new();
+    for (_, rel) in db.iter() {
+        for t in rel.iter() {
+            let ids = t.null_ids();
+            for &n in &ids {
+                neighbours.entry(n).or_default().extend(ids.iter().copied());
+            }
+        }
+    }
+    let mut seen = BTreeSet::new();
+    let mut sizes = Vec::new();
+    for &start in neighbours.keys() {
+        if !seen.insert(start) {
+            continue;
+        }
+        let (mut stack, mut size) = (vec![start], 0);
+        while let Some(n) = stack.pop() {
+            size += 1;
+            for &m in &neighbours[&n] {
+                if seen.insert(m) {
+                    stack.push(m);
+                }
+            }
+        }
+        sizes.push(size);
+    }
+    sizes
+}
+
 /// Harness part 1: the overlay-batched world fold equals the
-/// row-instantiating one — same answers, same worlds visited, same early
-/// exit — across semantics, query classes, Δ-reading queries, and morsel
-/// sizes.
+/// row-instantiating one — same answers — across semantics, query classes,
+/// Δ-reading queries, and morsel sizes. Whole-world folds also visit the
+/// same worlds and exit early alike; a factorized fold folds the
+/// flood-filled null components and visits at most two sides' worth of
+/// their valuations, `2 · Σ_K |dom|^|N_K|`.
 #[test]
 fn batched_world_fold_matches_row_fold() {
-    let _env = ENV_LOCK.lock().expect("env lock poisoned");
+    let _env = env_lock();
+    let (mut factorized, mut whole) = (0u64, 0u64);
     for seed in 0..fuzz_cases() {
         let db = fuzz_db(seed);
+        let components = null_component_sizes(&db);
         let random = ALL_CLASSES
             .map(|class| fuzz_query(class, seed.wrapping_mul(5).wrapping_add(class as u64)));
         let delta = DELTA_QUERIES.map(|text| parse(text).unwrap());
@@ -127,14 +176,33 @@ fn batched_world_fold_matches_row_fold() {
                     match (batched, rows) {
                         (Ok(batched), Ok(rows)) => {
                             assert_eq!(batched.answers, rows.answers, "MISMATCH {context}");
-                            assert_eq!(
-                                batched.worlds_visited, rows.worlds_visited,
-                                "visit counts diverge for {context}"
-                            );
-                            assert_eq!(
-                                batched.early_exit, rows.early_exit,
-                                "early exit diverges for {context}"
-                            );
+                            if batched.components.is_some() {
+                                factorized += 1;
+                                assert_eq!(
+                                    batched.components,
+                                    Some(components.len()),
+                                    "factorized over the wrong components for {context}"
+                                );
+                                let dom = valuation_domain(&q, &db, &opts).len() as u128;
+                                let space: u128 =
+                                    2 * components.iter().map(|&n| dom.pow(n)).sum::<u128>();
+                                assert!(
+                                    batched.worlds_visited <= space,
+                                    "visited {} of a {space}-element factorized space \
+                                     for {context}",
+                                    batched.worlds_visited
+                                );
+                            } else {
+                                whole += 1;
+                                assert_eq!(
+                                    batched.worlds_visited, rows.worlds_visited,
+                                    "visit counts diverge for {context}"
+                                );
+                                assert_eq!(
+                                    batched.early_exit, rows.early_exit,
+                                    "early exit diverges for {context}"
+                                );
+                            }
                             assert_eq!(
                                 batched.worlds_batched, batched.worlds_visited,
                                 "every visited world must batch for {context}"
@@ -161,6 +229,11 @@ fn batched_world_fold_matches_row_fold() {
         }
     }
     std::env::remove_var(MORSEL_ROWS_ENV);
+    eprintln!("world folds: {factorized} factorized, {whole} whole-world");
+    assert!(
+        factorized > 0 && whole > 0,
+        "the sweep must exercise both fold shapes: {factorized} factorized, {whole} whole"
+    );
 }
 
 /// A random inconsistent database, optionally null-free: complete inputs
@@ -238,7 +311,7 @@ fn local_repair_count(graph: &ConflictGraph) -> u128 {
 /// input) visits `Σ_K |MIS(K)|` local repairs and never exits early.
 #[test]
 fn batched_repair_fold_matches_row_fold() {
-    let _env = ENV_LOCK.lock().expect("env lock poisoned");
+    let _env = env_lock();
     let (mut factorized, mut whole) = (0u64, 0u64);
     for seed in 0..fuzz_cases() {
         for with_nulls in [false, true] {
