@@ -21,6 +21,12 @@
 //! `repairs::fold`); its exact-versus-core times are printed as a
 //! `repairs_linear` row, with no gate.
 //!
+//! `nulls_factorized_vs_rows` times consistent answers over a dirty
+//! database that also holds nulls: a join with a clean relation, folded one
+//! joint (conflict-or-null) component at a time, against the row reference
+//! that builds every repair and answers it symbolically. It is gated at ≥5×
+//! wall-clock, in `BENCH_SMOKE` too.
+//!
 //! Every measurement is emitted as a machine-readable `BENCH {…}` json
 //! line; `BENCH_SMOKE=1` shrinks the workload so CI can keep the harness
 //! honest in seconds.
@@ -32,7 +38,11 @@ use datagen::{random_inconsistent_database, InconsistentDbConfig};
 use relalgebra::ast::RaExpr;
 use relalgebra::plan::PlannedQuery;
 use relalgebra::predicate::{Operand, Predicate};
-use repairs::{core_consistent_answer, stream_consistent_answer, ConflictGraph, RepairOptions};
+use relmodel::{Database, DatabaseBuilder, Value};
+use repairs::{
+    core_consistent_answer, stream_consistent_answer, stream_consistent_answer_rows, ConflictGraph,
+    RepairOptions,
+};
 
 fn smoke() -> bool {
     std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
@@ -172,5 +182,89 @@ fn main() {
         ratio >= 10.0,
         "core approximation must beat repair enumeration by ≥10x wall-clock \
          on the high-violation workload ({repairs} repairs), got {ratio:.1}x"
+    );
+
+    nulls_factorized_vs_rows(budget);
+}
+
+/// `R(a, b)` keyed on `a` with `rows` tuples `R(i, ·)`, every tenth payload
+/// a null cycling through `nulls` of them, and `clashes` keys given a
+/// second, conflicting payload; a clean `T(a, b)` to join with.
+fn dirty_nullable(rows: i64, clashes: i64, nulls: i64) -> Database {
+    let mut b = DatabaseBuilder::new()
+        .relation("R", &["a", "b"])
+        .relation("T", &["a", "b"])
+        .key("R", &["a"]);
+    for i in 0..rows {
+        let payload = if i % 10 == 5 {
+            Value::null(((i / 10) % nulls) as u64)
+        } else {
+            Value::int(i * 7 % 10)
+        };
+        b = b
+            .tuple("R", vec![Value::int(i), payload])
+            .ints("T", &[i * 3 % 10, i]);
+    }
+    for c in 0..clashes {
+        b = b.ints("R", &[c * rows / clashes, 10 + c]);
+    }
+    b.build()
+}
+
+/// Consistent answers over a null-bearing dirty database: the joint fold
+/// against the row reference, on a linear join.
+fn nulls_factorized_vs_rows(budget: Duration) {
+    let db = dirty_nullable(40, 3, 4);
+    let graph = ConflictGraph::build(&db);
+    // π_a(σ_{b = a' ∧ b' ≠ 1000}(R × T)): linear, since T is clean.
+    let q = RaExpr::relation("R")
+        .product(RaExpr::relation("T"))
+        .select(
+            Predicate::eq(Operand::col(1), Operand::col(2))
+                .and(Predicate::neq(Operand::col(3), Operand::int(1000))),
+        )
+        .project(vec![0]);
+    let plan = PlannedQuery::new(q, db.schema()).expect("typechecks");
+    let opts = RepairOptions::default().with_threads(1);
+    let joint = stream_consistent_answer(&plan, &db, &graph, &opts).expect("fits budget");
+    let rows = stream_consistent_answer_rows(&plan, &db, &graph, &opts).expect("fits budget");
+    assert_eq!(
+        joint.answers, rows.answers,
+        "the joint fold answers exactly"
+    );
+    assert!(joint.components.is_some() && rows.components.is_none());
+    assert_eq!(joint.repairs_batched, joint.repairs_visited);
+
+    let m_joint = measure("joint/nulls", budget, || {
+        stream_consistent_answer(&plan, &db, &graph, &opts).expect("fits budget")
+    });
+    let m_rows = measure("rows/nulls", budget, || {
+        stream_consistent_answer_rows(&plan, &db, &graph, &opts).expect("fits budget")
+    });
+    let ratio = m_rows.median.as_nanos() as f64 / m_joint.median.as_nanos().max(1) as f64;
+    println!("\n## nulls_factorized_vs_rows");
+    println!(
+        "joint fold: {} elements over {} components in {}; rows: {} repairs ({} symbolic) in {}; {ratio:.1}x",
+        joint.repairs_visited,
+        joint.components.unwrap_or(0),
+        fmt_duration(m_joint.median),
+        rows.repairs_visited,
+        rows.symbolic_repairs,
+        fmt_duration(m_rows.median),
+    );
+    println!(
+        "BENCH {{\"bench\":\"nulls_factorized_vs_rows\",\"components\":{},\
+         \"elements_visited\":{},\"repairs_visited\":{},\"symbolic_repairs\":{},\
+         \"joint_median_ns\":{},\"rows_median_ns\":{},\"time_ratio\":{ratio:.3}}}",
+        joint.components.unwrap_or(0),
+        joint.repairs_visited,
+        rows.repairs_visited,
+        rows.symbolic_repairs,
+        m_joint.median.as_nanos(),
+        m_rows.median.as_nanos(),
+    );
+    assert!(
+        ratio >= 5.0,
+        "the joint fold must beat the row fold by ≥5x wall-clock, got {ratio:.1}x"
     );
 }

@@ -5,7 +5,9 @@
 //! one-step chain of [`forced`]). The function reads values only — the
 //! query's class, the semantics, the analyzer's root facts, the null count,
 //! the conflict-graph facts and the planner options — never a database or a
-//! clock, so the whole table is enumerable in a unit test.
+//! clock, so the whole table is enumerable in a unit test. The caller
+//! gathers the conflict-graph facts with [`Conflicts::of`], which takes the
+//! factorized repair count only when the table will read it.
 //!
 //! A chain ([`Dispatch::chain`]) holds one to three [`Step`]s. Each
 //! carries its strategy, the guarantee it reports if it answers, the
@@ -27,7 +29,10 @@
 
 use relalgebra::analysis::NodeFacts;
 use relalgebra::classify::QueryClass;
+use relalgebra::plan::PlannedQuery;
 use releval::symbolic::PuntReason;
+use relmodel::Database;
+use repairs::{factorized_repair_count, ConflictGraph, RepairOptions};
 
 use crate::{AnalyzerStats, EngineOptions, FallbackReason, Guarantee, Semantics, StrategyKind};
 
@@ -38,6 +43,36 @@ pub(crate) struct Conflicts {
     pub conflict_tuples: usize,
     /// The Moon–Moser repair-count estimate.
     pub estimated_repairs: u128,
+    /// The factorized fold's own element count
+    /// (`repairs::fold::factorized_repair_count`), read only when the
+    /// estimate exceeds the repair budget: `None` when the plan does not
+    /// factorize, or when the estimate fits and the count was never taken.
+    pub factorized_repairs: Option<u128>,
+}
+
+impl Conflicts {
+    /// The facts of a conflict graph over `db`. The factorized count is
+    /// taken only past the budget, where the table reads it, so a request
+    /// within the budget never pays for it; `plan` yields the planned query
+    /// then.
+    pub fn of(
+        graph: &ConflictGraph,
+        db: &Database,
+        options: &RepairOptions,
+        plan: &dyn Fn() -> Option<PlannedQuery>,
+    ) -> Conflicts {
+        let estimated_repairs = graph.estimated_repairs();
+        let factorized_repairs = (estimated_repairs > options.max_repairs)
+            .then(plan)
+            .flatten()
+            .and_then(|plan| factorized_repair_count(&plan, db, graph, options));
+        Conflicts {
+            violations: graph.violation_count(),
+            conflict_tuples: graph.conflict_tuples(),
+            estimated_repairs,
+            factorized_repairs,
+        }
+    }
 }
 
 /// Everything one dispatch decision reads.
@@ -143,7 +178,10 @@ pub(crate) fn forced(strategy: StrategyKind, class: QueryClass, semantics: Seman
 /// Under consistent answering, a database with violations enumerates its
 /// repairs while the repair estimate fits the budget (falling back to the
 /// conflict-free core if the fold aborts), and goes straight to the core
-/// beyond it. A clean database's only repair is itself, so it takes the
+/// beyond it. The estimate is the Moon–Moser bound; past the budget, a
+/// plan the repair fold factorizes is estimated by the fold's own element
+/// count instead, which keeps a linear query exact far past the product.
+/// A clean database's only repair is itself, so it takes the
 /// certain-answer rows under CWA.
 ///
 /// The certain-answer rows, refined by the static analyzer:
@@ -174,7 +212,8 @@ pub(crate) fn dispatch(input: &Input<'_>) -> Dispatch {
     let core = step(StrategyKind::ConflictFreeCore).degraded();
     let budget = input.options.repair_options.max_repairs;
     let estimated = conflicts.estimated_repairs;
-    let chain = if estimated <= budget {
+    let fits = estimated <= budget || conflicts.factorized_repairs.is_some_and(|n| n <= budget);
+    let chain = if fits {
         vec![step(StrategyKind::RepairEnumeration), core]
     } else {
         vec![core.because(FallbackReason::RepairBudget { estimated, budget })]
@@ -280,11 +319,14 @@ mod tests {
     /// (clean, conflicting) × symbolic × exhaustive × a repair budget below
     /// or at the estimate.
     fn for_each_input(mut check: impl FnMut(&Input<'_>, &Dispatch)) {
-        let conflicting = Some(Conflicts {
-            violations: 1,
-            conflict_tuples: 2,
-            estimated_repairs: 2,
-        });
+        let conflicting = |factorized_repairs| {
+            Some(Conflicts {
+                violations: 1,
+                conflict_tuples: 2,
+                estimated_repairs: 2,
+                factorized_repairs,
+            })
+        };
         for (class, split_class, bits) in CLASSES
             .into_iter()
             .flat_map(|c| CLASSES.map(|s| (c, s)))
@@ -304,7 +346,7 @@ mod tests {
                 size: 1,
             };
             for semantics in SEMANTICS {
-                for conflicts in [None, conflicting] {
+                for conflicts in [None, conflicting(None), conflicting(Some(1))] {
                     for options_bits in 0..8u32 {
                         let option = |i: u32| options_bits & (1 << i) != 0;
                         let options = EngineOptions {
@@ -455,6 +497,50 @@ mod tests {
             };
             assert_eq!(dispatch.violations, violations, "{input:?}");
         });
+    }
+
+    #[test]
+    fn factorized_counts_are_read_past_the_estimate_only() {
+        let facts = NodeFacts {
+            class: QueryClass::Positive,
+            split_class: QueryClass::Positive,
+            ground: false,
+            monotone: true,
+            constant: false,
+            has_null_literal: false,
+            positive_conditions: true,
+            dup_sensitive: false,
+            nullable: ColumnNulls::Unknown,
+            size: 1,
+        };
+        let options = EngineOptions::default().with_max_repairs(4);
+        let head = |estimated_repairs, factorized_repairs| {
+            let input = Input {
+                class: QueryClass::Positive,
+                semantics: Semantics::ConsistentAnswers,
+                facts: &facts,
+                inlinable: false,
+                nulls: 0,
+                conflicts: Some(Conflicts {
+                    violations: 1,
+                    conflict_tuples: 2,
+                    estimated_repairs,
+                    factorized_repairs,
+                }),
+                options: &options,
+            };
+            let step = dispatch(&input).chain[0];
+            (step.strategy, step.fallback.is_some())
+        };
+        let repairs = (StrategyKind::RepairEnumeration, false);
+        let core = (StrategyKind::ConflictFreeCore, true);
+        // Within the budget, the estimate decides alone.
+        assert_eq!(head(4, None), repairs);
+        assert_eq!(head(4, Some(100)), repairs);
+        // Past it, the factorized count decides, when there is one.
+        assert_eq!(head(9, None), core);
+        assert_eq!(head(9, Some(4)), repairs);
+        assert_eq!(head(9, Some(5)), core);
     }
 
     #[test]

@@ -420,8 +420,15 @@ impl<D: Borrow<Database>> Engine<D> {
     }
 
     /// The dispatch table's decision for a query of `class` with the given
-    /// analysis, over this engine's database and options.
-    fn dispatch(&self, class: QueryClass, analysis: &Analysis) -> Dispatch {
+    /// analysis, over this engine's database and options. `plan` yields the
+    /// planned query, and is called only when the factorized repair count
+    /// is read.
+    fn dispatch(
+        &self,
+        class: QueryClass,
+        analysis: &Analysis,
+        plan: &dyn Fn() -> Option<PlannedQuery>,
+    ) -> Dispatch {
         // Only consistent answering reads the conflict graph, which is
         // built on first use.
         let graph = self
@@ -431,11 +438,7 @@ impl<D: Borrow<Database>> Engine<D> {
         let conflicts = graph
             .flatten()
             .filter(|g| !g.is_conflict_free())
-            .map(|g| Conflicts {
-                violations: g.violation_count(),
-                conflict_tuples: g.conflict_tuples(),
-                estimated_repairs: g.estimated_repairs(),
-            });
+            .map(|g| Conflicts::of(g, self.db(), &self.options.repair_options, plan));
         dispatch::dispatch(&Input {
             class,
             semantics: self.semantics,
@@ -467,7 +470,8 @@ impl<D: Borrow<Database>> Engine<D> {
     /// it punts or aborts at run time: what the previews report.
     fn preview(&self, query: &RaExpr, class: QueryClass) -> (Analysis, Step) {
         let analysis = analysis::analyze(query, self.ctx.census());
-        let chain = self.dispatch(class, &analysis).chain;
+        let plan = || PlannedQuery::new(query.clone(), self.db().schema()).ok();
+        let chain = self.dispatch(class, &analysis, &plan).chain;
         let step = chain[self.admit(&chain, 0, query).0];
         (analysis, step)
     }
@@ -477,7 +481,7 @@ impl<D: Borrow<Database>> Engine<D> {
         // spans allocate anywhere below.
         let decide_started = self.options.trace.then(Instant::now);
         let analysis = analysis::analyze(plan.expr(), self.ctx.census());
-        let mut dispatch = self.dispatch(plan.class(), &analysis);
+        let mut dispatch = self.dispatch(plan.class(), &analysis, &|| Some(plan.clone()));
         let dispatch_time = decide_started.map(|t| t.elapsed());
         // Subtree inlining is preparation work, so it counts toward the
         // plan phase, not strategy execution.
@@ -1426,9 +1430,13 @@ mod tests {
             2,
             vec![Tuple::new(vec![Value::null(0), Value::int(7)])],
         ));
-        // R ∪ literal: the literal keeps every per-repair intersection
-        // nonempty, so no early exit can rescue the starved inner budget.
-        let q = RaExpr::relation("R").union(lit);
+        // (R ∩ R) ∪ literal: the literal keeps every per-repair
+        // intersection nonempty, so no early exit can rescue the starved
+        // inner budget. R ∩ R is not linear, so the fold builds each repair
+        // (a linear plan would value the nulls itself, without the oracle).
+        let q = RaExpr::relation("R")
+            .intersection(RaExpr::relation("R"))
+            .union(lit);
         let mut repair_options = repairs::RepairOptions::default();
         repair_options.world_options.max_worlds = 1;
         let report = Engine::new(&db)
@@ -1453,10 +1461,10 @@ mod tests {
 
     #[test]
     fn nulls_and_violations_compose() {
-        // The k = 1 pair conflicts; the surviving repairs each carry a null,
-        // so the per-repair answers flow through the certain-answer
-        // machinery: k = 2 is certain in every world of every repair, while
-        // no v value is.
+        // The k = 1 pair conflicts and every repair carries a null: k = 2 is
+        // certain in every world of every repair, while no v value is. Both
+        // projections are linear, so the fold values the nulls itself, one
+        // joint component at a time, through the split executor.
         let db = DatabaseBuilder::new()
             .relation("R", &["k", "v"])
             .key("R", &["k"])
@@ -1471,7 +1479,7 @@ mod tests {
         assert_eq!(keys.answers.len(), 2);
         let vals = engine.plan_text("project[#1](R)").unwrap();
         assert!(vals.answers.is_empty());
-        assert!(vals.stats.repair_early_exit || vals.stats.repairs_enumerated == Some(2));
+        assert_eq!(vals.stats.repairs_batched, vals.stats.repairs_enumerated);
     }
 
     #[test]

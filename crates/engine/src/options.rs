@@ -42,9 +42,10 @@ pub struct EngineOptions {
     pub world_options: WorldOptions,
     /// Budgets for consistent query answering under
     /// [`crate::Semantics::ConsistentAnswers`]: repair enumeration is
-    /// attempted while the conflict graph's repair estimate fits
-    /// `repair_options.max_repairs`, and degrades to the conflict-free-core
-    /// approximation beyond it.
+    /// attempted while the conflict graph's repair estimate — or, past it,
+    /// the factorized fold's own element count for a plan that factorizes —
+    /// fits `repair_options.max_repairs`, and degrades to the
+    /// conflict-free-core approximation beyond it.
     pub repair_options: RepairOptions,
     /// Rows per morsel for the columnar executors. `None` (the default)
     /// reads the `MORSEL_ROWS` environment variable per call as the seed;

@@ -421,14 +421,16 @@ pub struct EngineStats {
     pub estimated_repairs: Option<u128>,
     /// Repairs actually visited by the streaming fold, when the
     /// repair-enumeration strategy ran. When the fold factorized (a plan
-    /// linear in the conflict vertices, over a complete database), these
-    /// are **local** repairs: the sum over conflict components of each
-    /// component's maximal independent sets, not their product.
+    /// linear in the conflict vertices and null-bearing tuples), these are
+    /// its elements: a **local** repair of one joint component with a
+    /// valuation of that component's nulls, summed over the components,
+    /// not the product of whole repairs and worlds they stand for.
     pub repairs_enumerated: Option<u128>,
-    /// Of the visited repairs, how many were evaluated as survival masks
-    /// through the batched split executor, when the repair-enumeration
-    /// strategy ran. Equal to [`EngineStats::repairs_enumerated`] for
-    /// complete inputs; zero when nulls force the materializing path.
+    /// Of the visited repairs, how many went through the batched split
+    /// executor, when the repair-enumeration strategy ran. Equal to
+    /// [`EngineStats::repairs_enumerated`] for complete inputs and
+    /// factorized folds; zero when a null-bearing input whose plan does not
+    /// factorize takes the materializing path.
     pub repairs_batched: Option<u128>,
     /// Did the repair fold stop early because its running intersection
     /// emptied? Early exit only ever fires on an empty consistent answer.

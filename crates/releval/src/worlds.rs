@@ -74,23 +74,29 @@
 //! `Σ_K |dom|^|N_K|` elements for each side that reads a volatile relation —
 //! the plan itself in (i), `A` and `B` in (ii) — and one element for a side
 //! that does not (its answer is the same in every world, and is still
-//! evaluated, so every fold visits at least one element). It runs iff that
-//! count is below the product fold's `|dom|^|N|` and within
+//! evaluated, so every fold visits at least one element). In (ii) it first
+//! evaluates one whole world — the product fold's first, `v₀` — and answers
+//! ∅ at once when `A(v₀) − B(v₀)` is empty, so it keeps the product fold's
+//! first-world exit; that world is one more element. It runs iff the count
+//! is below the product fold's `|dom|^|N|` and within
 //! [`WorldOptions::max_worlds`] — so it never visits more elements than the
-//! product space holds, and never hits the budget. Everything else keeps the product fold, unchanged: plans that
-//! read Δ (the constants a valuation introduces enter the active domain),
-//! other plan shapes, OWA with [`WorldOptions::max_owa_extra`] above zero
-//! (extension tuples are not per-component choices), a database with one
-//! component (`Σ = ∏`), and a factorized space over the budget.
+//! product space holds, and never hits the budget. Everything else keeps
+//! the product fold, unchanged: plans that read Δ (the constants a
+//! valuation introduces enter the active domain), other plan shapes, OWA
+//! with [`WorldOptions::max_owa_extra`] above zero (extension tuples are
+//! not per-component choices), a database with one component (`Σ = ∏`),
+//! and a factorized space over the budget.
 //!
 //! **What the telemetry means there.** [`WorldExecution::components`] is
 //! `Some(k)` over `k` null components. [`WorldExecution::worlds_visited`]
-//! counts *component valuations* (the elements folded), not the whole
-//! worlds they stand for. A component's run on the certain side stops once
-//! its intersection is empty; in (ii) the possible side is skipped when
-//! `⋂ A` is empty, and otherwise subtracts `B`'s rows from it and stops when
-//! nothing is left. [`WorldExecution::early_exit`] is `true` only when such
-//! a stop skipped elements and the answer is ∅, as on the product fold.
+//! counts *component valuations* (the elements folded, plus the first
+//! whole world in (ii)), not the whole worlds they stand for. A component's
+//! run on the certain side stops once its intersection is empty; in (ii)
+//! the fold ends after the first whole world when its difference is ∅, the
+//! possible side is skipped when `⋂ A` is empty, and otherwise subtracts
+//! `B`'s rows from it and stops when nothing is left.
+//! [`WorldExecution::early_exit`] is `true` only when such a stop skipped
+//! elements and the answer is ∅, as on the product fold.
 //! [`WorldExecution::threads`] is one unless [`WorldOptions::threads`] pins
 //! it, because every worker rebuilds the stable subresults; a pinned count
 //! deals the components round-robin to the workers.
@@ -563,7 +569,10 @@ fn factorize<'p>(
     let elements = match shape {
         FoldShape::Product => return None,
         FoldShape::Linear { volatile } => side(volatile),
-        FoldShape::Difference { left_volatile, .. } => side(left_volatile).saturating_add(per_side),
+        // The first whole world, then both sides.
+        FoldShape::Difference { left_volatile, .. } => 1u128
+            .saturating_add(side(left_volatile))
+            .saturating_add(per_side),
     };
     let product = valuation_count(domain_len, db.null_ids().len());
     (elements < product && elements <= opts.max_worlds).then_some(Factorized {
@@ -674,16 +683,30 @@ fn fold_factorized(
         } => (left, left_volatile, right),
         FoldShape::Product => unreachable!("the product fold does not factorize"),
     };
+    // One whole world first — the product fold's first, `v₀` — keeps its
+    // exit: the answer is ∅ when `A(v₀) − B(v₀)` is.
+    let world = fold::run(1, budget, Combine::Intersect, |_, shard| {
+        run_shard_batched(job, (0, 1), shard)
+    })?;
+    if world.early_exit {
+        return Ok(world);
+    }
     // ⋂ A: one run per component, or A(G) when A reads no volatile
     // relation.
-    let first = fold_certain(job, runs(left_volatile), left, budget)?;
+    let certain = fold_certain(
+        job,
+        runs(left_volatile),
+        left,
+        budget.saturating_sub(world.visited),
+    )?;
+    let first = world.then(certain);
     let minuend = first.answers.clone().expect("the certain side folds");
     // ⋂ A − ⋃ B, skipped when ⋂ A is already empty.
     if minuend.is_empty() {
         return Ok(first);
     }
-    // Both sides together visit at most the factorized count, which the
-    // decision rule keeps within the budget.
+    // All three folds together visit at most the factorized count, which
+    // the decision rule keeps within the budget.
     let second = fold::run(
         job.workers,
         budget.saturating_sub(first.visited),
@@ -1098,11 +1121,11 @@ mod tests {
             assert_eq!(exec.answers, rows.answers);
         }
         // `R − R` is a root difference of linear sides. With two nulls over
-        // 3 fresh constants its 2 · (3 + 3) = 12 elements are not below the
-        // 3² = 9 whole worlds, so it keeps the product fold; a third null
-        // tips the rule. Then ⋂ R is ∅ after each component's second
-        // valuation, the possible side is skipped, and the fold reports an
-        // early exit on ∅.
+        // 3 fresh constants its 1 + 2 · (3 + 3) = 13 elements (the first
+        // whole world, then both sides) are not below the 3² = 9 whole
+        // worlds, so it keeps the product fold; a third null tips the rule.
+        // Then the first whole world already answers ∅, as on the product
+        // fold: one visit, and an early exit.
         let q = RaExpr::relation("R").difference(RaExpr::relation("R"));
         let exec = stream_certain_answer(
             &planned(&q, &db),
@@ -1111,22 +1134,36 @@ mod tests {
             &WorldOptions::default(),
         )
         .unwrap();
-        assert_eq!(exec.components, None, "12 elements are not below 9 worlds");
+        assert_eq!(exec.components, None, "13 elements are not below 9 worlds");
         let db = DatabaseBuilder::new()
             .relation("R", &["a"])
             .tuple("R", vec![Value::null(0)])
             .tuple("R", vec![Value::null(1)])
             .tuple("R", vec![Value::null(2)])
             .build();
-        let exec = stream_certain_answer(
-            &planned(&q, &db),
-            &db,
-            Semantics::Cwa,
-            &WorldOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(exec.components, Some(3), "2 · 3 · 4 = 24 < 4³ = 64");
-        assert_eq!(exec.worlds_visited, 6, "two valuations per component");
+        let cwa = |q: &RaExpr| {
+            stream_certain_answer(
+                &planned(q, &db),
+                &db,
+                Semantics::Cwa,
+                &WorldOptions::default(),
+            )
+            .unwrap()
+        };
+        let exec = cwa(&q);
+        assert_eq!(exec.components, Some(3), "1 + 2 · 3 · 4 = 25 < 4³ = 64");
+        assert_eq!(exec.worlds_visited, 1, "the first world answers ∅");
+        assert!(exec.answers.is_empty());
+        assert!(exec.early_exit);
+        // `R − σ_{a≠7}(R)` is {7} in the first world, which values every
+        // null to 7. Then ⋂ R is ∅ after each component's second valuation,
+        // and the possible side is skipped.
+        let q = RaExpr::relation("R").difference(
+            RaExpr::relation("R").select(Predicate::neq(Operand::col(0), Operand::int(7))),
+        );
+        let exec = cwa(&q);
+        assert_eq!(exec.components, Some(3));
+        assert_eq!(exec.worlds_visited, 1 + 6, "two valuations per component");
         assert!(exec.answers.is_empty());
         assert!(exec.early_exit);
     }
@@ -1253,11 +1290,12 @@ mod tests {
                 assert_eq!(batched.answers, rows.answers, "{q:?} under {semantics}");
                 if batched.components.is_some() {
                     // `π₁(R) − S` without extensions: R's and S's nulls are
-                    // two components over a 6-constant domain, so the
-                    // fold may visit 2 · (6 + 6) = 24 component valuations.
+                    // two components over a 6-constant domain, so the fold
+                    // may visit the first whole world and 2 · (6 + 6) = 24
+                    // component valuations.
                     factorized += 1;
                     assert_eq!(batched.components, Some(2));
-                    assert!(batched.worlds_visited <= 24, "{q:?} under {semantics}");
+                    assert!(batched.worlds_visited <= 25, "{q:?} under {semantics}");
                 } else {
                     assert_eq!(batched.worlds_visited, rows.worlds_visited);
                     assert_eq!(batched.early_exit, rows.early_exit);

@@ -184,28 +184,54 @@ impl ConflictGraph {
         self.retain(db, |fact| !vertex_set.contains(fact))
     }
 
-    /// The conflict-free core as one column batch per relation of `db`'s
-    /// schema, in schema order — [`ConflictGraph::core`] without building
-    /// a `Database`. One pass over each relation skips its conflict
-    /// vertices and doomed tuples; relations with neither are transposed
-    /// whole.
-    pub(crate) fn core_batches(&self, db: &Database) -> Vec<(String, ColumnBatch)> {
+    /// Each relation's facts outside the core: its conflict vertices and
+    /// doomed tuples.
+    fn excluded(&self) -> HashMap<&str, HashSet<&Tuple>> {
         let mut excluded: HashMap<&str, HashSet<&Tuple>> = HashMap::new();
         for (relation, tuple) in self.vertices.iter().chain(&self.doomed) {
             excluded.entry(relation.as_str()).or_default().insert(tuple);
         }
+        excluded
+    }
+
+    /// The complete rows of the conflict-free core as one column batch per
+    /// relation of `db`'s schema, in schema order — [`ConflictGraph::core`]
+    /// without building a `Database`, and without the null-bearing core
+    /// tuples, which [`ConflictGraph::null_core`] lists. One pass over each
+    /// relation skips its conflict vertices, doomed tuples and tuples with
+    /// nulls; complete relations with no vertex or doomed tuple are
+    /// transposed whole.
+    pub(crate) fn core_batches(&self, db: &Database) -> Vec<(String, ColumnBatch)> {
+        let excluded = self.excluded();
         db.schema()
             .iter()
             .map(|rs| {
                 let rel = db.relation(&rs.name).expect("schema lists the relation");
-                let batch = match excluded.get(rs.name.as_str()) {
-                    None => ColumnBatch::from_relation(rel),
-                    Some(skip) => ColumnBatch::from_rows(
+                let skip = excluded.get(rs.name.as_str());
+                let batch = if skip.is_none() && rel.is_complete() {
+                    ColumnBatch::from_relation(rel)
+                } else {
+                    ColumnBatch::from_rows(
                         rel.arity(),
-                        rel.iter().filter(|t| !skip.contains(t)),
-                    ),
+                        rel.iter()
+                            .filter(|t| t.is_complete() && skip.is_none_or(|s| !s.contains(t))),
+                    )
                 };
                 (rs.name.clone(), batch)
+            })
+            .collect()
+    }
+
+    /// The null-bearing tuples of the conflict-free core: every tuple with
+    /// a null that is neither a conflict vertex nor doomed.
+    pub(crate) fn null_core<'d>(&self, db: &'d Database) -> Vec<(&'d str, &'d Tuple)> {
+        let excluded = self.excluded();
+        db.iter()
+            .flat_map(|(name, rel)| {
+                let skip = excluded.get(name);
+                rel.iter()
+                    .filter(move |t| !t.is_complete() && skip.is_none_or(|s| !s.contains(t)))
+                    .map(move |t| (name, t))
             })
             .collect()
     }

@@ -2,60 +2,111 @@
 //! subset-minimal repair `R`, computed the way `releval::worlds` computes
 //! `⋂ Q(D')` over possible worlds.
 //!
-//! The two world-spaces compose rather than multiply in memory: each repair
-//! of an *incomplete* inconsistent database is itself an incomplete
-//! database, so the per-repair certain answer is delegated to the existing
-//! machinery — the physical executor directly when the repair is complete,
-//! the symbolic c-table strategy when it is not, and the streaming world
-//! oracle when symbolic punts. The outer fold runs on the enumeration-fold
-//! driver [`releval::fold`], which owns the sharding, the budget on repairs
-//! **visited**, early exit on an empty intersection, the error slot and the
-//! merge. This module supplies the choice space: repairs from the
-//! enumeration-prefix partition of [`crate::enumerate::MaskIter`], or the
-//! conflict components.
+//! The outer fold runs on the enumeration-fold driver [`releval::fold`],
+//! which owns the sharding, the budget on elements **visited**, early exit
+//! on an empty intersection, the error slot and the merge. This module
+//! supplies the choice space, in one of three shapes:
+//!
+//! * a linear plan folds one **joint component** at a time — a local
+//!   repair and a valuation of its nulls per element — on a complete or a
+//!   null-bearing database alike (below);
+//! * any other plan over a complete database folds whole repairs as
+//!   survival masks, from the enumeration-prefix partition of
+//!   [`crate::enumerate::MaskIter`];
+//! * any other plan over a null-bearing database builds each repair as a
+//!   `Database` and delegates its certain answer to the existing machinery:
+//!   the physical executor when the repair is complete, the symbolic
+//!   c-table strategy when it is not, and the streaming world oracle when
+//!   symbolic punts. [`stream_consistent_answer_rows`] forces this row path
+//!   everywhere as the differential reference.
 //!
 //! # Complete databases: survival masks
 //!
-//! A repair of a **complete** database is never materialized as a
-//! `Database`: it is the conflict-free core plus a tuple-survival mask over
-//! the conflict vertices, read straight off [`MaskIter::included`]. The
-//! core's column batches are built once per fold, in one pass that skips
-//! conflict vertices and doomed tuples. Each worker feeds the mask's rows
+//! A repair of a **complete** database is the conflict-free core plus a
+//! tuple-survival mask over the conflict vertices, read straight off
+//! [`MaskIter::included`]. The core's complete rows are transposed into
+//! column batches once per fold, in one pass that skips conflict vertices,
+//! doomed tuples and null-bearing tuples. Each worker feeds the mask's rows
 //! into reused scratch batches and evaluates the shared plan through the
 //! caching split executor
 //! ([`releval::exec::columnar::split::ShardExec`]); stable subresults and
 //! their hash tables are built on the first repair of a shard and reused by
-//! every later one. Incomplete databases keep the row path — their repairs
-//! need the full certain-answer machinery anyway — and
-//! [`stream_consistent_answer_rows`] forces it everywhere as the
-//! differential reference.
+//! every later one.
 //!
-//! # Linear plans: one component at a time
+//! # Linear plans: one joint component at a time
 //!
-//! A repair is the core plus one maximal independent set — one **local
-//! repair** — per connected component `K` of the conflict graph, chosen
-//! independently. When every derivation of the plan uses at most one
-//! conflict vertex, the plan is *linear*: `Q(core ∪ M₁ ∪ … ∪ Mₖ) =
-//! Q(core) ∪ ⋃_K vol(M_K)`, where `vol(M_K)` is what the split executor
-//! derives from `M_K` alone. Intersecting over the product of choices then
-//! factorizes:
+//! Under CWA the consistent answer is `⋂_R ⋂_v Q(v(R))`: every repair `R`,
+//! every valuation `v` of its nulls. The factorized fold computes it
+//! without building a repair or a world.
+//!
+//! *One domain.* Every repair is valued over the one shared
+//! [`valuation_domain`] of the whole database `D`. Let `C_R` be the
+//! constants of a repair `R` and of `Q`, and `N_R` the nulls of `R`. A
+//! domain holding `C_R` and at least `|N_R| + 1` constants outside it is
+//! adequate for `R`: by genericity, every valuation into an infinite
+//! domain is, up to a bijection fixing `C_R`, a valuation into it, so it
+//! refutes every row over `C_R` that the infinite domain refutes; and a row
+//! holding a constant outside `C_R` is refuted by a valuation avoiding that
+//! constant, for which the spare constant leaves room. `valuation_domain(D)`
+//! holds `C_D ⊇ C_R` and `|N_D| + 1 ≥ |N_R| + 1` fresh constants, so it is
+//! adequate for every repair, and each repair's intersection `⋂_v Q(v(R))`
+//! is unchanged. Valuing the nulls of `D` that `R` lacks changes nothing
+//! either, since `v(R)` reads `v` on `N_R` only.
+//!
+//! *Joint components.* One union-find over the conflict vertices and the
+//! nulls of the non-doomed tuples joins two vertices sharing a conflict
+//! edge, two nulls sharing a tuple, and a vertex with each of its nulls. A
+//! **joint component** `J` is one class: its vertices `V_J` (a union of
+//! whole conflict components, so closed under adjacency), its nulls `N_J`,
+//! and the null-bearing core tuples `C_J`, whose nulls lie in `N_J`. `G` is
+//! the complete core. A repair is `G ∪ ⋃_J (M_J ∪ C_J)` for one local
+//! repair `M_J` of `V_J` per component, and a valuation is one `v_J` of
+//! `N_J` per component (nulls that only doomed tuples carry are in no
+//! repair). No conflict edge crosses two components and no tuple mixes
+//! their nulls, so nothing ties their choices: the pairs `(R, v)` are
+//! exactly the product of each component's pairs `(M_J, v_J)`, and
+//! `v(R) = G ∪ ⋃_J v_J(M_J ∪ C_J)`. This is why a vertex carrying `⊥` must
+//! join `⊥`'s component: when vertices of two conflict components share a
+//! null, the value one repair choice sees depends on the valuation the
+//! other sees, and only their merged component chooses both together.
+//!
+//! *The identity.* Call a relation volatile when it holds a conflict
+//! vertex or a null-bearing core tuple. When every derivation of the plan
+//! uses at most one volatile row — the plan is *linear*, by the table of
+//! [`relalgebra::physical::linear_volatility`] —
+//! `Q(v(R)) = Q(G) ∪ ⋃_J vol_J(M_J, v_J)`, where `vol_J` is what the split
+//! executor derives when its volatile scans hold only `v_J(M_J ∪ C_J)`.
+//! Intersecting over the product of choices then factorizes:
 //!
 //! ```text
-//! ⋂_R Q(R)  =  Q(core) ∪ ⋃_K ⋂_{M ∈ MIS(K)} vol(M)
+//! ⋂_R ⋂_v Q(v(R))  =  Q(G) ∪ ⋃_J ⋂_{(M_J, v_J)} vol_J(M_J, v_J)
 //! ```
 //!
-//! (a row outside the right-hand side misses some `vol(M_K)` in every
-//! component, and the repair choosing all those `M_K` lacks it). So a
-//! linear plan on a complete database costs `Σ_K |MIS(K)|` split-executor
-//! elements instead of `∏_K |MIS(K)|`. Linearity is decided on the
-//! physical plan by the table of [`relalgebra::physical::linear_volatility`],
-//! with the relations holding conflict vertices as the volatile ones.
+//! (a row outside the right-hand side misses some `vol_J(M_J, v_J)` in
+//! every component, and the repair and valuation choosing all those pairs
+//! answer without it: ∀ over a product of independent choices swaps with
+//! ∃). A complete database is the case with no nulls: its joint components
+//! are the conflict components, each with one (empty) valuation.
 //!
-//! Anything non-linear keeps the product fold. On the factorized path the
-//! budget [`RepairOptions::max_repairs`] counts **local** repairs visited
-//! ([`RepairExecution::repairs_visited`]), the fold never exits early (so
-//! the count is deterministic), and a pinned [`RepairOptions::threads`]
-//! partitions the components across workers.
+//! **When the fold factorizes.** It visits at most
+//! `Σ_J |LR(J)| · |dom|^{|N_J|}` elements, `LR(J)` being the local repairs
+//! of `V_J` (the maximal independent sets of the subgraph it spans). The
+//! fold takes this path iff the plan is linear (which rules out Δ), some
+//! relation is volatile, the domain is not empty, and that count —
+//! [`factorized_repair_count`], computed before the fold — is within
+//! [`RepairOptions::max_repairs`], so the factorized fold never hits the
+//! budget. Otherwise a complete database folds whole repairs as survival
+//! masks and a null-bearing one takes the row path.
+//!
+//! **What the telemetry means there.** [`RepairExecution::components`] is
+//! `Some(k)` over `k` joint components, and
+//! [`RepairExecution::repairs_visited`] counts the elements `(M_J, v_J)`
+//! folded. A component's run stops once its intersection is empty (it can
+//! add nothing to the union), so the count depends on the answers but not
+//! on the workers; the fold never reports early exit. A pinned
+//! [`RepairOptions::threads`] deals the components round-robin to the
+//! workers; otherwise one worker runs them all, because every worker
+//! rebuilds the core's stable subresults.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -67,11 +118,12 @@ use releval::exec::columnar::split::{ShardExec, ShardSetup};
 use releval::exec::{self, OpStats};
 use releval::fold::{self, Combine, FoldError, Scratch, Shard, ShardProfile};
 use releval::symbolic::{symbolic_certain_answer, SymbolicOptions, SymbolicOutcome};
-use releval::worlds::{stream_certain_answer, WorldOptions};
+use releval::worlds::{stream_certain_answer, valuation_domain, WorldOptions};
 use releval::EvalError;
 use relmodel::batch::{morsel_rows, ColumnBatch};
-use relmodel::value::Constant;
-use relmodel::{Database, Relation, Semantics, Value};
+use relmodel::valuation::{valuation_space_size, Valuation, ValuationEnumerator};
+use relmodel::value::{Constant, NullId};
+use relmodel::{Database, Relation, Semantics, Tuple, Value};
 
 use crate::conflict::ConflictGraph;
 use crate::enumerate::{MaskIter, RepairIter};
@@ -81,16 +133,21 @@ use crate::enumerate::{MaskIter, RepairIter};
 pub struct RepairOptions {
     /// Budget on the number of repairs **visited** by the streaming fold
     /// (early exit can beat it, exactly like the world budget). When the
-    /// fold factorizes, it counts local repairs.
+    /// fold factorizes, it counts elements — a local repair with a
+    /// valuation of its component's nulls — and the fold factorizes only
+    /// when all of them fit.
     pub max_repairs: u128,
     /// Worker threads for the fold; `None` chooses automatically (the shard
     /// count is rounded down to a power of two — shards are enumeration-
-    /// prefix partitions, or round-robin component partitions when the fold
-    /// factorizes). Small conflict graphs stay single-threaded.
+    /// prefix partitions — and a factorized fold runs on one worker).
+    /// Small conflict graphs stay single-threaded. A pinned count deals the
+    /// joint components round-robin when the fold factorizes.
     pub threads: Option<usize>,
-    /// Per-repair world-oracle budget, used when a repair carries nulls and
-    /// the symbolic strategy punts. The fold forces its workers' inner
-    /// enumerations single-threaded; parallelism belongs to the outer fold.
+    /// Per-repair world-oracle budget, used on the row path when a repair
+    /// carries nulls and the symbolic strategy punts. The fold forces its
+    /// workers' inner enumerations single-threaded; parallelism belongs to
+    /// the outer fold. Its `extra_fresh` also sizes the factorized fold's
+    /// shared [`valuation_domain`].
     pub world_options: WorldOptions,
     /// Per-repair symbolic solver budget.
     pub symbolic_options: SymbolicOptions,
@@ -163,29 +220,33 @@ impl From<EvalError> for RepairError {
 pub struct RepairExecution {
     /// The consistent answer — `⋂ certain(Q, R)` over the visited repairs.
     pub answers: Relation,
-    /// Repairs actually evaluated across all workers. When the fold
-    /// factorized ([`RepairExecution::components`] is `Some`), these are
-    /// **local** repairs: `Σ_K |MIS(K)|` over the conflict components, not
-    /// the `∏_K |MIS(K)|` whole repairs they stand for.
+    /// Elements actually evaluated across all workers. On a whole-repair
+    /// fold these are repairs. When the fold factorized
+    /// ([`RepairExecution::components`] is `Some`), they are the pairs of a
+    /// **local** repair and a valuation of its joint component's nulls, at
+    /// most `Σ_J |LR(J)| · |dom|^{|N_J|}`, not the whole repairs and worlds
+    /// they stand for.
     pub repairs_visited: u128,
-    /// Of the visited repairs, how many were evaluated as survival masks
-    /// through the batched split executor instead of materialized
-    /// `Database`s. The whole fold batches when the input database is
-    /// complete; incomplete inputs (and the
-    /// [`stream_consistent_answer_rows`] reference) report zero.
+    /// Of the visited elements, how many went through the split executor —
+    /// survival masks, or a factorized fold's elements — instead of a
+    /// materialized `Database`. Equal to
+    /// [`RepairExecution::repairs_visited`] except on the row path (a
+    /// null-bearing database whose plan does not factorize, and the
+    /// [`stream_consistent_answer_rows`] reference), which reports zero.
     pub repairs_batched: u128,
     /// Did enumeration stop early because the intersection emptied? Early
     /// exit can only fire when the consistent answer is ∅, and never fires
     /// when the fold factorized.
     pub early_exit: bool,
-    /// `Some(k)` when the fold factorized over the `k` connected components
-    /// of the conflict graph (a linear plan on a complete database; see the
-    /// [module docs](self)); `None` when it enumerated whole repairs.
+    /// `Some(k)` when the fold factorized over `k` joint components (a
+    /// linear plan within the budget; see the [module docs](self)); `None`
+    /// when it enumerated whole repairs.
     pub components: Option<usize>,
     /// Worker threads used by the fold.
     pub threads: usize,
-    /// Repairs whose certain answer needed the symbolic c-table strategy
-    /// (the repair carried nulls).
+    /// Repairs whose certain answer needed the symbolic c-table strategy:
+    /// row-path repairs that carried nulls. Zero when the fold factorized,
+    /// because its elements value the nulls themselves.
     pub symbolic_repairs: u128,
     /// Repairs whose certain answer fell through to the world oracle.
     pub world_repairs: u128,
@@ -263,10 +324,10 @@ fn repair_certain_answer(
     Ok(exec.answers)
 }
 
-/// The conflict-free core of a complete database, built once per fold and
+/// The complete rows of the conflict-free core, built once per fold and
 /// read by every worker of both batched runners.
 struct Core {
-    /// Each relation's core rows, in schema order.
+    /// Each relation's complete core rows, in schema order.
     scans: Vec<(String, ColumnBatch)>,
     /// The core's constants — only when the plan reads Δ, whose stable
     /// part they are.
@@ -296,9 +357,172 @@ impl Core {
     }
 }
 
-/// The relations holding conflict vertices.
-fn volatile_relations(graph: &ConflictGraph) -> BTreeSet<&str> {
-    graph.vertices().iter().map(|(r, _)| r.as_str()).collect()
+/// One joint component (see the [module docs](self)): the conflict
+/// vertices and nulls a repair and a valuation choose together.
+#[derive(Default)]
+struct JointComponent<'d> {
+    /// Vertex indexes, ascending and closed under adjacency.
+    vertices: Vec<usize>,
+    /// The component's nulls, ascending.
+    nulls: Vec<NullId>,
+    /// The null-bearing core tuples over these nulls.
+    core: Vec<(&'d str, &'d Tuple)>,
+}
+
+/// The factorized fold's choice space.
+struct JointSpace<'d> {
+    components: Vec<JointComponent<'d>>,
+    /// The shared valuation domain (empty when no component has a null).
+    domain: Vec<Constant>,
+    /// The relations holding a conflict vertex or a null-bearing core
+    /// tuple.
+    volatile: BTreeSet<&'d str>,
+    /// `Σ_J |LR(J)| · |dom|^{|N_J|}`, counted exactly up to the budget;
+    /// past it, some count above the budget.
+    elements: u128,
+}
+
+/// The joint components: one union-find over the vertices (elements
+/// `0..V`) and the nulls of vertices and null-bearing core tuples
+/// (elements `V..`), numbered by their least element.
+fn joint_components<'d>(
+    graph: &'d ConflictGraph,
+    null_core: &[(&'d str, &'d Tuple)],
+) -> Vec<JointComponent<'d>> {
+    let vertices = graph.vertices();
+    let nulls_of = |t: &'d Tuple| t.values().iter().filter_map(Value::as_null);
+    let mut nulls: Vec<NullId> = vertices
+        .iter()
+        .map(|(_, t)| t)
+        .chain(null_core.iter().map(|(_, t)| *t))
+        .flat_map(nulls_of)
+        .collect();
+    nulls.sort_unstable();
+    nulls.dedup();
+    let null_element = |n: NullId| vertices.len() + nulls.binary_search(&n).expect("a listed null");
+    let mut parent: Vec<usize> = (0..vertices.len() + nulls.len()).collect();
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut union = |a: usize, b: usize| {
+        let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+        parent[ra.max(rb)] = ra.min(rb);
+    };
+    for (v, (_, tuple)) in vertices.iter().enumerate() {
+        for &u in graph.neighbors(v) {
+            union(v, u);
+        }
+        for n in nulls_of(tuple) {
+            union(v, null_element(n));
+        }
+    }
+    for (_, tuple) in null_core {
+        let mut ids = nulls_of(tuple);
+        let first = null_element(ids.next().expect("a null-bearing tuple"));
+        for n in ids {
+            union(first, null_element(n));
+        }
+    }
+    let mut components: Vec<JointComponent<'d>> = Vec::new();
+    let mut numbered: Vec<Option<usize>> = vec![None; parent.len()];
+    let placed: Vec<usize> = (0..parent.len())
+        .map(|element| {
+            let r = root(&mut parent, element);
+            *numbered[r].get_or_insert_with(|| {
+                components.push(JointComponent::default());
+                components.len() - 1
+            })
+        })
+        .collect();
+    for (v, &k) in placed[..vertices.len()].iter().enumerate() {
+        components[k].vertices.push(v);
+    }
+    for (&n, &k) in nulls.iter().zip(&placed[vertices.len()..]) {
+        components[k].nulls.push(n);
+    }
+    for &(name, tuple) in null_core {
+        let first = nulls_of(tuple).next().expect("a null-bearing tuple");
+        components[placed[null_element(first)]]
+            .core
+            .push((name, tuple));
+    }
+    components
+}
+
+impl<'d> JointSpace<'d> {
+    /// The factorized fold's choice space for `plan`, or `None` when the
+    /// plan is not linear in the volatile relations, none is volatile, or
+    /// a null meets an empty domain. `null_core` lists the null-bearing
+    /// core tuples ([`ConflictGraph::null_core`]).
+    fn new(
+        plan: &PlannedQuery,
+        db: &Database,
+        graph: &'d ConflictGraph,
+        null_core: &[(&'d str, &'d Tuple)],
+        opts: &RepairOptions,
+    ) -> Option<JointSpace<'d>> {
+        let volatile: BTreeSet<&str> = graph
+            .vertices()
+            .iter()
+            .map(|(r, _)| r.as_str())
+            .chain(null_core.iter().map(|&(r, _)| r))
+            .collect();
+        let linear = linear_volatility(plan.physical().root(), &|name| volatile.contains(name));
+        if volatile.is_empty() || linear.is_none() {
+            return None;
+        }
+        let components = joint_components(graph, null_core);
+        let domain = if components.iter().all(|k| k.nulls.is_empty()) {
+            Vec::new()
+        } else {
+            let domain = valuation_domain(plan.expr(), db, &opts.world_options);
+            if domain.is_empty() {
+                return None;
+            }
+            domain
+        };
+        // Counts each component's local repairs, stopping once the sum
+        // passes the budget.
+        let cap = opts.max_repairs;
+        let mut masks = MaskIter::with_prefix(graph, 0, 0);
+        let mut elements = 0u128;
+        for component in &components {
+            let valuations = valuation_space_size(component.nulls.len(), domain.len());
+            masks.restart(&component.vertices);
+            while elements <= cap && masks.next_mask() {
+                elements = elements.saturating_add(valuations);
+            }
+        }
+        Some(JointSpace {
+            components,
+            domain,
+            volatile,
+            elements,
+        })
+    }
+}
+
+/// The factorized fold's element count for `plan` over `db`:
+/// `Σ_J |LR(J)| · |dom|^{|N_J|}` over the joint components (see the
+/// [module docs](self)), or `None` when the plan does not factorize — it
+/// is not linear in the volatile relations, none is volatile, or a null
+/// meets an empty valuation domain. The count is exact up to
+/// [`RepairOptions::max_repairs`]; counting enumerates local repairs and
+/// stops once the sum passes the budget, returning some count above it.
+/// [`stream_consistent_answer`] factorizes exactly when this is `Some(n)`
+/// with `n ≤ max_repairs`, so such a fold never hits the budget.
+pub fn factorized_repair_count(
+    plan: &PlannedQuery,
+    db: &Database,
+    graph: &ConflictGraph,
+    opts: &RepairOptions,
+) -> Option<u128> {
+    let null_core = graph.null_core(db);
+    JointSpace::new(plan, db, graph, &null_core, opts).map(|space| space.elements)
 }
 
 /// Everything a worker needs, shared read-only across the fleet.
@@ -308,6 +532,8 @@ struct ShardJob<'a> {
     db: &'a Database,
     graph: &'a ConflictGraph,
     opts: &'a RepairOptions,
+    /// The relations whose scans are refilled per element.
+    volatile: &'a BTreeSet<&'a str>,
     null_values_literal: bool,
     prefix_len: usize,
     workers: usize,
@@ -316,13 +542,15 @@ struct ShardJob<'a> {
 /// Which shard runner the fold uses.
 #[derive(Clone, Copy)]
 enum Runner<'a> {
-    /// The row-materializing reference (incomplete inputs, and
-    /// [`stream_consistent_answer_rows`] everywhere).
+    /// The row-materializing reference (null-bearing inputs whose plan
+    /// does not factorize, and [`stream_consistent_answer_rows`]
+    /// everywhere).
     Rows,
-    /// Survival masks over the product of every component's choices.
+    /// Survival masks over the product of every component's choices, on a
+    /// complete database.
     Batched(&'a Core),
-    /// One component at a time: the plan is linear.
-    Factorized(&'a Core, &'a [Vec<usize>]),
+    /// One joint component at a time: the plan is linear.
+    Factorized(&'a Core, &'a JointSpace<'a>),
 }
 
 /// The batched shard runner: the same repairs in the same order as
@@ -337,7 +565,11 @@ fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Sh
         if !shard.admit() {
             break;
         }
-        refill(&mut scratch, job.graph, masks.included());
+        scratch.clear();
+        for v in masks.included() {
+            let (relation, tuple) = &vertices[v];
+            scratch.scan(relation).push_tuple(tuple);
+        }
         if let Some(core_consts) = &core.constants {
             let included = masks.included().flat_map(|v| vertices[v].1.values());
             scratch.refill_delta(core_consts, included.filter_map(Value::as_const));
@@ -349,55 +581,82 @@ fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Sh
     shard.op_stats.merge(&exec.stats);
 }
 
-/// The factorized shard runner: for each component assigned to this worker
-/// (round-robin over `job.workers`), one split-executor element per local
-/// repair, whose volatile scans hold only that local repair's vertices.
-/// Each component is one run of the shard's meet: its volatile answers are
-/// intersected, and the runs unite. One executor serves every component, so
+/// The factorized shard runner: for each joint component dealt to this
+/// worker (round-robin over `job.workers`), one split-executor element per
+/// local repair and valuation of the component's nulls, whose volatile
+/// scans hold only that local repair's vertices and the component's
+/// null-bearing core tuples, valued. Each component is one run of the
+/// shard's meet: its volatile answers are intersected until the run
+/// empties, and the runs unite. One executor serves every component, so
 /// the core's subresults and hash tables are built once per worker.
 fn run_shard_factorized(
     job: ShardJob<'_>,
     core: &Core,
-    components: &[Vec<usize>],
+    space: &JointSpace<'_>,
     worker: usize,
     shard: &mut Shard<'_>,
 ) {
-    let mine = components.iter().skip(worker).step_by(job.workers);
+    let mine = space.components.iter().skip(worker).step_by(job.workers);
     if mine.len() == 0 {
         return;
     }
     let (mut exec, mut scratch) = element_exec(job, core);
     let mut masks = MaskIter::with_prefix(job.graph, 0, 0);
+    let vertices = job.graph.vertices();
     'components: for component in mine {
-        masks.restart(component);
-        while masks.next_mask() {
-            if !shard.admit() {
-                break 'components;
+        masks.restart(&component.vertices);
+        'run: while masks.next_mask() {
+            let domain = if component.nulls.is_empty() {
+                Vec::new()
+            } else {
+                space.domain.clone()
+            };
+            for v in ValuationEnumerator::new(component.nulls.iter().copied(), domain) {
+                if !shard.admit() {
+                    break 'components;
+                }
+                scratch.clear();
+                let included = masks.included().map(|i| {
+                    let (relation, tuple) = &vertices[i];
+                    (relation.as_str(), tuple)
+                });
+                for (relation, tuple) in included.chain(component.core.iter().copied()) {
+                    push_valued(scratch.scan(relation), tuple, &v);
+                }
+                if !shard.fold_split(&exec.eval_element(&scratch.input())) {
+                    break 'run;
+                }
             }
-            refill(&mut scratch, job.graph, masks.included());
-            shard.fold_split(&exec.eval_element(&scratch.input()));
         }
         shard.close_run();
     }
     shard.op_stats.merge(&exec.stats);
 }
 
+/// Appends `v(tuple)` to `batch`.
+fn push_valued(batch: &mut ColumnBatch, tuple: &Tuple, v: &Valuation) {
+    if tuple.is_complete() {
+        batch.push_tuple(tuple);
+    } else {
+        batch.push_row(tuple.values().iter().map(|x| v.apply_value(x)));
+    }
+}
+
 /// A worker's split executor over the core, and its scratch: one batch per
-/// conflict-bearing relation.
+/// volatile relation.
 fn element_exec<'a>(job: ShardJob<'a>, core: &Core) -> (ShardExec<'a>, Scratch) {
-    let volatile = volatile_relations(job.graph);
-    let scratch = Scratch::new(volatile.iter().map(|name| {
+    let scratch = Scratch::new(job.volatile.iter().map(|name| {
         let schema = job.db.schema().relation(name);
         let arity = schema
-            .expect("conflict vertices come from the schema")
+            .expect("volatile relations come from the schema")
             .arity();
         (name.to_string(), arity)
     }));
-    // The core rows are the stable scans; a relation is static iff no
-    // conflict vertex lives in it.
+    // The complete core rows are the stable scans; a relation is static
+    // iff it is not volatile.
     let setup = ShardSetup::new(
         core.scans.iter().map(|(name, batch)| {
-            let is_static = !volatile.contains(name.as_str());
+            let is_static = !job.volatile.contains(name.as_str());
             (name.clone(), batch.clone(), is_static)
         }),
         core.constants
@@ -408,15 +667,6 @@ fn element_exec<'a>(job: ShardJob<'a>, core: &Core) -> (ShardExec<'a>, Scratch) 
         ShardExec::new(job.plan.physical(), morsel_rows(), setup),
         scratch,
     )
-}
-
-/// Refills the scratch scans with the vertices a (local) repair keeps.
-fn refill(scratch: &mut Scratch, graph: &ConflictGraph, included: impl Iterator<Item = usize>) {
-    scratch.clear();
-    for v in included {
-        let (relation, tuple) = &graph.vertices()[v];
-        scratch.scan(relation).push_tuple(tuple);
-    }
 }
 
 /// The row-materializing reference shard runner.
@@ -446,8 +696,9 @@ fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shard: &mut Shard<'_>) -> Fall
 /// [`RepairOptions::max_repairs`] repairs were visited without the fold
 /// converging, and with [`RepairError::Eval`] when a per-repair evaluation
 /// fails; early exit beats both, because ∅ is proven the moment any shard's
-/// intersection empties. A linear plan over a complete database is folded
-/// one conflict component at a time (see the [module docs](self)).
+/// intersection empties. A linear plan whose factorized count fits the
+/// budget is folded one joint component at a time, on complete and
+/// null-bearing databases alike (see the [module docs](self)).
 pub fn stream_consistent_answer(
     plan: &PlannedQuery,
     db: &Database,
@@ -459,9 +710,9 @@ pub fn stream_consistent_answer(
 
 /// [`stream_consistent_answer`] with the row-materializing shard runner
 /// forced everywhere: every repair — never a local one — is built as a
-/// `Database` and evaluated from scratch. Kept public as the
-/// differential-testing reference for the batched and factorized paths;
-/// not intended for production use.
+/// `Database` and its certain answer computed from scratch. Kept public as
+/// the differential-testing reference for the batched and factorized
+/// paths; not intended for production use.
 pub fn stream_consistent_answer_rows(
     plan: &PlannedQuery,
     db: &Database,
@@ -478,24 +729,23 @@ fn stream_consistent_answer_inner(
     opts: &RepairOptions,
     batch: bool,
 ) -> Result<RepairExecution, RepairError> {
-    // The mask paths cover complete databases only: their repairs are
-    // complete too, so the per-repair certain answer *is* plan execution —
-    // no symbolic/world-oracle dispatch to thread through. Incomplete
-    // inputs keep the row path.
-    let core = (batch && db.is_complete()).then(|| Core::build(plan, db, graph));
-    let dirty = volatile_relations(graph);
-    let components = match &core {
-        Some(_)
-            if !dirty.is_empty()
-                && linear_volatility(plan.physical().root(), &|name| dirty.contains(name))
-                    .is_some() =>
-        {
-            Some(graph.components())
-        }
-        _ => None,
+    // The survival-mask fold covers complete databases only: their repairs
+    // are complete too, so the per-repair certain answer *is* plan
+    // execution. A factorized fold values the nulls itself; anything else
+    // over a null-bearing database keeps the row path.
+    let complete = db.is_complete();
+    let null_core = if batch && !complete {
+        graph.null_core(db)
+    } else {
+        Vec::new()
     };
-    let runner = match (&core, &components) {
-        (Some(core), Some(components)) => Runner::Factorized(core, components),
+    let space = batch
+        .then(|| JointSpace::new(plan, db, graph, &null_core, opts))
+        .flatten()
+        .filter(|space| space.elements <= opts.max_repairs);
+    let core = (batch && (complete || space.is_some())).then(|| Core::build(plan, db, graph));
+    let runner = match (&core, &space) {
+        (Some(core), Some(space)) => Runner::Factorized(core, space),
         (Some(core), None) => Runner::Batched(core),
         (None, _) => Runner::Rows,
     };
@@ -503,14 +753,17 @@ fn stream_consistent_answer_inner(
         // Every worker rebuilds the core's stable subresults, which dominate
         // a linear fold's cost: components are split across workers only
         // when the caller pins a thread count.
-        Runner::Factorized(..) if opts.threads.is_none() => (0, 1),
+        Runner::Factorized(..) => (0, opts.threads.map_or(1, |t| t.max(1))),
         _ => resolve_shards(opts, graph.conflict_tuples()),
     };
+    let vertex_relations: BTreeSet<&str> =
+        graph.vertices().iter().map(|(r, _)| r.as_str()).collect();
     let job = ShardJob {
         plan,
         db,
         graph,
         opts,
+        volatile: space.as_ref().map_or(&vertex_relations, |s| &s.volatile),
         null_values_literal: has_incomplete_values(plan.expr()),
         prefix_len,
         workers,
@@ -526,11 +779,11 @@ fn stream_consistent_answer_inner(
         match runner {
             Runner::Rows => return run_shard_rows(job, worker as u64, shard),
             Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shard),
-            Runner::Factorized(core, components) => {
-                run_shard_factorized(job, core, components, worker, shard)
+            Runner::Factorized(core, space) => {
+                run_shard_factorized(job, core, space, worker, shard)
             }
         }
-        // The mask paths run complete repairs only.
+        // The split-executor paths never leave the physical executor.
         Fallbacks::default()
     })
     .map_err(|e| match e {
@@ -550,7 +803,7 @@ fn stream_consistent_answer_inner(
         repairs_visited: folded.visited,
         repairs_batched: folded.batched,
         early_exit: folded.early_exit,
-        components: components.as_ref().map(Vec::len),
+        components: space.as_ref().map(|s| s.components.len()),
         threads: workers,
         symbolic_repairs: folded.tallies.iter().map(|t| t.symbolic).sum(),
         world_repairs: folded.tallies.iter().map(|t| t.world).sum(),
@@ -679,33 +932,70 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn incomplete_repairs_go_through_the_certain_answer_machinery() {
-        // The conflicting pair pins v to 10-or-⊥0; the core tuple (2,⊥1) is
-        // incomplete, so every repair is an incomplete database. π_k is
-        // certain in every world of every repair; π_v is not.
-        let db = DatabaseBuilder::new()
+    /// `π_col(σ_{k = k'}(R × R))`: the key self-join pairs each tuple with
+    /// itself. It reads R on both join sides, so it is not linear.
+    fn self_join(col: usize) -> RaExpr {
+        RaExpr::relation("R")
+            .product(RaExpr::relation("R"))
+            .select(relalgebra::predicate::Predicate::eq(
+                relalgebra::predicate::Operand::col(0),
+                relalgebra::predicate::Operand::col(2),
+            ))
+            .project(vec![col])
+    }
+
+    /// The conflicting pair pins v to 10-or-⊥0; the core tuple (2,⊥1) is
+    /// incomplete, so every repair is an incomplete database.
+    fn incomplete_dirty_db() -> Database {
+        DatabaseBuilder::new()
             .relation("R", &["k", "v"])
             .key("R", &["k"])
             .ints("R", &[1, 10])
             .tuple("R", vec![Value::int(1), Value::null(0)])
             .tuple("R", vec![Value::int(2), Value::null(1)])
-            .build();
-        let keys = RaExpr::relation("R").project(vec![0]);
-        let exec = fold(&keys, &db, &RepairOptions::default());
+            .build()
+    }
+
+    #[test]
+    fn incomplete_repairs_go_through_the_certain_answer_machinery() {
+        // The keys are certain in every world of every repair; no value
+        // is. The self-join is not linear, so the fold builds each repair
+        // and answers it symbolically.
+        let db = incomplete_dirty_db();
+        let exec = fold(&self_join(0), &db, &RepairOptions::default());
+        assert_eq!(exec.components, None);
         assert_eq!(exec.answers.len(), 2, "both keys survive: {}", exec.answers);
         assert!(
             exec.symbolic_repairs > 0,
             "incomplete repairs answered symbolically"
         );
 
-        let vals = RaExpr::relation("R").project(vec![1]);
-        let exec = fold(&vals, &db, &RepairOptions::default());
+        let exec = fold(&self_join(1), &db, &RepairOptions::default());
         assert!(
             exec.answers.is_empty(),
             "⊥1 makes no value certain: {}",
             exec.answers
         );
+    }
+
+    #[test]
+    fn incomplete_linear_plans_take_the_joint_fold() {
+        // The linear twins of the test above: `π_k(R)` and `π_v(R)` fold
+        // two joint components — the clash with ⊥0, and ⊥1's core tuple —
+        // and value the nulls themselves, with no symbolic repair.
+        let db = incomplete_dirty_db();
+        for (col, certain) in [(0, 2), (1, 0)] {
+            let q = RaExpr::relation("R").project(vec![col]);
+            let exec = fold(&q, &db, &RepairOptions::default());
+            assert_eq!(exec.components, Some(2));
+            assert_eq!(exec.answers.len(), certain, "π_{col}: {}", exec.answers);
+            assert_eq!(exec.repairs_batched, exec.repairs_visited);
+            assert_eq!(exec.symbolic_repairs, 0);
+            assert_eq!(
+                exec.answers,
+                fold_rows(&q, &db, &RepairOptions::default()).answers
+            );
+        }
     }
 
     #[test]
@@ -781,21 +1071,58 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incomplete_inputs_fall_back_to_the_row_path() {
-        let db = DatabaseBuilder::new()
+    /// A key clash between a complete tuple and one with a null.
+    fn clash_with_a_null() -> Database {
+        DatabaseBuilder::new()
             .relation("R", &["k", "v"])
             .key("R", &["k"])
             .ints("R", &[1, 10])
             .tuple("R", vec![Value::int(1), Value::null(0)])
-            .build();
-        let q = RaExpr::relation("R").project(vec![0]);
-        let exec = fold(&q, &db, &RepairOptions::default());
+            .build()
+    }
+
+    #[test]
+    fn incomplete_inputs_fall_back_to_the_row_path() {
+        // A non-linear plan over a null-bearing database builds every
+        // repair.
+        let exec = fold(
+            &self_join(0),
+            &clash_with_a_null(),
+            &RepairOptions::default(),
+        );
         assert_eq!(
             exec.repairs_batched, 0,
             "nulls force the materializing path"
         );
         assert_eq!(exec.answers.len(), 1);
+    }
+
+    #[test]
+    fn incomplete_linear_inputs_fold_the_vertex_with_its_null() {
+        // The linear twin: the clash and ⊥0 are one joint component, whose
+        // elements are the local repairs {(1,10)} and {(1,⊥0)}, each under
+        // every valuation of ⊥0.
+        let db = clash_with_a_null();
+        let q = RaExpr::relation("R").project(vec![0]);
+        let exec = fold(&q, &db, &RepairOptions::default());
+        assert_eq!(exec.components, Some(1));
+        assert_eq!(exec.repairs_batched, exec.repairs_visited);
+        assert_eq!(
+            exec.answers,
+            Relation::from_tuples(1, vec![Tuple::ints(&[1])])
+        );
+        let graph = ConflictGraph::build(&db);
+        let count =
+            factorized_repair_count(&planned(&q, &db), &db, &graph, &RepairOptions::default());
+        // Two local repairs, each under the 4 valuations of ⊥0 over the
+        // constants 1 and 10 plus two fresh ones.
+        assert_eq!(count, Some(2 * 4));
+        assert_eq!(exec.repairs_visited, 8, "π_k never empties the run");
+        // One element below the count, the fold takes the row path.
+        let tight = RepairOptions::default().with_max_repairs(7);
+        let rows = fold(&q, &db, &tight);
+        assert_eq!((rows.components, rows.repairs_batched), (None, 0));
+        assert_eq!(rows.answers, exec.answers);
     }
 
     #[test]

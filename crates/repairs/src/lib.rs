@@ -11,9 +11,12 @@
 //!
 //! which is the certain-answer equation with repairs where worlds were —
 //! and because repairs of a database with nulls are themselves incomplete
-//! databases, the two world-spaces *compose*: the inner `certain` is the
-//! existing machinery (physical execution on complete repairs, symbolic
-//! c-tables on incomplete ones, the world oracle when symbolic punts).
+//! databases, the two world-spaces *compose*: a linear plan folds a local
+//! repair and a valuation of its component's nulls together, one joint
+//! component at a time ([`fold`]), and any other plan delegates the inner
+//! `certain` to the existing machinery (physical execution on complete
+//! repairs, symbolic c-tables on incomplete ones, the world oracle when
+//! symbolic punts).
 //!
 //! The crate mirrors the shape of the possible-world engine layer by layer:
 //!
@@ -25,7 +28,8 @@
 //! | streaming ∩ fold, early exit        | [`fold::stream_consistent_answer`]           |
 //! | budget = worlds visited             | budget = repairs visited                     |
 //! | fold driver [`releval::fold`]       | the same driver                              |
-//! | `S ∪ ⋂ᵢ Vᵢ` over overlay scratches   | `S ∪ ⋂ᵢ Vᵢ` over survival masks; per conflict component for linear plans |
+//! | `S ∪ ⋂ᵢ Vᵢ` over overlay scratches   | `S ∪ ⋂ᵢ Vᵢ` over survival masks      |
+//! | per null component for linear plans | per joint (conflict-or-null) component for linear plans, nulls valued in place |
 //! | certain⁺ pair approximation         | conflict-free core over the repair interval ([`core_approx`]) |
 //!
 //! The sound polynomial shortcut deserves a word: tuples in no conflict
@@ -71,6 +75,6 @@ pub use conflict::ConflictGraph;
 pub use core_approx::{conflict_free_core, core_consistent_answer, CoreExecution};
 pub use enumerate::RepairIter;
 pub use fold::{
-    enumerate_repairs, stream_consistent_answer, stream_consistent_answer_rows, RepairError,
-    RepairExecution, RepairOptions,
+    enumerate_repairs, factorized_repair_count, stream_consistent_answer,
+    stream_consistent_answer_rows, RepairError, RepairExecution, RepairOptions,
 };

@@ -5,6 +5,7 @@
 //! planner is a *visible* diff in this table, never a silent regression.
 
 use incomplete_data::prelude::*;
+use incomplete_data::repairs::{factorized_repair_count, ConflictGraph, RepairOptions};
 use relalgebra::classify::classify;
 
 /// Representative queries per class over the orders/payments schema.
@@ -421,14 +422,91 @@ fn dirty_nullable_db() -> Database {
         .build()
 }
 
-/// `R ∪ {(⊥0, 7)}`: the null-bearing literal rules symbolic out (per
+/// `(R ∩ R) ∪ {(⊥0, 7)}`: the null-bearing literal rules symbolic out (per
 /// repair too), and keeps every intersection nonempty so no early exit
-/// rescues a starved world budget.
+/// rescues a starved world budget. `R ∩ R` is not linear, so a repair fold
+/// builds each repair and asks the world oracle for its certain answer.
 fn union_with_null_literal() -> RaExpr {
-    RaExpr::relation("R").union(RaExpr::values(Relation::from_tuples(
-        2,
-        vec![Tuple::new(vec![Value::null(0), Value::int(7)])],
-    )))
+    RaExpr::relation("R")
+        .intersection(RaExpr::relation("R"))
+        .union(RaExpr::values(Relation::from_tuples(
+            2,
+            vec![Tuple::new(vec![Value::null(0), Value::int(7)])],
+        )))
+}
+
+/// A complete R(k, v) with key k and 13 clashing pairs: 26 conflict
+/// vertices, so a Moon–Moser estimate of 3⁸ · 2 = 13,122 repairs (the exact
+/// count is 2¹³ = 8,192), past the default budget of 4,096; with `nulls`,
+/// each pair's first tuple carries a null of its own. A plan linear in R
+/// folds 2 local repairs per pair (times the valuations of a pair's null).
+fn wide_clashes(nulls: bool) -> Database {
+    let mut b = relmodel::DatabaseBuilder::new()
+        .relation("R", &["k", "v"])
+        .key("R", &["k"])
+        .ints("R", &[99, 0]);
+    for k in 0..13i64 {
+        let first = if nulls {
+            Value::null(k as u64)
+        } else {
+            Value::int(2 * k + 1)
+        };
+        b = b
+            .tuple("R", vec![Value::int(k), first])
+            .ints("R", &[k, 2 * k + 2]);
+    }
+    b.build()
+}
+
+/// The factorized estimate: past the Moon–Moser budget, a plan the repair
+/// fold factorizes is estimated by the fold's own element count, which
+/// keeps it `Exact`; a non-linear plan still falls back to the core.
+#[test]
+fn the_factorized_estimate_rows() {
+    let budget = RepairOptions::default().max_repairs;
+    let linear = incomplete_data::qparser::parse("project[#0](R)").unwrap();
+    let self_join =
+        incomplete_data::qparser::parse("project[#0](select[#0 = #2](product(R, R)))").unwrap();
+    for nulls in [false, true] {
+        let db = wide_clashes(nulls);
+        let graph = ConflictGraph::build(&db);
+        assert!(graph.estimated_repairs() > budget);
+        let engine = Engine::new(&db).consistent_answers();
+        let report = engine.plan(&linear).unwrap();
+        assert_eq!(
+            (report.strategy, report.guarantee, report.stats.degraded),
+            (StrategyKind::RepairEnumeration, Guarantee::Exact, false),
+            "nulls {nulls}"
+        );
+        assert_eq!(report.stats.fallback, None);
+        assert_eq!(report.stats.estimated_repairs, Some(13_122));
+        assert_eq!(report.answers.len(), 14, "every key survives");
+        let plan = PlannedQuery::new(linear.clone(), db.schema()).unwrap();
+        let count = factorized_repair_count(&plan, &db, &graph, &RepairOptions::default());
+        assert!(count.is_some_and(|n| n <= budget), "{count:?}");
+        if !nulls {
+            assert_eq!(count, Some(26), "Σ, not ∏");
+        }
+        assert_eq!(
+            engine.select_strategy(&linear, classify(&linear)),
+            (StrategyKind::RepairEnumeration, Guarantee::Exact),
+            "the preview reads the same count"
+        );
+
+        let report = engine.plan(&self_join).unwrap();
+        assert_eq!(
+            (report.strategy, report.guarantee, report.stats.degraded),
+            (StrategyKind::ConflictFreeCore, Guarantee::Sound, true),
+            "nulls {nulls}"
+        );
+        assert_eq!(
+            report.stats.fallback,
+            Some(FallbackReason::RepairBudget {
+                estimated: 13_122,
+                budget
+            })
+        );
+    }
 }
 
 /// The fallback chains, pinned row by row: every way the planner's first

@@ -20,7 +20,8 @@
 //!    OWA with one extension tuple, single-component databases and an
 //!    over-budget factorized space must not factorize, and still answer
 //!    exactly as the reference;
-//! 3. in a root difference `A − B`, the possible side of `B` runs iff the
+//! 3. a root difference `A − B` ends after its first whole world `v₀` when
+//!    `A(v₀) − B(v₀) = ∅`; otherwise the possible side of `B` runs iff the
 //!    certain `⋂ A` is nonempty.
 //!
 //! Every case runs at one and two pinned threads. `FUZZ_CASES` scales the
@@ -30,11 +31,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use incomplete_data::prelude::*;
+use incomplete_data::releval::exec::columnar::execute;
 use incomplete_data::releval::worlds::{
     stream_certain_answer, stream_certain_answer_rows, valuation_domain, WorldExecution,
     WorldOptions,
 };
 use incomplete_data::releval::EvalError;
+use incomplete_data::relmodel::valuation::Valuation;
 use incomplete_data::relmodel::value::NullId;
 
 fn fuzz_cases() -> u64 {
@@ -126,7 +129,8 @@ fn single_component_db(seed: u64) -> Database {
 
 /// Queries that must factorize, each with its number of volatile sides
 /// (the plan itself, or each side of a root difference that reads a null)
-/// and of ground sides (one element each).
+/// and of single elements: one per ground side, and the first whole world
+/// a root difference evaluates before its sides.
 fn factorizing_queries(c: i64) -> Vec<(String, u128, u128)> {
     vec![
         (format!("project[#1](select[#0 != {c}](R))"), 1, 0),
@@ -138,12 +142,12 @@ fn factorizing_queries(c: i64) -> Vec<(String, u128, u128)> {
         ("(project[#0](R) union project[#1](S))".into(), 1, 0),
         ("(R minus T)".into(), 1, 0),
         ("(project[#1](R) intersect project[#0](T))".into(), 1, 0),
-        ("(project[#0](T) minus project[#1](R))".into(), 1, 1),
-        ("(project[#0](R) minus project[#0](S))".into(), 2, 0),
+        ("(project[#0](T) minus project[#1](R))".into(), 1, 2),
+        ("(project[#0](R) minus project[#0](S))".into(), 2, 1),
         (
             format!("(project[#0](R) minus project[#0](select[#1 = {c}](R)))"),
             2,
-            0,
+            1,
         ),
     ]
 }
@@ -228,7 +232,7 @@ fn factorized_world_fold_matches_the_product_row_fold() {
         let components = flood_fill_components(&db);
         assert!(components.len() >= 2, "layout {seed} has one component");
         let c = (seed % DOMAIN) as i64;
-        for (text, sides, ground_sides) in factorizing_queries(c) {
+        for (text, sides, singles) in factorizing_queries(c) {
             let plan = parse_and_plan(&text, db.schema()).unwrap();
             let expected = reference(&plan, &db, Semantics::Cwa, &options(1));
             let dom = valuation_domain(plan.expr(), &db, &options(1)).len() as u32;
@@ -237,7 +241,7 @@ fn factorized_world_fold_matches_the_product_row_fold() {
                 .map(|&n| (dom as u128).pow(n as u32))
                 .sum::<u128>()
                 * sides
-                + ground_sides;
+                + singles;
             for threads in [1usize, 2] {
                 let exec = stream_certain_answer(&plan, &db, Semantics::Cwa, &options(threads));
                 let context = format!("{text} (seed {seed}, {threads} threads) over\n{db}");
@@ -268,12 +272,14 @@ fn factorized_world_fold_matches_the_product_row_fold() {
     assert!(runs_stopped > 0, "no run ever stopped early");
 }
 
-/// In a root difference `A − B`, the possible side of `B` runs iff the
-/// certain `⋂ A` is nonempty: the fold visits exactly `A`'s own elements
-/// when `⋂ A = ∅`, and more otherwise.
+/// In a root difference `A − B`, the fold first evaluates one whole world
+/// `v₀` (every null valued to the domain's first constant) and ends there
+/// when `A(v₀) − B(v₀) = ∅`. Otherwise the possible side of `B` runs iff
+/// the certain `⋂ A` is nonempty: the fold visits exactly `v₀` and `A`'s
+/// own elements when `⋂ A = ∅`, and more otherwise.
 #[test]
 fn the_possible_side_runs_iff_the_certain_side_is_nonempty() {
-    let (mut skipped, mut ran) = (0u64, 0u64);
+    let (mut first_world, mut skipped, mut ran) = (0u64, 0u64, 0u64);
     for seed in 0..fuzz_cases() {
         let db = fuzz_db(seed);
         let c = (seed % DOMAIN) as i64;
@@ -289,24 +295,38 @@ fn the_possible_side_runs_iff_the_certain_side_is_nonempty() {
             if domain(&plan) != domain(&left) {
                 continue;
             }
+            let first = domain(&plan)[0].clone();
+            let v0 = Valuation::from_pairs(db.null_ids().into_iter().map(|n| (n, first.clone())));
+            let world = db.apply(&v0).unwrap();
+            let v0_empty = execute(plan.physical(), &world).is_empty();
             for threads in [1usize, 2] {
                 let opts = options(threads);
                 let exec = stream_certain_answer(&plan, &db, Semantics::Cwa, &opts).unwrap();
                 let certain = stream_certain_answer(&left, &db, Semantics::Cwa, &opts).unwrap();
                 let context = format!("{text} (seed {seed}, {threads} threads) over\n{db}");
                 assert!(exec.components.is_some() && certain.components.is_some());
-                if certain.answers.is_empty() {
+                if v0_empty {
+                    first_world += 1;
+                    assert_eq!(exec.worlds_visited, 1, "{context}");
+                    assert!(exec.answers.is_empty() && exec.early_exit, "{context}");
+                } else if certain.answers.is_empty() {
                     skipped += 1;
-                    assert_eq!(exec.worlds_visited, certain.worlds_visited, "{context}");
+                    assert_eq!(exec.worlds_visited, 1 + certain.worlds_visited, "{context}");
                     assert!(exec.answers.is_empty() && exec.early_exit, "{context}");
                 } else {
                     ran += 1;
-                    assert!(exec.worlds_visited > certain.worlds_visited, "{context}");
+                    assert!(
+                        exec.worlds_visited > 1 + certain.worlds_visited,
+                        "{context}"
+                    );
                 }
             }
         }
     }
-    assert!(skipped > 0 && ran > 0, "skipped {skipped}, ran {ran}");
+    assert!(
+        first_world > 0 && skipped > 0 && ran > 0,
+        "first world {first_world}, skipped {skipped}, ran {ran}"
+    );
 }
 
 #[test]
@@ -365,7 +385,8 @@ fn an_over_budget_factorized_space_keeps_the_product_fold() {
         let text = "(project[#0](R) minus project[#0](S))";
         let plan = parse_and_plan(text, db.schema()).unwrap();
         let dom = valuation_domain(plan.expr(), &db, &options(1)).len() as u32;
-        let space: u128 = 2 * components
+        // The first whole world, then both sides.
+        let space: u128 = 1 + 2 * components
             .iter()
             .map(|&n| (dom as u128).pow(n as u32))
             .sum::<u128>();

@@ -15,9 +15,9 @@
 //!    fold (a linear plan, or a root difference of linear sides) folds the
 //!    null components a flood fill finds and stays within their space;
 //! 2. repairs: `repairs::fold::stream_consistent_answer` (core + survival
-//!    masks) == `stream_consistent_answer_rows`, on complete *and*
-//!    null-bearing inconsistent databases (the latter checks the fallback
-//!    dispatch agrees too).
+//!    masks, or joint components for a linear plan) ==
+//!    `stream_consistent_answer_rows`, on complete *and* null-bearing
+//!    inconsistent databases.
 //!
 //! Morsel sizes are swept through the `MORSEL_ROWS` environment seed (the
 //! fold entry points read it per shard); a shared lock serializes the two
@@ -141,8 +141,8 @@ fn null_component_sizes(db: &Database) -> Vec<u32> {
 /// row-instantiating one — same answers — across semantics, query classes,
 /// Δ-reading queries, and morsel sizes. Whole-world folds also visit the
 /// same worlds and exit early alike; a factorized fold folds the
-/// flood-filled null components and visits at most two sides' worth of
-/// their valuations, `2 · Σ_K |dom|^|N_K|`.
+/// flood-filled null components and visits at most one whole world and two
+/// sides' worth of their valuations, `1 + 2 · Σ_K |dom|^|N_K|`.
 #[test]
 fn batched_world_fold_matches_row_fold() {
     let _env = env_lock();
@@ -184,8 +184,10 @@ fn batched_world_fold_matches_row_fold() {
                                     "factorized over the wrong components for {context}"
                                 );
                                 let dom = valuation_domain(&q, &db, &opts).len() as u128;
+                                // A root difference's first whole world,
+                                // then both sides.
                                 let space: u128 =
-                                    2 * components.iter().map(|&n| dom.pow(n)).sum::<u128>();
+                                    1 + 2 * components.iter().map(|&n| dom.pow(n)).sum::<u128>();
                                 assert!(
                                     batched.worlds_visited <= space,
                                     "visited {} of a {space}-element factorized space \
@@ -253,62 +255,94 @@ fn fuzz_dirty_db(seed: u64, with_nulls: bool) -> Database {
     })
 }
 
-/// `Σ_K |MIS(K)|` over the connected components `K` of the conflict graph,
-/// by brute force: every vertex subset of a component that is independent
-/// and maximal. Components are found here by a flood fill over the graph's
-/// public adjacency, independently of `ConflictGraph::components`.
-fn local_repair_count(graph: &ConflictGraph) -> u128 {
-    let n = graph.conflict_tuples();
-    let mut component_of = vec![usize::MAX; n];
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        if component_of[start] != usize::MAX {
+/// The joint components of a dirty database, by brute force: a flood fill
+/// joining two conflict vertices that share an edge, a vertex with each of
+/// its nulls, and the nulls of each core tuple, independently of the
+/// fold's own union-find. Each component is reported as its count of
+/// local repairs (vertex subsets that are independent and maximal) and of
+/// nulls.
+fn joint_components(db: &Database, graph: &ConflictGraph) -> Vec<(u128, u32)> {
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Node {
+        Vertex(usize),
+        Null(NullId),
+    }
+    let mut edges: BTreeMap<Node, BTreeSet<Node>> = BTreeMap::new();
+    let mut link = |a: Node, b: Node| {
+        edges.entry(a).or_default().insert(b);
+        edges.entry(b).or_default().insert(a);
+    };
+    for (v, (_, tuple)) in graph.vertices().iter().enumerate() {
+        link(Node::Vertex(v), Node::Vertex(v));
+        for &u in graph.neighbors(v) {
+            link(Node::Vertex(v), Node::Vertex(u));
+        }
+        for n in tuple.null_ids() {
+            link(Node::Vertex(v), Node::Null(n));
+        }
+    }
+    for (_, rel) in graph.core(db).iter() {
+        for tuple in rel.iter() {
+            let ids: Vec<NullId> = tuple.null_ids().into_iter().collect();
+            for &n in &ids {
+                link(Node::Null(ids[0]), Node::Null(n));
+            }
+        }
+    }
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::new();
+    for &start in edges.keys() {
+        if !seen.insert(start) {
             continue;
         }
-        let id = components.len();
-        let mut members = Vec::new();
-        let mut stack = vec![start];
-        component_of[start] = id;
-        while let Some(v) = stack.pop() {
-            members.push(v);
-            for &u in graph.neighbors(v) {
-                if component_of[u] == usize::MAX {
-                    component_of[u] = id;
-                    stack.push(u);
+        let (mut members, mut nulls, mut stack) = (Vec::new(), 0u32, vec![start]);
+        while let Some(node) = stack.pop() {
+            match node {
+                Node::Vertex(v) => members.push(v),
+                Node::Null(_) => nulls += 1,
+            }
+            for &next in &edges[&node] {
+                if seen.insert(next) {
+                    stack.push(next);
                 }
             }
         }
-        components.push(members);
+        out.push((local_repairs(graph, &members), nulls));
     }
-    let mut total = 0u128;
-    for members in &components {
-        assert!(members.len() <= 20, "component too large to brute-force");
-        let inside = |mask: u32, v: usize| {
-            members
-                .iter()
-                .position(|&m| m == v)
-                .is_some_and(|i| mask & (1 << i) != 0)
-        };
-        for mask in 0u32..(1 << members.len()) {
-            let independent = members.iter().enumerate().all(|(i, &v)| {
-                mask & (1 << i) == 0 || graph.neighbors(v).iter().all(|&u| !inside(mask, u))
-            });
-            let maximal = members.iter().enumerate().all(|(i, &v)| {
-                mask & (1 << i) != 0 || graph.neighbors(v).iter().any(|&u| inside(mask, u))
-            });
-            if independent && maximal {
-                total += 1;
-            }
-        }
-    }
-    total
+    out
+}
+
+/// The maximal independent sets of the subgraph `members` spans, by brute
+/// force over its vertex subsets.
+fn local_repairs(graph: &ConflictGraph, members: &[usize]) -> u128 {
+    assert!(members.len() <= 20, "component too large to brute-force");
+    let inside = |mask: u32, v: usize| {
+        members
+            .iter()
+            .position(|&m| m == v)
+            .is_some_and(|i| mask & (1 << i) != 0)
+    };
+    (0u32..(1 << members.len()))
+        .filter(|&mask| {
+            members.iter().enumerate().all(|(i, &v)| {
+                let neighbors = graph.neighbors(v);
+                if mask & (1 << i) != 0 {
+                    neighbors.iter().all(|&u| !inside(mask, u))
+                } else {
+                    neighbors.iter().any(|&u| inside(mask, u))
+                }
+            })
+        })
+        .count() as u128
 }
 
 /// Harness part 2: the mask-batched repair fold equals the row-instantiating
 /// one — same answers across query classes, morsel sizes, and both complete
 /// and null-bearing inputs. Whole-repair folds also visit the same repairs
-/// and exit early alike; a factorized fold (a linear plan on a complete
-/// input) visits `Σ_K |MIS(K)|` local repairs and never exits early.
+/// and exit early alike; a factorized fold (a linear plan) folds the
+/// flood-filled joint components, visits at least one and at most
+/// `Σ_J |LR(J)| · |dom|^|N_J|` elements of each, batches all of them, and
+/// never reports early exit.
 #[test]
 fn batched_repair_fold_matches_row_fold() {
     let _env = env_lock();
@@ -334,12 +368,25 @@ fn batched_repair_fold_matches_row_fold() {
                             assert_eq!(batched.answers, rows.answers, "MISMATCH {context}");
                             if batched.components.is_some() {
                                 factorized += 1;
-                                // A factorized fold visits each component's
-                                // local repairs once and never stops early.
+                                // Each component's run stops once its
+                                // intersection empties.
+                                let joint = joint_components(&db, &graph);
                                 assert_eq!(
+                                    batched.components,
+                                    Some(joint.len()),
+                                    "factorized over the wrong components for {context}"
+                                );
+                                let dom = valuation_domain(&q, &db, &opts.world_options).len();
+                                let space: u128 = joint
+                                    .iter()
+                                    .map(|&(local, nulls)| local * (dom as u128).pow(nulls))
+                                    .sum();
+                                assert!(
+                                    (joint.len() as u128..=space)
+                                        .contains(&batched.repairs_visited),
+                                    "factorized visits {} outside {}..={space} for {context}",
                                     batched.repairs_visited,
-                                    local_repair_count(&graph),
-                                    "factorized visits are not Σ_K |MIS(K)| for {context}"
+                                    joint.len()
                                 );
                                 assert!(
                                     !batched.early_exit,
@@ -356,11 +403,8 @@ fn batched_repair_fold_matches_row_fold() {
                                     "early exit diverges for {context}"
                                 );
                             }
-                            let expected_batched = if db.is_complete() {
-                                batched.repairs_visited
-                            } else {
-                                0
-                            };
+                            let split = db.is_complete() || batched.components.is_some();
+                            let expected_batched = if split { batched.repairs_visited } else { 0 };
                             assert_eq!(
                                 batched.repairs_batched, expected_batched,
                                 "mask-path accounting wrong for {context}"
