@@ -375,8 +375,14 @@ impl<D: Borrow<Database>> Engine<D> {
 
     /// The planner's decision for a query of the given class over this
     /// database, without executing anything: which strategy would run, and
-    /// what guarantee the answer would carry.
+    /// what guarantee the answer would carry. A query deeper than
+    /// [`MAX_DEPTH`](relalgebra::ast::MAX_DEPTH), which every door that
+    /// executes refuses, previews as the three-valued baseline with no
+    /// guarantee, without being analyzed.
     pub fn select_strategy(&self, query: &RaExpr, class: QueryClass) -> (StrategyKind, Guarantee) {
+        if let Some(refused) = too_deep_preview(query) {
+            return refused;
+        }
         let (_, step) = self.preview(query, class);
         (step.strategy, step.guarantee)
     }
@@ -753,6 +759,14 @@ impl<D: Borrow<Database>> Engine<D> {
             rows: answers.len(),
         }
     }
+}
+
+/// The preview of a query too deep to analyze (its walk would recurse
+/// past the stack): the step promising nothing. `None` for any other query.
+fn too_deep_preview(query: &RaExpr) -> Option<(StrategyKind, Guarantee)> {
+    check_depth(query)
+        .is_err()
+        .then_some((StrategyKind::ThreeValuedBaseline, Guarantee::NoGuarantee))
 }
 
 /// Saturating narrowing for trace fields (`u128` world/repair counters).

@@ -42,18 +42,67 @@
 //!   shards' answers combine by ∩ when the shards partition the elements
 //!   ([`Combine::Intersect`]), or by ∪ when they partition independent
 //!   components and each holds the stable answer ([`Combine::Union`]).
+//!
+//! # The component fold
+//!
+//! An element is a tuple of choices, and the choices often split into
+//! independent **components**. A fold offers two kinds of them: *choice
+//! vertices*, each a row, joined by edges (a repair fold's conflict
+//! vertices and edges, of which each component chooses a local repair; a
+//! world fold has none), and the null-bearing rows every element holds,
+//! whose nulls each element values over one shared domain. [`group`] joins,
+//! in one union-find, a vertex with each of its neighbors and each of its
+//! nulls, and the nulls of one row. A component `K` is one class: its
+//! vertices `V_K`, its nulls `N_K`, and the rows `C_K` over those nulls. An
+//! element of `K` is a local choice `M_K` of `V_K` ([`Choices`]) with a
+//! valuation `v_K` of `N_K`, holding the rows `v_K(M_K ∪ C_K)`. No edge
+//! crosses two components and no row or vertex mixes their nulls, so
+//! nothing ties their choices: the elements are exactly the product of the
+//! components' elements, and each is `G ∪ ⋃_K v_K(M_K ∪ C_K)`, `G` being
+//! the complete rows every element holds.
+//!
+//! *The identity.* Call a relation volatile when it holds a vertex or a
+//! null-bearing row. When every derivation of the plan uses at most one
+//! volatile row (the plan is *linear*, as the table of
+//! [`relalgebra::physical::linear_volatility`] decides), an element's
+//! answer is `Q(G) ∪ ⋃_K vol_K(M_K, v_K)`, where `vol_K` is what the split
+//! executor derives when its volatile scans hold only `v_K(M_K ∪ C_K)`.
+//! Intersecting over the product of choices then factorizes:
+//!
+//! ```text
+//! ⋂_e Q(e)  =  Q(G) ∪ ⋃_K ⋂_{(M_K, v_K)} vol_K(M_K, v_K)
+//! ```
+//!
+//! *Proof.* `⊇`: a row of `Q(G)` is in every element's answer, and a row
+//! in `vol_K(M_K, v_K)` for every choice of `K` is in the answer of every
+//! element, whatever it chooses for `K`. `⊆`: a row outside the right-hand
+//! side misses `Q(G)` and, in each component `K`, misses `vol_K` for some
+//! choice `(M_K, v_K)`; the element making each of those choices answers
+//! without the row. ∀ over a product of independent choices swaps with ∃.
+//!
+//! *The fold.* It visits at most `Σ_K |choices_K| · |dom|^{|N_K|}`
+//! elements ([`element_count`]) instead of their product.
+//! [`ComponentFold::run_shard`] deals the components round-robin to the
+//! workers and, per component, per local choice and per valuation, refills
+//! the scratch with the element's rows and folds what the plan (or one
+//! side of a root difference, [`Side`]) derives into the component's run.
+//! A run stops once its intersection is empty, since it can add nothing to
+//! the union. Each fold keeps only its choice space and its rule for when
+//! to factorize.
 
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use relmodel::batch::ColumnBatch;
-use relmodel::value::{Constant, Value};
-use relmodel::Relation;
+use relalgebra::physical::{PhysNode, PhysicalPlan};
+use relmodel::batch::{morsel_rows, ColumnBatch};
+use relmodel::valuation::{valuation_space_size, ValuationEnumerator};
+use relmodel::value::{Constant, NullId, Value};
+use relmodel::{Relation, Tuple};
 
 use crate::error::EvalError;
-use crate::exec::columnar::split::{ElementInput, Split};
+use crate::exec::columnar::split::{ElementInput, ShardExec, ShardSetup, Split};
 use crate::exec::OpStats;
 
 /// Wall-clock and work volume of one worker shard of an enumeration fold.
@@ -423,7 +472,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// Scratch for the named relations, each with its arity.
-    pub fn new(relations: impl IntoIterator<Item = (String, usize)>) -> Scratch {
+    fn new(relations: impl IntoIterator<Item = (String, usize)>) -> Scratch {
         Scratch {
             scans: relations
                 .into_iter()
@@ -483,10 +532,241 @@ impl Scratch {
     }
 }
 
+/// A worker's split executor over `plan`, and its scratch. `scans` lists
+/// each relation's element-invariant rows and whether the relation is
+/// static; every relation that is not gets a scratch batch of its arity.
+/// `delta` is as for [`ShardSetup::new`].
+pub fn shard_exec<'p>(
+    plan: &'p PhysicalPlan,
+    scans: impl IntoIterator<Item = (String, ColumnBatch, bool)>,
+    delta: Option<(&BTreeSet<Constant>, bool)>,
+) -> (ShardExec<'p>, Scratch) {
+    let scans: Vec<_> = scans.into_iter().collect();
+    let scratch = Scratch::new(
+        scans
+            .iter()
+            .filter(|(_, _, is_static)| !is_static)
+            .map(|(name, batch, _)| (name.clone(), batch.arity())),
+    );
+    let setup = ShardSetup::new(scans, delta);
+    (ShardExec::new(plan, morsel_rows(), setup), scratch)
+}
+
+/// One component of a factorized fold (see the [module docs](self)): the
+/// vertices and nulls its elements choose together, and the rows over
+/// those nulls that each of its elements holds.
+#[derive(Debug, Default)]
+pub struct Component<'d> {
+    /// Vertex indexes, ascending and closed under adjacency.
+    pub vertices: Vec<usize>,
+    /// The component's nulls, ascending.
+    pub nulls: Vec<NullId>,
+    /// The null-bearing rows every element of the component holds, each a
+    /// relation name and a tuple.
+    pub rows: Vec<(&'d str, &'d Tuple)>,
+}
+
+/// The components of a fold's choices: one union-find over the vertices
+/// (elements `0..V`, vertex `v` being the row `vertices[v]`) and the nulls
+/// of the vertices and of `rows` (elements `V..`) joins a vertex with each
+/// of its `neighbors` and each of its nulls, and the nulls of one row.
+/// Components are numbered by their least element; every row of `rows`
+/// must carry a null, and joins the component of its nulls.
+pub fn group<'d>(
+    vertices: &'d [(String, Tuple)],
+    neighbors: impl Fn(usize) -> &'d [usize],
+    rows: &[(&'d str, &'d Tuple)],
+) -> Vec<Component<'d>> {
+    let nulls_of = |t: &'d Tuple| t.values().iter().filter_map(Value::as_null);
+    let mut nulls: Vec<NullId> = vertices
+        .iter()
+        .map(|(_, t)| t)
+        .chain(rows.iter().map(|(_, t)| *t))
+        .flat_map(nulls_of)
+        .collect();
+    nulls.sort_unstable();
+    nulls.dedup();
+    let null_element = |n: NullId| vertices.len() + nulls.binary_search(&n).expect("a listed null");
+    let mut parent: Vec<usize> = (0..vertices.len() + nulls.len()).collect();
+    fn root(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut union = |a: usize, b: usize| {
+        let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
+        parent[ra.max(rb)] = ra.min(rb);
+    };
+    for (v, (_, tuple)) in vertices.iter().enumerate() {
+        for &u in neighbors(v) {
+            union(v, u);
+        }
+        for n in nulls_of(tuple) {
+            union(v, null_element(n));
+        }
+    }
+    for (_, tuple) in rows {
+        let mut ids = nulls_of(tuple);
+        let first = null_element(ids.next().expect("a null-bearing row"));
+        for n in ids {
+            union(first, null_element(n));
+        }
+    }
+    let mut components: Vec<Component<'d>> = Vec::new();
+    let mut number = vec![usize::MAX; parent.len()];
+    for element in 0..parent.len() {
+        let r = root(&mut parent, element);
+        if number[r] == usize::MAX {
+            number[r] = components.len();
+            components.push(Component::default());
+        }
+        let component = &mut components[number[r]];
+        match element.checked_sub(vertices.len()) {
+            None => component.vertices.push(element),
+            Some(i) => component.nulls.push(nulls[i]),
+        }
+    }
+    for &(name, tuple) in rows {
+        let first = nulls_of(tuple).next().expect("a null-bearing row");
+        let r = root(&mut parent, null_element(first));
+        components[number[r]].rows.push((name, tuple));
+    }
+    components
+}
+
+/// The local choices of one component's vertices: its local repairs in a
+/// repair fold, one empty choice in a world fold.
+pub trait Choices {
+    /// Starts over on the choices of one component's `vertices`.
+    fn start(&mut self, vertices: &[usize]);
+    /// Moves to the next choice; `false` once they have run out.
+    fn advance(&mut self) -> bool;
+    /// The rows the current choice holds.
+    fn rows(&self) -> impl Iterator<Item = (&str, &Tuple)>;
+}
+
+/// The one empty choice of a fold without vertices.
+#[derive(Debug, Default)]
+pub(crate) struct NoChoice {
+    taken: bool,
+}
+
+impl Choices for NoChoice {
+    fn start(&mut self, _: &[usize]) {
+        self.taken = false;
+    }
+
+    fn advance(&mut self) -> bool {
+        !std::mem::replace(&mut self.taken, true)
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (&str, &Tuple)> {
+        std::iter::empty()
+    }
+}
+
+/// `Σ_K |choices_K| · |dom|^{|N_K|}` over `components`, for a domain of
+/// `domain_len` constants: exact up to `cap`, and past it some count above
+/// `cap` (counting stops once the sum passes it).
+pub fn element_count(
+    components: &[Component<'_>],
+    domain_len: usize,
+    choices: &mut impl Choices,
+    cap: u128,
+) -> u128 {
+    let mut elements = 0u128;
+    for component in components {
+        let valuations = valuation_space_size(component.nulls.len(), domain_len);
+        choices.start(&component.vertices);
+        while elements <= cap && choices.advance() {
+            elements = elements.saturating_add(valuations);
+        }
+    }
+    elements
+}
+
+/// Which side of a factorized fold a run of elements feeds.
+#[derive(Debug, Clone, Copy)]
+pub enum Side<'a> {
+    /// Intersect the subtree's volatile answers within each component's
+    /// run ([`Shard::fold_split`]), and unite the runs.
+    Certain(&'a PhysNode),
+    /// Subtract every row of the subtree from the certain answer of a
+    /// difference's left side ([`Shard::subtract_split`]).
+    Possible(&'a PhysNode, &'a Relation),
+}
+
+/// A factorized fold's components, read by every worker.
+#[derive(Debug, Clone, Copy)]
+pub struct ComponentFold<'a, 'd> {
+    /// The components, in fold order.
+    pub components: &'a [Component<'d>],
+    /// The one valuation domain every component's nulls range over.
+    pub domain: &'a [Constant],
+    /// The workers the components are dealt to, round-robin.
+    pub workers: usize,
+}
+
+impl ComponentFold<'_, '_> {
+    /// Folds worker `worker`'s components into `shard`: per component, per
+    /// local choice of `choices` and per valuation of the component's
+    /// nulls, one split-executor element whose volatile scans hold the
+    /// choice's rows and the component's rows, valued. Each component is one
+    /// run. `exec` builds the worker's executor and scratch, only if it has
+    /// a component; one executor serves all of them, so the stable
+    /// subresults and hash tables are built once per worker.
+    pub fn run_shard<'p>(
+        &self,
+        worker: usize,
+        shard: &mut Shard<'_>,
+        side: Side<'p>,
+        mut choices: impl Choices,
+        exec: impl FnOnce() -> (ShardExec<'p>, Scratch),
+    ) {
+        let mine = self.components.iter().skip(worker).step_by(self.workers);
+        if mine.len() == 0 {
+            return;
+        }
+        let (mut exec, mut scratch) = exec();
+        let (Side::Certain(node) | Side::Possible(node, _)) = side;
+        'components: for component in mine {
+            let nulls = component.nulls.iter().copied();
+            let mut valuations = ValuationEnumerator::new(nulls, self.domain.to_vec());
+            choices.start(&component.vertices);
+            'run: while choices.advance() {
+                valuations.rewind();
+                for v in &mut valuations {
+                    if !shard.admit() {
+                        break 'components;
+                    }
+                    scratch.clear();
+                    for (relation, tuple) in choices.rows().chain(component.rows.iter().copied()) {
+                        let row = tuple.values().iter().map(|x| v.apply_value(x));
+                        scratch.scan(relation).push_row(row);
+                    }
+                    let split = exec.eval_subtree(node, &scratch.input());
+                    let more = match side {
+                        Side::Certain(_) => shard.fold_split(&split),
+                        Side::Possible(_, minuend) => shard.subtract_split(minuend, &split),
+                    };
+                    if !more {
+                        break 'run;
+                    }
+                }
+            }
+            shard.close_run();
+        }
+        shard.op_stats.merge(&exec.stats);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relmodel::Tuple;
+    use relalgebra::ast::RaExpr;
+    use relmodel::Schema;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -611,5 +891,127 @@ mod tests {
         assert_eq!(met.answers, Some(rel(&[2])));
         assert_eq!((met.visited, met.tallies), (2, vec![0, 1]));
         assert_eq!(fold(Combine::Union).answers, Some(rel(&[1, 2, 3])));
+    }
+
+    /// The shape of a grouping: each component's vertices, nulls and the
+    /// relations of its rows.
+    fn shapes(components: &[Component<'_>]) -> Vec<String> {
+        components
+            .iter()
+            .map(|k| {
+                let nulls: Vec<u64> = k.nulls.iter().map(|n| n.0).collect();
+                let rows: String = k.rows.iter().map(|(name, _)| *name).collect();
+                format!("{:?} {nulls:?} {rows}", k.vertices)
+            })
+            .collect()
+    }
+
+    /// One grouping: the vertex rows, their conflict edges, the rows every
+    /// element holds, and the components expected.
+    struct Grouping {
+        case: &'static str,
+        vertices: Vec<(String, Tuple)>,
+        edges: Vec<(usize, usize)>,
+        rows: Vec<(&'static str, Tuple)>,
+        expected: &'static [&'static str],
+    }
+
+    #[test]
+    fn components_join_vertices_neighbors_and_nulls() {
+        let (i, n) = (Value::int, Value::null);
+        let fact = |values: Vec<Value>| ("R".to_string(), Tuple::new(values));
+        let cases = [
+            // ⊥0 and ⊥1 share a tuple of R, and ⊥1 recurs in S.
+            Grouping {
+                case: "only nulls (the world case)",
+                vertices: vec![],
+                edges: vec![],
+                rows: vec![
+                    ("R", Tuple::new(vec![n(0), n(1)])),
+                    ("R", Tuple::new(vec![n(2), i(1)])),
+                    ("S", Tuple::new(vec![n(1)])),
+                    ("S", Tuple::new(vec![n(3)])),
+                ],
+                expected: &["[] [0, 1] RS", "[] [2] R", "[] [3] S"],
+            },
+            // R(1, 10) clashes with R(1, ⊥0); ⊥1 is a core row's.
+            Grouping {
+                case: "a vertex joined to its null",
+                vertices: vec![fact(vec![i(1), i(10)]), fact(vec![i(1), n(0)])],
+                edges: vec![(0, 1)],
+                rows: vec![("R", Tuple::new(vec![i(2), n(1)]))],
+                expected: &["[0, 1] [0] ", "[] [1] R"],
+            },
+            // Keys 1 and 2 clash apart, but ⊥0 is in one vertex of each;
+            // key 3's clash stays alone.
+            Grouping {
+                case: "two conflict components joined by one shared null",
+                vertices: vec![
+                    fact(vec![i(1), n(0)]),
+                    fact(vec![i(1), i(10)]),
+                    fact(vec![i(2), n(0)]),
+                    fact(vec![i(2), i(20)]),
+                    fact(vec![i(3), i(30)]),
+                    fact(vec![i(3), i(31)]),
+                ],
+                edges: vec![(0, 1), (2, 3), (4, 5)],
+                rows: vec![],
+                expected: &["[0, 1, 2, 3] [0] ", "[4, 5] [] "],
+            },
+        ];
+        for grouping in &cases {
+            let mut adjacency = vec![Vec::new(); grouping.vertices.len()];
+            for &(a, b) in &grouping.edges {
+                adjacency[a].push(b);
+                adjacency[b].push(a);
+            }
+            let rows: Vec<(&str, &Tuple)> = grouping.rows.iter().map(|(r, t)| (*r, t)).collect();
+            let components = group(&grouping.vertices, |v| &adjacency[v], &rows);
+            assert_eq!(shapes(&components), grouping.expected, "{}", grouping.case);
+        }
+    }
+
+    #[test]
+    fn workers_without_a_component_add_nothing_to_the_union() {
+        // Two null components, `R(⊥0)` and `R(⊥1)`, over the ground row
+        // R(5): each run is {1} ∩ {2} = ∅ after two valuations, so `R`'s
+        // certain answer is {5} whatever the worker count.
+        let schema = Schema::builder().relation("R", &["a"]).build();
+        let plan = PhysicalPlan::lower(&RaExpr::relation("R"), &schema).unwrap();
+        let tuples = [
+            Tuple::new(vec![Value::null(0)]),
+            Tuple::new(vec![Value::null(1)]),
+        ];
+        let rows: Vec<(&str, &Tuple)> = tuples.iter().map(|t| ("R", t)).collect();
+        let components = group(&[], |_| &[], &rows);
+        let domain = [Constant::Int(1), Constant::Int(2)];
+        assert_eq!(
+            element_count(&components, 2, &mut NoChoice::default(), u128::MAX),
+            4
+        );
+        for workers in [1, 2, 3, 4] {
+            let fold = ComponentFold {
+                components: &components,
+                domain: &domain,
+                workers,
+            };
+            let folded = run(workers, 100, Combine::Union, |worker, shard| {
+                let side = Side::Certain(plan.root());
+                fold.run_shard(worker, shard, side, NoChoice::default(), || {
+                    let ground = ColumnBatch::from_relation(&rel(&[5]));
+                    shard_exec(&plan, [("R".to_string(), ground, false)], None)
+                })
+            })
+            .unwrap();
+            assert_eq!(folded.answers, Some(rel(&[5])), "{workers} workers");
+            assert_eq!(
+                (folded.visited, folded.batched),
+                (4, 4),
+                "{workers} workers"
+            );
+            let units: Vec<u128> = folded.shards.iter().map(|p| p.units).collect();
+            let idle = units.iter().skip(components.len()).all(|&u| u == 0);
+            assert!(idle, "{workers} workers: {units:?}");
+        }
     }
 }

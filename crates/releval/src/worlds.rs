@@ -35,17 +35,13 @@
 //!
 //! # Null components: one component at a time
 //!
-//! Two nulls are in one **null component** when they occur in the same
-//! tuple, taken transitively. A valuation `v` of every null is one
-//! valuation `v_K` per component `K`, chosen independently over the one
-//! shared [`valuation_domain`], and the world `v(D)` is the ground rows `G`
-//! plus each component's resolved rows `v_K(D_K)`. Call a relation
-//! *volatile* when it holds a row with a null. When every derivation of a
-//! plan uses at most one volatile row — the plan is *linear*, as decided by
-//! the table of [`relalgebra::physical::linear_volatility`] — its answer in
-//! a world is `Q(G) ∪ ⋃_K vol_K(v_K)`, where `vol_K(v_K)` is what the split
-//! executor derives when its volatile scans hold only `v_K(D_K)`. Two plan
-//! shapes ([`relalgebra::physical::fold_shape`]) then fold each component's
+//! A world fold is the [component fold](crate::fold) with no choice
+//! vertices: its components are the **null components** (two nulls are in
+//! one when they occur in the same tuple, taken transitively), a component's
+//! elements are the valuations of its nulls over the one shared
+//! [`valuation_domain`], and a world is the ground rows `G` plus each
+//! component's resolved rows. Two plan shapes
+//! ([`relalgebra::physical::fold_shape`]) then fold each component's
 //! valuations instead of their product:
 //!
 //! ```text
@@ -55,20 +51,13 @@
 //!                           ⋃_v B(v)          = B(G) ∪ ⋃_K ⋃_{v_K} vol_K(v_K)
 //! ```
 //!
-//! *Proof of (i).* `⊇`: a row of `Q(G)` is in every world's answer, and a
-//! row in `vol_K(v_K)` for every `v_K` is in the answer of every world,
-//! whatever it assigns to `K`. `⊆`: a row outside the right-hand side
-//! misses `Q(G)` and, in each component `K`, misses `vol_K(w_K)` for some
-//! valuation `w_K`; the world valuing every component by its `w_K` answers
-//! without the row. (∀ over a product of independent choices swaps with ∃,
-//! as for repairs in `repairs::fold`.)
-//!
-//! *Proof of (ii).* A row is in `A(v) − B(v)` for every `v` iff it is in
-//! `A(v)` for every `v` and in `B(v)` for no `v`: ∀ distributes over ∧, for
-//! any set of worlds. `⋂_v A(v)` is (i) for `A` (or `A(G)` when `A` reads
-//! no volatile relation), and a row is in some `B(v)` iff it is in `B(G)`
-//! or in `vol_K(v_K)` for some component `K` and valuation `v_K`, since any
-//! `v_K` extends to a whole valuation.
+//! (i) is the component fold's identity. *Proof of (ii).* A row is in
+//! `A(v) − B(v)` for every `v` iff it is in `A(v)` for every `v` and in
+//! `B(v)` for no `v`: ∀ distributes over ∧, for any set of worlds.
+//! `⋂_v A(v)` is (i) for `A` (or `A(G)` when `A` reads no volatile
+//! relation), and a row is in some `B(v)` iff it is in `B(G)` or in
+//! `vol_K(v_K)` for some component `K` and valuation `v_K`, since any `v_K`
+//! extends to a whole valuation.
 //!
 //! **When the fold factorizes.** The factorized fold visits at most
 //! `Σ_K |dom|^|N_K|` elements for each side that reads a volatile relation —
@@ -104,18 +93,19 @@
 use std::collections::BTreeSet;
 
 use relalgebra::ast::RaExpr;
-use relalgebra::physical::{fold_shape, reads_delta, FoldShape, PhysNode, PhysicalPlan};
+use relalgebra::physical::{fold_shape, reads_delta, FoldShape, PhysicalPlan};
 use relalgebra::plan::PlannedQuery;
-use relmodel::batch::{morsel_rows, ColumnBatch, OverlayBatch};
+use relmodel::batch::{ColumnBatch, OverlayBatch};
 use relmodel::semantics::{adequate_domain, all_complete_tuples, BoundedSubsetIter, WorldIter};
-use relmodel::valuation::{Valuation, ValuationEnumerator};
+use relmodel::valuation::ValuationEnumerator;
 use relmodel::value::{Constant, NullId, Value};
 use relmodel::{Database, Relation, Semantics, Tuple};
 
 use crate::error::EvalError;
-use crate::exec::columnar::split::{ShardExec, ShardSetup};
 use crate::exec::{self, OpStats};
-use crate::fold::{self, Combine, FoldError, Folded, Scratch, Shard, ShardProfile};
+use crate::fold::{
+    self, Combine, Component, ComponentFold, FoldError, Folded, NoChoice, Shard, ShardProfile, Side,
+};
 
 /// Options controlling possible-world enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -325,30 +315,17 @@ fn ground_overlays(db: &Database) -> Vec<(String, OverlayBatch)> {
         .collect()
 }
 
-/// A worker's split executor over the ground rows, and its scratch: one
-/// batch for every relation that can receive rows per world (symbolic rows,
-/// or OWA extension tuples when `max_extra > 0`). `delta` is the Δ setup of
-/// a plan that reads Δ.
-fn world_exec<'p>(
-    plan: &'p PhysicalPlan,
+/// The ground rows of every relation, as a worker's stable scans: static
+/// unless the relation can receive rows per world (symbolic rows, or OWA
+/// extension tuples when `max_extra > 0`).
+fn ground_scans(
     overlays: &[(String, OverlayBatch)],
     max_extra: usize,
-    delta: Option<(&BTreeSet<Constant>, bool)>,
-) -> (ShardExec<'p>, Scratch) {
-    let per_world = |overlay: &OverlayBatch| !overlay.is_all_ground() || max_extra > 0;
-    let setup = ShardSetup::new(
-        overlays
-            .iter()
-            .map(|(name, overlay)| (name.clone(), overlay.stable().clone(), !per_world(overlay))),
-        delta,
-    );
-    let scratch = Scratch::new(
-        overlays
-            .iter()
-            .filter(|(_, overlay)| per_world(overlay))
-            .map(|(name, overlay)| (name.clone(), overlay.stable().arity())),
-    );
-    (ShardExec::new(plan, morsel_rows(), setup), scratch)
+) -> impl Iterator<Item = (String, ColumnBatch, bool)> + '_ {
+    overlays.iter().map(move |(name, overlay)| {
+        let is_static = overlay.is_all_ground() && max_extra == 0;
+        (name.clone(), overlay.stable().clone(), is_static)
+    })
 }
 
 /// Everything a worker needs, shared read-only across the fleet. The
@@ -407,10 +384,9 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'
     // Δ work — its stable diagonal and each world's refill — only for a
     // plan that reads Δ.
     let base_consts: Option<BTreeSet<Constant>> = reads_delta(plan.root()).then(|| db.constants());
-    let (mut exec, mut scratch) = world_exec(
+    let (mut exec, mut scratch) = fold::shard_exec(
         plan,
-        overlays,
-        max_extra,
+        ground_scans(overlays, max_extra),
         base_consts
             .as_ref()
             .map(|base| (base, nulls.is_empty() && max_extra == 0)),
@@ -460,110 +436,36 @@ fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'
     shard.op_stats.merge(&exec.stats);
 }
 
-/// A null component: nulls that occur in one tuple, taken transitively,
-/// with the rows that carry them.
-#[derive(Default)]
-struct NullComponent {
-    nulls: Vec<NullId>,
-    /// Each relation's rows over this component's nulls, as overlays with
-    /// no ground rows.
-    rows: Vec<(String, OverlayBatch)>,
-}
-
-/// The database's null components, ordered by their least null.
-fn null_components(db: &Database) -> Vec<NullComponent> {
-    let nulls: Vec<NullId> = db.null_ids().into_iter().collect();
-    let index = |n: NullId| nulls.binary_search(&n).expect("a null of the database");
-    // Union-find over the nulls: one union per pair of nulls in a tuple.
-    let mut parent: Vec<usize> = (0..nulls.len()).collect();
-    fn root(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let symbolic = || {
-        db.iter().flat_map(|(name, rel)| {
-            rel.iter()
-                .map(move |t| (name, t))
-                .filter(|(_, t)| !t.is_complete())
-        })
-    };
-    for (_, tuple) in symbolic() {
-        let mut ids = tuple.values().iter().filter_map(Value::as_null);
-        let first = root(&mut parent, index(ids.next().expect("a tuple with a null")));
-        for n in ids {
-            let r = root(&mut parent, index(n));
-            parent[r] = first;
-        }
-    }
-    // Number the components by their least null.
-    let mut components: Vec<NullComponent> = Vec::new();
-    let mut numbered: Vec<Option<usize>> = vec![None; nulls.len()];
-    let mut component_of = Vec::with_capacity(nulls.len());
-    for (i, &n) in nulls.iter().enumerate() {
-        let r = root(&mut parent, i);
-        let k = *numbered[r].get_or_insert_with(|| {
-            components.push(NullComponent::default());
-            components.len() - 1
-        });
-        components[k].nulls.push(n);
-        component_of.push(k);
-    }
-    // Each relation's rows arrive together, so a component's batch for a
-    // relation is always its last one.
-    let mut rows: Vec<Vec<(&str, ColumnBatch)>> =
-        (0..components.len()).map(|_| Vec::new()).collect();
-    for (name, tuple) in symbolic() {
-        let first = tuple.values().iter().find_map(Value::as_null);
-        let batches = &mut rows[component_of[index(first.expect("a null"))]];
-        if batches.last().is_none_or(|(last, _)| *last != name) {
-            batches.push((name, ColumnBatch::new(tuple.arity())));
-        }
-        let (_, batch) = batches.last_mut().expect("just pushed");
-        batch.push_tuple(tuple);
-    }
-    for (component, batches) in components.iter_mut().zip(rows) {
-        component.rows = batches
-            .into_iter()
-            .map(|(name, batch)| (name.to_string(), OverlayBatch::new(&batch)))
-            .collect();
-    }
-    components
-}
-
 /// The factorized fold, when the decision rule (see the
 /// [module docs](self)) takes it: the plan's shape, the null components,
 /// and the number of elements the fold may visit.
-struct Factorized<'p> {
+struct Factorized<'p, 'd> {
     shape: FoldShape<'p>,
-    components: Vec<NullComponent>,
+    components: Vec<Component<'d>>,
     elements: u128,
 }
 
 /// Decides whether the batched fold factorizes over the null components.
-fn factorize<'p>(
+fn factorize<'p, 'd>(
     plan: &'p PhysicalPlan,
-    db: &Database,
+    db: &'d Database,
     domain_len: usize,
     max_extra: usize,
     opts: &WorldOptions,
-) -> Option<Factorized<'p>> {
+) -> Option<Factorized<'p, 'd>> {
     if max_extra > 0 {
         return None;
     }
-    let volatile: BTreeSet<&str> = db
+    let rows: Vec<(&str, &Tuple)> = db
         .iter()
-        .filter(|(_, rel)| !rel.is_complete())
-        .map(|(name, _)| name)
+        .flat_map(|(name, rel)| rel.iter().map(move |t| (name, t)))
+        .filter(|(_, t)| !t.is_complete())
         .collect();
+    let volatile: BTreeSet<&str> = rows.iter().map(|&(name, _)| name).collect();
     let shape = fold_shape(plan.root(), &|name| volatile.contains(name));
-    let components = null_components(db);
-    let per_side = components
-        .iter()
-        .map(|k| valuation_count(domain_len, k.nulls.len()))
-        .fold(0, u128::saturating_add);
+    let components = fold::group(&[], |_| &[], &rows);
+    let per_side =
+        fold::element_count(&components, domain_len, &mut NoChoice::default(), u128::MAX);
     // A side that reads no volatile relation is one element.
     let side = |volatile: bool| if volatile { per_side } else { 1 };
     let elements = match shape {
@@ -582,99 +484,35 @@ fn factorize<'p>(
     })
 }
 
-/// Which side of the factorized fold a run of elements feeds.
-#[derive(Clone, Copy)]
-enum Side<'a> {
-    /// Intersect the subtree's volatile answers within each component's
-    /// run, and unite the runs.
-    Certain(&'a PhysNode),
-    /// Subtract every row of the subtree from the certain answer of the
-    /// difference's left side.
-    Possible(&'a PhysNode, &'a Relation),
-}
-
-/// The factorized shard runner: for each component dealt to this worker
-/// (round-robin over the workers), one split-executor element per
-/// valuation of that component's nulls, whose volatile scans hold only the
-/// component's resolved rows. One executor serves every component, so the
-/// stable subresults and hash tables are built once per worker.
-fn run_components(
-    job: ShardJob<'_>,
-    components: &[NullComponent],
-    side: Side<'_>,
-    worker: usize,
-    shard: &mut Shard<'_>,
-) {
-    let mine = components.iter().skip(worker).step_by(job.workers);
-    if mine.len() == 0 {
-        return;
-    }
-    let (mut exec, mut scratch) = world_exec(job.plan, job.overlays, 0, None);
-    'components: for component in mine {
-        let valuations =
-            ValuationEnumerator::new(component.nulls.iter().copied(), job.domain.to_vec());
-        for v in valuations {
-            if !shard.admit() {
-                break 'components;
-            }
-            refill(&mut scratch, component, &v);
-            let more = match side {
-                Side::Certain(node) => shard.fold_split(&exec.eval_subtree(node, &scratch.input())),
-                Side::Possible(node, minuend) => {
-                    let split = exec.eval_subtree(node, &scratch.input());
-                    shard.subtract_split(minuend, &split)
-                }
-            };
-            if !more {
-                break;
-            }
-        }
-        shard.close_run();
-    }
-    shard.op_stats.merge(&exec.stats);
-}
-
-/// Refills the scratch scans with one component's rows under `v`.
-fn refill(scratch: &mut Scratch, component: &NullComponent, v: &Valuation) {
-    scratch.clear();
-    for (name, overlay) in &component.rows {
-        overlay.resolve_into(v, scratch.scan(name));
-    }
-}
-
-/// The certain side of the factorized fold: `S ∪ ⋃_K ⋂_{v_K} vol_K(v_K)`
-/// for the subtree `node`, one run per component.
-fn fold_certain(
-    job: ShardJob<'_>,
-    components: &[NullComponent],
-    node: &PhysNode,
-    budget: u128,
-) -> Result<Folded<()>, FoldError> {
-    fold::run(job.workers, budget, Combine::Union, |worker, shard| {
-        run_components(job, components, Side::Certain(node), worker, shard)
-    })
-}
-
 /// The factorized fold: identity (i) for a linear plan, (ii) for a root
-/// difference.
+/// difference. A side that reads no volatile relation folds one element
+/// holding no component's rows: its answer is the same in every world.
 fn fold_factorized(
     job: ShardJob<'_>,
-    factorized: &Factorized<'_>,
+    factorized: &Factorized<'_, '_>,
     budget: u128,
 ) -> Result<Folded<()>, FoldError> {
-    // A side that reads no volatile relation is one element holding no
-    // component's rows: its answer is the same in every world.
-    let ground = [NullComponent::default()];
-    let runs = |volatile: bool| {
-        if volatile {
-            &factorized.components[..]
-        } else {
-            &ground[..]
-        }
+    let ground = [Component::default()];
+    // One run per component on `side`, or the one ground element.
+    let fold_side = |volatile: bool, side: Side<'_>, combine, budget| {
+        let components = ComponentFold {
+            components: if volatile {
+                &factorized.components
+            } else {
+                &ground
+            },
+            domain: job.domain,
+            workers: job.workers,
+        };
+        fold::run(job.workers, budget, combine, |worker, shard| {
+            let exec = || fold::shard_exec(job.plan, ground_scans(job.overlays, 0), None);
+            components.run_shard(worker, shard, side, NoChoice::default(), exec)
+        })
     };
     let (left, left_volatile, right) = match factorized.shape {
         FoldShape::Linear { volatile } => {
-            return fold_certain(job, runs(volatile), job.plan.root(), budget)
+            let root = Side::Certain(job.plan.root());
+            return fold_side(volatile, root, Combine::Union, budget);
         }
         FoldShape::Difference {
             left,
@@ -693,12 +531,8 @@ fn fold_factorized(
     }
     // ⋂ A: one run per component, or A(G) when A reads no volatile
     // relation.
-    let certain = fold_certain(
-        job,
-        runs(left_volatile),
-        left,
-        budget.saturating_sub(world.visited),
-    )?;
+    let rest = budget.saturating_sub(world.visited);
+    let certain = fold_side(left_volatile, Side::Certain(left), Combine::Union, rest)?;
     let first = world.then(certain);
     let minuend = first.answers.clone().expect("the certain side folds");
     // ⋂ A − ⋃ B, skipped when ⋂ A is already empty.
@@ -707,14 +541,12 @@ fn fold_factorized(
     }
     // All three folds together visit at most the factorized count, which
     // the decision rule keeps within the budget.
-    let second = fold::run(
-        job.workers,
-        budget.saturating_sub(first.visited),
+    let rest = budget.saturating_sub(first.visited);
+    let second = fold_side(
+        true,
+        Side::Possible(right, &minuend),
         Combine::Intersect,
-        |worker, shard| {
-            let side = Side::Possible(right, &minuend);
-            run_components(job, runs(true), side, worker, shard)
-        },
+        rest,
     )?;
     Ok(first.then(second))
 }
@@ -1189,35 +1021,6 @@ mod tests {
                 "streaming == materializing ({semantics})"
             );
         }
-    }
-
-    #[test]
-    fn null_components_group_nulls_sharing_a_tuple() {
-        // ⊥0 and ⊥1 share a tuple of R, and ⊥1 recurs in S: one component
-        // with a row in each relation. ⊥2 and ⊥3 stand alone.
-        let db = DatabaseBuilder::new()
-            .relation("R", &["a", "b"])
-            .relation("S", &["a"])
-            .tuple("R", vec![Value::null(0), Value::null(1)])
-            .tuple("R", vec![Value::null(2), Value::int(1)])
-            .tuple("R", vec![Value::int(2), Value::int(3)])
-            .tuple("S", vec![Value::null(1)])
-            .tuple("S", vec![Value::null(3)])
-            .build();
-        let components = null_components(&db);
-        let shape: Vec<String> = components
-            .iter()
-            .map(|k| {
-                let nulls: Vec<String> = k.nulls.iter().map(|n| n.0.to_string()).collect();
-                let rows: Vec<String> = k
-                    .rows
-                    .iter()
-                    .map(|(name, overlay)| format!("{name}{}", overlay.symbolic().len()))
-                    .collect();
-                format!("{} in {}", nulls.join(","), rows.join(" "))
-            })
-            .collect();
-        assert_eq!(shape, ["0,1 in R1 S1", "2 in R1", "3 in S1"]);
     }
 
     #[test]

@@ -191,6 +191,13 @@ impl ValuationEnumerator {
     pub fn count_remaining(&self) -> u128 {
         self.remaining
     }
+
+    /// Starts over at the first valuation of the full space, as
+    /// [`ValuationEnumerator::new`] would, reusing the domain.
+    pub fn rewind(&mut self) {
+        self.remaining = self.count_total();
+        self.counter = (self.remaining > 0).then(|| vec![0; self.nulls.len()]);
+    }
 }
 
 /// `|domain|^|nulls|` (saturating), with the conventions every consumer of
@@ -315,6 +322,17 @@ mod tests {
         assert_eq!(empty.count(), 0);
         let no_nulls = ValuationEnumerator::with_range(vec![], consts(&[1]), 0, 5);
         assert_eq!(no_nulls.count(), 1, "empty-null space has one valuation");
+    }
+
+    #[test]
+    fn rewind_replays_the_whole_space() {
+        let mut e = ValuationEnumerator::new(vec![NullId(0), NullId(1)], consts(&[1, 2, 3]));
+        let first: Vec<Valuation> = e.by_ref().take(4).collect();
+        e.rewind();
+        let full: Vec<Valuation> = e.by_ref().collect();
+        assert_eq!((full.len(), &full[..4]), (9, &first[..]));
+        e.rewind();
+        assert_eq!(e.count(), 9, "an exhausted enumerator rewinds too");
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //! the repair space into `2^p` disjoint shards, the repair-space analogue
 //! of `ValuationEnumerator::with_range`.
 
-use relmodel::Database;
+use releval::fold::Choices;
+use relmodel::{Database, Tuple};
 
 use crate::conflict::ConflictGraph;
 
@@ -243,6 +244,24 @@ impl<'a> MaskIter<'a> {
             };
             self.push(frame);
         }
+    }
+}
+
+/// A component fold's local choices are the local repairs of each joint
+/// component's vertices.
+impl Choices for MaskIter<'_> {
+    fn start(&mut self, vertices: &[usize]) {
+        self.restart(vertices);
+    }
+
+    fn advance(&mut self) -> bool {
+        self.next_mask()
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (&str, &Tuple)> {
+        let vertices = self.graph.vertices();
+        self.included()
+            .map(|v| (vertices[v].0.as_str(), &vertices[v].1))
     }
 }
 

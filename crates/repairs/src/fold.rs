@@ -53,40 +53,29 @@
 //! is unchanged. Valuing the nulls of `D` that `R` lacks changes nothing
 //! either, since `v(R)` reads `v` on `N_R` only.
 //!
-//! *Joint components.* One union-find over the conflict vertices and the
-//! nulls of the non-doomed tuples joins two vertices sharing a conflict
-//! edge, two nulls sharing a tuple, and a vertex with each of its nulls. A
-//! **joint component** `J` is one class: its vertices `V_J` (a union of
-//! whole conflict components, so closed under adjacency), its nulls `N_J`,
-//! and the null-bearing core tuples `C_J`, whose nulls lie in `N_J`. `G` is
-//! the complete core. A repair is `G ∪ ⋃_J (M_J ∪ C_J)` for one local
-//! repair `M_J` of `V_J` per component, and a valuation is one `v_J` of
-//! `N_J` per component (nulls that only doomed tuples carry are in no
-//! repair). No conflict edge crosses two components and no tuple mixes
-//! their nulls, so nothing ties their choices: the pairs `(R, v)` are
-//! exactly the product of each component's pairs `(M_J, v_J)`, and
+//! *Joint components.* The fold is the
+//! [component fold](releval::fold) over the conflict vertices and edges,
+//! with the null-bearing core tuples as the rows every element holds. Its
+//! components are the **joint components**: a union-find joins two
+//! vertices sharing a conflict edge, two nulls sharing a tuple, and a
+//! vertex with each of its nulls. A joint component `J` has vertices `V_J`
+//! (a union of whole conflict components, so closed under adjacency),
+//! nulls `N_J`, and null-bearing core tuples `C_J`; an element is a local
+//! repair `M_J` of `V_J` with a valuation `v_J` of `N_J`, and `G` is the
+//! complete core. Every pair `(R, v)` is one choice `(M_J, v_J)` per
+//! component (nulls that only doomed tuples carry are in no repair), and
 //! `v(R) = G ∪ ⋃_J v_J(M_J ∪ C_J)`. This is why a vertex carrying `⊥` must
 //! join `⊥`'s component: when vertices of two conflict components share a
 //! null, the value one repair choice sees depends on the valuation the
-//! other sees, and only their merged component chooses both together.
-//!
-//! *The identity.* Call a relation volatile when it holds a conflict
-//! vertex or a null-bearing core tuple. When every derivation of the plan
-//! uses at most one volatile row — the plan is *linear*, by the table of
-//! [`relalgebra::physical::linear_volatility`] —
-//! `Q(v(R)) = Q(G) ∪ ⋃_J vol_J(M_J, v_J)`, where `vol_J` is what the split
-//! executor derives when its volatile scans hold only `v_J(M_J ∪ C_J)`.
-//! Intersecting over the product of choices then factorizes:
+//! other sees, and only their merged component chooses both together. A
+//! complete database is the case with no nulls: its joint components are
+//! the conflict components, each with one (empty) valuation. For a plan
+//! linear in the relations holding a vertex or a null-bearing core tuple,
+//! the component fold's identity gives
 //!
 //! ```text
 //! ⋂_R ⋂_v Q(v(R))  =  Q(G) ∪ ⋃_J ⋂_{(M_J, v_J)} vol_J(M_J, v_J)
 //! ```
-//!
-//! (a row outside the right-hand side misses some `vol_J(M_J, v_J)` in
-//! every component, and the repair and valuation choosing all those pairs
-//! answer without it: ∀ over a product of independent choices swaps with
-//! ∃). A complete database is the case with no nulls: its joint components
-//! are the conflict components, each with one (empty) valuation.
 //!
 //! **When the fold factorizes.** It visits at most
 //! `Σ_J |LR(J)| · |dom|^{|N_J|}` elements, `LR(J)` being the local repairs
@@ -114,15 +103,16 @@ use std::fmt;
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::physical::{linear_volatility, reads_delta};
 use relalgebra::plan::PlannedQuery;
-use releval::exec::columnar::split::{ShardExec, ShardSetup};
+use releval::exec::columnar::split::ShardExec;
 use releval::exec::{self, OpStats};
-use releval::fold::{self, Combine, FoldError, Scratch, Shard, ShardProfile};
+use releval::fold::{
+    self, Combine, Component, ComponentFold, FoldError, Scratch, Shard, ShardProfile, Side,
+};
 use releval::symbolic::{symbolic_certain_answer, SymbolicOptions, SymbolicOutcome};
 use releval::worlds::{stream_certain_answer, valuation_domain, WorldOptions};
 use releval::EvalError;
-use relmodel::batch::{morsel_rows, ColumnBatch};
-use relmodel::valuation::{valuation_space_size, Valuation, ValuationEnumerator};
-use relmodel::value::{Constant, NullId};
+use relmodel::batch::ColumnBatch;
+use relmodel::value::Constant;
 use relmodel::{Database, Relation, Semantics, Tuple, Value};
 
 use crate::conflict::ConflictGraph;
@@ -355,23 +345,25 @@ impl Core {
         });
         Core { scans, constants }
     }
-}
 
-/// One joint component (see the [module docs](self)): the conflict
-/// vertices and nulls a repair and a valuation choose together.
-#[derive(Default)]
-struct JointComponent<'d> {
-    /// Vertex indexes, ascending and closed under adjacency.
-    vertices: Vec<usize>,
-    /// The component's nulls, ascending.
-    nulls: Vec<NullId>,
-    /// The null-bearing core tuples over these nulls.
-    core: Vec<(&'d str, &'d Tuple)>,
+    /// A worker's split executor over the core, and its scratch: the
+    /// complete core rows are the stable scans, and a relation is static
+    /// iff it is not volatile.
+    fn exec<'a>(&self, job: ShardJob<'a>) -> (ShardExec<'a>, Scratch) {
+        let scans = self.scans.iter().map(|(name, batch)| {
+            let is_static = !job.volatile.contains(name.as_str());
+            (name.clone(), batch.clone(), is_static)
+        });
+        let no_vertices = job.graph.vertices().is_empty();
+        let delta = self.constants.as_ref().map(|c| (c, no_vertices));
+        fold::shard_exec(job.plan.physical(), scans, delta)
+    }
 }
 
 /// The factorized fold's choice space.
 struct JointSpace<'d> {
-    components: Vec<JointComponent<'d>>,
+    /// The joint components (see the [module docs](self)).
+    components: Vec<Component<'d>>,
     /// The shared valuation domain (empty when no component has a null).
     domain: Vec<Constant>,
     /// The relations holding a conflict vertex or a null-bearing core
@@ -380,77 +372,6 @@ struct JointSpace<'d> {
     /// `Σ_J |LR(J)| · |dom|^{|N_J|}`, counted exactly up to the budget;
     /// past it, some count above the budget.
     elements: u128,
-}
-
-/// The joint components: one union-find over the vertices (elements
-/// `0..V`) and the nulls of vertices and null-bearing core tuples
-/// (elements `V..`), numbered by their least element.
-fn joint_components<'d>(
-    graph: &'d ConflictGraph,
-    null_core: &[(&'d str, &'d Tuple)],
-) -> Vec<JointComponent<'d>> {
-    let vertices = graph.vertices();
-    let nulls_of = |t: &'d Tuple| t.values().iter().filter_map(Value::as_null);
-    let mut nulls: Vec<NullId> = vertices
-        .iter()
-        .map(|(_, t)| t)
-        .chain(null_core.iter().map(|(_, t)| *t))
-        .flat_map(nulls_of)
-        .collect();
-    nulls.sort_unstable();
-    nulls.dedup();
-    let null_element = |n: NullId| vertices.len() + nulls.binary_search(&n).expect("a listed null");
-    let mut parent: Vec<usize> = (0..vertices.len() + nulls.len()).collect();
-    fn root(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let mut union = |a: usize, b: usize| {
-        let (ra, rb) = (root(&mut parent, a), root(&mut parent, b));
-        parent[ra.max(rb)] = ra.min(rb);
-    };
-    for (v, (_, tuple)) in vertices.iter().enumerate() {
-        for &u in graph.neighbors(v) {
-            union(v, u);
-        }
-        for n in nulls_of(tuple) {
-            union(v, null_element(n));
-        }
-    }
-    for (_, tuple) in null_core {
-        let mut ids = nulls_of(tuple);
-        let first = null_element(ids.next().expect("a null-bearing tuple"));
-        for n in ids {
-            union(first, null_element(n));
-        }
-    }
-    let mut components: Vec<JointComponent<'d>> = Vec::new();
-    let mut numbered: Vec<Option<usize>> = vec![None; parent.len()];
-    let placed: Vec<usize> = (0..parent.len())
-        .map(|element| {
-            let r = root(&mut parent, element);
-            *numbered[r].get_or_insert_with(|| {
-                components.push(JointComponent::default());
-                components.len() - 1
-            })
-        })
-        .collect();
-    for (v, &k) in placed[..vertices.len()].iter().enumerate() {
-        components[k].vertices.push(v);
-    }
-    for (&n, &k) in nulls.iter().zip(&placed[vertices.len()..]) {
-        components[k].nulls.push(n);
-    }
-    for &(name, tuple) in null_core {
-        let first = nulls_of(tuple).next().expect("a null-bearing tuple");
-        components[placed[null_element(first)]]
-            .core
-            .push((name, tuple));
-    }
-    components
 }
 
 impl<'d> JointSpace<'d> {
@@ -475,7 +396,7 @@ impl<'d> JointSpace<'d> {
         if volatile.is_empty() || linear.is_none() {
             return None;
         }
-        let components = joint_components(graph, null_core);
+        let components = fold::group(graph.vertices(), |v| graph.neighbors(v), null_core);
         let domain = if components.iter().all(|k| k.nulls.is_empty()) {
             Vec::new()
         } else {
@@ -485,18 +406,8 @@ impl<'d> JointSpace<'d> {
             }
             domain
         };
-        // Counts each component's local repairs, stopping once the sum
-        // passes the budget.
-        let cap = opts.max_repairs;
-        let mut masks = MaskIter::with_prefix(graph, 0, 0);
-        let mut elements = 0u128;
-        for component in &components {
-            let valuations = valuation_space_size(component.nulls.len(), domain.len());
-            masks.restart(&component.vertices);
-            while elements <= cap && masks.next_mask() {
-                elements = elements.saturating_add(valuations);
-            }
-        }
+        let masks = &mut MaskIter::with_prefix(graph, 0, 0);
+        let elements = fold::element_count(&components, domain.len(), masks, opts.max_repairs);
         Some(JointSpace {
             components,
             domain,
@@ -536,7 +447,6 @@ struct ShardJob<'a> {
     volatile: &'a BTreeSet<&'a str>,
     null_values_literal: bool,
     prefix_len: usize,
-    workers: usize,
 }
 
 /// Which shard runner the fold uses.
@@ -560,7 +470,7 @@ enum Runner<'a> {
 fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Shard<'_>) {
     let mut masks = MaskIter::with_prefix(job.graph, prefix, job.prefix_len);
     let vertices = job.graph.vertices();
-    let (mut exec, mut scratch) = element_exec(job, core);
+    let (mut exec, mut scratch) = core.exec(job);
     while masks.next_mask() {
         if !shard.admit() {
             break;
@@ -579,94 +489,6 @@ fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Sh
         }
     }
     shard.op_stats.merge(&exec.stats);
-}
-
-/// The factorized shard runner: for each joint component dealt to this
-/// worker (round-robin over `job.workers`), one split-executor element per
-/// local repair and valuation of the component's nulls, whose volatile
-/// scans hold only that local repair's vertices and the component's
-/// null-bearing core tuples, valued. Each component is one run of the
-/// shard's meet: its volatile answers are intersected until the run
-/// empties, and the runs unite. One executor serves every component, so
-/// the core's subresults and hash tables are built once per worker.
-fn run_shard_factorized(
-    job: ShardJob<'_>,
-    core: &Core,
-    space: &JointSpace<'_>,
-    worker: usize,
-    shard: &mut Shard<'_>,
-) {
-    let mine = space.components.iter().skip(worker).step_by(job.workers);
-    if mine.len() == 0 {
-        return;
-    }
-    let (mut exec, mut scratch) = element_exec(job, core);
-    let mut masks = MaskIter::with_prefix(job.graph, 0, 0);
-    let vertices = job.graph.vertices();
-    'components: for component in mine {
-        masks.restart(&component.vertices);
-        'run: while masks.next_mask() {
-            let domain = if component.nulls.is_empty() {
-                Vec::new()
-            } else {
-                space.domain.clone()
-            };
-            for v in ValuationEnumerator::new(component.nulls.iter().copied(), domain) {
-                if !shard.admit() {
-                    break 'components;
-                }
-                scratch.clear();
-                let included = masks.included().map(|i| {
-                    let (relation, tuple) = &vertices[i];
-                    (relation.as_str(), tuple)
-                });
-                for (relation, tuple) in included.chain(component.core.iter().copied()) {
-                    push_valued(scratch.scan(relation), tuple, &v);
-                }
-                if !shard.fold_split(&exec.eval_element(&scratch.input())) {
-                    break 'run;
-                }
-            }
-        }
-        shard.close_run();
-    }
-    shard.op_stats.merge(&exec.stats);
-}
-
-/// Appends `v(tuple)` to `batch`.
-fn push_valued(batch: &mut ColumnBatch, tuple: &Tuple, v: &Valuation) {
-    if tuple.is_complete() {
-        batch.push_tuple(tuple);
-    } else {
-        batch.push_row(tuple.values().iter().map(|x| v.apply_value(x)));
-    }
-}
-
-/// A worker's split executor over the core, and its scratch: one batch per
-/// volatile relation.
-fn element_exec<'a>(job: ShardJob<'a>, core: &Core) -> (ShardExec<'a>, Scratch) {
-    let scratch = Scratch::new(job.volatile.iter().map(|name| {
-        let schema = job.db.schema().relation(name);
-        let arity = schema
-            .expect("volatile relations come from the schema")
-            .arity();
-        (name.to_string(), arity)
-    }));
-    // The complete core rows are the stable scans; a relation is static
-    // iff it is not volatile.
-    let setup = ShardSetup::new(
-        core.scans.iter().map(|(name, batch)| {
-            let is_static = !job.volatile.contains(name.as_str());
-            (name.clone(), batch.clone(), is_static)
-        }),
-        core.constants
-            .as_ref()
-            .map(|constants| (constants, job.graph.vertices().is_empty())),
-    );
-    (
-        ShardExec::new(job.plan.physical(), morsel_rows(), setup),
-        scratch,
-    )
 }
 
 /// The row-materializing reference shard runner.
@@ -766,7 +588,6 @@ fn stream_consistent_answer_inner(
         volatile: space.as_ref().map_or(&vertex_relations, |s| &s.volatile),
         null_values_literal: has_incomplete_values(plan.expr()),
         prefix_len,
-        workers,
     };
     // Whole-repair shards partition the repairs: their answers intersect.
     // Factorized shards partition the components, and each already holds
@@ -780,7 +601,14 @@ fn stream_consistent_answer_inner(
             Runner::Rows => return run_shard_rows(job, worker as u64, shard),
             Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shard),
             Runner::Factorized(core, space) => {
-                run_shard_factorized(job, core, space, worker, shard)
+                let components = ComponentFold {
+                    components: &space.components,
+                    domain: &space.domain,
+                    workers,
+                };
+                let root = Side::Certain(plan.physical().root());
+                let masks = MaskIter::with_prefix(graph, 0, 0);
+                components.run_shard(worker, shard, root, masks, || core.exec(job))
             }
         }
         // The split-executor paths never leave the physical executor.

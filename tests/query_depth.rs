@@ -158,6 +158,12 @@ fn deep_expressions_are_refused_at_every_engine_door() {
                             );
                             refused(engine.analyze(deep).unwrap_err());
                             refused(engine.explain_analyze(deep).unwrap_err());
+                            // The preview has no error to return: it
+                            // promises nothing instead of analyzing.
+                            assert_eq!(
+                                engine.select_strategy(deep, QueryClass::FullRa),
+                                (StrategyKind::ThreeValuedBaseline, Guarantee::NoGuarantee)
+                            );
                         })
                         .expect("thread spawns")
                         .join()
