@@ -284,7 +284,7 @@ fn factorized_vs_product(smoke: bool, budget: Duration) {
 /// in `R`: the world space is `|domain|` valuations of that one null, and
 /// every world shares the all-ground join. The row fold re-clones and
 /// re-joins everything per world; the batched fold joins the ground run
-/// once per shard and re-probes only the overlay row.
+/// once per shard and re-probes only the valued row.
 fn join_with_one_null(n: usize) -> Database {
     let schema = Schema::builder()
         .relation("R", &["a", "b"])
@@ -301,7 +301,7 @@ fn join_with_one_null(n: usize) -> Database {
     db
 }
 
-/// The tentpole acceptance sweep: the batched overlay fold against the
+/// The acceptance sweep: the batched split-executor fold against the
 /// row-instantiating reference on a no-early-exit workload, gated at ≥10x.
 /// Also emits the shard-level hash-table reuse rate, which is what buys the
 /// speedup: build-side tables over all-ground runs are built once per shard.
@@ -383,7 +383,7 @@ fn batched_vs_rows(smoke: bool, budget: Duration) {
     assert!(reused > 0, "the shard must reuse build-side tables");
     assert!(
         speedup >= 10.0,
-        "acceptance: the batched overlay fold must beat the row-instantiating \
+        "acceptance: the batched fold must beat the row-instantiating \
          fold ≥10x on the no-early-exit workload (got {speedup:.1}x)"
     );
 }

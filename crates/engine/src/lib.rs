@@ -1107,7 +1107,7 @@ mod tests {
         assert!(report.stats.peak_worlds_in_flight.unwrap() >= report.stats.world_threads.unwrap());
         assert_eq!(
             report.stats.worlds_batched, report.stats.worlds_enumerated,
-            "every visited world went through the batched overlay path"
+            "every visited world went through the batched split executor"
         );
     }
 

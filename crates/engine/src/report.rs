@@ -367,7 +367,7 @@ pub struct EngineStats {
     /// and so can a fold that took one null component at a time: it counts
     /// component valuations (`releval::worlds::WorldExecution::components`).
     pub worlds_enumerated: Option<u128>,
-    /// Of the visited worlds, how many were evaluated as valuation overlays
+    /// Of the visited worlds, how many were evaluated as valued rows
     /// through the batched split executor (stable subresults and hash
     /// tables shared across the shard) rather than materialized databases,
     /// when the worlds strategy ran. Equal to

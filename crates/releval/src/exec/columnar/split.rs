@@ -3,10 +3,9 @@
 //! thousands of *elements* (possible worlds / subset repairs) that differ
 //! from each other in only a handful of rows.
 //!
-//! A world is the ground rows of each relation (invariant across every
-//! valuation) plus a small valuation-dependent remainder — the
-//! [`relmodel::batch::OverlayBatch`] image of the symbolic rows and any OWA
-//! extension tuples. A repair is the conflict-free core (invariant) plus the
+//! A world is the complete rows of each relation (invariant across every
+//! valuation) plus a small valuation-dependent remainder — the valued
+//! null-bearing rows and any OWA extension tuples. A repair is the conflict-free core (invariant) plus the
 //! included conflict vertices — a tuple-survival mask over the vertex batch.
 //! [`ShardExec`] exploits that shape: every node of the plan evaluates to a
 //! [`Split`] — a **stable** batch equal across all elements of the shard and
@@ -74,8 +73,8 @@ impl Split {
 /// The shard-invariant leaf data a [`ShardExec`] is constructed over.
 #[derive(Debug)]
 pub struct ShardSetup {
-    /// Relation name → its element-invariant rows: the ground rows of the
-    /// base batch for worlds, the conflict-free core rows for repairs.
+    /// Relation name → its element-invariant rows: the complete rows for
+    /// worlds, the conflict-free core's complete rows for repairs.
     stable_scans: HashMap<String, Rc<ColumnBatch>>,
     /// Relation name → is the relation **identical** in every element of
     /// the shard (no symbolic rows, no OWA extension candidates, no

@@ -86,17 +86,32 @@
 //! workers and, per component, per local choice and per valuation, refills
 //! the scratch with the element's rows and folds what the plan (or one
 //! side of a root difference, [`Side`]) derives into the component's run.
-//! A run stops once its intersection is empty, since it can add nothing to
-//! the union. Each fold keeps only its choice space and its rule for when
-//! to factorize.
+//! The runs unite ([`Combine::Union`]), and a run stops once its
+//! intersection is empty, since it can add nothing to the union.
+//!
+//! *The product.* Any plan folds the product of the choices as the
+//! component fold over **one** component holding every vertex and every
+//! null, under [`Combine::Intersect`]: its elements are the whole worlds or
+//! repairs. Only such a fold may cut a component into [`parts`] — by the
+//! first decisions of its local choice when it has vertices, else by
+//! contiguous valuation ranges — and deal the parts round-robin, so that
+//! every worker shares it; a Union run must stay on one worker. Two more
+//! things enter an element there: a world fold under OWA extends every
+//! valuation by each subset of extension tuples, innermost, and a plan
+//! reading Δ gets Δ refilled
+//! from the constants of the element's rows outside the stable scans
+//! ([`shard_exec`]). Each fold keeps only its choice space and its rule for
+//! when to factorize; [`workers`] is the one rule for how many workers a
+//! fold runs on.
 
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use relalgebra::physical::{PhysNode, PhysicalPlan};
+use relalgebra::physical::{reads_delta, PhysNode, PhysicalPlan};
 use relmodel::batch::{morsel_rows, ColumnBatch};
+use relmodel::semantics::BoundedSubsetIter;
 use relmodel::valuation::{valuation_space_size, ValuationEnumerator};
 use relmodel::value::{Constant, NullId, Value};
 use relmodel::{Relation, Tuple};
@@ -188,13 +203,26 @@ impl Folded<()> {
     }
 }
 
-/// The automatic worker count before a fold's own partitioning rule: the
-/// machine's parallelism, capped at 8.
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+/// Below this a-priori element count a fold's automatic worker count is
+/// one: spawning workers would cost more than the fold.
+pub const PARALLEL_MIN_ELEMENTS: u128 = 128;
+
+/// A fold's worker count. A `pinned` count is honoured exactly. Otherwise
+/// a product fold, whose a-priori element estimate is `Some`, runs on one
+/// worker below [`PARALLEL_MIN_ELEMENTS`] and on the machine's parallelism
+/// (capped at 8) from there; a factorized fold (`None`) runs on one worker,
+/// because every worker rebuilds the stable subresults that dominate it.
+pub fn workers(pinned: Option<usize>, estimate: Option<u128>) -> usize {
+    match (pinned, estimate) {
+        (Some(pinned), _) => pinned.max(1),
+        (None, Some(estimate)) if estimate >= PARALLEL_MIN_ELEMENTS => {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8)
+        }
+        (None, _) => 1,
+    }
 }
 
 /// Signals shared by every worker of one fold.
@@ -466,32 +494,22 @@ pub fn run<T: Send>(
 /// element rows, and the Δ rows of the constants the element introduces.
 pub struct Scratch {
     scans: HashMap<String, Rc<ColumnBatch>>,
+    /// The stable scans' constants, when the plan reads Δ.
+    base: Option<BTreeSet<Constant>>,
     delta: Rc<ColumnBatch>,
     extra: BTreeSet<Constant>,
 }
 
 impl Scratch {
-    /// Scratch for the named relations, each with its arity.
-    fn new(relations: impl IntoIterator<Item = (String, usize)>) -> Scratch {
-        Scratch {
-            scans: relations
-                .into_iter()
-                .map(|(name, arity)| (name, Rc::new(ColumnBatch::new(arity))))
-                .collect(),
-            delta: Rc::new(ColumnBatch::new(2)),
-            extra: BTreeSet::new(),
-        }
-    }
-
     /// Empties every scan batch, for the next element.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         for batch in self.scans.values_mut() {
             Rc::make_mut(batch).clear();
         }
     }
 
     /// The scan batch of relation `name`.
-    pub fn scan(&mut self, name: &str) -> &mut ColumnBatch {
+    fn scan(&mut self, name: &str) -> &mut ColumnBatch {
         Rc::make_mut(
             self.scans
                 .get_mut(name)
@@ -499,18 +517,17 @@ impl Scratch {
         )
     }
 
-    /// Rewrites the Δ rows for an element holding `constants`, of which
-    /// those outside `base` are new.
-    pub fn refill_delta<'a>(
-        &mut self,
-        base: &BTreeSet<Constant>,
-        constants: impl IntoIterator<Item = &'a Constant>,
-    ) {
+    /// Rewrites the Δ rows for the element now in the scan batches: one per
+    /// constant of its rows outside the stable scans. Nothing to do unless
+    /// the plan reads Δ.
+    fn refill_delta(&mut self) {
+        let Some(base) = &self.base else {
+            return;
+        };
         self.extra.clear();
-        for c in constants {
-            if !base.contains(c) {
-                self.extra.insert(c.clone());
-            }
+        for batch in self.scans.values() {
+            let outside = constants(batch).filter(|c| !base.contains(c));
+            self.extra.extend(outside.cloned());
         }
         if self.extra.is_empty() && self.delta.is_empty() {
             return;
@@ -524,7 +541,7 @@ impl Scratch {
 
     /// The element's leaf input to
     /// [`ShardExec::eval_element`](crate::exec::columnar::split::ShardExec::eval_element).
-    pub fn input(&self) -> ElementInput<'_> {
+    fn input(&self) -> ElementInput<'_> {
         ElementInput {
             volatile_scans: &self.scans,
             volatile_delta: &self.delta,
@@ -532,23 +549,45 @@ impl Scratch {
     }
 }
 
+/// The constants of a batch, column by column.
+fn constants(batch: &ColumnBatch) -> impl Iterator<Item = &Constant> {
+    (0..batch.arity()).flat_map(|col| {
+        batch
+            .column(col)
+            .values()
+            .iter()
+            .filter_map(Value::as_const)
+    })
+}
+
 /// A worker's split executor over `plan`, and its scratch. `scans` lists
 /// each relation's element-invariant rows and whether the relation is
 /// static; every relation that is not gets a scratch batch of its arity.
-/// `delta` is as for [`ShardSetup::new`].
+/// When the plan reads Δ, the stable scans' constants are Δ's stable rows
+/// and each element adds the other constants of its rows; Δ is static iff
+/// every relation is.
 pub fn shard_exec<'p>(
     plan: &'p PhysicalPlan,
     scans: impl IntoIterator<Item = (String, ColumnBatch, bool)>,
-    delta: Option<(&BTreeSet<Constant>, bool)>,
 ) -> (ShardExec<'p>, Scratch) {
     let scans: Vec<_> = scans.into_iter().collect();
-    let scratch = Scratch::new(
-        scans
-            .iter()
-            .filter(|(_, _, is_static)| !is_static)
-            .map(|(name, batch, _)| (name.clone(), batch.arity())),
-    );
-    let setup = ShardSetup::new(scans, delta);
+    let base = reads_delta(plan.root()).then(|| {
+        let batches = scans.iter().flat_map(|(_, batch, _)| constants(batch));
+        batches.cloned().collect::<BTreeSet<_>>()
+    });
+    let all_static = scans.iter().all(|&(_, _, is_static)| is_static);
+    let volatile = scans
+        .iter()
+        .filter(|(_, _, is_static)| !is_static)
+        .map(|(name, batch, _)| (name.clone(), Rc::new(ColumnBatch::new(batch.arity()))))
+        .collect();
+    let setup = ShardSetup::new(scans, base.as_ref().map(|base| (base, all_static)));
+    let scratch = Scratch {
+        scans: volatile,
+        base,
+        delta: Rc::new(ColumnBatch::new(2)),
+        extra: BTreeSet::new(),
+    };
     (ShardExec::new(plan, morsel_rows(), setup), scratch)
 }
 
@@ -639,8 +678,10 @@ pub fn group<'d>(
 /// The local choices of one component's vertices: its local repairs in a
 /// repair fold, one empty choice in a world fold.
 pub trait Choices {
-    /// Starts over on the choices of one component's `vertices`.
-    fn start(&mut self, vertices: &[usize]);
+    /// Starts over on the choices of one component's `vertices` whose first
+    /// `prefix_len` decisions match the bits of `prefix` (bit `d` decides
+    /// the `d`-th vertex); a zero `prefix_len` admits every choice.
+    fn start(&mut self, vertices: &[usize], prefix: u64, prefix_len: usize);
     /// Moves to the next choice; `false` once they have run out.
     fn advance(&mut self) -> bool;
     /// The rows the current choice holds.
@@ -654,7 +695,7 @@ pub(crate) struct NoChoice {
 }
 
 impl Choices for NoChoice {
-    fn start(&mut self, _: &[usize]) {
+    fn start(&mut self, _: &[usize], _: u64, _: usize) {
         self.taken = false;
     }
 
@@ -679,7 +720,7 @@ pub fn element_count(
     let mut elements = 0u128;
     for component in components {
         let valuations = valuation_space_size(component.nulls.len(), domain_len);
-        choices.start(&component.vertices);
+        choices.start(&component.vertices, 0, 0);
         while elements <= cap && choices.advance() {
             elements = elements.saturating_add(valuations);
         }
@@ -687,36 +728,108 @@ pub fn element_count(
     elements
 }
 
-/// Which side of a factorized fold a run of elements feeds.
+/// One part of a component's elements (see [`parts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Part {
+    /// The part's local choices are those whose first `prefix_len`
+    /// decisions match the bits of `prefix` ([`Choices::start`]).
+    pub prefix: u64,
+    /// The number of decisions the prefix forces.
+    pub prefix_len: usize,
+    /// The part's valuations: the index range `[start, end)`.
+    pub valuations: (u128, u128),
+}
+
+/// Cuts the elements of a component with `vertices` choice vertices and
+/// `valuations` valuations into disjoint parts that cover them, about
+/// `count` of them: by the first decisions of the local choice when the
+/// component has vertices (`2^⌈log₂ count⌉` prefixes, or `2^vertices` when
+/// that is fewer; an infeasible prefix is an empty part), else by
+/// contiguous, non-empty valuation ranges (at most `count`). Part order is
+/// enumeration order.
+pub fn parts(vertices: usize, valuations: u128, count: usize) -> Vec<Part> {
+    let whole = Part {
+        prefix: 0,
+        prefix_len: 0,
+        valuations: (0, valuations),
+    };
+    if vertices > 0 {
+        let bits = count.max(1).next_power_of_two().trailing_zeros() as usize;
+        let prefix_len = bits.min(vertices).min(63);
+        return (0..1u64 << prefix_len)
+            .map(|prefix| Part {
+                prefix,
+                prefix_len,
+                ..whole
+            })
+            .collect();
+    }
+    let cuts = valuations.min(count as u128).max(1);
+    let (size, longer) = (valuations / cuts, valuations % cuts);
+    let start = |i: u128| i * size + i.min(longer);
+    (0..cuts)
+        .map(|i| Part {
+            valuations: (start(i), start(i + 1)),
+            ..whole
+        })
+        .collect()
+}
+
+/// Which side of a component fold a run of elements feeds.
 #[derive(Debug, Clone, Copy)]
 pub enum Side<'a> {
-    /// Intersect the subtree's volatile answers within each component's
-    /// run ([`Shard::fold_split`]), and unite the runs.
+    /// Intersect the subtree's volatile answers within each run
+    /// ([`Shard::fold_split`]): one run per component in a
+    /// [`Combine::Union`] fold, one run per shard over the one component
+    /// of a [`Combine::Intersect`] fold.
     Certain(&'a PhysNode),
     /// Subtract every row of the subtree from the certain answer of a
     /// difference's left side ([`Shard::subtract_split`]).
     Possible(&'a PhysNode, &'a Relation),
 }
 
-/// A factorized fold's components, read by every worker.
+/// A component fold's choice space, read by every worker.
 #[derive(Debug, Clone, Copy)]
 pub struct ComponentFold<'a, 'd> {
     /// The components, in fold order.
     pub components: &'a [Component<'d>],
     /// The one valuation domain every component's nulls range over.
     pub domain: &'a [Constant],
-    /// The workers the components are dealt to, round-robin.
+    /// Under OWA, the complete tuples an element may add, and at most how
+    /// many of them; every subset extends every local choice and valuation.
+    /// Elsewhere none: the only subset is the empty one.
+    pub(crate) extensions: (&'a [(String, Tuple)], usize),
+    /// The workers the components, or their parts, are dealt to.
     pub workers: usize,
+    /// Fold only the first element: a product fold's first whole world.
+    pub(crate) first_only: bool,
 }
 
-impl ComponentFold<'_, '_> {
-    /// Folds worker `worker`'s components into `shard`: per component, per
-    /// local choice of `choices` and per valuation of the component's
-    /// nulls, one split-executor element whose volatile scans hold the
-    /// choice's rows and the component's rows, valued. Each component is one
-    /// run. `exec` builds the worker's executor and scratch, only if it has
-    /// a component; one executor serves all of them, so the stable
-    /// subresults and hash tables are built once per worker.
+impl<'a, 'd> ComponentFold<'a, 'd> {
+    /// A fold of `components` over `domain` on `workers` workers, without
+    /// extensions.
+    pub fn new(components: &'a [Component<'d>], domain: &'a [Constant], workers: usize) -> Self {
+        ComponentFold {
+            components,
+            domain,
+            extensions: (&[], 0),
+            workers,
+            first_only: false,
+        }
+    }
+
+    /// Folds worker `worker`'s share into `shard`. A [`Combine::Union`]
+    /// fold deals whole components round-robin, and each is one run. A
+    /// [`Combine::Intersect`] fold cuts each component into [`parts`],
+    /// enough for every worker to get one, and deals the parts round-robin;
+    /// a Union run must stay on one worker, so only it may cut. Per part,
+    /// per local choice of `choices`, per valuation of the component's
+    /// nulls and per extension subset, innermost, one split-executor
+    /// element holds the choice's rows, the component's rows valued, and
+    /// the subset's tuples, with Δ refilled from their constants. `exec`
+    /// builds the worker's executor and scratch, only if it has a part; one
+    /// executor serves all of them, so the stable subresults and hash
+    /// tables are built once per worker.
     pub fn run_shard<'p>(
         &self,
         worker: usize,
@@ -725,38 +838,68 @@ impl ComponentFold<'_, '_> {
         mut choices: impl Choices,
         exec: impl FnOnce() -> (ShardExec<'p>, Scratch),
     ) {
-        let mine = self.components.iter().skip(worker).step_by(self.workers);
-        if mine.len() == 0 {
+        let combine = shard.control.combine;
+        let per_component = match combine {
+            Combine::Intersect => self.workers.div_ceil(self.components.len().max(1)),
+            Combine::Union => 1,
+        };
+        let mut mine = self
+            .components
+            .iter()
+            .flat_map(|k| {
+                let valuations = valuation_space_size(k.nulls.len(), self.domain.len());
+                let cut = parts(k.vertices.len(), valuations, per_component);
+                cut.into_iter().map(move |part| (k, part))
+            })
+            .skip(worker)
+            .step_by(self.workers)
+            .peekable();
+        if mine.peek().is_none() {
             return;
         }
         let (mut exec, mut scratch) = exec();
         let (Side::Certain(node) | Side::Possible(node, _)) = side;
-        'components: for component in mine {
+        let (extensions, max_extra) = self.extensions;
+        'parts: for (component, part) in mine {
             let nulls = component.nulls.iter().copied();
             let mut valuations = ValuationEnumerator::new(nulls, self.domain.to_vec());
-            choices.start(&component.vertices);
+            choices.start(&component.vertices, part.prefix, part.prefix_len);
             'run: while choices.advance() {
-                valuations.rewind();
+                valuations.rewind(part.valuations.0, part.valuations.1);
                 for v in &mut valuations {
-                    if !shard.admit() {
-                        break 'components;
-                    }
-                    scratch.clear();
-                    for (relation, tuple) in choices.rows().chain(component.rows.iter().copied()) {
-                        let row = tuple.values().iter().map(|x| v.apply_value(x));
-                        scratch.scan(relation).push_row(row);
-                    }
-                    let split = exec.eval_subtree(node, &scratch.input());
-                    let more = match side {
-                        Side::Certain(_) => shard.fold_split(&split),
-                        Side::Possible(_, minuend) => shard.subtract_split(minuend, &split),
-                    };
-                    if !more {
-                        break 'run;
+                    for subset in BoundedSubsetIter::new(extensions.len(), max_extra) {
+                        if !shard.admit() {
+                            break 'parts;
+                        }
+                        scratch.clear();
+                        for (relation, tuple) in
+                            choices.rows().chain(component.rows.iter().copied())
+                        {
+                            let row = tuple.values().iter().map(|x| v.apply_value(x));
+                            scratch.scan(relation).push_row(row);
+                        }
+                        for &i in &subset {
+                            let (relation, tuple) = &extensions[i];
+                            scratch.scan(relation).push_tuple(tuple);
+                        }
+                        scratch.refill_delta();
+                        let split = exec.eval_subtree(node, &scratch.input());
+                        let more = match side {
+                            Side::Certain(_) => shard.fold_split(&split),
+                            Side::Possible(_, minuend) => shard.subtract_split(minuend, &split),
+                        };
+                        if self.first_only {
+                            break 'parts;
+                        }
+                        if !more {
+                            break 'run;
+                        }
                     }
                 }
             }
-            shard.close_run();
+            if combine == Combine::Union {
+                shard.close_run();
+            }
         }
         shard.op_stats.merge(&exec.stats);
     }
@@ -990,16 +1133,12 @@ mod tests {
             4
         );
         for workers in [1, 2, 3, 4] {
-            let fold = ComponentFold {
-                components: &components,
-                domain: &domain,
-                workers,
-            };
+            let fold = ComponentFold::new(&components, &domain, workers);
             let folded = run(workers, 100, Combine::Union, |worker, shard| {
                 let side = Side::Certain(plan.root());
                 fold.run_shard(worker, shard, side, NoChoice::default(), || {
                     let ground = ColumnBatch::from_relation(&rel(&[5]));
-                    shard_exec(&plan, [("R".to_string(), ground, false)], None)
+                    shard_exec(&plan, [("R".to_string(), ground, false)])
                 })
             })
             .unwrap();
@@ -1013,5 +1152,77 @@ mod tests {
             let idle = units.iter().skip(components.len()).all(|&u| u == 0);
             assert!(idle, "{workers} workers: {units:?}");
         }
+    }
+
+    #[test]
+    fn one_component_is_cut_across_intersecting_workers() {
+        // `R ∪ {9}` over the ground row R(5) and one component holding
+        // R(⊥0) and R(⊥1), valued over three constants: nine elements, and
+        // the stable {5, 9} keeps every meet nonempty, so nothing exits
+        // early. The parts the workers share are disjoint and cover the
+        // nine, whatever the worker count.
+        let schema = Schema::builder().relation("R", &["a"]).build();
+        let lit = RaExpr::values(rel(&[9]));
+        let plan = PhysicalPlan::lower(&RaExpr::relation("R").union(lit), &schema).unwrap();
+        let tuples = [
+            Tuple::new(vec![Value::null(0)]),
+            Tuple::new(vec![Value::null(1)]),
+        ];
+        let product = [Component {
+            vertices: Vec::new(),
+            nulls: vec![NullId(0), NullId(1)],
+            rows: tuples.iter().map(|t| ("R", t)).collect(),
+        }];
+        let domain = [Constant::Int(1), Constant::Int(2), Constant::Int(3)];
+        let elements = element_count(&product, 3, &mut NoChoice::default(), u128::MAX);
+        assert_eq!(elements, 9);
+        let fold_with = |fold: ComponentFold<'_, '_>| {
+            run(fold.workers, 100, Combine::Intersect, |worker, shard| {
+                let side = Side::Certain(plan.root());
+                fold.run_shard(worker, shard, side, NoChoice::default(), || {
+                    let ground = ColumnBatch::from_relation(&rel(&[5]));
+                    shard_exec(&plan, [("R".to_string(), ground, false)])
+                })
+            })
+            .unwrap()
+        };
+        for workers in [1, 2, 3, 4] {
+            let folded = fold_with(ComponentFold::new(&product, &domain, workers));
+            assert_eq!(folded.answers, Some(rel(&[5, 9])), "{workers} workers");
+            assert_eq!(folded.visited, elements, "{workers} workers");
+            assert!(!folded.early_exit);
+            let units: Vec<u128> = folded.shards.iter().map(|p| p.units).collect();
+            assert_eq!(units.len(), workers);
+            assert_eq!(units.iter().sum::<u128>(), elements, "{workers}: {units:?}");
+            assert!(units.iter().all(|&u| u > 0), "every worker gets a part");
+        }
+        let first = fold_with(ComponentFold {
+            first_only: true,
+            ..ComponentFold::new(&product, &domain, 1)
+        });
+        assert_eq!(first.visited, 1, "the first element alone");
+        // The first valuation values both nulls to 1.
+        assert_eq!(first.answers, Some(rel(&[1, 5, 9])));
+    }
+
+    #[test]
+    fn parts_cut_by_prefix_or_valuation_range() {
+        let ranges =
+            |parts: &[Part]| -> Vec<(u128, u128)> { parts.iter().map(|p| p.valuations).collect() };
+        assert_eq!(ranges(&parts(0, 9, 1)), [(0, 9)]);
+        assert_eq!(ranges(&parts(0, 9, 4)), [(0, 3), (3, 5), (5, 7), (7, 9)]);
+        assert_eq!(ranges(&parts(0, 2, 4)), [(0, 1), (1, 2)], "never empty");
+        assert_eq!(ranges(&parts(0, 0, 3)), [(0, 0)], "no valuation at all");
+        let prefixes = |parts: &[Part]| -> Vec<(u64, usize)> {
+            parts.iter().map(|p| (p.prefix, p.prefix_len)).collect()
+        };
+        assert_eq!(prefixes(&parts(5, 4, 1)), [(0, 0)]);
+        assert_eq!(
+            prefixes(&parts(5, 4, 3)),
+            [(0, 2), (1, 2), (2, 2), (3, 2)],
+            "3 workers share 4 prefixes"
+        );
+        assert_eq!(prefixes(&parts(1, 4, 8)), [(0, 1), (1, 1)], "one vertex");
+        assert!(parts(5, 4, 3).iter().all(|p| p.valuations == (0, 4)));
     }
 }

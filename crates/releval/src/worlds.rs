@@ -5,11 +5,13 @@
 //! folding that intersection world by world through the enumeration-fold
 //! driver [`crate::fold`], which owns the sharding, the budget on worlds
 //! visited, early exit on an empty intersection, and the merge. Worlds are
-//! never materialized into a `Vec<Database>`: each worker holds one world
-//! (plus one OWA extension) at a time. What this module supplies is the
-//! choice space: the valuation space, cut into contiguous ranges across
-//! workers, with every valuation extended by each OWA extension subset —
-//! or, when the plan allows, one null component's valuations at a time.
+//! never materialized into a `Vec<Database>`. What this module supplies is
+//! the choice space: the worlds are the elements of the
+//! [component fold](crate::fold) over **one** component holding every
+//! null-bearing row, each valuation extended by each OWA extension subset,
+//! under [`Combine::Intersect`], whose workers share contiguous ranges of
+//! its valuations — or, when the plan allows, one null component's
+//! valuations at a time (below).
 //!
 //! Enumeration cost is still exponential in the number of nulls — that is
 //! precisely the complexity gap the paper discusses, and the reason this code
@@ -21,10 +23,11 @@
 //!
 //! The fold **lowers the query once** and executes the shared
 //! [`PhysicalPlan`] in every world, and it is **batched**: a world is never
-//! materialized as a `Database` at all. The ground rows of every relation
-//! (identical in every world) and its symbolic remainder are partitioned
-//! once into an [`OverlayBatch`]; per world only the symbolic rows are
-//! resolved into a reused scratch batch, and the shared plan runs through
+//! materialized as a `Database` at all. Each relation's complete rows
+//! (identical in every world) are transposed once into the workers' stable
+//! scans; per world only the null-bearing rows, valued, and the chosen
+//! extension tuples are written into reused scratch batches (with the Δ
+//! rows of the constants they introduce), and the shared plan runs through
 //! [`crate::exec::columnar::split::ShardExec`]. Stable subresults and the
 //! hash tables over them (join build sides, membership tables) are computed
 //! for the first world of a shard and reused by every later one, so the
@@ -64,7 +67,8 @@
 //! the plan itself in (i), `A` and `B` in (ii) — and one element for a side
 //! that does not (its answer is the same in every world, and is still
 //! evaluated, so every fold visits at least one element). In (ii) it first
-//! evaluates one whole world — the product fold's first, `v₀` — and answers
+//! evaluates one whole world — the first element of the product fold's one
+//! component, `v₀` — and answers
 //! ∅ at once when `A(v₀) − B(v₀)` is empty, so it keeps the product fold's
 //! first-world exit; that world is one more element. It runs iff the count
 //! is below the product fold's `|dom|^|N|` and within
@@ -86,19 +90,19 @@
 //! `B`'s rows from it and stops when nothing is left.
 //! [`WorldExecution::early_exit`] is `true` only when such a stop skipped
 //! elements and the answer is ∅, as on the product fold.
-//! [`WorldExecution::threads`] is one unless [`WorldOptions::threads`] pins
-//! it, because every worker rebuilds the stable subresults; a pinned count
-//! deals the components round-robin to the workers.
+//! [`WorldExecution::threads`] follows [`fold::workers`]: one unless
+//! [`WorldOptions::threads`] pins it, because every worker rebuilds the
+//! stable subresults; a pinned count deals the components round-robin to
+//! the workers.
 
 use std::collections::BTreeSet;
 
 use relalgebra::ast::RaExpr;
-use relalgebra::physical::{fold_shape, reads_delta, FoldShape, PhysicalPlan};
+use relalgebra::physical::{fold_shape, FoldShape, PhysicalPlan};
 use relalgebra::plan::PlannedQuery;
-use relmodel::batch::{ColumnBatch, OverlayBatch};
-use relmodel::semantics::{adequate_domain, all_complete_tuples, BoundedSubsetIter, WorldIter};
-use relmodel::valuation::ValuationEnumerator;
-use relmodel::value::{Constant, NullId, Value};
+use relmodel::batch::ColumnBatch;
+use relmodel::semantics::{adequate_domain, all_complete_tuples, WorldIter};
+use relmodel::value::{Constant, NullId};
 use relmodel::{Database, Relation, Semantics, Tuple};
 
 use crate::error::EvalError;
@@ -123,11 +127,13 @@ pub struct WorldOptions {
     /// valuation count). A factorized fold counts component valuations, and
     /// runs only when they all fit the budget.
     pub max_worlds: u128,
-    /// Worker threads for the streaming fold; `None` chooses automatically
-    /// from the machine's parallelism (small workloads stay single-threaded,
-    /// and a factorized fold stays on one worker). A pinned count is always
-    /// honoured: it cuts the valuation space into ranges, or deals the null
-    /// components round-robin when the fold factorizes.
+    /// Worker threads for the streaming fold; `None` chooses by
+    /// [`fold::workers`]: one worker for a factorized fold or a product
+    /// space of fewer than [`fold::PARALLEL_MIN_ELEMENTS`] valuations, the
+    /// machine's parallelism otherwise. A pinned count is honoured exactly:
+    /// the workers share contiguous valuation ranges of the product fold's
+    /// one component, or the null components round-robin when the fold
+    /// factorizes.
     pub threads: Option<usize>,
 }
 
@@ -244,7 +250,7 @@ pub struct WorldExecution {
     /// valuations**, not the whole worlds they stand for.
     pub worlds_visited: u128,
     /// Of the visited worlds, how many went through the batched split
-    /// executor (overlay resolution into reused scratch batches) instead of
+    /// executor (valued rows in reused scratch batches) instead of
     /// materializing a row `Database`. The default fold batches everything;
     /// the [`stream_certain_answer_rows`] reference reports zero.
     pub worlds_batched: u128,
@@ -269,63 +275,23 @@ pub struct WorldExecution {
     pub shards: Vec<ShardProfile>,
 }
 
-/// How many valuations a workload must have before the *auto* thread choice
-/// spawns workers; below this, spawn overhead dominates. An explicit
-/// [`WorldOptions::threads`] pin is always honoured.
-const PARALLEL_MIN_VALUATIONS: u128 = 128;
-
-fn resolve_threads(opts: &WorldOptions, valuations: u128) -> usize {
-    if let Some(pinned) = opts.threads {
-        return pinned.max(1);
-    }
-    if valuations < PARALLEL_MIN_VALUATIONS {
-        return 1;
-    }
-    let max_useful = (valuations / (PARALLEL_MIN_VALUATIONS / 2)).min(64) as usize;
-    fold::auto_workers().clamp(1, max_useful.max(1))
-}
-
-/// Cuts the valuation space into at most `threads` contiguous, non-empty
-/// ranges, one per shard.
-fn shard_ranges(valuations: u128, threads: usize) -> Vec<(u128, u128)> {
-    let chunk = valuations.div_ceil(threads as u128);
-    // Saturating arithmetic: when the valuation space itself saturates
-    // u128, `(i + 1) * chunk` would overflow for the last shard.
-    (0..threads as u128)
-        .map(|i| {
-            let start = i.saturating_mul(chunk).min(valuations);
-            (start, start.saturating_add(chunk).min(valuations))
-        })
-        .filter(|(s, e)| s < e)
-        .collect()
-}
-
-/// Each relation's ground rows and symbolic rows, partitioned once per
-/// fold and read by every worker.
-fn ground_overlays(db: &Database) -> Vec<(String, OverlayBatch)> {
+/// Each relation's complete rows, as a worker's stable scans: static
+/// unless the relation can receive rows per world (null-bearing rows, or
+/// OWA extension tuples when `max_extra > 0`).
+fn ground_scans(db: &Database, max_extra: usize) -> Vec<(String, ColumnBatch, bool)> {
     db.schema()
         .iter()
         .map(|rs| {
             let rel = db.relation(&rs.name).expect("schema lists the relation");
-            (
-                rs.name.clone(),
-                OverlayBatch::new(&ColumnBatch::from_relation(rel)),
-            )
+            let complete = rel.is_complete();
+            let batch = if complete {
+                ColumnBatch::from_relation(rel)
+            } else {
+                ColumnBatch::from_rows(rel.arity(), rel.iter().filter(|t| t.is_complete()))
+            };
+            (rs.name.clone(), batch, complete && max_extra == 0)
         })
         .collect()
-}
-
-/// The ground rows of every relation, as a worker's stable scans: static
-/// unless the relation can receive rows per world (symbolic rows, or OWA
-/// extension tuples when `max_extra > 0`).
-fn ground_scans(
-    overlays: &[(String, OverlayBatch)],
-    max_extra: usize,
-) -> impl Iterator<Item = (String, ColumnBatch, bool)> + '_ {
-    overlays.iter().map(move |(name, overlay)| {
-        let is_static = overlay.is_all_ground() && max_extra == 0;
-        (name.clone(), overlay.stable().clone(), is_static)
-    })
 }
 
 /// Everything a worker needs, shared read-only across the fleet. The
@@ -338,102 +304,64 @@ struct ShardJob<'a> {
     domain: &'a [Constant],
     semantics: Semantics,
     max_extra: usize,
-    /// The ground overlays (empty on the row fold, which does not read
-    /// them).
-    overlays: &'a [(String, OverlayBatch)],
-    /// The factorized fold's worker count, over which it deals the
-    /// components round-robin.
+    /// The stable scans (empty on the row fold, which does not read them).
+    scans: &'a [(String, ColumnBatch, bool)],
     workers: usize,
 }
 
-/// A shard runner of the product fold: folds the worlds of one valuation
-/// range.
-type ShardRunner = fn(ShardJob<'_>, (u128, u128), &mut Shard<'_>);
-
 /// The row-instantiating reference fold: materializes each world as a
-/// `Database` and executes the plan from scratch in it. Retained as the
-/// differential baseline for the batched shard runner below.
-fn run_shard_rows(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'_>) {
-    let worlds = WorldIter::new(job.db, job.domain, job.semantics, job.max_extra)
-        .without_dedup()
-        .valuation_range(range.0, range.1);
+/// `Database` and executes the plan from scratch in it. The workers share
+/// the valuation ranges [`fold::parts`] cuts, as the product fold's do.
+fn run_shard_rows(job: ShardJob<'_>, worker: usize, shard: &mut Shard<'_>) {
+    let valuations = valuation_count(job.domain.len(), job.db.null_ids().len());
+    // A world fold has no choice vertices.
+    let ranges = fold::parts(0, valuations, job.workers);
+    let worlds = ranges
+        .into_iter()
+        .skip(worker)
+        .step_by(job.workers)
+        .flat_map(|part| {
+            let (start, end) = part.valuations;
+            WorldIter::new(job.db, job.domain, job.semantics, job.max_extra)
+                .without_dedup()
+                .valuation_range(start, end)
+        });
     shard.fold_rows(worlds, |world, stats| {
         Ok(exec::columnar::execute_into(job.plan, &world, stats))
     });
 }
 
-/// The batched shard runner: enumerates the same worlds as
-/// [`run_shard_rows`] — identical `(valuation, extension-subset)` order —
-/// but never materializes a `Database`. Per world it refills one set of
-/// per-worker scratch batches (the overlay images of the symbolic rows, the
-/// chosen OWA extension tuples, and the Δ diagonal of any world-introduced
-/// constants) and evaluates the shared plan through the caching split
-/// executor.
-fn run_shard_batched(job: ShardJob<'_>, range: (u128, u128), shard: &mut Shard<'_>) {
-    let ShardJob {
-        plan,
-        db,
-        domain,
-        max_extra,
-        overlays,
-        ..
-    } = job;
-
-    // ---- shard-invariant setup: stable leaves, OWA candidates ----
-    let nulls: Vec<NullId> = db.null_ids().into_iter().collect();
-    // Δ work — its stable diagonal and each world's refill — only for a
-    // plan that reads Δ.
-    let base_consts: Option<BTreeSet<Constant>> = reads_delta(plan.root()).then(|| db.constants());
-    let (mut exec, mut scratch) = fold::shard_exec(
-        plan,
-        ground_scans(overlays, max_extra),
-        base_consts
-            .as_ref()
-            .map(|base| (base, nulls.is_empty() && max_extra == 0)),
-    );
-    // Mirrors WorldIter's extension candidates: every complete tuple over
-    // the valuation domain, enumerated in the same order.
-    let candidates: Vec<(String, Tuple)> = if max_extra > 0 {
-        all_complete_tuples(db, domain)
+/// The product fold: the worlds are the elements of `product`, the one
+/// component holding every null-bearing row, each extended by every OWA
+/// extension subset — the same `(valuation, extension subset)` order as
+/// [`run_shard_rows`]. Its parts are dealt across the workers under
+/// [`Combine::Intersect`]; `first_only` folds the first world alone, on
+/// one worker.
+fn fold_product(
+    job: ShardJob<'_>,
+    product: &Component<'_>,
+    first_only: bool,
+    budget: u128,
+) -> Result<Folded<()>, FoldError> {
+    // WorldIter's extension candidates: every complete tuple over the
+    // valuation domain, in the same order.
+    let extensions = if job.max_extra > 0 {
+        all_complete_tuples(job.db, job.domain)
     } else {
         Vec::new()
     };
-
-    let valuations =
-        ValuationEnumerator::with_range(nulls.iter().copied(), domain.to_vec(), range.0, range.1);
-    'outer: for v in valuations {
-        // Every extension subset of this valuation is one world; the empty
-        // subset (the unextended world) comes first, exactly as WorldIter
-        // yields them.
-        for subset in BoundedSubsetIter::new(candidates.len(), max_extra) {
-            if !shard.admit() {
-                break 'outer;
-            }
-            scratch.clear();
-            for (name, overlay) in overlays {
-                if !overlay.is_all_ground() {
-                    overlay.resolve_into(&v, scratch.scan(name));
-                }
-            }
-            for &ci in &subset {
-                let (name, tuple) = &candidates[ci];
-                scratch.scan(name).push_tuple(tuple);
-            }
-            if let Some(base) = &base_consts {
-                let extension = subset.iter().flat_map(|&ci| candidates[ci].1.values());
-                scratch.refill_delta(
-                    base,
-                    extension
-                        .filter_map(Value::as_const)
-                        .chain(v.iter().map(|(_, c)| c)),
-                );
-            }
-            if !shard.fold_split(&exec.eval_element(&scratch.input())) {
-                break 'outer;
-            }
-        }
-    }
-    shard.op_stats.merge(&exec.stats);
+    let workers = if first_only { 1 } else { job.workers };
+    let components = std::slice::from_ref(product);
+    let product = ComponentFold {
+        extensions: (&extensions, job.max_extra),
+        first_only,
+        ..ComponentFold::new(components, job.domain, workers)
+    };
+    fold::run(workers, budget, Combine::Intersect, |worker, shard| {
+        let exec = || fold::shard_exec(job.plan, job.scans.iter().cloned());
+        let root = Side::Certain(job.plan.root());
+        product.run_shard(worker, shard, root, NoChoice::default(), exec)
+    })
 }
 
 /// The factorized fold, when the decision rule (see the
@@ -445,38 +373,39 @@ struct Factorized<'p, 'd> {
     elements: u128,
 }
 
-/// Decides whether the batched fold factorizes over the null components.
+/// Decides whether the split-executor fold factorizes over the null
+/// components of the null-bearing `rows`, given the product fold's
+/// `product` worlds. The plan's shape is checked first, so a product-shaped
+/// plan groups nothing.
 fn factorize<'p, 'd>(
     plan: &'p PhysicalPlan,
-    db: &'d Database,
+    rows: &[(&'d str, &'d Tuple)],
     domain_len: usize,
     max_extra: usize,
+    product: u128,
     opts: &WorldOptions,
 ) -> Option<Factorized<'p, 'd>> {
     if max_extra > 0 {
         return None;
     }
-    let rows: Vec<(&str, &Tuple)> = db
-        .iter()
-        .flat_map(|(name, rel)| rel.iter().map(move |t| (name, t)))
-        .filter(|(_, t)| !t.is_complete())
-        .collect();
     let volatile: BTreeSet<&str> = rows.iter().map(|&(name, _)| name).collect();
     let shape = fold_shape(plan.root(), &|name| volatile.contains(name));
-    let components = fold::group(&[], |_| &[], &rows);
+    if matches!(shape, FoldShape::Product) {
+        return None;
+    }
+    let components = fold::group(&[], |_| &[], rows);
     let per_side =
         fold::element_count(&components, domain_len, &mut NoChoice::default(), u128::MAX);
     // A side that reads no volatile relation is one element.
     let side = |volatile: bool| if volatile { per_side } else { 1 };
     let elements = match shape {
-        FoldShape::Product => return None,
+        FoldShape::Product => unreachable!("checked above"),
         FoldShape::Linear { volatile } => side(volatile),
         // The first whole world, then both sides.
         FoldShape::Difference { left_volatile, .. } => 1u128
             .saturating_add(side(left_volatile))
             .saturating_add(per_side),
     };
-    let product = valuation_count(domain_len, db.null_ids().len());
     (elements < product && elements <= opts.max_worlds).then_some(Factorized {
         shape,
         components,
@@ -490,22 +419,20 @@ fn factorize<'p, 'd>(
 fn fold_factorized(
     job: ShardJob<'_>,
     factorized: &Factorized<'_, '_>,
+    product: &Component<'_>,
     budget: u128,
 ) -> Result<Folded<()>, FoldError> {
     let ground = [Component::default()];
     // One run per component on `side`, or the one ground element.
     let fold_side = |volatile: bool, side: Side<'_>, combine, budget| {
-        let components = ComponentFold {
-            components: if volatile {
-                &factorized.components
-            } else {
-                &ground
-            },
-            domain: job.domain,
-            workers: job.workers,
+        let components = if volatile {
+            &factorized.components[..]
+        } else {
+            &ground
         };
+        let components = ComponentFold::new(components, job.domain, job.workers);
         fold::run(job.workers, budget, combine, |worker, shard| {
-            let exec = || fold::shard_exec(job.plan, ground_scans(job.overlays, 0), None);
+            let exec = || fold::shard_exec(job.plan, job.scans.iter().cloned());
             components.run_shard(worker, shard, side, NoChoice::default(), exec)
         })
     };
@@ -523,9 +450,7 @@ fn fold_factorized(
     };
     // One whole world first — the product fold's first, `v₀` — keeps its
     // exit: the answer is ∅ when `A(v₀) − B(v₀)` is.
-    let world = fold::run(1, budget, Combine::Intersect, |_, shard| {
-        run_shard_batched(job, (0, 1), shard)
-    })?;
+    let world = fold_product(job, product, true, budget)?;
     if world.early_exit {
         return Ok(world);
     }
@@ -590,7 +515,8 @@ pub fn stream_certain_answer_rows(
 /// lowers once itself, without paying for a plan's clone-and-classify). The
 /// expression is only consulted for its constants when building the
 /// valuation domain; every world executes `physical`. `batch` picks the
-/// split-executor folds (product or factorized) over the row reference.
+/// split-executor component fold (product or factorized) over the row
+/// reference.
 fn stream_certain_answer_inner(
     expr: &RaExpr,
     physical: &PhysicalPlan,
@@ -600,48 +526,45 @@ fn stream_certain_answer_inner(
     batch: bool,
 ) -> Result<WorldExecution, EvalError> {
     let (domain, max_extra) = enumeration_setup(expr, db, semantics, opts)?;
-    let overlays = if batch {
-        ground_overlays(db)
+    let nulls: Vec<NullId> = db.null_ids().into_iter().collect();
+    let valuations = valuation_count(domain.len(), nulls.len());
+    let (scans, rows) = if batch {
+        let rows: Vec<(&str, &Tuple)> = db
+            .iter()
+            .flat_map(|(name, rel)| rel.iter().map(move |t| (name, t)))
+            .filter(|(_, t)| !t.is_complete())
+            .collect();
+        (ground_scans(db, max_extra), rows)
     } else {
-        Vec::new()
+        (Vec::new(), Vec::new())
     };
     let factorized = batch
-        .then(|| factorize(physical, db, domain.len(), max_extra, opts))
+        .then(|| factorize(physical, &rows, domain.len(), max_extra, valuations, opts))
         .flatten();
-    // Every worker rebuilds the stable subresults, which dominate a
-    // factorized fold's cost: components are dealt to workers only when the
-    // caller pins a thread count.
+    // Every world is an element of the one component holding every null.
+    let product = Component {
+        vertices: Vec::new(),
+        nulls,
+        rows,
+    };
     let job = ShardJob {
         plan: physical,
         db,
         domain: &domain,
         semantics,
         max_extra,
-        overlays: &overlays,
-        workers: opts.threads.map_or(1, |t| t.max(1)),
+        scans: &scans,
+        workers: fold::workers(opts.threads, factorized.is_none().then_some(valuations)),
     };
-    let (folded, workers, elements) = match &factorized {
-        Some(factorized) => (
-            fold_factorized(job, factorized, opts.max_worlds),
+    let folded = match &factorized {
+        Some(factorized) => fold_factorized(job, factorized, &product, opts.max_worlds),
+        None if batch => fold_product(job, &product, false, opts.max_worlds),
+        None => fold::run(
             job.workers,
-            factorized.elements,
+            opts.max_worlds,
+            Combine::Intersect,
+            |worker, shard| run_shard_rows(job, worker, shard),
         ),
-        None => {
-            let valuations = valuation_count(domain.len(), db.null_ids().len());
-            let ranges = shard_ranges(valuations, resolve_threads(opts, valuations));
-            let run_shard: ShardRunner = if batch {
-                run_shard_batched
-            } else {
-                run_shard_rows
-            };
-            let folded = fold::run(
-                ranges.len(),
-                opts.max_worlds,
-                Combine::Intersect,
-                |worker, shard| run_shard(job, ranges[worker], shard),
-            );
-            (folded, ranges.len(), 0)
-        }
     };
     let folded = folded.map_err(|e| match e {
         FoldError::Budget { visited } => EvalError::WorldBudgetExceeded {
@@ -657,8 +580,8 @@ fn stream_certain_answer_inner(
     })?;
     // On the factorized fold, early exit means a run stop skipped elements
     // and the answer is ∅ — the product fold's invariant.
-    let early_exit = match factorized {
-        Some(_) => folded.visited < elements && answers.is_empty(),
+    let early_exit = match &factorized {
+        Some(f) => folded.visited < f.elements && answers.is_empty(),
         None => folded.early_exit,
     };
     Ok(WorldExecution {
@@ -667,8 +590,8 @@ fn stream_certain_answer_inner(
         worlds_batched: folded.batched,
         early_exit,
         components: factorized.as_ref().map(|f| f.components.len()),
-        threads: workers,
-        peak_worlds_in_flight: workers * (1 + usize::from(max_extra > 0)),
+        threads: job.workers,
+        peak_worlds_in_flight: job.workers * (1 + usize::from(max_extra > 0)),
         op_stats: folded.op_stats,
         shards: folded.shards,
     })

@@ -28,7 +28,6 @@ use std::sync::{Arc, OnceLock};
 use crate::database::Database;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
-use crate::valuation::Valuation;
 use crate::value::Value;
 
 /// Environment knob naming the morsel size (rows per execution chunk).
@@ -398,72 +397,6 @@ impl ColumnBatch {
     }
 }
 
-/// The valuation-overlay view of a relation's batch: the rows partitioned
-/// **once** into the ground part (world-invariant — every CWA/OWA world
-/// contains these rows verbatim) and the symbolic part (rows carrying marked
-/// nulls, whose image varies per valuation).
-///
-/// This is the enumeration-side analogue of [`RunSplit`]: instead of routing
-/// morsels inside one execution, it lets a *fold over worlds* execute the
-/// ground part once and re-derive only the symbolic image per world —
-/// [`OverlayBatch::resolve_into`] writes `v(symbolic rows)` into a
-/// caller-owned scratch batch, so the per-world cost is `O(symbolic rows)`,
-/// not `O(batch)`.
-#[derive(Debug, Clone)]
-pub struct OverlayBatch {
-    stable: ColumnBatch,
-    symbolic: ColumnBatch,
-}
-
-impl OverlayBatch {
-    /// Partitions `base` into its ground (stable) and symbolic rows.
-    pub fn new(base: &ColumnBatch) -> Self {
-        let all: Vec<usize> = (0..base.arity()).collect();
-        match base.ground_split(&all) {
-            RunSplit::AllGround => OverlayBatch {
-                stable: base.clone(),
-                symbolic: ColumnBatch::new(base.arity()),
-            },
-            RunSplit::Mixed { ground, symbolic } => OverlayBatch {
-                stable: base.gather(&ground),
-                symbolic: base.gather(&symbolic),
-            },
-        }
-    }
-
-    /// The ground rows — identical in every world.
-    pub fn stable(&self) -> &ColumnBatch {
-        &self.stable
-    }
-
-    /// The null-carrying rows, unresolved.
-    pub fn symbolic(&self) -> &ColumnBatch {
-        &self.symbolic
-    }
-
-    /// Does the base batch carry no nulls at all?
-    pub fn is_all_ground(&self) -> bool {
-        self.symbolic.is_empty()
-    }
-
-    /// Appends the valuation image of every symbolic row onto `out` (the
-    /// caller's scratch). The valuation must cover every null of the batch.
-    /// No deduplication happens here — resolved rows may collide with stable
-    /// rows or each other exactly as [`crate::database::Database::apply`]'s
-    /// set semantics would merge them; set-level consumers dedup downstream.
-    pub fn resolve_into(&self, v: &Valuation, out: &mut ColumnBatch) {
-        debug_assert_eq!(self.symbolic.arity(), out.arity());
-        for row in 0..self.symbolic.len() {
-            out.push_row(
-                self.symbolic
-                    .columns
-                    .iter()
-                    .map(|c| v.apply_value(&c.values[row])),
-            );
-        }
-    }
-}
-
 /// One lazily transposed [`ColumnBatch`] per relation of one database: the
 /// leaf batches every scan of the columnar executors reads.
 ///
@@ -671,29 +604,6 @@ mod tests {
         scratch.clear();
         assert!(scratch.is_empty());
         assert!(scratch.column(1).is_ground(), "clear drops the sidecar too");
-    }
-
-    #[test]
-    fn overlay_batch_partitions_and_resolves_per_valuation() {
-        use crate::valuation::Valuation;
-        use crate::value::{Constant, NullId};
-
-        let overlay = OverlayBatch::new(&batch());
-        assert_eq!(overlay.stable().len(), 2, "rows 0 and 2 are ground");
-        assert_eq!(overlay.symbolic().len(), 1);
-        assert!(!overlay.is_all_ground());
-        let v = Valuation::from_pairs([(NullId(0), Constant::Int(99))]);
-        let mut scratch = ColumnBatch::new(2);
-        overlay.resolve_into(&v, &mut scratch);
-        assert_eq!(scratch.len(), 1);
-        assert_eq!(scratch.tuple_at(0), Tuple::ints(&[2, 99]));
-        // The scratch accumulates across calls until cleared.
-        overlay.resolve_into(&v, &mut scratch);
-        assert_eq!(scratch.len(), 2);
-
-        let ground = OverlayBatch::new(&ColumnBatch::from_rows(1, [Tuple::ints(&[5])].iter()));
-        assert!(ground.is_all_ground());
-        assert_eq!(ground.stable().len(), 1);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod value;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::batch::{ColumnBatch, OverlayBatch, RelationBatches, RunSplit};
+    pub use crate::batch::{ColumnBatch, RelationBatches, RunSplit};
     pub use crate::builder::DatabaseBuilder;
     pub use crate::constraint::{CompareOp, Constraint, Violation};
     pub use crate::database::Database;
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::value::{Constant, NullId, Value};
 }
 
-pub use batch::{ColumnBatch, OverlayBatch, RelationBatches, RunSplit};
+pub use batch::{ColumnBatch, RelationBatches, RunSplit};
 pub use builder::DatabaseBuilder;
 pub use constraint::{CompareOp, Constraint, Violation};
 pub use database::Database;

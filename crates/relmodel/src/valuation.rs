@@ -150,9 +150,9 @@ impl ValuationEnumerator {
 
     /// Creates an enumerator over the sub-range `[start, end)` of the full
     /// valuation sequence, in the same order [`ValuationEnumerator::new`]
-    /// uses. Shards of the form `[k·c, (k+1)·c)` therefore partition the
-    /// space exactly, which is how the streaming world engine distributes
-    /// valuations across worker threads.
+    /// uses. Contiguous ranges therefore partition the space exactly, which
+    /// is how the enumeration folds cut one component's valuations across
+    /// worker threads.
     pub fn with_range(
         nulls: impl IntoIterator<Item = NullId>,
         domain: Vec<Constant>,
@@ -160,24 +160,7 @@ impl ValuationEnumerator {
         end: u128,
     ) -> Self {
         let mut e = ValuationEnumerator::new(nulls, domain);
-        let total = e.count_total();
-        let end = end.min(total);
-        if start >= end {
-            e.counter = None;
-            e.remaining = 0;
-            return e;
-        }
-        // Decode `start` into mixed-radix digits (least significant first,
-        // matching the advance order of `next`).
-        let radix = e.domain.len() as u128;
-        if let Some(counter) = e.counter.as_mut() {
-            let mut rest = start;
-            for digit in counter.iter_mut() {
-                *digit = (rest % radix) as usize;
-                rest /= radix;
-            }
-        }
-        e.remaining = end - start;
+        e.rewind(start, end);
         e
     }
 
@@ -192,11 +175,27 @@ impl ValuationEnumerator {
         self.remaining
     }
 
-    /// Starts over at the first valuation of the full space, as
-    /// [`ValuationEnumerator::new`] would, reusing the domain.
-    pub fn rewind(&mut self) {
-        self.remaining = self.count_total();
-        self.counter = (self.remaining > 0).then(|| vec![0; self.nulls.len()]);
+    /// Starts over on the sub-range `[start, end)` of the full space, as
+    /// [`ValuationEnumerator::with_range`] would, reusing the domain.
+    pub fn rewind(&mut self, start: u128, end: u128) {
+        let end = end.min(self.count_total());
+        if start >= end {
+            self.counter = None;
+            self.remaining = 0;
+            return;
+        }
+        // Decode `start` into mixed-radix digits (least significant first,
+        // matching the advance order of `next`).
+        let radix = self.domain.len() as u128;
+        let mut rest = start;
+        let counter = self.counter.get_or_insert_with(Vec::new);
+        counter.clear();
+        counter.extend(self.nulls.iter().map(|_| {
+            let digit = (rest % radix) as usize;
+            rest /= radix;
+            digit
+        }));
+        self.remaining = end - start;
     }
 }
 
@@ -328,11 +327,13 @@ mod tests {
     fn rewind_replays_the_whole_space() {
         let mut e = ValuationEnumerator::new(vec![NullId(0), NullId(1)], consts(&[1, 2, 3]));
         let first: Vec<Valuation> = e.by_ref().take(4).collect();
-        e.rewind();
+        e.rewind(0, u128::MAX);
         let full: Vec<Valuation> = e.by_ref().collect();
         assert_eq!((full.len(), &full[..4]), (9, &first[..]));
-        e.rewind();
-        assert_eq!(e.count(), 9, "an exhausted enumerator rewinds too");
+        e.rewind(0, u128::MAX);
+        assert_eq!(e.by_ref().count(), 9, "an exhausted enumerator rewinds too");
+        e.rewind(2, 5);
+        assert_eq!(e.collect::<Vec<_>>(), full[2..5], "and onto a range");
     }
 
     #[test]

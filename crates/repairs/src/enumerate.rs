@@ -13,18 +13,18 @@
 //!   (an already-included one, or an undecided one) — a vertex excluded
 //!   with all neighbors excluded can never sit in a *maximal* set.
 //!
-//! The search is [`MaskIter`]; it yields survival masks, which the batched
-//! folds consume directly, and [`RepairIter`] adds the core to yield whole
-//! repair `Database`s. Restricted to one connected component of the
-//! conflict graph, the same search yields that component's **local
-//! repairs**, which the factorized fold (`crate::fold`) folds one component
-//! at a time.
+//! The search is [`MaskIter`]; it yields survival masks, which the
+//! component fold (`crate::fold`) consumes directly as its local choices,
+//! and [`RepairIter`] adds the core to yield whole repair `Database`s.
+//! Restricted to one connected component of the conflict graph, the same
+//! search yields that component's **local repairs**; over every vertex, it
+//! yields the whole repairs.
 //!
 //! Distinct decision vectors are distinct tuple sets, so repairs stream out
 //! **structurally deduplicated by construction** — the property the world
 //! iterator needs a dedup pass for. Sharding falls out of the same shape:
-//! forcing the first `p` decisions to the bits of a shard index partitions
-//! the repair space into `2^p` disjoint shards, the repair-space analogue
+//! forcing the first `p` decisions to the bits of a part index partitions
+//! the repair space into `2^p` disjoint parts, the repair-space analogue
 //! of `ValuationEnumerator::with_range`.
 
 use releval::fold::Choices;
@@ -95,16 +95,20 @@ impl<'a> MaskIter<'a> {
 
     /// Restarts the search on the local repairs of one connected
     /// component: the maximal independent sets of the subgraph `component`
-    /// spans, unsharded. `component` must be ascending and closed under
-    /// adjacency, as the entries of [`ConflictGraph::components`] are. The
-    /// buffers are reused, so folding every component costs no allocation
-    /// proportional to the whole graph per component.
-    pub fn restart(&mut self, component: &[usize]) {
+    /// spans, restricted to those whose first `prefix_len` decisions match
+    /// the bits of `prefix` as in [`MaskIter::with_prefix`] (a zero
+    /// `prefix_len` restricts nothing). `component` must be ascending and
+    /// closed under adjacency, as the entries of
+    /// [`ConflictGraph::components`] are. The buffers are reused, so
+    /// folding every component costs no allocation proportional to the
+    /// whole graph per component.
+    pub fn restart(&mut self, component: &[usize], prefix: u64, prefix_len: usize) {
         debug_assert!(component.windows(2).all(|w| w[0] < w[1]));
         while self.pop().is_some() {}
         self.order.clear();
         self.order.extend_from_slice(component);
-        self.prefix_len = 0;
+        self.prefix = prefix;
+        self.prefix_len = prefix_len.min(component.len()).min(63);
         self.pending_backtrack = false;
         self.done = false;
     }
@@ -250,8 +254,8 @@ impl<'a> MaskIter<'a> {
 /// A component fold's local choices are the local repairs of each joint
 /// component's vertices.
 impl Choices for MaskIter<'_> {
-    fn start(&mut self, vertices: &[usize]) {
-        self.restart(vertices);
+    fn start(&mut self, vertices: &[usize], prefix: u64, prefix_len: usize) {
+        self.restart(vertices, prefix, prefix_len);
     }
 
     fn advance(&mut self) -> bool {
@@ -415,7 +419,7 @@ mod tests {
         let mut product = 1;
         for component in &components {
             let mut local: BTreeSet<BTreeSet<usize>> = BTreeSet::new();
-            masks.restart(component);
+            masks.restart(component, 0, 0);
             while masks.next_mask() {
                 assert!(local.insert(masks.included().collect()), "no duplicates");
             }

@@ -5,33 +5,31 @@
 //! The outer fold runs on the enumeration-fold driver [`releval::fold`],
 //! which owns the sharding, the budget on elements **visited**, early exit
 //! on an empty intersection, the error slot and the merge. This module
-//! supplies the choice space, in one of three shapes:
+//! supplies the choice space, and takes one of two paths:
 //!
-//! * a linear plan folds one **joint component** at a time — a local
-//!   repair and a valuation of its nulls per element — on a complete or a
-//!   null-bearing database alike (below);
-//! * any other plan over a complete database folds whole repairs as
-//!   survival masks, from the enumeration-prefix partition of
-//!   [`crate::enumerate::MaskIter`];
-//! * any other plan over a null-bearing database builds each repair as a
-//!   `Database` and delegates its certain answer to the existing machinery:
-//!   the physical executor when the repair is complete, the symbolic
-//!   c-table strategy when it is not, and the streaming world oracle when
-//!   symbolic punts. [`stream_consistent_answer_rows`] forces this row path
-//!   everywhere as the differential reference.
-//!
-//! # Complete databases: survival masks
-//!
-//! A repair of a **complete** database is the conflict-free core plus a
-//! tuple-survival mask over the conflict vertices, read straight off
-//! [`MaskIter::included`]. The core's complete rows are transposed into
-//! column batches once per fold, in one pass that skips conflict vertices,
-//! doomed tuples and null-bearing tuples. Each worker feeds the mask's rows
-//! into reused scratch batches and evaluates the shared plan through the
-//! caching split executor
-//! ([`releval::exec::columnar::split::ShardExec`]); stable subresults and
-//! their hash tables are built on the first repair of a shard and reused by
-//! every later one.
+//! * the **split executor**: the [component fold](releval::fold) over the
+//!   conflict-free core's complete rows, which are transposed into column
+//!   batches once per fold, in one pass that skips conflict vertices,
+//!   doomed tuples and null-bearing tuples. A linear plan folds one
+//!   **joint component** at a time — a local repair and a valuation of its
+//!   nulls per element — on a complete or a null-bearing database alike
+//!   (below), under [`Combine::Union`]. Any other plan over a complete
+//!   database folds the **one component** holding every conflict vertex,
+//!   whose local repairs ([`MaskIter`]) are the whole repairs, under
+//!   [`Combine::Intersect`]; its workers share the mask prefixes
+//!   [`fold::parts`] cuts. Each worker writes an element's rows into
+//!   reused scratch batches and evaluates the shared plan through the
+//!   caching split executor
+//!   ([`releval::exec::columnar::split::ShardExec`]); stable subresults and
+//!   their hash tables are built on its first element and reused by every
+//!   later one.
+//! * the **row path**: any other plan over a null-bearing database builds
+//!   each repair as a `Database` and delegates its certain answer to the
+//!   existing machinery: the physical executor when the repair is
+//!   complete, the symbolic c-table strategy when it is not, and the
+//!   streaming world oracle when symbolic punts.
+//!   [`stream_consistent_answer_rows`] forces this path everywhere as the
+//!   differential reference.
 //!
 //! # Linear plans: one joint component at a time
 //!
@@ -84,8 +82,9 @@
 //! relation is volatile, the domain is not empty, and that count —
 //! [`factorized_repair_count`], computed before the fold — is within
 //! [`RepairOptions::max_repairs`], so the factorized fold never hits the
-//! budget. Otherwise a complete database folds whole repairs as survival
-//! masks and a null-bearing one takes the row path.
+//! budget. Otherwise a complete database folds whole repairs as the one
+//! component of every conflict vertex and a null-bearing one takes the row
+//! path.
 //!
 //! **What the telemetry means there.** [`RepairExecution::components`] is
 //! `Some(k)` over `k` joint components, and
@@ -94,26 +93,24 @@
 //! add nothing to the union), so the count depends on the answers but not
 //! on the workers; the fold never reports early exit. A pinned
 //! [`RepairOptions::threads`] deals the components round-robin to the
-//! workers; otherwise one worker runs them all, because every worker
-//! rebuilds the core's stable subresults.
+//! workers; otherwise one worker runs them all ([`fold::workers`]),
+//! because every worker rebuilds the core's stable subresults.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use relalgebra::classify::has_incomplete_values;
-use relalgebra::physical::{linear_volatility, reads_delta};
+use relalgebra::physical::linear_volatility;
 use relalgebra::plan::PlannedQuery;
-use releval::exec::columnar::split::ShardExec;
 use releval::exec::{self, OpStats};
 use releval::fold::{
-    self, Combine, Component, ComponentFold, FoldError, Scratch, Shard, ShardProfile, Side,
+    self, Combine, Component, ComponentFold, FoldError, Shard, ShardProfile, Side,
 };
 use releval::symbolic::{symbolic_certain_answer, SymbolicOptions, SymbolicOutcome};
 use releval::worlds::{stream_certain_answer, valuation_domain, WorldOptions};
 use releval::EvalError;
-use relmodel::batch::ColumnBatch;
 use relmodel::value::Constant;
-use relmodel::{Database, Relation, Semantics, Tuple, Value};
+use relmodel::{Database, Relation, Semantics, Tuple};
 
 use crate::conflict::ConflictGraph;
 use crate::enumerate::{MaskIter, RepairIter};
@@ -127,11 +124,13 @@ pub struct RepairOptions {
     /// valuation of its component's nulls — and the fold factorizes only
     /// when all of them fit.
     pub max_repairs: u128,
-    /// Worker threads for the fold; `None` chooses automatically (the shard
-    /// count is rounded down to a power of two — shards are enumeration-
-    /// prefix partitions — and a factorized fold runs on one worker).
-    /// Small conflict graphs stay single-threaded. A pinned count deals the
-    /// joint components round-robin when the fold factorizes.
+    /// Worker threads for the fold; `None` chooses by [`fold::workers`]:
+    /// one worker for a factorized fold or when
+    /// [`ConflictGraph::estimated_repairs`] is below
+    /// [`fold::PARALLEL_MIN_ELEMENTS`], the machine's parallelism otherwise.
+    /// A pinned count is honoured exactly: the workers share the `2^k` mask
+    /// prefixes round-robin on whole repairs, or the joint components when
+    /// the fold factorizes.
     pub threads: Option<usize>,
     /// Per-repair world-oracle budget, used on the row path when a repair
     /// carries nulls and the symbolic strategy punts. The fold forces its
@@ -218,7 +217,8 @@ pub struct RepairExecution {
     /// they stand for.
     pub repairs_visited: u128,
     /// Of the visited elements, how many went through the split executor —
-    /// survival masks, or a factorized fold's elements — instead of a
+    /// whole repairs as survival masks, or a factorized fold's elements —
+    /// instead of a
     /// materialized `Database`. Equal to
     /// [`RepairExecution::repairs_visited`] except on the row path (a
     /// null-bearing database whose plan does not factorize, and the
@@ -247,27 +247,6 @@ pub struct RepairExecution {
     /// same [`ShardProfile`] the worlds fold reports; `units` counts this
     /// shard's batched repairs).
     pub shards: Vec<ShardProfile>,
-}
-
-/// Minimum conflict-vertex count before the auto thread choice shards the
-/// enumeration; below it, spawn overhead dominates.
-const PARALLEL_MIN_VERTICES: usize = 10;
-
-/// Resolves the worker count to `(prefix_len, 2^prefix_len)`: the largest
-/// power of two not exceeding the requested thread count (shards are
-/// bit-prefix partitions of the decision space), capped by the vertex count.
-fn resolve_shards(opts: &RepairOptions, vertices: usize) -> (usize, usize) {
-    let requested = match opts.threads {
-        Some(pinned) => pinned.max(1),
-        None if vertices < PARALLEL_MIN_VERTICES => 1,
-        None => fold::auto_workers(),
-    };
-    let mut prefix_len = 0usize;
-    while prefix_len < 6 && (1usize << (prefix_len + 1)) <= requested {
-        prefix_len += 1;
-    }
-    let prefix_len = prefix_len.min(vertices);
-    (prefix_len, 1usize << prefix_len)
 }
 
 /// Per-shard counts of repairs whose certain answer left the physical
@@ -314,55 +293,11 @@ fn repair_certain_answer(
     Ok(exec.answers)
 }
 
-/// The complete rows of the conflict-free core, built once per fold and
-/// read by every worker of both batched runners.
-struct Core {
-    /// Each relation's complete core rows, in schema order.
-    scans: Vec<(String, ColumnBatch)>,
-    /// The core's constants — only when the plan reads Δ, whose stable
-    /// part they are.
-    constants: Option<BTreeSet<Constant>>,
-}
-
-impl Core {
-    fn build(plan: &PlannedQuery, db: &Database, graph: &ConflictGraph) -> Core {
-        let scans = graph.core_batches(db);
-        let constants = reads_delta(plan.physical().root()).then(|| {
-            let mut out = BTreeSet::new();
-            for (_, batch) in &scans {
-                for col in 0..batch.arity() {
-                    out.extend(
-                        batch
-                            .column(col)
-                            .values()
-                            .iter()
-                            .filter_map(Value::as_const)
-                            .cloned(),
-                    );
-                }
-            }
-            out
-        });
-        Core { scans, constants }
-    }
-
-    /// A worker's split executor over the core, and its scratch: the
-    /// complete core rows are the stable scans, and a relation is static
-    /// iff it is not volatile.
-    fn exec<'a>(&self, job: ShardJob<'a>) -> (ShardExec<'a>, Scratch) {
-        let scans = self.scans.iter().map(|(name, batch)| {
-            let is_static = !job.volatile.contains(name.as_str());
-            (name.clone(), batch.clone(), is_static)
-        });
-        let no_vertices = job.graph.vertices().is_empty();
-        let delta = self.constants.as_ref().map(|c| (c, no_vertices));
-        fold::shard_exec(job.plan.physical(), scans, delta)
-    }
-}
-
-/// The factorized fold's choice space.
+/// The split executor's choice space: the joint components of a linear
+/// plan (see the [module docs](self)), or the one component holding every
+/// conflict vertex of a complete database, whose elements are the repairs.
 struct JointSpace<'d> {
-    /// The joint components (see the [module docs](self)).
+    /// The components.
     components: Vec<Component<'d>>,
     /// The shared valuation domain (empty when no component has a null).
     domain: Vec<Constant>,
@@ -370,7 +305,8 @@ struct JointSpace<'d> {
     /// tuple.
     volatile: BTreeSet<&'d str>,
     /// `Σ_J |LR(J)| · |dom|^{|N_J|}`, counted exactly up to the budget;
-    /// past it, some count above the budget.
+    /// past it, some count above the budget. The product space holds the
+    /// a-priori repair estimate instead.
     elements: u128,
 }
 
@@ -415,6 +351,21 @@ impl<'d> JointSpace<'d> {
             elements,
         })
     }
+
+    /// The product space of a complete database: one component holding
+    /// every conflict vertex, whose local repairs are the repairs.
+    fn product(graph: &'d ConflictGraph) -> JointSpace<'d> {
+        let vertices = graph.vertices();
+        JointSpace {
+            components: vec![Component {
+                vertices: (0..vertices.len()).collect(),
+                ..Component::default()
+            }],
+            domain: Vec::new(),
+            volatile: vertices.iter().map(|(r, _)| r.as_str()).collect(),
+            elements: graph.estimated_repairs(),
+        }
+    }
 }
 
 /// The factorized fold's element count for `plan` over `db`:
@@ -443,58 +394,20 @@ struct ShardJob<'a> {
     db: &'a Database,
     graph: &'a ConflictGraph,
     opts: &'a RepairOptions,
-    /// The relations whose scans are refilled per element.
-    volatile: &'a BTreeSet<&'a str>,
     null_values_literal: bool,
-    prefix_len: usize,
+    workers: usize,
 }
 
-/// Which shard runner the fold uses.
-#[derive(Clone, Copy)]
-enum Runner<'a> {
-    /// The row-materializing reference (null-bearing inputs whose plan
-    /// does not factorize, and [`stream_consistent_answer_rows`]
-    /// everywhere).
-    Rows,
-    /// Survival masks over the product of every component's choices, on a
-    /// complete database.
-    Batched(&'a Core),
-    /// One joint component at a time: the plan is linear.
-    Factorized(&'a Core, &'a JointSpace<'a>),
-}
-
-/// The batched shard runner: the same repairs in the same order as
-/// [`run_shard_rows`], each consumed as core + survival mask. Scratch
-/// batches are refilled per repair; stable subresults and hash tables are
-/// cached across the whole shard.
-fn run_shard_batched(job: ShardJob<'_>, core: &Core, prefix: u64, shard: &mut Shard<'_>) {
-    let mut masks = MaskIter::with_prefix(job.graph, prefix, job.prefix_len);
-    let vertices = job.graph.vertices();
-    let (mut exec, mut scratch) = core.exec(job);
-    while masks.next_mask() {
-        if !shard.admit() {
-            break;
-        }
-        scratch.clear();
-        for v in masks.included() {
-            let (relation, tuple) = &vertices[v];
-            scratch.scan(relation).push_tuple(tuple);
-        }
-        if let Some(core_consts) = &core.constants {
-            let included = masks.included().flat_map(|v| vertices[v].1.values());
-            scratch.refill_delta(core_consts, included.filter_map(Value::as_const));
-        }
-        if !shard.fold_split(&exec.eval_element(&scratch.input())) {
-            break;
-        }
-    }
-    shard.op_stats.merge(&exec.stats);
-}
-
-/// The row-materializing reference shard runner.
-fn run_shard_rows(job: ShardJob<'_>, prefix: u64, shard: &mut Shard<'_>) -> Fallbacks {
+/// The row-materializing reference shard runner: the workers share the
+/// mask prefixes [`fold::parts`] cuts, as the product fold's do.
+fn run_shard_rows(job: ShardJob<'_>, worker: usize, shard: &mut Shard<'_>) -> Fallbacks {
     let mut fallbacks = Fallbacks::default();
-    let repairs = RepairIter::with_prefix(job.db, job.graph, prefix, job.prefix_len);
+    let prefixes = fold::parts(job.graph.conflict_tuples(), 1, job.workers);
+    let repairs = prefixes
+        .into_iter()
+        .skip(worker)
+        .step_by(job.workers)
+        .flat_map(|part| RepairIter::with_prefix(job.db, job.graph, part.prefix, part.prefix_len));
     shard.fold_rows(repairs, |repair, op_stats| {
         repair_certain_answer(
             job.plan,
@@ -533,8 +446,8 @@ pub fn stream_consistent_answer(
 /// [`stream_consistent_answer`] with the row-materializing shard runner
 /// forced everywhere: every repair — never a local one — is built as a
 /// `Database` and its certain answer computed from scratch. Kept public as
-/// the differential-testing reference for the batched and factorized
-/// paths; not intended for production use.
+/// the differential-testing reference for the split-executor fold; not
+/// intended for production use.
 pub fn stream_consistent_answer_rows(
     plan: &PlannedQuery,
     db: &Database,
@@ -551,67 +464,62 @@ fn stream_consistent_answer_inner(
     opts: &RepairOptions,
     batch: bool,
 ) -> Result<RepairExecution, RepairError> {
-    // The survival-mask fold covers complete databases only: their repairs
-    // are complete too, so the per-repair certain answer *is* plan
-    // execution. A factorized fold values the nulls itself; anything else
-    // over a null-bearing database keeps the row path.
+    // The product fold covers complete databases only: their repairs are
+    // complete too, so the per-repair certain answer *is* plan execution.
+    // A factorized fold values the nulls itself; anything else over a
+    // null-bearing database keeps the row path.
     let complete = db.is_complete();
     let null_core = if batch && !complete {
         graph.null_core(db)
     } else {
         Vec::new()
     };
-    let space = batch
+    let factorized = batch
         .then(|| JointSpace::new(plan, db, graph, &null_core, opts))
         .flatten()
         .filter(|space| space.elements <= opts.max_repairs);
-    let core = (batch && (complete || space.is_some())).then(|| Core::build(plan, db, graph));
-    let runner = match (&core, &space) {
-        (Some(core), Some(space)) => Runner::Factorized(core, space),
-        (Some(core), None) => Runner::Batched(core),
-        (None, _) => Runner::Rows,
+    let components = factorized.as_ref().map(|s| s.components.len());
+    let space = match factorized {
+        None if batch && complete => Some(JointSpace::product(graph)),
+        space => space,
     };
-    let (prefix_len, workers) = match runner {
-        // Every worker rebuilds the core's stable subresults, which dominate
-        // a linear fold's cost: components are split across workers only
-        // when the caller pins a thread count.
-        Runner::Factorized(..) => (0, opts.threads.map_or(1, |t| t.max(1))),
-        _ => resolve_shards(opts, graph.conflict_tuples()),
-    };
-    let vertex_relations: BTreeSet<&str> =
-        graph.vertices().iter().map(|(r, _)| r.as_str()).collect();
+    let core = space.as_ref().map(|_| graph.core_batches(db));
+    // Whole repairs, on either path, go by the a-priori repair estimate.
+    let estimate = components.is_none().then(|| graph.estimated_repairs());
+    let workers = fold::workers(opts.threads, estimate);
     let job = ShardJob {
         plan,
         db,
         graph,
         opts,
-        volatile: space.as_ref().map_or(&vertex_relations, |s| &s.volatile),
         null_values_literal: has_incomplete_values(plan.expr()),
-        prefix_len,
+        workers,
     };
-    // Whole-repair shards partition the repairs: their answers intersect.
-    // Factorized shards partition the components, and each already holds
-    // the stable answer: their answers unite.
-    let combine = match runner {
-        Runner::Factorized(..) => Combine::Union,
-        _ => Combine::Intersect,
+    // Whole repairs partition among the shards: their answers intersect.
+    // Joint components do, and each shard holds the stable answer: their
+    // answers unite.
+    let combine = match components {
+        Some(_) => Combine::Union,
+        None => Combine::Intersect,
     };
     let folded = fold::run(workers, opts.max_repairs, combine, |worker, shard| {
-        match runner {
-            Runner::Rows => return run_shard_rows(job, worker as u64, shard),
-            Runner::Batched(core) => run_shard_batched(job, core, worker as u64, shard),
-            Runner::Factorized(core, space) => {
-                let components = ComponentFold {
-                    components: &space.components,
-                    domain: &space.domain,
-                    workers,
-                };
-                let root = Side::Certain(plan.physical().root());
-                let masks = MaskIter::with_prefix(graph, 0, 0);
-                components.run_shard(worker, shard, root, masks, || core.exec(job))
-            }
-        }
-        // The split-executor paths never leave the physical executor.
+        let (Some(space), Some(core)) = (&space, &core) else {
+            return run_shard_rows(job, worker, shard);
+        };
+        // The complete core rows are the stable scans; a relation is
+        // static iff no element adds rows to it.
+        let exec = || {
+            let scans = core.iter().map(|(name, batch)| {
+                let is_static = !space.volatile.contains(name.as_str());
+                (name.clone(), batch.clone(), is_static)
+            });
+            fold::shard_exec(plan.physical(), scans)
+        };
+        let fold = ComponentFold::new(&space.components, &space.domain, workers);
+        let root = Side::Certain(plan.physical().root());
+        let masks = MaskIter::with_prefix(graph, 0, 0);
+        fold.run_shard(worker, shard, root, masks, exec);
+        // The split executor never leaves the physical executor.
         Fallbacks::default()
     })
     .map_err(|e| match e {
@@ -631,7 +539,7 @@ fn stream_consistent_answer_inner(
         repairs_visited: folded.visited,
         repairs_batched: folded.batched,
         early_exit: folded.early_exit,
-        components: space.as_ref().map(|s| s.components.len()),
+        components,
         threads: workers,
         symbolic_repairs: folded.tallies.iter().map(|t| t.symbolic).sum(),
         world_repairs: folded.tallies.iter().map(|t| t.world).sum(),
@@ -836,12 +744,16 @@ mod tests {
             b = b.ints("R", &[k, 1]).ints("R", &[k, 2]);
         }
         let db = b.build();
-        let q = RaExpr::relation("R").project(vec![1]);
+        // The key self-join is not linear: the product fold deals 2^k mask
+        // prefixes round-robin to exactly the pinned workers, 3 included.
+        let q = self_join(1);
         let single = fold(&q, &db, &RepairOptions::default().with_threads(1));
-        for threads in [2, 4, 8] {
+        assert_eq!(single.components, None);
+        for threads in [2, 3, 4, 8] {
             let multi = fold(&q, &db, &RepairOptions::default().with_threads(threads));
             assert_eq!(multi.answers, single.answers, "threads = {threads}");
             assert_eq!(multi.threads, threads);
+            assert_eq!(multi.shards.len(), threads);
         }
         assert!(single.answers.contains(&Tuple::ints(&[77])));
     }

@@ -24,12 +24,12 @@
 //! |-------------------------------------|----------------------------------------------|
 //! | valuations over a finite domain     | maximal independent sets of the conflict graph ([`conflict::ConflictGraph`]) |
 //! | `WorldIter` (structural dedup)      | [`enumerate::RepairIter`] (dedup by construction) |
-//! | valuation-range sharding            | decision-prefix sharding                     |
+//! | valuation ranges as parts           | decision prefixes as parts                   |
 //! | streaming ∩ fold, early exit        | [`fold::stream_consistent_answer`]           |
 //! | budget = worlds visited             | budget = repairs visited                     |
 //! | fold driver [`releval::fold`]       | the same driver                              |
-//! | `S ∪ ⋂ᵢ Vᵢ` over overlay scratches   | `S ∪ ⋂ᵢ Vᵢ` over survival masks      |
-//! | per null component for linear plans | per joint (conflict-or-null) component for linear plans, nulls valued in place |
+//! | `S ∪ ⋂ᵢ Vᵢ` over valued rows         | `S ∪ ⋂ᵢ Vᵢ` over survival masks      |
+//! | one component fold: one component of every null, or one per null component for linear plans | the same: one component of every vertex, or one per joint (conflict-or-null) component for linear plans, nulls valued in place |
 //! | certain⁺ pair approximation         | conflict-free core over the repair interval ([`core_approx`]) |
 //!
 //! The sound polynomial shortcut deserves a word: tuples in no conflict

@@ -1,5 +1,5 @@
 //! Differential fuzz harness for the batched enumeration folds: the
-//! overlay/mask shard runners replayed against their row-instantiating
+//! split-executor component folds replayed against their row-instantiating
 //! references on random workloads.
 //!
 //! The morsel-native refactor kept both reference folds public precisely so
@@ -7,17 +7,20 @@
 //! seeded random databases × random queries of every [`QueryClass`] ×
 //! morsel sizes:
 //!
-//! 1. possible worlds: `releval::worlds::stream_certain_answer` (valuation
-//!    overlays through the split executor) ==
+//! 1. possible worlds: `releval::worlds::stream_certain_answer` (valued
+//!    rows through the split executor) ==
 //!    `stream_certain_answer_rows` (one materialized `Database` per world),
 //!    under CWA and OWA-with-extension — answers equal; whole-world folds
 //!    also visit the same worlds and exit early alike, while a factorized
 //!    fold (a linear plan, or a root difference of linear sides) folds the
 //!    null components a flood fill finds and stays within their space;
+//!    a 3-worker run of the batched fold answers as the 1-thread row fold
+//!    wherever the a-priori space fits the budget;
 //! 2. repairs: `repairs::fold::stream_consistent_answer` (core + survival
 //!    masks, or joint components for a linear plan) ==
 //!    `stream_consistent_answer_rows`, on complete *and* null-bearing
-//!    inconsistent databases.
+//!    inconsistent databases, and again at 3 workers where the repair
+//!    estimate fits the budget.
 //!
 //! Morsel sizes are swept through the `MORSEL_ROWS` environment seed (the
 //! fold entry points read it per shard); a shared lock serializes the two
@@ -40,9 +43,11 @@ use incomplete_data::{relalgebra, releval, relmodel};
 
 use relalgebra::ast::RaExpr;
 use releval::worlds::{
-    stream_certain_answer, stream_certain_answer_rows, valuation_domain, WorldOptions,
+    estimated_world_count, stream_certain_answer, stream_certain_answer_rows, valuation_domain,
+    WorldOptions,
 };
 use relmodel::batch::MORSEL_ROWS_ENV;
+use relmodel::semantics::all_complete_tuples;
 use relmodel::value::NullId;
 
 /// Serializes the env-mutating tests: `MORSEL_ROWS` is process-global.
@@ -137,16 +142,47 @@ fn null_component_sizes(db: &Database) -> Vec<u32> {
     sizes
 }
 
-/// Harness part 1: the overlay-batched world fold equals the
+/// Compares a sharded fold's outcome with the 1-thread row fold's. Only
+/// folds whose a-priori space fits the budget are compared: there the
+/// budget cannot fire, so neither can an early-exit/budget race, and the
+/// outcomes agree exactly.
+fn assert_sharded_agrees<T: std::fmt::Debug, E: std::fmt::Debug + std::fmt::Display>(
+    sharded: &Result<T, E>,
+    rows: &Result<T, E>,
+    answers: impl Fn(&T) -> &Relation,
+    context: &str,
+) {
+    match (sharded, rows) {
+        (Ok(sharded), Ok(rows)) => assert_eq!(
+            answers(sharded),
+            answers(rows),
+            "3-worker MISMATCH {context}"
+        ),
+        (Err(s), Err(r)) => assert_eq!(format!("{s}"), format!("{r}"), "{context}"),
+        (s, r) => panic!("3 workers and the row fold disagree for {context}: {s:?} vs {r:?}"),
+    }
+}
+
+/// The worlds the product fold may visit: every valuation, each extended
+/// by every subset of at most `owa_extra` extension tuples (`owa_extra` is
+/// 0 or 1 here).
+fn world_space(q: &RaExpr, db: &Database, opts: &WorldOptions, owa_extra: usize) -> u128 {
+    let domain = valuation_domain(q, db, opts);
+    let subsets = 1 + (owa_extra * all_complete_tuples(db, &domain).len()) as u128;
+    estimated_world_count(q, db, opts).saturating_mul(subsets)
+}
+
+/// Harness part 1: the split-executor world fold equals the
 /// row-instantiating one — same answers — across semantics, query classes,
 /// Δ-reading queries, and morsel sizes. Whole-world folds also visit the
 /// same worlds and exit early alike; a factorized fold folds the
 /// flood-filled null components and visits at most one whole world and two
-/// sides' worth of their valuations, `1 + 2 · Σ_K |dom|^|N_K|`.
+/// sides' worth of their valuations, `1 + 2 · Σ_K |dom|^|N_K|`. Where the
+/// product space fits the budget, the fold at 3 workers answers alike.
 #[test]
 fn batched_world_fold_matches_row_fold() {
     let _env = env_lock();
-    let (mut factorized, mut whole) = (0u64, 0u64);
+    let (mut factorized, mut whole, mut sharded3) = (0u64, 0u64, 0u64);
     for seed in 0..fuzz_cases() {
         let db = fuzz_db(seed);
         let components = null_component_sizes(&db);
@@ -165,6 +201,7 @@ fn batched_world_fold_matches_row_fold() {
                     max_worlds: 4096,
                     ..WorldOptions::default()
                 };
+                let fits = world_space(&q, &db, &opts, owa_extra) <= opts.max_worlds;
                 for morsel in MORSELS {
                     std::env::set_var(MORSEL_ROWS_ENV, morsel.to_string());
                     let batched = stream_certain_answer(&plan, &db, semantics, &opts);
@@ -173,6 +210,15 @@ fn batched_world_fold_matches_row_fold() {
                         "{q} ({class}, {semantics}, extra {owa_extra}, seed {seed}, \
                          morsel {morsel}) over\n{db}"
                     );
+                    if fits {
+                        let three = WorldOptions {
+                            threads: Some(3),
+                            ..opts
+                        };
+                        let sharded = stream_certain_answer(&plan, &db, semantics, &three);
+                        assert_sharded_agrees(&sharded, &rows, |e| &e.answers, &context);
+                        sharded3 += 1;
+                    }
                     match (batched, rows) {
                         (Ok(batched), Ok(rows)) => {
                             assert_eq!(batched.answers, rows.answers, "MISMATCH {context}");
@@ -231,10 +277,11 @@ fn batched_world_fold_matches_row_fold() {
         }
     }
     std::env::remove_var(MORSEL_ROWS_ENV);
-    eprintln!("world folds: {factorized} factorized, {whole} whole-world");
+    eprintln!("world folds: {factorized} factorized, {whole} whole-world, {sharded3} at 3 workers");
     assert!(
-        factorized > 0 && whole > 0,
-        "the sweep must exercise both fold shapes: {factorized} factorized, {whole} whole"
+        factorized > 0 && whole > 0 && sharded3 > 0,
+        "the sweep must exercise both fold shapes and 3 workers: {factorized} factorized, \
+         {whole} whole, {sharded3} at 3 workers"
     );
 }
 
@@ -342,11 +389,12 @@ fn local_repairs(graph: &ConflictGraph, members: &[usize]) -> u128 {
 /// and exit early alike; a factorized fold (a linear plan) folds the
 /// flood-filled joint components, visits at least one and at most
 /// `Σ_J |LR(J)| · |dom|^|N_J|` elements of each, batches all of them, and
-/// never reports early exit.
+/// never reports early exit. Where the Moon–Moser repair estimate fits the
+/// budget, the fold at 3 workers answers alike.
 #[test]
 fn batched_repair_fold_matches_row_fold() {
     let _env = env_lock();
-    let (mut factorized, mut whole) = (0u64, 0u64);
+    let (mut factorized, mut whole, mut sharded3) = (0u64, 0u64, 0u64);
     for seed in 0..fuzz_cases() {
         for with_nulls in [false, true] {
             let db = fuzz_dirty_db(seed.wrapping_add(0xc0de), with_nulls);
@@ -355,6 +403,7 @@ fn batched_repair_fold_matches_row_fold() {
                 let q = fuzz_query(class, seed.wrapping_mul(7).wrapping_add(class as u64));
                 let plan = PlannedQuery::new(q.clone(), db.schema()).unwrap();
                 let opts = RepairOptions::default().with_threads(1);
+                let fits = graph.estimated_repairs() <= opts.max_repairs;
                 for morsel in MORSELS {
                     std::env::set_var(MORSEL_ROWS_ENV, morsel.to_string());
                     let batched = stream_consistent_answer(&plan, &db, &graph, &opts);
@@ -363,6 +412,12 @@ fn batched_repair_fold_matches_row_fold() {
                         "{q} ({class}, seed {seed}, nulls {with_nulls}, morsel {morsel}) \
                          over\n{db}"
                     );
+                    if fits {
+                        let three = opts.with_threads(3);
+                        let sharded = stream_consistent_answer(&plan, &db, &graph, &three);
+                        assert_sharded_agrees(&sharded, &rows, |e| &e.answers, &context);
+                        sharded3 += 1;
+                    }
                     match (batched, rows) {
                         (Ok(batched), Ok(rows)) => {
                             assert_eq!(batched.answers, rows.answers, "MISMATCH {context}");
@@ -431,9 +486,12 @@ fn batched_repair_fold_matches_row_fold() {
         }
     }
     std::env::remove_var(MORSEL_ROWS_ENV);
-    eprintln!("repair folds: {factorized} factorized, {whole} whole-repair");
+    eprintln!(
+        "repair folds: {factorized} factorized, {whole} whole-repair, {sharded3} at 3 workers"
+    );
     assert!(
-        factorized > 0 && whole > 0,
-        "the sweep must exercise both fold shapes: {factorized} factorized, {whole} whole"
+        factorized > 0 && whole > 0 && sharded3 > 0,
+        "the sweep must exercise both fold shapes and 3 workers: {factorized} factorized, \
+         {whole} whole, {sharded3} at 3 workers"
     );
 }
