@@ -11,7 +11,10 @@
 //! is built with [`crate::Engine::with_context`], and the conflict graph is
 //! built **exactly once per snapshot** no matter how many queries run — a
 //! claim [`DbContext::conflict_graph_builds`] lets tests prove by counter
-//! rather than by timing.
+//! rather than by timing. The graph in turn derives, on its first
+//! consistent-answer fold, the conflict-free core that fold reads, so the
+//! core too is built once per snapshot ([`ConflictGraph::core_builds`]
+//! counts it).
 //!
 //! The context also owns the snapshot's derived representations: one
 //! lazily transposed column batch per relation ([`DbContext::batches`]).

@@ -37,7 +37,7 @@
 //!   volatile permanently empty.
 
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
 use relalgebra::predicate::Predicate;
@@ -57,10 +57,10 @@ use crate::exec::OpStats;
 #[derive(Debug, Clone)]
 pub struct Split {
     /// Rows identical across every element of the shard (computed once and
-    /// cached; cheap `Rc` handle).
-    pub stable: Rc<ColumnBatch>,
+    /// cached; cheap `Arc` handle).
+    pub stable: Arc<ColumnBatch>,
     /// This element's rows beyond the stable part.
-    pub volatile: Rc<ColumnBatch>,
+    pub volatile: Arc<ColumnBatch>,
 }
 
 impl Split {
@@ -75,14 +75,14 @@ impl Split {
 pub struct ShardSetup {
     /// Relation name → its element-invariant rows: the complete rows for
     /// worlds, the conflict-free core's complete rows for repairs.
-    stable_scans: HashMap<String, Rc<ColumnBatch>>,
+    stable_scans: HashMap<String, Arc<ColumnBatch>>,
     /// Relation name → is the relation **identical** in every element of
     /// the shard (no symbolic rows, no OWA extension candidates, no
     /// conflict vertices)?
     static_scans: HashMap<String, bool>,
     /// The element-invariant part of the Δ diagonal (one `(c, c)` row per
     /// base constant — base constants survive into every element).
-    stable_delta: Rc<ColumnBatch>,
+    stable_delta: Arc<ColumnBatch>,
     /// Is Δ invariant across elements (no element ever contributes a
     /// constant beyond the base ones)?
     static_delta: bool,
@@ -90,20 +90,21 @@ pub struct ShardSetup {
 
 impl ShardSetup {
     /// The leaf data of one shard. `scans` lists each relation's
-    /// element-invariant rows and whether the relation is static. `delta`
+    /// element-invariant rows, which the shards of a fold share, and
+    /// whether the relation is static. `delta`
     /// holds the constants every element shares, and whether Δ is static,
     /// for a plan that reads Δ ([`relalgebra::physical::reads_delta`]);
     /// a plan that does not passes `None`, and neither the shard nor its
     /// elements build any Δ rows.
     pub fn new(
-        scans: impl IntoIterator<Item = (String, ColumnBatch, bool)>,
+        scans: impl IntoIterator<Item = (String, Arc<ColumnBatch>, bool)>,
         delta: Option<(&BTreeSet<Constant>, bool)>,
     ) -> ShardSetup {
         let mut stable_scans = HashMap::new();
         let mut static_scans = HashMap::new();
         for (name, batch, is_static) in scans {
             static_scans.insert(name.clone(), is_static);
-            stable_scans.insert(name, Rc::new(batch));
+            stable_scans.insert(name, batch);
         }
         let mut stable_delta = ColumnBatch::new(2);
         for c in delta.iter().flat_map(|(constants, _)| constants.iter()) {
@@ -112,7 +113,7 @@ impl ShardSetup {
         ShardSetup {
             stable_scans,
             static_scans,
-            stable_delta: Rc::new(stable_delta),
+            stable_delta: Arc::new(stable_delta),
             static_delta: delta.is_none_or(|(_, is_static)| is_static),
         }
     }
@@ -126,20 +127,20 @@ pub struct ElementInput<'e> {
     /// Relation name → this element's extra rows (valuation images of the
     /// symbolic rows, OWA extension tuples, included conflict vertices).
     /// A missing name means no extra rows.
-    pub volatile_scans: &'e HashMap<String, Rc<ColumnBatch>>,
+    pub volatile_scans: &'e HashMap<String, Arc<ColumnBatch>>,
     /// This element's extra Δ diagonal rows (constants introduced by the
     /// valuation / extensions / included vertices, minus the base ones).
-    pub volatile_delta: &'e Rc<ColumnBatch>,
+    pub volatile_delta: &'e Arc<ColumnBatch>,
 }
 
 #[derive(Default)]
 struct NodeCache {
     /// The node's stable result (first-element computation).
-    stable: Option<Rc<ColumnBatch>>,
+    stable: Option<Arc<ColumnBatch>>,
     /// Full-row membership table over the node's stable result.
-    full_table: Option<Rc<RowTable>>,
+    full_table: Option<Arc<RowTable>>,
     /// Key-column tables over the node's stable result (join build sides).
-    key_tables: Vec<(Vec<usize>, Rc<RowTable>)>,
+    key_tables: Vec<(Vec<usize>, Arc<RowTable>)>,
 }
 
 /// The split executor for one enumeration shard: construct once per worker,
@@ -153,7 +154,7 @@ pub struct ShardExec<'p> {
     morsel: usize,
     caches: HashMap<usize, NodeCache>,
     statics: HashMap<usize, bool>,
-    empties: HashMap<usize, Rc<ColumnBatch>>,
+    empties: HashMap<usize, Arc<ColumnBatch>>,
     /// Operator telemetry accumulated across every element of the shard.
     pub stats: OpStats,
 }
@@ -192,25 +193,25 @@ impl<'p> ShardExec<'p> {
         node as *const PhysNode as usize
     }
 
-    fn empty(&mut self, arity: usize) -> Rc<ColumnBatch> {
-        Rc::clone(
+    fn empty(&mut self, arity: usize) -> Arc<ColumnBatch> {
+        Arc::clone(
             self.empties
                 .entry(arity)
-                .or_insert_with(|| Rc::new(ColumnBatch::new(arity))),
+                .or_insert_with(|| Arc::new(ColumnBatch::new(arity))),
         )
     }
 
-    fn cached_stable(&self, key: usize) -> Option<Rc<ColumnBatch>> {
+    fn cached_stable(&self, key: usize) -> Option<Arc<ColumnBatch>> {
         self.caches.get(&key).and_then(|c| c.stable.clone())
     }
 
-    fn store_stable(&mut self, key: usize, batch: Rc<ColumnBatch>) -> Rc<ColumnBatch> {
-        self.caches.entry(key).or_default().stable = Some(Rc::clone(&batch));
+    fn store_stable(&mut self, key: usize, batch: Arc<ColumnBatch>) -> Arc<ColumnBatch> {
+        self.caches.entry(key).or_default().stable = Some(Arc::clone(&batch));
         batch
     }
 
     /// The cached full-row membership table over a node's stable result.
-    fn full_table(&mut self, node_key: usize, batch: &ColumnBatch) -> Rc<RowTable> {
+    fn full_table(&mut self, node_key: usize, batch: &ColumnBatch) -> Arc<RowTable> {
         if let Some(t) = self
             .caches
             .get(&node_key)
@@ -222,27 +223,27 @@ impl<'p> ShardExec<'p> {
         let all: Vec<usize> = (0..batch.arity()).collect();
         self.stats.tables_built += 1;
         self.stats.build_rows += batch.len();
-        let t = Rc::new(build_key_table(batch, &all));
-        self.caches.entry(node_key).or_default().full_table = Some(Rc::clone(&t));
+        let t = Arc::new(build_key_table(batch, &all));
+        self.caches.entry(node_key).or_default().full_table = Some(Arc::clone(&t));
         t
     }
 
     /// The cached key-column table over a node's stable result.
-    fn key_table(&mut self, node_key: usize, batch: &ColumnBatch, cols: &[usize]) -> Rc<RowTable> {
+    fn key_table(&mut self, node_key: usize, batch: &ColumnBatch, cols: &[usize]) -> Arc<RowTable> {
         if let Some(cache) = self.caches.get(&node_key) {
             if let Some((_, t)) = cache.key_tables.iter().find(|(k, _)| k == cols) {
                 self.stats.tables_reused += 1;
-                return Rc::clone(t);
+                return Arc::clone(t);
             }
         }
         self.stats.tables_built += 1;
         self.stats.build_rows += batch.len();
-        let t = Rc::new(build_key_table(batch, cols));
+        let t = Arc::new(build_key_table(batch, cols));
         self.caches
             .entry(node_key)
             .or_default()
             .key_tables
-            .push((cols.to_vec(), Rc::clone(&t)));
+            .push((cols.to_vec(), Arc::clone(&t)));
         t
     }
 
@@ -275,21 +276,21 @@ impl<'p> ShardExec<'p> {
 
     /// Plain evaluation of a static subtree from the stable leaves — runs
     /// once per shard, cached.
-    fn eval_static(&mut self, node: &'p PhysNode) -> Rc<ColumnBatch> {
+    fn eval_static(&mut self, node: &'p PhysNode) -> Arc<ColumnBatch> {
         let key = Self::key(node);
         if let Some(b) = self.cached_stable(key) {
             return b;
         }
         self.stats.operators += 1;
-        let out: Rc<ColumnBatch> = match node.op() {
-            PhysOp::Scan(name) => Rc::clone(
+        let out: Arc<ColumnBatch> = match node.op() {
+            PhysOp::Scan(name) => Arc::clone(
                 self.setup
                     .stable_scans
                     .get(name.as_str())
                     .expect("shard setup covers every scanned relation"),
             ),
-            PhysOp::Values(rel) => Rc::new(ColumnBatch::from_relation(rel)),
-            PhysOp::Delta => Rc::clone(&self.setup.stable_delta),
+            PhysOp::Values(rel) => Arc::new(ColumnBatch::from_relation(rel)),
+            PhysOp::Delta => Arc::clone(&self.setup.stable_delta),
             PhysOp::Filter { input, predicate } => {
                 let b = self.eval_static(input);
                 let keep = select_rows(&b, self.morsel, &mut self.stats, |row| {
@@ -298,17 +299,17 @@ impl<'p> ShardExec<'p> {
                 if keep.len() == b.len() {
                     b
                 } else {
-                    Rc::new(b.gather(&keep))
+                    Arc::new(b.gather(&keep))
                 }
             }
             PhysOp::Project { input, columns } => {
                 let b = self.eval_static(input);
-                Rc::new(project_dedup(&b, columns, self.morsel, &mut self.stats))
+                Arc::new(project_dedup(&b, columns, self.morsel, &mut self.stats))
             }
             PhysOp::NestedProduct { left, right } => {
                 let l = self.eval_static(left);
                 let r = self.eval_static(right);
-                Rc::new(product(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(product(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::HashJoin {
                 left,
@@ -327,29 +328,29 @@ impl<'p> ShardExec<'p> {
                     self.morsel,
                     &mut self.stats,
                 );
-                Rc::new(out)
+                Arc::new(out)
             }
             PhysOp::Union { left, right } => {
                 let l = self.eval_static(left);
                 let r = self.eval_static(right);
-                Rc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
+                Arc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
             }
             PhysOp::Difference { left, right } => {
                 let l = self.eval_static(left);
                 let r = self.eval_static(right);
                 let keep = membership_keep(&l, &r, false, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Intersect { left, right } => {
                 let l = self.eval_static(left);
                 let r = self.eval_static(right);
                 let keep = membership_keep(&l, &r, true, self.morsel, &mut self.stats);
-                Rc::new(l.gather(&keep))
+                Arc::new(l.gather(&keep))
             }
             PhysOp::Divide { left, right } => {
                 let l = self.eval_static(left);
                 let r = self.eval_static(right);
-                Rc::new(divide_syntactic(
+                Arc::new(divide_syntactic(
                     &l,
                     &r,
                     node.arity(),
@@ -373,19 +374,19 @@ impl<'p> ShardExec<'p> {
         match node.op() {
             PhysOp::Scan(name) => {
                 let stable = match self.setup.stable_scans.get(name.as_str()) {
-                    Some(b) => Rc::clone(b),
+                    Some(b) => Arc::clone(b),
                     None => self.empty(arity),
                 };
                 let volatile = match elem.volatile_scans.get(name.as_str()) {
-                    Some(b) => Rc::clone(b),
+                    Some(b) => Arc::clone(b),
                     None => self.empty(arity),
                 };
                 Split { stable, volatile }
             }
             PhysOp::Values(_) => unreachable!("Values subtrees are static"),
             PhysOp::Delta => Split {
-                stable: Rc::clone(&self.setup.stable_delta),
-                volatile: Rc::clone(elem.volatile_delta),
+                stable: Arc::clone(&self.setup.stable_delta),
+                volatile: Arc::clone(elem.volatile_delta),
             },
             PhysOp::Filter { input, predicate } => {
                 let c = self.eval(input, elem);
@@ -397,9 +398,9 @@ impl<'p> ShardExec<'p> {
                             predicate.eval_naive_on(&|i| b.value(i, row))
                         });
                         let s = if keep.len() == b.len() {
-                            Rc::clone(b)
+                            Arc::clone(b)
                         } else {
-                            Rc::new(b.gather(&keep))
+                            Arc::new(b.gather(&keep))
                         };
                         self.store_stable(key, s)
                     }
@@ -411,7 +412,7 @@ impl<'p> ShardExec<'p> {
                     let keep = select_rows(b, self.morsel, &mut self.stats, |row| {
                         predicate.eval_naive_on(&|i| b.value(i, row))
                     });
-                    Rc::new(b.gather(&keep))
+                    Arc::new(b.gather(&keep))
                 };
                 Split { stable, volatile }
             }
@@ -420,7 +421,7 @@ impl<'p> ShardExec<'p> {
                 let stable = match self.cached_stable(key) {
                     Some(s) => s,
                     None => {
-                        let s = Rc::new(project_dedup(
+                        let s = Arc::new(project_dedup(
                             &c.stable,
                             columns,
                             self.morsel,
@@ -432,7 +433,7 @@ impl<'p> ShardExec<'p> {
                 let volatile = if c.volatile.is_empty() {
                     self.empty(arity)
                 } else {
-                    Rc::new(project_dedup(
+                    Arc::new(project_dedup(
                         &c.volatile,
                         columns,
                         self.morsel,
@@ -448,7 +449,7 @@ impl<'p> ShardExec<'p> {
                     Some(s) => s,
                     None => {
                         let s =
-                            Rc::new(product(&l.stable, &r.stable, self.morsel, &mut self.stats));
+                            Arc::new(product(&l.stable, &r.stable, self.morsel, &mut self.stats));
                         self.store_stable(key, s)
                     }
                 };
@@ -477,7 +478,7 @@ impl<'p> ShardExec<'p> {
                         self.morsel,
                         &mut self.stats,
                     );
-                    Rc::new(out)
+                    Arc::new(out)
                 };
                 Split { stable, volatile }
             }
@@ -502,7 +503,7 @@ impl<'p> ShardExec<'p> {
                             self.morsel,
                             &mut self.stats,
                         );
-                        self.store_stable(key, Rc::new(out))
+                        self.store_stable(key, Arc::new(out))
                     }
                 };
                 let volatile = if l.volatile.is_empty() && r.volatile.is_empty() {
@@ -560,7 +561,7 @@ impl<'p> ShardExec<'p> {
                         out.append(&small);
                     }
                     self.stats.join_rows_out += out.len();
-                    Rc::new(out)
+                    Arc::new(out)
                 };
                 Split { stable, volatile }
             }
@@ -570,7 +571,7 @@ impl<'p> ShardExec<'p> {
                 let stable = match self.cached_stable(key) {
                     Some(s) => s,
                     None => {
-                        let s = Rc::new(union_batches(
+                        let s = Arc::new(union_batches(
                             &l.stable,
                             &r.stable,
                             self.morsel,
@@ -581,12 +582,12 @@ impl<'p> ShardExec<'p> {
                 };
                 let volatile = match (l.volatile.is_empty(), r.volatile.is_empty()) {
                     (true, true) => self.empty(arity),
-                    (false, true) => Rc::clone(&l.volatile),
-                    (true, false) => Rc::clone(&r.volatile),
+                    (false, true) => Arc::clone(&l.volatile),
+                    (true, false) => Arc::clone(&r.volatile),
                     (false, false) => {
                         let mut out = l.volatile.as_ref().clone();
                         out.append(&r.volatile);
-                        Rc::new(out)
+                        Arc::new(out)
                     }
                 };
                 Split { stable, volatile }
@@ -608,14 +609,14 @@ impl<'p> ShardExec<'p> {
                                 self.morsel,
                                 &mut self.stats,
                             );
-                            let s = Rc::new(l.stable.gather(&keep));
+                            let s = Arc::new(l.stable.gather(&keep));
                             self.store_stable(key, s)
                         }
                     };
                     let volatile = if l.volatile.is_empty() {
                         self.empty(arity)
                     } else if r.stable.is_empty() {
-                        Rc::clone(&l.volatile)
+                        Arc::clone(&l.volatile)
                     } else {
                         let table = self.full_table(Self::key(right), &r.stable);
                         let lv = &l.volatile;
@@ -631,7 +632,7 @@ impl<'p> ShardExec<'p> {
                                 keep.push(row as u32);
                             }
                         }
-                        Rc::new(lv.gather(&keep))
+                        Arc::new(lv.gather(&keep))
                     };
                     Split { stable, volatile }
                 } else {
@@ -642,7 +643,7 @@ impl<'p> ShardExec<'p> {
                     let keep = membership_keep(&lf, &rf, false, self.morsel, &mut self.stats);
                     Split {
                         stable: self.empty(arity),
-                        volatile: Rc::new(lf.gather(&keep)),
+                        volatile: Arc::new(lf.gather(&keep)),
                     }
                 }
             }
@@ -659,7 +660,7 @@ impl<'p> ShardExec<'p> {
                             self.morsel,
                             &mut self.stats,
                         );
-                        let s = Rc::new(l.stable.gather(&keep));
+                        let s = Arc::new(l.stable.gather(&keep));
                         self.store_stable(key, s)
                     }
                 };
@@ -708,7 +709,7 @@ impl<'p> ShardExec<'p> {
                         }
                         rv.gather_into(&keep, &mut out);
                     }
-                    Rc::new(out)
+                    Arc::new(out)
                 };
                 Split { stable, volatile }
             }
@@ -720,7 +721,7 @@ impl<'p> ShardExec<'p> {
                 let out = divide_syntactic(&lf, &rf, arity, self.morsel, &mut self.stats);
                 Split {
                     stable: self.empty(arity),
-                    volatile: Rc::new(out),
+                    volatile: Arc::new(out),
                 }
             }
         }
@@ -729,15 +730,15 @@ impl<'p> ShardExec<'p> {
 
 /// An element's full result: stable when the volatile part is empty,
 /// otherwise a fresh concatenation.
-fn concat_split(s: &Split) -> Rc<ColumnBatch> {
+fn concat_split(s: &Split) -> Arc<ColumnBatch> {
     if s.volatile.is_empty() {
-        Rc::clone(&s.stable)
+        Arc::clone(&s.stable)
     } else if s.stable.is_empty() {
-        Rc::clone(&s.volatile)
+        Arc::clone(&s.volatile)
     } else {
         let mut out = s.stable.as_ref().clone();
         out.append(&s.volatile);
-        Rc::new(out)
+        Arc::new(out)
     }
 }
 
@@ -860,7 +861,7 @@ mod tests {
             base.iter().map(|(name, rel)| {
                 (
                     name.to_owned(),
-                    ColumnBatch::from_relation(rel),
+                    Arc::new(ColumnBatch::from_relation(rel)),
                     name == "S",
                 )
             }),
@@ -870,15 +871,15 @@ mod tests {
 
         // Element i adds the row (i, 10·i) to R.
         for i in 3..6i64 {
-            let mut volatile_scans: HashMap<String, Rc<ColumnBatch>> = HashMap::new();
+            let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
             volatile_scans.insert(
                 "R".into(),
-                Rc::new(ColumnBatch::from_rows(
+                Arc::new(ColumnBatch::from_rows(
                     2,
                     [Tuple::ints(&[i, 10 * i])].iter(),
                 )),
             );
-            let volatile_delta = Rc::new(ColumnBatch::new(2));
+            let volatile_delta = Arc::new(ColumnBatch::new(2));
             let split = exec.eval_element(&ElementInput {
                 volatile_scans: &volatile_scans,
                 volatile_delta: &volatile_delta,

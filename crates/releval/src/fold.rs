@@ -42,6 +42,11 @@
 //!   shards' answers combine by ∩ when the shards partition the elements
 //!   ([`Combine::Intersect`]), or by ∪ when they partition independent
 //!   components and each holds the stable answer ([`Combine::Union`]).
+//! * **Moved merges.** Every union a fold makes — `S` with the runs, a
+//!   closed run with the runs before it, a shard's answer with the others'
+//!   at the join — consumes both operands and moves the smaller set into
+//!   the larger ([`Relation::into_union`]). The large stable answer `S`
+//!   therefore takes in a few volatile rows without being copied.
 //!
 //! # The component fold
 //!
@@ -55,11 +60,13 @@
 //! nulls, and the nulls of one row. A component `K` is one class: its
 //! vertices `V_K`, its nulls `N_K`, and the rows `C_K` over those nulls. An
 //! element of `K` is a local choice `M_K` of `V_K` ([`Choices`]) with a
-//! valuation `v_K` of `N_K`, holding the rows `v_K(M_K ∪ C_K)`. No edge
-//! crosses two components and no row or vertex mixes their nulls, so
-//! nothing ties their choices: the elements are exactly the product of the
-//! components' elements, and each is `G ∪ ⋃_K v_K(M_K ∪ C_K)`, `G` being
-//! the complete rows every element holds.
+//! valuation `v_K` of the nulls `N(M_K ∪ C_K) ⊆ N_K` its rows carry,
+//! holding the rows `v_K(M_K ∪ C_K)`; valuing a null of `N_K` those rows
+//! lack would repeat the same rows. No edge crosses two components and no
+//! row or vertex mixes their nulls, so nothing ties their choices: the
+//! elements are exactly the product of the components' elements, and each
+//! is `G ∪ ⋃_K v_K(M_K ∪ C_K)`, `G` being the complete rows every element
+//! holds.
 //!
 //! *The identity.* Call a relation volatile when it holds a vertex or a
 //! null-bearing row. When every derivation of the plan uses at most one
@@ -80,7 +87,7 @@
 //! choice `(M_K, v_K)`; the element making each of those choices answers
 //! without the row. ∀ over a product of independent choices swaps with ∃.
 //!
-//! *The fold.* It visits at most `Σ_K |choices_K| · |dom|^{|N_K|}`
+//! *The fold.* It visits at most `Σ_K Σ_{M_K} |dom|^{|N(M_K ∪ C_K)|}`
 //! elements ([`element_count`]) instead of their product.
 //! [`ComponentFold::run_shard`] deals the components round-robin to the
 //! workers and, per component, per local choice and per valuation, refills
@@ -105,9 +112,8 @@
 //! fold runs on.
 
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use relalgebra::physical::{reads_delta, PhysNode, PhysicalPlan};
 use relmodel::batch::{morsel_rows, ColumnBatch};
@@ -264,14 +270,17 @@ impl Meet {
     }
 
     fn finish(self) -> Option<Relation> {
-        let volatile = match (self.closed, self.run) {
-            (Some(c), Some(r)) => Some(c.union(&r)),
-            (c, r) => c.or(r),
-        };
-        match (self.stable, volatile) {
-            (Some(s), Some(v)) => Some(s.union(&v)),
-            (s, v) => v.or(s),
-        }
+        unite(self.stable, unite(self.closed, self.run))
+    }
+}
+
+/// The union of two optional answers, moving the smaller into the larger
+/// ([`Relation::into_union`]): a shard's stable answer takes in its few
+/// volatile rows without being copied.
+fn unite(a: Option<Relation>, b: Option<Relation>) -> Option<Relation> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.into_union(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -349,12 +358,7 @@ impl Shard<'_> {
     /// [`Combine::Union`] fold: the run's volatile intersection joins the
     /// shard's answer, and the next element starts a new run.
     pub fn close_run(&mut self) {
-        if let Some(run) = self.meet.run.take() {
-            self.meet.closed = Some(match self.meet.closed.take() {
-                None => run,
-                Some(c) => c.union(&run),
-            });
-        }
+        self.meet.closed = unite(self.meet.closed.take(), self.meet.run.take());
     }
 
     /// The row-materializing reference loop: admits, evaluates and
@@ -480,11 +484,10 @@ pub fn run<T: Send>(
         let Some(local) = shard.meet.finish() else {
             continue;
         };
-        folded.answers = Some(match folded.answers.take() {
-            None => local,
-            Some(a) if combine == Combine::Union => a.union(&local),
-            Some(a) => a.intersection(&local),
-        });
+        folded.answers = match folded.answers.take() {
+            Some(a) if combine == Combine::Intersect => Some(a.intersection(&local)),
+            a => unite(a, Some(local)),
+        };
     }
     Ok(folded)
 }
@@ -493,10 +496,10 @@ pub fn run<T: Send>(
 /// without allocating: a scan batch for each relation that can receive
 /// element rows, and the Δ rows of the constants the element introduces.
 pub struct Scratch {
-    scans: HashMap<String, Rc<ColumnBatch>>,
+    scans: HashMap<String, Arc<ColumnBatch>>,
     /// The stable scans' constants, when the plan reads Δ.
     base: Option<BTreeSet<Constant>>,
-    delta: Rc<ColumnBatch>,
+    delta: Arc<ColumnBatch>,
     extra: BTreeSet<Constant>,
 }
 
@@ -504,13 +507,13 @@ impl Scratch {
     /// Empties every scan batch, for the next element.
     fn clear(&mut self) {
         for batch in self.scans.values_mut() {
-            Rc::make_mut(batch).clear();
+            Arc::make_mut(batch).clear();
         }
     }
 
     /// The scan batch of relation `name`.
     fn scan(&mut self, name: &str) -> &mut ColumnBatch {
-        Rc::make_mut(
+        Arc::make_mut(
             self.scans
                 .get_mut(name)
                 .expect("scratch exists for every relation an element fills"),
@@ -532,7 +535,7 @@ impl Scratch {
         if self.extra.is_empty() && self.delta.is_empty() {
             return;
         }
-        let delta = Rc::make_mut(&mut self.delta);
+        let delta = Arc::make_mut(&mut self.delta);
         delta.clear();
         for c in &self.extra {
             delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
@@ -561,14 +564,16 @@ fn constants(batch: &ColumnBatch) -> impl Iterator<Item = &Constant> {
 }
 
 /// A worker's split executor over `plan`, and its scratch. `scans` lists
-/// each relation's element-invariant rows and whether the relation is
-/// static; every relation that is not gets a scratch batch of its arity.
+/// each relation's element-invariant rows, shared with every other worker
+/// of the fold (and with later folds over the same input), and whether the
+/// relation is static; every relation that is not gets a scratch batch of
+/// its arity.
 /// When the plan reads Δ, the stable scans' constants are Δ's stable rows
 /// and each element adds the other constants of its rows; Δ is static iff
 /// every relation is.
 pub fn shard_exec<'p>(
     plan: &'p PhysicalPlan,
-    scans: impl IntoIterator<Item = (String, ColumnBatch, bool)>,
+    scans: impl IntoIterator<Item = (String, Arc<ColumnBatch>, bool)>,
 ) -> (ShardExec<'p>, Scratch) {
     let scans: Vec<_> = scans.into_iter().collect();
     let base = reads_delta(plan.root()).then(|| {
@@ -579,13 +584,13 @@ pub fn shard_exec<'p>(
     let volatile = scans
         .iter()
         .filter(|(_, _, is_static)| !is_static)
-        .map(|(name, batch, _)| (name.clone(), Rc::new(ColumnBatch::new(batch.arity()))))
+        .map(|(name, batch, _)| (name.clone(), Arc::new(ColumnBatch::new(batch.arity()))))
         .collect();
     let setup = ShardSetup::new(scans, base.as_ref().map(|base| (base, all_static)));
     let scratch = Scratch {
         scans: volatile,
         base,
-        delta: Rc::new(ColumnBatch::new(2)),
+        delta: Arc::new(ColumnBatch::new(2)),
         extra: BTreeSet::new(),
     };
     (ShardExec::new(plan, morsel_rows(), setup), scratch)
@@ -593,16 +598,18 @@ pub fn shard_exec<'p>(
 
 /// One component of a factorized fold (see the [module docs](self)): the
 /// vertices and nulls its elements choose together, and the rows over
-/// those nulls that each of its elements holds.
-#[derive(Debug, Default)]
-pub struct Component<'d> {
+/// those nulls that each of its elements holds. A component holds indexes
+/// only, so a grouping can be kept next to the vertices and rows it
+/// indexes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Component {
     /// Vertex indexes, ascending and closed under adjacency.
     pub vertices: Vec<usize>,
     /// The component's nulls, ascending.
     pub nulls: Vec<NullId>,
-    /// The null-bearing rows every element of the component holds, each a
-    /// relation name and a tuple.
-    pub rows: Vec<(&'d str, &'d Tuple)>,
+    /// The null-bearing rows every element of the component holds, as
+    /// ascending indexes into the rows it was grouped over ([`group`]).
+    pub rows: Vec<usize>,
 }
 
 /// The components of a fold's choices: one union-find over the vertices
@@ -611,12 +618,11 @@ pub struct Component<'d> {
 /// of its `neighbors` and each of its nulls, and the nulls of one row.
 /// Components are numbered by their least element; every row of `rows`
 /// must carry a null, and joins the component of its nulls.
-pub fn group<'d>(
-    vertices: &'d [(String, Tuple)],
-    neighbors: impl Fn(usize) -> &'d [usize],
-    rows: &[(&'d str, &'d Tuple)],
-) -> Vec<Component<'d>> {
-    let nulls_of = |t: &'d Tuple| t.values().iter().filter_map(Value::as_null);
+pub fn group<'v>(
+    vertices: &'v [(String, Tuple)],
+    neighbors: impl Fn(usize) -> &'v [usize],
+    rows: &[(&str, &Tuple)],
+) -> Vec<Component> {
     let mut nulls: Vec<NullId> = vertices
         .iter()
         .map(|(_, t)| t)
@@ -653,7 +659,7 @@ pub fn group<'d>(
             union(first, null_element(n));
         }
     }
-    let mut components: Vec<Component<'d>> = Vec::new();
+    let mut components: Vec<Component> = Vec::new();
     let mut number = vec![usize::MAX; parent.len()];
     for element in 0..parent.len() {
         let r = root(&mut parent, element);
@@ -667,12 +673,17 @@ pub fn group<'d>(
             Some(i) => component.nulls.push(nulls[i]),
         }
     }
-    for &(name, tuple) in rows {
+    for (i, (_, tuple)) in rows.iter().enumerate() {
         let first = nulls_of(tuple).next().expect("a null-bearing row");
         let r = root(&mut parent, null_element(first));
-        components[number[r]].rows.push((name, tuple));
+        components[number[r]].rows.push(i);
     }
     components
+}
+
+/// The nulls of a tuple, in column order.
+fn nulls_of(t: &Tuple) -> impl Iterator<Item = NullId> + '_ {
+    t.values().iter().filter_map(Value::as_null)
 }
 
 /// The local choices of one component's vertices: its local repairs in a
@@ -708,24 +719,45 @@ impl Choices for NoChoice {
     }
 }
 
-/// `Σ_K |choices_K| · |dom|^{|N_K|}` over `components`, for a domain of
-/// `domain_len` constants: exact up to `cap`, and past it some count above
-/// `cap` (counting stops once the sum passes it).
+/// `Σ_K Σ_{M_K} |dom|^{|N(M_K ∪ C_K)|}` over `components`, for a domain of
+/// `domain_len` constants: per local choice, the valuations of the nulls
+/// its rows and the component's rows carry. Exact up to `cap`, and past it
+/// some count above `cap` (counting stops once the sum passes it).
 pub fn element_count(
-    components: &[Component<'_>],
+    components: &[Component],
+    rows: &[(&str, &Tuple)],
     domain_len: usize,
     choices: &mut impl Choices,
     cap: u128,
 ) -> u128 {
     let mut elements = 0u128;
+    let mut nulls = Vec::new();
     for component in components {
-        let valuations = valuation_space_size(component.nulls.len(), domain_len);
         choices.start(&component.vertices, 0, 0);
         while elements <= cap && choices.advance() {
+            element_nulls(component, rows, choices.rows(), &mut nulls);
+            let valuations = valuation_space_size(nulls.len(), domain_len);
             elements = elements.saturating_add(valuations);
         }
     }
     elements
+}
+
+/// Collects into `out`, ascending and once each, the nulls of a local
+/// choice's rows and of `component`'s rows (indexes into `rows`): the nulls
+/// an element of that choice values. A null of the component that neither
+/// carries leaves the element's rows unchanged, so it is not valued.
+fn element_nulls<'r>(
+    component: &Component,
+    rows: &[(&'r str, &'r Tuple)],
+    choice: impl Iterator<Item = (&'r str, &'r Tuple)>,
+    out: &mut Vec<NullId>,
+) {
+    out.clear();
+    let own = component.rows.iter().map(|&i| rows[i]);
+    out.extend(choice.chain(own).flat_map(|(_, t)| nulls_of(t)));
+    out.sort_unstable();
+    out.dedup();
 }
 
 /// One part of a component's elements (see [`parts`]).
@@ -792,7 +824,9 @@ pub enum Side<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct ComponentFold<'a, 'd> {
     /// The components, in fold order.
-    pub components: &'a [Component<'d>],
+    pub components: &'a [Component],
+    /// The null-bearing rows the components index.
+    pub rows: &'a [(&'d str, &'d Tuple)],
     /// The one valuation domain every component's nulls range over.
     pub domain: &'a [Constant],
     /// Under OWA, the complete tuples an element may add, and at most how
@@ -806,11 +840,17 @@ pub struct ComponentFold<'a, 'd> {
 }
 
 impl<'a, 'd> ComponentFold<'a, 'd> {
-    /// A fold of `components` over `domain` on `workers` workers, without
-    /// extensions.
-    pub fn new(components: &'a [Component<'d>], domain: &'a [Constant], workers: usize) -> Self {
+    /// A fold of `components`, grouped over `rows`, valued over `domain`
+    /// on `workers` workers, without extensions.
+    pub fn new(
+        components: &'a [Component],
+        rows: &'a [(&'d str, &'d Tuple)],
+        domain: &'a [Constant],
+        workers: usize,
+    ) -> Self {
         ComponentFold {
             components,
+            rows,
             domain,
             extensions: (&[], 0),
             workers,
@@ -860,21 +900,24 @@ impl<'a, 'd> ComponentFold<'a, 'd> {
         let (mut exec, mut scratch) = exec();
         let (Side::Certain(node) | Side::Possible(node, _)) = side;
         let (extensions, max_extra) = self.extensions;
+        let mut valuations = ValuationEnumerator::new([], self.domain.to_vec());
+        let mut nulls = Vec::new();
         'parts: for (component, part) in mine {
-            let nulls = component.nulls.iter().copied();
-            let mut valuations = ValuationEnumerator::new(nulls, self.domain.to_vec());
             choices.start(&component.vertices, part.prefix, part.prefix_len);
             'run: while choices.advance() {
-                valuations.rewind(part.valuations.0, part.valuations.1);
+                // A part of a component without vertices is a range of its
+                // one choice's valuations; a prefix part takes them all.
+                element_nulls(component, self.rows, choices.rows(), &mut nulls);
+                let (start, end) = part.valuations;
+                valuations.reset(nulls.iter().copied(), start, end);
                 for v in &mut valuations {
                     for subset in BoundedSubsetIter::new(extensions.len(), max_extra) {
                         if !shard.admit() {
                             break 'parts;
                         }
                         scratch.clear();
-                        for (relation, tuple) in
-                            choices.rows().chain(component.rows.iter().copied())
-                        {
+                        let own = component.rows.iter().map(|&i| self.rows[i]);
+                        for (relation, tuple) in choices.rows().chain(own) {
                             let row = tuple.values().iter().map(|x| v.apply_value(x));
                             scratch.scan(relation).push_row(row);
                         }
@@ -976,8 +1019,8 @@ mod tests {
 
     fn split(stable: &[i64], volatile: &[i64]) -> Split {
         Split {
-            stable: Rc::new(ColumnBatch::from_relation(&rel(stable))),
-            volatile: Rc::new(ColumnBatch::from_relation(&rel(volatile))),
+            stable: Arc::new(ColumnBatch::from_relation(&rel(stable))),
+            volatile: Arc::new(ColumnBatch::from_relation(&rel(volatile))),
         }
     }
 
@@ -1036,14 +1079,14 @@ mod tests {
         assert_eq!(fold(Combine::Union).answers, Some(rel(&[1, 2, 3])));
     }
 
-    /// The shape of a grouping: each component's vertices, nulls and the
-    /// relations of its rows.
-    fn shapes(components: &[Component<'_>]) -> Vec<String> {
+    /// The shape of a grouping over `rows`: each component's vertices,
+    /// nulls and the relations of its rows.
+    fn shapes(components: &[Component], rows: &[(&str, &Tuple)]) -> Vec<String> {
         components
             .iter()
             .map(|k| {
                 let nulls: Vec<u64> = k.nulls.iter().map(|n| n.0).collect();
-                let rows: String = k.rows.iter().map(|(name, _)| *name).collect();
+                let rows: String = k.rows.iter().map(|&i| rows[i].0).collect();
                 format!("{:?} {nulls:?} {rows}", k.vertices)
             })
             .collect()
@@ -1110,7 +1153,8 @@ mod tests {
             }
             let rows: Vec<(&str, &Tuple)> = grouping.rows.iter().map(|(r, t)| (*r, t)).collect();
             let components = group(&grouping.vertices, |v| &adjacency[v], &rows);
-            assert_eq!(shapes(&components), grouping.expected, "{}", grouping.case);
+            let shape = shapes(&components, &rows);
+            assert_eq!(shape, grouping.expected, "{}", grouping.case);
         }
     }
 
@@ -1129,15 +1173,15 @@ mod tests {
         let components = group(&[], |_| &[], &rows);
         let domain = [Constant::Int(1), Constant::Int(2)];
         assert_eq!(
-            element_count(&components, 2, &mut NoChoice::default(), u128::MAX),
+            element_count(&components, &rows, 2, &mut NoChoice::default(), u128::MAX),
             4
         );
         for workers in [1, 2, 3, 4] {
-            let fold = ComponentFold::new(&components, &domain, workers);
+            let fold = ComponentFold::new(&components, &rows, &domain, workers);
             let folded = run(workers, 100, Combine::Union, |worker, shard| {
                 let side = Side::Certain(plan.root());
                 fold.run_shard(worker, shard, side, NoChoice::default(), || {
-                    let ground = ColumnBatch::from_relation(&rel(&[5]));
+                    let ground = Arc::new(ColumnBatch::from_relation(&rel(&[5])));
                     shard_exec(&plan, [("R".to_string(), ground, false)])
                 })
             })
@@ -1168,26 +1212,27 @@ mod tests {
             Tuple::new(vec![Value::null(0)]),
             Tuple::new(vec![Value::null(1)]),
         ];
+        let rows: Vec<(&str, &Tuple)> = tuples.iter().map(|t| ("R", t)).collect();
         let product = [Component {
             vertices: Vec::new(),
             nulls: vec![NullId(0), NullId(1)],
-            rows: tuples.iter().map(|t| ("R", t)).collect(),
+            rows: vec![0, 1],
         }];
         let domain = [Constant::Int(1), Constant::Int(2), Constant::Int(3)];
-        let elements = element_count(&product, 3, &mut NoChoice::default(), u128::MAX);
+        let elements = element_count(&product, &rows, 3, &mut NoChoice::default(), u128::MAX);
         assert_eq!(elements, 9);
         let fold_with = |fold: ComponentFold<'_, '_>| {
             run(fold.workers, 100, Combine::Intersect, |worker, shard| {
                 let side = Side::Certain(plan.root());
                 fold.run_shard(worker, shard, side, NoChoice::default(), || {
-                    let ground = ColumnBatch::from_relation(&rel(&[5]));
+                    let ground = Arc::new(ColumnBatch::from_relation(&rel(&[5])));
                     shard_exec(&plan, [("R".to_string(), ground, false)])
                 })
             })
             .unwrap()
         };
         for workers in [1, 2, 3, 4] {
-            let folded = fold_with(ComponentFold::new(&product, &domain, workers));
+            let folded = fold_with(ComponentFold::new(&product, &rows, &domain, workers));
             assert_eq!(folded.answers, Some(rel(&[5, 9])), "{workers} workers");
             assert_eq!(folded.visited, elements, "{workers} workers");
             assert!(!folded.early_exit);
@@ -1198,7 +1243,7 @@ mod tests {
         }
         let first = fold_with(ComponentFold {
             first_only: true,
-            ..ComponentFold::new(&product, &domain, 1)
+            ..ComponentFold::new(&product, &rows, &domain, 1)
         });
         assert_eq!(first.visited, 1, "the first element alone");
         // The first valuation values both nulls to 1.

@@ -96,6 +96,7 @@
 //! the workers.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use relalgebra::ast::RaExpr;
 use relalgebra::physical::{fold_shape, FoldShape, PhysicalPlan};
@@ -275,10 +276,11 @@ pub struct WorldExecution {
     pub shards: Vec<ShardProfile>,
 }
 
-/// Each relation's complete rows, as a worker's stable scans: static
-/// unless the relation can receive rows per world (null-bearing rows, or
-/// OWA extension tuples when `max_extra > 0`).
-fn ground_scans(db: &Database, max_extra: usize) -> Vec<(String, ColumnBatch, bool)> {
+/// Each relation's complete rows, as the stable scans every worker (and
+/// every fold of a difference's sides) shares: static unless the relation
+/// can receive rows per world (null-bearing rows, or OWA extension tuples
+/// when `max_extra > 0`).
+fn ground_scans(db: &Database, max_extra: usize) -> Vec<(String, Arc<ColumnBatch>, bool)> {
     db.schema()
         .iter()
         .map(|rs| {
@@ -289,7 +291,7 @@ fn ground_scans(db: &Database, max_extra: usize) -> Vec<(String, ColumnBatch, bo
             } else {
                 ColumnBatch::from_rows(rel.arity(), rel.iter().filter(|t| t.is_complete()))
             };
-            (rs.name.clone(), batch, complete && max_extra == 0)
+            (rs.name.clone(), Arc::new(batch), complete && max_extra == 0)
         })
         .collect()
 }
@@ -305,7 +307,9 @@ struct ShardJob<'a> {
     semantics: Semantics,
     max_extra: usize,
     /// The stable scans (empty on the row fold, which does not read them).
-    scans: &'a [(String, ColumnBatch, bool)],
+    scans: &'a [(String, Arc<ColumnBatch>, bool)],
+    /// The null-bearing rows the components index (empty on the row fold).
+    rows: &'a [(&'a str, &'a Tuple)],
     workers: usize,
 }
 
@@ -339,7 +343,7 @@ fn run_shard_rows(job: ShardJob<'_>, worker: usize, shard: &mut Shard<'_>) {
 /// one worker.
 fn fold_product(
     job: ShardJob<'_>,
-    product: &Component<'_>,
+    product: &Component,
     first_only: bool,
     budget: u128,
 ) -> Result<Folded<()>, FoldError> {
@@ -355,7 +359,7 @@ fn fold_product(
     let product = ComponentFold {
         extensions: (&extensions, job.max_extra),
         first_only,
-        ..ComponentFold::new(components, job.domain, workers)
+        ..ComponentFold::new(components, job.rows, job.domain, workers)
     };
     fold::run(workers, budget, Combine::Intersect, |worker, shard| {
         let exec = || fold::shard_exec(job.plan, job.scans.iter().cloned());
@@ -367,9 +371,9 @@ fn fold_product(
 /// The factorized fold, when the decision rule (see the
 /// [module docs](self)) takes it: the plan's shape, the null components,
 /// and the number of elements the fold may visit.
-struct Factorized<'p, 'd> {
+struct Factorized<'p> {
     shape: FoldShape<'p>,
-    components: Vec<Component<'d>>,
+    components: Vec<Component>,
     elements: u128,
 }
 
@@ -377,14 +381,14 @@ struct Factorized<'p, 'd> {
 /// components of the null-bearing `rows`, given the product fold's
 /// `product` worlds. The plan's shape is checked first, so a product-shaped
 /// plan groups nothing.
-fn factorize<'p, 'd>(
+fn factorize<'p>(
     plan: &'p PhysicalPlan,
-    rows: &[(&'d str, &'d Tuple)],
+    rows: &[(&str, &Tuple)],
     domain_len: usize,
     max_extra: usize,
     product: u128,
     opts: &WorldOptions,
-) -> Option<Factorized<'p, 'd>> {
+) -> Option<Factorized<'p>> {
     if max_extra > 0 {
         return None;
     }
@@ -394,8 +398,13 @@ fn factorize<'p, 'd>(
         return None;
     }
     let components = fold::group(&[], |_| &[], rows);
-    let per_side =
-        fold::element_count(&components, domain_len, &mut NoChoice::default(), u128::MAX);
+    let per_side = fold::element_count(
+        &components,
+        rows,
+        domain_len,
+        &mut NoChoice::default(),
+        u128::MAX,
+    );
     // A side that reads no volatile relation is one element.
     let side = |volatile: bool| if volatile { per_side } else { 1 };
     let elements = match shape {
@@ -418,8 +427,8 @@ fn factorize<'p, 'd>(
 /// holding no component's rows: its answer is the same in every world.
 fn fold_factorized(
     job: ShardJob<'_>,
-    factorized: &Factorized<'_, '_>,
-    product: &Component<'_>,
+    factorized: &Factorized<'_>,
+    product: &Component,
     budget: u128,
 ) -> Result<Folded<()>, FoldError> {
     let ground = [Component::default()];
@@ -430,7 +439,7 @@ fn fold_factorized(
         } else {
             &ground
         };
-        let components = ComponentFold::new(components, job.domain, job.workers);
+        let components = ComponentFold::new(components, job.rows, job.domain, job.workers);
         fold::run(job.workers, budget, combine, |worker, shard| {
             let exec = || fold::shard_exec(job.plan, job.scans.iter().cloned());
             components.run_shard(worker, shard, side, NoChoice::default(), exec)
@@ -545,7 +554,7 @@ fn stream_certain_answer_inner(
     let product = Component {
         vertices: Vec::new(),
         nulls,
-        rows,
+        rows: (0..rows.len()).collect(),
     };
     let job = ShardJob {
         plan: physical,
@@ -554,6 +563,7 @@ fn stream_certain_answer_inner(
         semantics,
         max_extra,
         scans: &scans,
+        rows: &rows,
         workers: fold::workers(opts.threads, factorized.is_none().then_some(valuations)),
     };
     let folded = match &factorized {

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::relation::Relation;
@@ -20,17 +19,17 @@ use crate::value::{Constant, NullId, Value};
 ///   ([`Database::is_codd`]) — this models SQL's unmarked `NULL`;
 /// * a **complete database** has no nulls at all ([`Database::is_complete`]).
 ///
-/// Relations are held behind [`Arc`]s, so the database is a persistent
-/// structure: `clone` copies one pointer per relation, and every mutator
-/// ([`Database::insert`], [`Database::relation_mut`],
-/// [`Database::set_relation`]) copies on write, so a clone that inserts into
-/// `R` copies `R` alone and keeps sharing every other relation with the
-/// original. [`Database::shares_relation`] observes that sharing.
+/// Relations copy on write ([`Relation`]), so the database is a persistent
+/// structure: `clone` copies one pointer per relation, and a clone that
+/// inserts into `R` (through [`Database::insert`] or
+/// [`Database::relation_mut`]) copies `R` alone and keeps sharing every
+/// other relation with the original; [`Database::set_relation`] replaces
+/// one. [`Database::shares_relation`] observes that sharing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Database {
     schema: Schema,
-    relations: BTreeMap<String, Arc<Relation>>,
+    relations: BTreeMap<String, Relation>,
 }
 
 impl Database {
@@ -38,7 +37,7 @@ impl Database {
     pub fn new(schema: Schema) -> Self {
         let relations = schema
             .iter()
-            .map(|rs| (rs.name.clone(), Arc::new(Relation::new(rs.arity()))))
+            .map(|rs| (rs.name.clone(), Relation::new(rs.arity())))
             .collect();
         Database { schema, relations }
     }
@@ -50,7 +49,7 @@ impl Database {
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name).map(|r| &**r)
+        self.relations.get(name)
     }
 
     /// Does the named relation of `self` share its storage with the same
@@ -59,7 +58,7 @@ impl Database {
     /// not be. `false` when either side lacks the relation.
     pub fn shares_relation(&self, other: &Database, name: &str) -> bool {
         match (self.relations.get(name), other.relations.get(name)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Some(a), Some(b)) => a.shares_tuples(b),
             _ => false,
         }
     }
@@ -70,15 +69,15 @@ impl Database {
             .ok_or_else(|| ModelError::UnknownRelation(name.to_owned()))
     }
 
-    /// Mutable access to a relation by name. Copies the relation first when
-    /// it is shared with a clone of this database.
+    /// Mutable access to a relation by name. A write through it copies the
+    /// relation first when it is shared with a clone of this database.
     pub fn relation_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        self.relations.get_mut(name).map(Arc::make_mut)
+        self.relations.get_mut(name)
     }
 
     /// Iterates over `(name, relation)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), &**r))
+        self.relations.iter().map(|(n, r)| (n.as_str(), r))
     }
 
     /// Inserts a tuple into the named relation, checking arity. Copies the
@@ -97,13 +96,7 @@ impl Database {
             .relations
             .get_mut(relation)
             .expect("schema relation always has an instance");
-        if let Some(owned) = Arc::get_mut(rel) {
-            return Ok(owned.insert(tuple));
-        }
-        if rel.contains(&tuple) {
-            return Ok(false);
-        }
-        Ok(Arc::make_mut(rel).insert(tuple))
+        Ok(rel.insert(tuple))
     }
 
     /// Inserts many tuples into the named relation.
@@ -133,7 +126,7 @@ impl Database {
         } else {
             relation
         };
-        self.relations.insert(name.to_owned(), Arc::new(fixed));
+        self.relations.insert(name.to_owned(), fixed);
         Ok(())
     }
 
@@ -212,7 +205,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), Arc::new(r.complete_part())))
+                .map(|(n, r)| (n.clone(), r.complete_part()))
                 .collect(),
         }
     }
@@ -237,7 +230,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), Arc::new(r.apply(v))))
+                .map(|(n, r)| (n.clone(), r.apply(v)))
                 .collect(),
         }
     }
@@ -250,7 +243,7 @@ impl Database {
             relations: self
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), Arc::new(r.map_nulls(f))))
+                .map(|(n, r)| (n.clone(), r.map_nulls(f)))
                 .collect(),
         }
     }

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
@@ -11,19 +12,30 @@ use crate::value::{Constant, NullId, Value};
 ///
 /// Set semantics is used throughout (the paper works with sets); tuples are
 /// stored in a `BTreeSet` to get deterministic iteration order.
+///
+/// The tuple set sits behind an [`Arc`] and is copied on write: `clone` is
+/// O(1) and shares the set, and [`Relation::insert`]/[`Relation::remove`]
+/// copy it only when it is shared and the call changes it. A cached answer
+/// handed out to many readers, or a database snapshot and its successor,
+/// therefore share their tuples until one of them writes.
+/// [`Relation::shares_tuples`] observes that sharing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
+    tuples: Arc<BTreeSet<Tuple>>,
 }
 
 impl Relation {
     /// Creates an empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
+        Relation::of_set(arity, BTreeSet::new())
+    }
+
+    fn of_set(arity: usize, tuples: BTreeSet<Tuple>) -> Self {
         Relation {
             arity,
-            tuples: BTreeSet::new(),
+            tuples: Arc::new(tuples),
         }
     }
 
@@ -64,7 +76,7 @@ impl Relation {
                 }
             })
             .collect();
-        Relation { arity, tuples }
+        Relation::of_set(arity, tuples)
     }
 
     /// The arity of the relation.
@@ -84,18 +96,33 @@ impl Relation {
 
     /// Inserts a tuple. Returns `true` if it was not already present.
     /// Panics on arity mismatch (checked insertion happens at database level).
+    /// Copies the tuple set first when it is shared and the tuple is new.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
         assert_eq!(
             tuple.arity(),
             self.arity,
             "arity mismatch inserting {tuple}"
         );
-        self.tuples.insert(tuple)
+        if Arc::get_mut(&mut self.tuples).is_none() && self.tuples.contains(&tuple) {
+            return false;
+        }
+        Arc::make_mut(&mut self.tuples).insert(tuple)
     }
 
-    /// Removes a tuple; returns whether it was present.
+    /// Removes a tuple; returns whether it was present. Copies the tuple set
+    /// first when it is shared and holds the tuple.
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        self.tuples.remove(tuple)
+        if Arc::get_mut(&mut self.tuples).is_none() && !self.tuples.contains(tuple) {
+            return false;
+        }
+        Arc::make_mut(&mut self.tuples).remove(tuple)
+    }
+
+    /// Does this relation share its tuple set with `other` (one is a clone
+    /// of the other that neither side wrote to since)? Shared relations are
+    /// equal; unshared ones may or may not be.
+    pub fn shares_tuples(&self, other: &Relation) -> bool {
+        Arc::ptr_eq(&self.tuples, &other.tuples)
     }
 
     /// Does the relation contain this tuple?
@@ -134,32 +161,20 @@ impl Relation {
     /// of a naïvely evaluated answer yields the classical certain answers for
     /// queries where naïve evaluation works.
     pub fn complete_part(&self) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self
-                .tuples
-                .iter()
-                .filter(|t| t.is_complete())
-                .cloned()
-                .collect(),
-        }
+        let tuples = self.tuples.iter().filter(|t| t.is_complete());
+        Relation::of_set(self.arity, tuples.cloned().collect())
     }
 
     /// Applies a valuation to every tuple. Note that distinct tuples may be
     /// merged (set semantics).
     pub fn apply(&self, v: &Valuation) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.iter().map(|t| t.apply(v)).collect(),
-        }
+        Relation::of_set(self.arity, self.tuples.iter().map(|t| t.apply(v)).collect())
     }
 
     /// Applies an arbitrary value-level mapping to nulls (e.g. a homomorphism).
     pub fn map_nulls(&self, f: &mut impl FnMut(NullId) -> Value) -> Relation {
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.iter().map(|t| t.map_nulls(f)).collect(),
-        }
+        let tuples = self.tuples.iter().map(|t| t.map_nulls(f));
+        Relation::of_set(self.arity, tuples.collect())
     }
 
     /// Set union with another relation of the same arity.
@@ -168,10 +183,36 @@ impl Relation {
             self.arity, other.arity,
             "union of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.union(&other.tuples).cloned().collect(),
+        Relation::of_set(
+            self.arity,
+            self.tuples.union(&other.tuples).cloned().collect(),
+        )
+    }
+
+    /// Set union that consumes both operands: the smaller set's tuples move
+    /// into the larger set, which is copied only when it is shared. Equal
+    /// to [`Relation::union`], without copying the larger operand when this
+    /// is its only handle — the shape of a fold's merges, where a large
+    /// stable answer takes in a few volatile rows.
+    pub fn into_union(self, other: Relation) -> Relation {
+        assert_eq!(
+            self.arity, other.arity,
+            "union of relations with different arities"
+        );
+        let (mut large, small) = if self.len() >= other.len() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        if small.is_empty() || large.shares_tuples(&small) {
+            return large;
         }
+        let into = Arc::make_mut(&mut large.tuples);
+        match Arc::try_unwrap(small.tuples) {
+            Ok(owned) => into.extend(owned),
+            Err(shared) => into.extend(shared.iter().cloned()),
+        }
+        large
     }
 
     /// Set difference with another relation of the same arity.
@@ -180,10 +221,10 @@ impl Relation {
             self.arity, other.arity,
             "difference of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.difference(&other.tuples).cloned().collect(),
-        }
+        Relation::of_set(
+            self.arity,
+            self.tuples.difference(&other.tuples).cloned().collect(),
+        )
     }
 
     /// Set intersection with another relation of the same arity.
@@ -192,10 +233,10 @@ impl Relation {
             self.arity, other.arity,
             "intersection of relations with different arities"
         );
-        Relation {
-            arity: self.arity,
-            tuples: self.tuples.intersection(&other.tuples).cloned().collect(),
-        }
+        Relation::of_set(
+            self.arity,
+            self.tuples.intersection(&other.tuples).cloned().collect(),
+        )
     }
 
     /// Is this relation a subset of the other?

@@ -175,9 +175,20 @@ impl ValuationEnumerator {
         self.remaining
     }
 
+    /// Starts over on the sub-range `[start, end)` of the valuations of
+    /// `nulls`, as [`ValuationEnumerator::with_range`] would, reusing the
+    /// domain.
+    pub fn reset(&mut self, nulls: impl IntoIterator<Item = NullId>, start: u128, end: u128) {
+        self.nulls.clear();
+        self.nulls.extend(nulls);
+        self.nulls.sort_unstable();
+        self.nulls.dedup();
+        self.rewind(start, end);
+    }
+
     /// Starts over on the sub-range `[start, end)` of the full space, as
     /// [`ValuationEnumerator::with_range`] would, reusing the domain.
-    pub fn rewind(&mut self, start: u128, end: u128) {
+    fn rewind(&mut self, start: u128, end: u128) {
         let end = end.min(self.count_total());
         if start >= end {
             self.counter = None;

@@ -15,9 +15,19 @@
 //! doomed side is always deleted), so they are not recorded — keeping them
 //! would make otherwise-clean tuples look conflicted and shrink the core
 //! for no reason.
+//!
+//! A graph built from a database ([`ConflictGraph::build`]) also derives,
+//! on first use, that database's core in the shape the consistent-answer
+//! fold reads it (column batches of the complete core rows, the
+//! null-bearing core tuples, and the joint components), and keeps it, so
+//! every fold over the same snapshot shares one copy
+//! ([`ConflictGraph::core_builds`] counts the derivations).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
+use releval::fold::{self, Component};
 use relmodel::batch::ColumnBatch;
 use relmodel::constraint::{violations_of, Violation};
 use relmodel::{Database, Tuple};
@@ -26,7 +36,10 @@ use relmodel::{Database, Tuple};
 pub type Fact = (String, Tuple);
 
 /// The conflict hypergraph of a database against its schema's constraints.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two graphs are equal when their conflicts are: the derived core they
+/// cache is not compared.
+#[derive(Debug, Clone, Default)]
 pub struct ConflictGraph {
     /// Tuples violating a unary denial constraint: in no repair.
     doomed: BTreeSet<Fact>,
@@ -39,6 +52,69 @@ pub struct ConflictGraph {
     edges: usize,
     /// Violations found (witness list, for reporting).
     violations: usize,
+    /// The conflict-free core of the database the graph was built from,
+    /// derived on first use.
+    core: CoreCache,
+}
+
+impl PartialEq for ConflictGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.doomed == other.doomed
+            && self.vertices == other.vertices
+            && self.adjacency == other.adjacency
+            && self.edges == other.edges
+            && self.violations == other.violations
+    }
+}
+
+impl Eq for ConflictGraph {}
+
+/// The conflict-free core as the split executor reads it.
+#[derive(Debug, Clone)]
+pub(crate) struct Core {
+    /// The complete core rows, one column batch per relation of the
+    /// schema, in schema order; workers share them.
+    pub(crate) batches: Vec<(String, Arc<ColumnBatch>)>,
+    /// The null-bearing core tuples: every tuple with a null that is
+    /// neither a conflict vertex nor doomed.
+    pub(crate) null_rows: Vec<Fact>,
+    /// The joint components ([`fold::group`]) of the conflict vertices and
+    /// edges with the null-bearing core tuples, whose rows index
+    /// [`Core::null_rows`].
+    pub(crate) components: Vec<Component>,
+    /// The relations holding a conflict vertex or a null-bearing core
+    /// tuple.
+    pub(crate) volatile: BTreeSet<String>,
+    /// Does the database hold no null at all, outside the core included?
+    pub(crate) complete: bool,
+}
+
+/// A graph's derived core, and a fingerprint of the database it must come
+/// from.
+#[derive(Debug, Default)]
+struct CoreCache {
+    /// Each relation's length in the database the graph was built from, in
+    /// name order; `None` for a graph built from a violation list.
+    source: Option<Vec<usize>>,
+    core: OnceLock<Core>,
+    /// How many times `core` was derived (0 or 1).
+    builds: AtomicUsize,
+}
+
+impl Clone for CoreCache {
+    fn clone(&self) -> Self {
+        CoreCache {
+            source: self.source.clone(),
+            core: self.core.clone(),
+            builds: AtomicUsize::new(self.builds.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Each relation's length, in name order: a cheap fingerprint of a
+/// database.
+fn lengths(db: &Database) -> Vec<usize> {
+    db.iter().map(|(_, rel)| rel.len()).collect()
 }
 
 impl ConflictGraph {
@@ -51,7 +127,9 @@ impl ConflictGraph {
             .iter()
             .flat_map(|c| violations_of(c, db))
             .collect();
-        Self::from_violations(&all)
+        let mut graph = Self::from_violations(&all);
+        graph.core.source = Some(lengths(db));
+        graph
     }
 
     /// Builds the hypergraph from an explicit violation list.
@@ -99,6 +177,7 @@ impl ConflictGraph {
             adjacency,
             edges: edge_set.len(),
             violations: violations.len(),
+            core: CoreCache::default(),
         }
     }
 
@@ -194,16 +273,44 @@ impl ConflictGraph {
         excluded
     }
 
-    /// The complete rows of the conflict-free core as one column batch per
-    /// relation of `db`'s schema, in schema order — [`ConflictGraph::core`]
-    /// without building a `Database`, and without the null-bearing core
-    /// tuples, which [`ConflictGraph::null_core`] lists. One pass over each
-    /// relation skips its conflict vertices, doomed tuples and tuples with
-    /// nulls; complete relations with no vertex or doomed tuple are
-    /// transposed whole.
-    pub(crate) fn core_batches(&self, db: &Database) -> Vec<(String, ColumnBatch)> {
+    /// The conflict-free core of `db` as the split executor reads it —
+    /// [`ConflictGraph::core`] without building a `Database`. `db` must be
+    /// the database the graph was built from (debug builds check each
+    /// relation's length against it). The first call derives the core,
+    /// every later one shares it.
+    ///
+    /// One pass over each relation sorts its core tuples into the complete
+    /// rows, transposed into one column batch per relation of the schema,
+    /// and the null-bearing tuples; conflict vertices and doomed tuples are
+    /// skipped, and a complete relation with neither is transposed whole.
+    /// The joint components are grouped here too: like the core, they do
+    /// not depend on the query.
+    pub(crate) fn core_split(&self, db: &Database) -> &Core {
+        debug_assert!(
+            self.core
+                .source
+                .as_ref()
+                .is_none_or(|source| *source == lengths(db)),
+            "a conflict graph is used with the database it was built from"
+        );
+        self.core.core.get_or_init(|| {
+            self.core.builds.fetch_add(1, Ordering::Relaxed);
+            self.derive_core(db)
+        })
+    }
+
+    /// How many times the graph derived the core of its database, which
+    /// the consistent-answer fold reads: 0 before the first fold (or
+    /// factorized count) over it, 1 ever after.
+    pub fn core_builds(&self) -> usize {
+        self.core.builds.load(Ordering::Relaxed)
+    }
+
+    fn derive_core(&self, db: &Database) -> Core {
         let excluded = self.excluded();
-        db.schema()
+        let mut null_rows = Vec::new();
+        let batches = db
+            .schema()
             .iter()
             .map(|rs| {
                 let rel = db.relation(&rs.name).expect("schema lists the relation");
@@ -211,29 +318,30 @@ impl ConflictGraph {
                 let batch = if skip.is_none() && rel.is_complete() {
                     ColumnBatch::from_relation(rel)
                 } else {
-                    ColumnBatch::from_rows(
-                        rel.arity(),
-                        rel.iter()
-                            .filter(|t| t.is_complete() && skip.is_none_or(|s| !s.contains(t))),
-                    )
+                    let mut batch = ColumnBatch::new(rel.arity());
+                    for t in rel.iter().filter(|t| skip.is_none_or(|s| !s.contains(t))) {
+                        if t.is_complete() {
+                            batch.push_tuple(t);
+                        } else {
+                            null_rows.push((rs.name.clone(), t.clone()));
+                        }
+                    }
+                    batch
                 };
-                (rs.name.clone(), batch)
+                (rs.name.clone(), Arc::new(batch))
             })
-            .collect()
-    }
-
-    /// The null-bearing tuples of the conflict-free core: every tuple with
-    /// a null that is neither a conflict vertex nor doomed.
-    pub(crate) fn null_core<'d>(&self, db: &'d Database) -> Vec<(&'d str, &'d Tuple)> {
-        let excluded = self.excluded();
-        db.iter()
-            .flat_map(|(name, rel)| {
-                let skip = excluded.get(name);
-                rel.iter()
-                    .filter(move |t| !t.is_complete() && skip.is_none_or(|s| !s.contains(t)))
-                    .map(move |t| (name, t))
-            })
-            .collect()
+            .collect();
+        let rows: Vec<(&str, &Tuple)> = null_rows.iter().map(|(r, t)| (r.as_str(), t)).collect();
+        let components = fold::group(&self.vertices, |v| &self.adjacency[v], &rows);
+        let volatile = self.vertices.iter().chain(&null_rows);
+        let volatile = volatile.map(|(relation, _)| relation.clone()).collect();
+        Core {
+            batches,
+            null_rows,
+            components,
+            volatile,
+            complete: db.is_complete(),
+        }
     }
 
     /// The repair upper bound: `db` minus doomed tuples. Every repair is a
@@ -382,11 +490,15 @@ mod tests {
             .build();
         let g = ConflictGraph::build(&db);
         let core = g.core(&db);
-        let batches = g.core_batches(&db);
-        assert_eq!(batches.len(), 2);
-        for (name, batch) in &batches {
+        let split = g.core_split(&db);
+        assert_eq!(split.batches.len(), 2);
+        assert!(split.null_rows.is_empty());
+        for (name, batch) in &split.batches {
             assert_eq!(&batch.to_relation(), core.relation(name).unwrap(), "{name}");
         }
+        assert_eq!(g.core_builds(), 1);
+        assert!(std::ptr::eq(split, g.core_split(&db)), "derived once");
+        assert_eq!(g.core_builds(), 1);
     }
 
     #[test]

@@ -8,9 +8,13 @@
 //! supplies the choice space, and takes one of two paths:
 //!
 //! * the **split executor**: the [component fold](releval::fold) over the
-//!   conflict-free core's complete rows, which are transposed into column
-//!   batches once per fold, in one pass that skips conflict vertices,
-//!   doomed tuples and null-bearing tuples. A linear plan folds one
+//!   conflict-free core's complete rows. The graph derives them from the
+//!   database once (`ConflictGraph::core_split`) — transposed into column
+//!   batches in one pass that skips conflict vertices, doomed tuples and
+//!   null-bearing tuples, next to the null-bearing core tuples and the
+//!   joint components — and every fold over the same graph, and every
+//!   worker of a fold, shares them; a service that caches one graph per
+//!   snapshot derives them once per snapshot. A linear plan folds one
 //!   **joint component** at a time — a local repair and a valuation of its
 //!   nulls per element — on a complete or a null-bearing database alike
 //!   (below), under [`Combine::Union`]. Any other plan over a complete
@@ -59,9 +63,11 @@
 //! vertex with each of its nulls. A joint component `J` has vertices `V_J`
 //! (a union of whole conflict components, so closed under adjacency),
 //! nulls `N_J`, and null-bearing core tuples `C_J`; an element is a local
-//! repair `M_J` of `V_J` with a valuation `v_J` of `N_J`, and `G` is the
-//! complete core. Every pair `(R, v)` is one choice `(M_J, v_J)` per
-//! component (nulls that only doomed tuples carry are in no repair), and
+//! repair `M_J` of `V_J` with a valuation `v_J` of the nulls
+//! `N(M_J ∪ C_J)` its tuples and the component's core tuples carry, and `G`
+//! is the complete core. Every pair `(R, v)` is one choice `(M_J, v_J)` per
+//! component (nulls that only doomed tuples carry are in no repair, and a
+//! null of `N_J` that `M_J ∪ C_J` lacks changes none of its rows), and
 //! `v(R) = G ∪ ⋃_J v_J(M_J ∪ C_J)`. This is why a vertex carrying `⊥` must
 //! join `⊥`'s component: when vertices of two conflict components share a
 //! null, the value one repair choice sees depends on the valuation the
@@ -76,10 +82,10 @@
 //! ```
 //!
 //! **When the fold factorizes.** It visits at most
-//! `Σ_J |LR(J)| · |dom|^{|N_J|}` elements, `LR(J)` being the local repairs
-//! of `V_J` (the maximal independent sets of the subgraph it spans). The
-//! fold takes this path iff the plan is linear (which rules out Δ), some
-//! relation is volatile, the domain is not empty, and that count —
+//! `Σ_J Σ_{M_J ∈ LR(J)} |dom|^{|N(M_J ∪ C_J)|}` elements, `LR(J)` being the
+//! local repairs of `V_J` (the maximal independent sets of the subgraph it
+//! spans). The fold takes this path iff the plan is linear (which rules out
+//! Δ), some relation is volatile, the domain is not empty, and that count —
 //! [`factorized_repair_count`], computed before the fold — is within
 //! [`RepairOptions::max_repairs`], so the factorized fold never hits the
 //! budget. Otherwise a complete database folds whole repairs as the one
@@ -96,8 +102,10 @@
 //! workers; otherwise one worker runs them all ([`fold::workers`]),
 //! because every worker rebuilds the core's stable subresults.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use relalgebra::classify::has_incomplete_values;
 use relalgebra::physical::linear_volatility;
@@ -112,7 +120,7 @@ use releval::EvalError;
 use relmodel::value::Constant;
 use relmodel::{Database, Relation, Semantics, Tuple};
 
-use crate::conflict::ConflictGraph;
+use crate::conflict::{ConflictGraph, Core};
 use crate::enumerate::{MaskIter, RepairIter};
 
 /// Options controlling repair enumeration and the per-repair evaluation.
@@ -212,9 +220,10 @@ pub struct RepairExecution {
     /// Elements actually evaluated across all workers. On a whole-repair
     /// fold these are repairs. When the fold factorized
     /// ([`RepairExecution::components`] is `Some`), they are the pairs of a
-    /// **local** repair and a valuation of its joint component's nulls, at
-    /// most `Σ_J |LR(J)| · |dom|^{|N_J|}`, not the whole repairs and worlds
-    /// they stand for.
+    /// **local** repair and a valuation of the nulls it and its joint
+    /// component's core tuples carry, at most
+    /// `Σ_J Σ_{M_J ∈ LR(J)} |dom|^{|N(M_J ∪ C_J)|}`, not the whole repairs
+    /// and worlds they stand for.
     pub repairs_visited: u128,
     /// Of the visited elements, how many went through the split executor —
     /// whole repairs as survival masks, or a factorized fold's elements —
@@ -296,43 +305,41 @@ fn repair_certain_answer(
 /// The split executor's choice space: the joint components of a linear
 /// plan (see the [module docs](self)), or the one component holding every
 /// conflict vertex of a complete database, whose elements are the repairs.
-struct JointSpace<'d> {
-    /// The components.
-    components: Vec<Component<'d>>,
+struct JointSpace<'g> {
+    /// The components: the joint components the graph's core holds, or
+    /// the product's one.
+    components: Cow<'g, [Component]>,
+    /// The null-bearing core tuples the components index.
+    rows: Vec<(&'g str, &'g Tuple)>,
     /// The shared valuation domain (empty when no component has a null).
     domain: Vec<Constant>,
     /// The relations holding a conflict vertex or a null-bearing core
     /// tuple.
-    volatile: BTreeSet<&'d str>,
-    /// `Σ_J |LR(J)| · |dom|^{|N_J|}`, counted exactly up to the budget;
-    /// past it, some count above the budget. The product space holds the
-    /// a-priori repair estimate instead.
+    volatile: &'g BTreeSet<String>,
+    /// `Σ_J Σ_{M_J} |dom|^{|N(M_J ∪ C_J)|}`, counted exactly up to the
+    /// budget; past it, some count above the budget. The product space
+    /// holds the a-priori repair estimate instead.
     elements: u128,
 }
 
-impl<'d> JointSpace<'d> {
-    /// The factorized fold's choice space for `plan`, or `None` when the
-    /// plan is not linear in the volatile relations, none is volatile, or
-    /// a null meets an empty domain. `null_core` lists the null-bearing
-    /// core tuples ([`ConflictGraph::null_core`]).
+impl<'g> JointSpace<'g> {
+    /// The factorized fold's choice space for `plan` over the joint
+    /// components of `core` (`graph`'s core of `db`), or `None` when the
+    /// plan is not linear in the volatile relations, none is volatile, or a
+    /// null meets an empty domain.
     fn new(
         plan: &PlannedQuery,
         db: &Database,
-        graph: &'d ConflictGraph,
-        null_core: &[(&'d str, &'d Tuple)],
+        graph: &ConflictGraph,
+        core: &'g Core,
         opts: &RepairOptions,
-    ) -> Option<JointSpace<'d>> {
-        let volatile: BTreeSet<&str> = graph
-            .vertices()
-            .iter()
-            .map(|(r, _)| r.as_str())
-            .chain(null_core.iter().map(|&(r, _)| r))
-            .collect();
+    ) -> Option<JointSpace<'g>> {
+        let volatile = &core.volatile;
         let linear = linear_volatility(plan.physical().root(), &|name| volatile.contains(name));
         if volatile.is_empty() || linear.is_none() {
             return None;
         }
-        let components = fold::group(graph.vertices(), |v| graph.neighbors(v), null_core);
+        let components = &core.components;
         let domain = if components.iter().all(|k| k.nulls.is_empty()) {
             Vec::new()
         } else {
@@ -342,37 +349,45 @@ impl<'d> JointSpace<'d> {
             }
             domain
         };
+        let rows = core.null_rows.iter();
+        let rows: Vec<_> = rows.map(|(relation, t)| (relation.as_str(), t)).collect();
         let masks = &mut MaskIter::with_prefix(graph, 0, 0);
-        let elements = fold::element_count(&components, domain.len(), masks, opts.max_repairs);
+        let cap = opts.max_repairs;
+        let elements = fold::element_count(components, &rows, domain.len(), masks, cap);
         Some(JointSpace {
-            components,
+            components: Cow::Borrowed(components),
+            rows,
             domain,
             volatile,
             elements,
         })
     }
 
-    /// The product space of a complete database: one component holding
-    /// every conflict vertex, whose local repairs are the repairs.
-    fn product(graph: &'d ConflictGraph) -> JointSpace<'d> {
-        let vertices = graph.vertices();
+    /// The product space of a complete database (`core` is `graph`'s core
+    /// of it): one component holding every conflict vertex, whose local
+    /// repairs are the repairs.
+    fn product(graph: &ConflictGraph, core: &'g Core) -> JointSpace<'g> {
+        let product = Component {
+            vertices: (0..graph.conflict_tuples()).collect(),
+            ..Component::default()
+        };
         JointSpace {
-            components: vec![Component {
-                vertices: (0..vertices.len()).collect(),
-                ..Component::default()
-            }],
+            components: Cow::Owned(vec![product]),
+            rows: Vec::new(),
             domain: Vec::new(),
-            volatile: vertices.iter().map(|(r, _)| r.as_str()).collect(),
+            // Without nulls, the volatile relations are the vertices'.
+            volatile: &core.volatile,
             elements: graph.estimated_repairs(),
         }
     }
 }
 
-/// The factorized fold's element count for `plan` over `db`:
-/// `Σ_J |LR(J)| · |dom|^{|N_J|}` over the joint components (see the
-/// [module docs](self)), or `None` when the plan does not factorize — it
-/// is not linear in the volatile relations, none is volatile, or a null
-/// meets an empty valuation domain. The count is exact up to
+/// The factorized fold's element count for `plan` over `db` and its
+/// conflict graph `graph`: `Σ_J Σ_{M_J ∈ LR(J)} |dom|^{|N(M_J ∪ C_J)|}`
+/// over the joint components (see the [module docs](self)), or `None` when
+/// the plan does not factorize — it is not linear in the volatile
+/// relations, none is volatile, or a null meets an empty valuation domain.
+/// The count is exact up to
 /// [`RepairOptions::max_repairs`]; counting enumerates local repairs and
 /// stops once the sum passes the budget, returning some count above it.
 /// [`stream_consistent_answer`] factorizes exactly when this is `Some(n)`
@@ -383,8 +398,8 @@ pub fn factorized_repair_count(
     graph: &ConflictGraph,
     opts: &RepairOptions,
 ) -> Option<u128> {
-    let null_core = graph.null_core(db);
-    JointSpace::new(plan, db, graph, &null_core, opts).map(|space| space.elements)
+    let core = graph.core_split(db);
+    JointSpace::new(plan, db, graph, core, opts).map(|space| space.elements)
 }
 
 /// Everything a worker needs, shared read-only across the fleet.
@@ -425,8 +440,10 @@ fn run_shard_rows(job: ShardJob<'_>, worker: usize, shard: &mut Shard<'_>) -> Fa
 /// pre-typechecked plan: the certain answer that survives **every**
 /// subset-minimal repair, with telemetry.
 ///
-/// The caller supplies the conflict graph (typically built once per
-/// database and reused across queries). Errors with
+/// The caller supplies the conflict graph, which must have been built from
+/// `db` (debug builds check each relation's length against it); it is
+/// typically built once per database and reused across queries, and so is
+/// the core it derives on the first fold. Errors with
 /// [`RepairError::BudgetExceeded`] when more than
 /// [`RepairOptions::max_repairs`] repairs were visited without the fold
 /// converging, and with [`RepairError::Eval`] when a per-repair evaluation
@@ -467,23 +484,19 @@ fn stream_consistent_answer_inner(
     // The product fold covers complete databases only: their repairs are
     // complete too, so the per-repair certain answer *is* plan execution.
     // A factorized fold values the nulls itself; anything else over a
-    // null-bearing database keeps the row path.
-    let complete = db.is_complete();
-    let null_core = if batch && !complete {
-        graph.null_core(db)
-    } else {
-        Vec::new()
-    };
-    let factorized = batch
-        .then(|| JointSpace::new(plan, db, graph, &null_core, opts))
-        .flatten()
+    // null-bearing database keeps the row path. The split executor reads
+    // the core the graph derived from `db` on its first fold.
+    let core = batch.then(|| graph.core_split(db));
+    let factorized = core
+        .and_then(|core| JointSpace::new(plan, db, graph, core, opts))
         .filter(|space| space.elements <= opts.max_repairs);
     let components = factorized.as_ref().map(|s| s.components.len());
     let space = match factorized {
-        None if batch && complete => Some(JointSpace::product(graph)),
+        None => core
+            .filter(|core| core.complete)
+            .map(|core| JointSpace::product(graph, core)),
         space => space,
     };
-    let core = space.as_ref().map(|_| graph.core_batches(db));
     // Whole repairs, on either path, go by the a-priori repair estimate.
     let estimate = components.is_none().then(|| graph.estimated_repairs());
     let workers = fold::workers(opts.threads, estimate);
@@ -503,19 +516,19 @@ fn stream_consistent_answer_inner(
         None => Combine::Intersect,
     };
     let folded = fold::run(workers, opts.max_repairs, combine, |worker, shard| {
-        let (Some(space), Some(core)) = (&space, &core) else {
+        let (Some(space), Some(core)) = (&space, core) else {
             return run_shard_rows(job, worker, shard);
         };
-        // The complete core rows are the stable scans; a relation is
-        // static iff no element adds rows to it.
+        // The complete core rows are the stable scans, shared by every
+        // worker; a relation is static iff no element adds rows to it.
         let exec = || {
-            let scans = core.iter().map(|(name, batch)| {
+            let scans = core.batches.iter().map(|(name, batch)| {
                 let is_static = !space.volatile.contains(name.as_str());
-                (name.clone(), batch.clone(), is_static)
+                (name.clone(), Arc::clone(batch), is_static)
             });
             fold::shard_exec(plan.physical(), scans)
         };
-        let fold = ComponentFold::new(&space.components, &space.domain, workers);
+        let fold = ComponentFold::new(&space.components, &space.rows, &space.domain, workers);
         let root = Side::Certain(plan.physical().root());
         let masks = MaskIter::with_prefix(graph, 0, 0);
         fold.run_shard(worker, shard, root, masks, exec);
@@ -840,8 +853,8 @@ mod tests {
     #[test]
     fn incomplete_linear_inputs_fold_the_vertex_with_its_null() {
         // The linear twin: the clash and ⊥0 are one joint component, whose
-        // elements are the local repairs {(1,10)} and {(1,⊥0)}, each under
-        // every valuation of ⊥0.
+        // elements are the local repair {(1,10)}, which holds no null, and
+        // {(1,⊥0)} under every valuation of ⊥0.
         let db = clash_with_a_null();
         let q = RaExpr::relation("R").project(vec![0]);
         let exec = fold(&q, &db, &RepairOptions::default());
@@ -854,12 +867,13 @@ mod tests {
         let graph = ConflictGraph::build(&db);
         let count =
             factorized_repair_count(&planned(&q, &db), &db, &graph, &RepairOptions::default());
-        // Two local repairs, each under the 4 valuations of ⊥0 over the
-        // constants 1 and 10 plus two fresh ones.
-        assert_eq!(count, Some(2 * 4));
-        assert_eq!(exec.repairs_visited, 8, "π_k never empties the run");
+        // {(1,10)} once, and {(1,⊥0)} under the 4 valuations of ⊥0 over
+        // the constants 1 and 10 plus two fresh ones: a choice values only
+        // the nulls its rows carry.
+        assert_eq!(count, Some(1 + 4));
+        assert_eq!(exec.repairs_visited, 5, "π_k never empties the run");
         // One element below the count, the fold takes the row path.
-        let tight = RepairOptions::default().with_max_repairs(7);
+        let tight = RepairOptions::default().with_max_repairs(4);
         let rows = fold(&q, &db, &tight);
         assert_eq!((rows.components, rows.repairs_batched), (None, 0));
         assert_eq!(rows.answers, exec.answers);

@@ -701,6 +701,48 @@ mod tests {
     }
 
     #[test]
+    fn one_snapshot_derives_its_repair_core_once() {
+        let service = CertainService::with_options(
+            dirty(),
+            ServeOptions {
+                semantics: Semantics::ConsistentAnswers,
+                ..ServeOptions::default()
+            },
+        );
+        let core_builds = |snap: &Snapshot| {
+            let graph = snap.context().conflict_graph(snap.database());
+            graph.expect("the schema has a key").core_builds()
+        };
+        let snap = service.snapshot();
+        // Distinct texts miss the result cache: every one folds repairs,
+        // linear or not, over the core the graph derived once.
+        let texts = ["R", "project[#1](R)", "project[#0](R)", "R intersect R"];
+        for text in texts {
+            let report = service.submit(text).unwrap();
+            assert!(!report.stats.cache_hit, "{text}");
+            assert_eq!(report.strategy, StrategyKind::RepairEnumeration, "{text}");
+        }
+        assert_eq!(core_builds(&snap), 1, "{} requests, one core", texts.len());
+        assert_eq!(service.submit("R").unwrap().answers.len(), 1);
+
+        // (2, 31) clashes with the core tuple (2, 30): the successor derives
+        // its own core, and no R tuple survives every repair any more.
+        service.update(|db| {
+            db.insert("R", Tuple::new(vec![Value::int(2), Value::int(31)]))
+                .unwrap();
+        });
+        let next = service.snapshot();
+        assert_eq!(core_builds(&next), 0, "lazy until first use");
+        let after = service.submit("R").unwrap();
+        assert_eq!(after.strategy, StrategyKind::RepairEnumeration);
+        assert!(after.answers.is_empty(), "{}", after.answers);
+        let keys = service.submit("project[#0](R)").unwrap();
+        assert_eq!(keys.answers, ints(&[1, 2]), "every key survives");
+        assert_eq!(core_builds(&next), 1);
+        assert_eq!(core_builds(&snap), 1, "old snapshot untouched");
+    }
+
+    #[test]
     fn schema_change_starts_a_new_plan_epoch() {
         let service = CertainService::new(one_relation());
         service.submit("R").unwrap();

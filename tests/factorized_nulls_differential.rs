@@ -15,8 +15,10 @@
 //!
 //! 1. linear plans must take the joint fold — over exactly the components
 //!    a brute-force flood fill finds, with `factorized_repair_count` equal
-//!    to the brute-force `Σ_J |LR(J)| · |dom|^|N_J|`, every element batched
-//!    and no symbolic repair — and answer exactly as the reference;
+//!    to the brute-force `Σ_J Σ_{M ∈ LR(J)} |dom|^|N(M ∪ C_J)|` (a local
+//!    repair `M` values the nulls its tuples and the component's core
+//!    tuples `C_J` carry), every element batched and no symbolic repair —
+//!    and answer exactly as the reference;
 //! 2. non-linear plans, Δ readers, and linear plans under a budget one
 //!    below their count must keep the row path, and still answer (or fail)
 //!    exactly as the reference.
@@ -182,8 +184,9 @@ fn non_linear_queries(c: i64) -> Vec<String> {
 
 /// What a brute force says of the joint components.
 struct Joint {
-    /// Each component's local repairs and nulls.
-    components: Vec<(u128, u32)>,
+    /// Each component's local repairs, as the number of nulls each one
+    /// values: those of its tuples and of the component's core tuples.
+    components: Vec<Vec<u32>>,
     /// Connected components of the conflict edges alone.
     edge_components: usize,
     /// Joint components holding a conflict vertex.
@@ -213,12 +216,14 @@ fn joint_components(db: &Database, graph: &ConflictGraph) -> Joint {
             link(Node::Vertex(v), Node::Null(n));
         }
     }
+    let mut core_nulls = BTreeSet::new();
     for (_, rel) in graph.core(db).iter() {
         for tuple in rel.iter() {
             let ids: Vec<NullId> = tuple.null_ids().into_iter().collect();
             for &n in &ids {
                 link(Node::Null(ids[0]), Node::Null(n));
             }
+            core_nulls.extend(ids);
         }
     }
     let flood = |edges: &BTreeMap<Node, BTreeSet<Node>>, follow: &dyn Fn(Node) -> bool| {
@@ -243,7 +248,7 @@ fn joint_components(db: &Database, graph: &ConflictGraph) -> Joint {
     };
     let joint = flood(&edges, &|_| true);
     let edge_components = flood(&edges, &|n| matches!(n, Node::Vertex(_))).len();
-    let components: Vec<(u128, u32)> = joint
+    let components: Vec<Vec<u32>> = joint
         .iter()
         .map(|members| {
             let vertices: Vec<usize> = members
@@ -253,8 +258,24 @@ fn joint_components(db: &Database, graph: &ConflictGraph) -> Joint {
                     Node::Null(_) => None,
                 })
                 .collect();
-            let nulls = (members.len() - vertices.len()) as u32;
-            (local_repairs(graph, &vertices), nulls)
+            // A core tuple's nulls all sit in its component.
+            let own_core_nulls = members.iter().filter_map(|n| match n {
+                Node::Null(n) if core_nulls.contains(n) => Some(*n),
+                _ => None,
+            });
+            let own_core_nulls: BTreeSet<NullId> = own_core_nulls.collect();
+            local_repairs(graph, &vertices)
+                .into_iter()
+                .map(|mask| {
+                    let mut nulls = own_core_nulls.clone();
+                    for (i, &v) in vertices.iter().enumerate() {
+                        if mask & (1 << i) != 0 {
+                            nulls.extend(graph.vertices()[v].1.null_ids());
+                        }
+                    }
+                    nulls.len() as u32
+                })
+                .collect()
         })
         .collect();
     let with_vertices = joint
@@ -269,8 +290,8 @@ fn joint_components(db: &Database, graph: &ConflictGraph) -> Joint {
 }
 
 /// The maximal independent sets of the subgraph `members` spans, by brute
-/// force over its vertex subsets.
-fn local_repairs(graph: &ConflictGraph, members: &[usize]) -> u128 {
+/// force over its vertex subsets: bit `i` of a set keeps `members[i]`.
+fn local_repairs(graph: &ConflictGraph, members: &[usize]) -> Vec<u32> {
     assert!(members.len() <= 16, "component too large to brute-force");
     let inside = |mask: u32, v: usize| {
         members
@@ -289,7 +310,7 @@ fn local_repairs(graph: &ConflictGraph, members: &[usize]) -> u128 {
                 }
             })
         })
-        .count() as u128
+        .collect()
 }
 
 fn answers(exec: &Result<RepairExecution, impl std::fmt::Display>) -> Result<Relation, String> {
@@ -322,7 +343,8 @@ fn linear_plans_take_the_joint_fold_and_match_the_row_fold() {
             let space: u128 = joint
                 .components
                 .iter()
-                .map(|&(local, nulls)| local * dom.pow(nulls))
+                .flatten()
+                .map(|&nulls| dom.pow(nulls))
                 .sum();
             let count = factorized_repair_count(&plan, &db, &graph, &RepairOptions::default());
             assert_eq!(count, Some(space), "{text} (seed {seed}) over\n{db}");
