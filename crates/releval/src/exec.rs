@@ -7,8 +7,10 @@
 //!
 //! * **plain tuples** ([`columnar::execute`]) — syntactic value equality;
 //!   this is what naïve evaluation *is*, and (on complete inputs) textbook
-//!   evaluation. The worlds strategy runs this executor once per possible
-//!   world against the single shared plan.
+//!   evaluation. Its semantics is one operator table, which both the
+//!   plain executor and the enumeration folds' [`columnar::split`]
+//!   executor evaluate through: the split executor adds only the
+//!   incremental rules for the rows that vary per world or repair.
 //! * **the certain⁺/possible? pair** ([`columnar::approx`]) — the sound
 //!   approximation's under/over pair, with marked-null three-valued filters
 //!   and unification-aware set operators.

@@ -7,6 +7,15 @@
 //! over the lowered [`PhysicalPlan`], and differs from them only
 //! physically:
 //!
+//! * **One operator table.** The plain semantics of every operator —
+//!   σ, π, ×, ⋈ with its residual, ∪, −, ∩, ÷ under syntactic equality —
+//!   is one `match` (`apply`) over already evaluated child batches. The
+//!   plain executor's recursion calls it, and so does the [`split`]
+//!   executor for its static results, its cached stable parts and its
+//!   per-element plain paths; each executor keeps only its own leaves
+//!   (scan source, Δ rows, `Values`). Joins are one probe loop over a
+//!   fresh or a cached table, and membership (−, ∩, ∪'s dedup) one loop
+//!   likewise.
 //! * **Columnar batches.** Operators consume and produce
 //!   [`ColumnBatch`]es — column vectors of [`Value`] with a
 //!   validity/null-id sidecar per column — instead of `Cow<Tuple>` rows. No
@@ -47,6 +56,7 @@ pub mod split;
 use std::sync::Arc;
 
 use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
+use relalgebra::predicate::Predicate;
 use relmodel::batch::{morsel_ranges, morsel_rows, ColumnBatch, RelationBatches};
 use relmodel::value::{Constant, Value};
 use relmodel::{Database, Relation};
@@ -58,17 +68,13 @@ use super::{NodeProfile, OpStats};
 /// [`crate::engine::eval_unchecked`], and the executor the naive/complete
 /// strategies and the worlds fold run.
 pub fn execute(plan: &PhysicalPlan, db: &Database) -> Relation {
-    execute_counted(plan, db).0
+    execute_counted_with_morsel(plan, db, morsel_rows()).0
 }
 
-/// [`execute`] plus the operator telemetry.
-pub fn execute_counted(plan: &PhysicalPlan, db: &Database) -> (Relation, OpStats) {
-    execute_counted_with_morsel(plan, db, morsel_rows())
-}
-
-/// [`execute_counted`] with an explicit morsel size — the differential
-/// tests sweep this to pin chunk-boundary behaviour, and benches use it to
-/// isolate the knob. Transposes every scanned relation afresh.
+/// [`execute`] plus the operator telemetry, at an explicit morsel size —
+/// the differential tests sweep this to pin chunk-boundary behaviour, and
+/// benches use it to isolate the knob. Transposes every scanned relation
+/// afresh.
 pub fn execute_counted_with_morsel(
     plan: &PhysicalPlan,
     db: &Database,
@@ -115,7 +121,7 @@ pub fn execute_profiled_over(
 /// [`execute`] with a caller-provided stats accumulator — the worlds
 /// strategy threads one accumulator through its whole per-world loop.
 pub fn execute_into(plan: &PhysicalPlan, db: &Database, stats: &mut OpStats) -> Relation {
-    let (answers, run) = execute_counted(plan, db);
+    let (answers, run) = execute_counted_with_morsel(plan, db, morsel_rows());
     stats.merge(&run);
     answers
 }
@@ -171,8 +177,8 @@ impl<'a> ColumnarExec<'a> {
         out
     }
 
-    /// The operator dispatch proper (leaves are sets; every operator
-    /// preserves the duplicate-free invariant, deduplicating where it must).
+    /// One node: the executor's own leaves, or [`apply`] over the node's
+    /// evaluated children.
     fn eval_op(&mut self, node: &'a PhysNode) -> Arc<ColumnBatch> {
         self.stats.operators += 1;
         match node.op() {
@@ -188,84 +194,122 @@ impl<'a> ColumnarExec<'a> {
                 }
                 Arc::clone(self.delta.as_ref().expect("just initialised"))
             }
-            PhysOp::Filter { input, predicate } => {
-                let input = self.eval(input);
-                let keep = select_rows(&input, self.morsel, &mut self.stats, |row| {
-                    predicate.eval_naive_on(&|i| input.value(i, row))
-                });
-                if keep.len() == input.len() {
-                    input
-                } else {
-                    Arc::new(input.gather(&keep))
-                }
-            }
-            PhysOp::Project { input, columns } => {
-                let input = self.eval(input);
-                Arc::new(project_dedup(&input, columns, self.morsel, &mut self.stats))
-            }
-            PhysOp::NestedProduct { left, right } => {
+            op => {
+                let (left, right) = operands(op);
                 let l = self.eval(left);
-                let r = self.eval(right);
-                Arc::new(product(&l, &r, self.morsel, &mut self.stats))
-            }
-            PhysOp::HashJoin {
-                left,
-                right,
-                keys,
-                residual,
-            } => {
-                let la = left.arity();
-                let l = self.eval(left);
-                let r = self.eval(right);
-                let out = syntactic_join(
-                    &l,
-                    &r,
-                    keys,
-                    |li, ri| {
-                        residual.as_ref().is_none_or(|p| {
-                            p.eval_naive_on(&|i| {
-                                if i < la {
-                                    l.value(i, li)
-                                } else {
-                                    r.value(i - la, ri)
-                                }
-                            })
-                        })
-                    },
-                    self.morsel,
-                    &mut self.stats,
-                );
-                Arc::new(out)
-            }
-            PhysOp::Union { left, right } => {
-                let l = self.eval(left);
-                let r = self.eval(right);
-                Arc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
-            }
-            PhysOp::Difference { left, right } => {
-                let l = self.eval(left);
-                let r = self.eval(right);
-                let keep = membership_keep(&l, &r, false, self.morsel, &mut self.stats);
-                Arc::new(l.gather(&keep))
-            }
-            PhysOp::Intersect { left, right } => {
-                let l = self.eval(left);
-                let r = self.eval(right);
-                let keep = membership_keep(&l, &r, true, self.morsel, &mut self.stats);
-                Arc::new(l.gather(&keep))
-            }
-            PhysOp::Divide { left, right } => {
-                let dividend = self.eval(left);
-                let divisor = self.eval(right);
-                Arc::new(divide_syntactic(
-                    &dividend,
-                    &divisor,
-                    node.arity(),
-                    self.morsel,
-                    &mut self.stats,
-                ))
+                let r = right.map(|right| self.eval(right));
+                apply(node, l, r.as_deref(), self.morsel, &mut self.stats)
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The operator table: the plain semantics of every operator, once.
+// ---------------------------------------------------------------------------
+
+/// An operator node's children: the input of σ and π, or the left and
+/// right sides of a binary operator. Leaves have none.
+pub(crate) fn operands(op: &PhysOp) -> (&PhysNode, Option<&PhysNode>) {
+    match op {
+        PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => (input, None),
+        PhysOp::NestedProduct { left, right }
+        | PhysOp::HashJoin { left, right, .. }
+        | PhysOp::Union { left, right }
+        | PhysOp::Difference { left, right }
+        | PhysOp::Intersect { left, right }
+        | PhysOp::Divide { left, right } => (left, Some(right)),
+        PhysOp::Scan(_) | PhysOp::Values(_) | PhysOp::Delta => {
+            unreachable!("leaves have no operands")
+        }
+    }
+}
+
+/// The plain semantics of every operator: `node`'s operator under
+/// syntactic equality, applied to its children's evaluated results — `l`,
+/// and `r` for a binary operator (see [`operands`]). Leaves read each
+/// executor's own sources and never reach here. The plain executor, the
+/// split executor's static results and cached stable parts, and its
+/// per-element plain paths all evaluate operators through this one table,
+/// so every operator counts the same [`OpStats`] on every path.
+pub(crate) fn apply(
+    node: &PhysNode,
+    l: Arc<ColumnBatch>,
+    r: Option<&ColumnBatch>,
+    morsel: usize,
+    stats: &mut OpStats,
+) -> Arc<ColumnBatch> {
+    let r = || r.expect("a binary operator has two inputs");
+    let out = match node.op() {
+        PhysOp::Filter { predicate, .. } => {
+            let keep = select_rows(&l, morsel, stats, |row| {
+                predicate.eval_naive_on(&|i| l.value(i, row))
+            });
+            return gathered(&l, keep);
+        }
+        PhysOp::Project { columns, .. } => project_dedup(&l, columns, morsel, stats),
+        PhysOp::NestedProduct { .. } => product(&l, r(), morsel, stats),
+        PhysOp::HashJoin { keys, residual, .. } => {
+            let r = r();
+            syntactic_join(&l, r, keys, residual_ok(residual, &l, r), morsel, stats)
+        }
+        PhysOp::Union { .. } => union_batches(&l, r(), morsel, stats),
+        PhysOp::Difference { .. } => {
+            return gathered(&l, membership_keep(&l, r(), false, morsel, stats))
+        }
+        PhysOp::Intersect { .. } => {
+            return gathered(&l, membership_keep(&l, r(), true, morsel, stats))
+        }
+        PhysOp::Divide { .. } => divide_syntactic(&l, r(), node.arity(), morsel, stats),
+        PhysOp::Scan(_) | PhysOp::Values(_) | PhysOp::Delta => {
+            unreachable!("leaves are each executor's own")
+        }
+    };
+    Arc::new(out)
+}
+
+/// The kept rows of `batch` as a batch: `batch` itself when every row
+/// survived.
+pub(crate) fn gathered(batch: &Arc<ColumnBatch>, keep: Vec<u32>) -> Arc<ColumnBatch> {
+    if keep.len() == batch.len() {
+        Arc::clone(batch)
+    } else {
+        Arc::new(batch.gather(&keep))
+    }
+}
+
+/// The column accessor of the virtual concatenation of row `li` of `l` and
+/// row `ri` of `r`: how a join predicate reads a candidate pair without
+/// materializing it.
+#[inline]
+pub(crate) fn pair_row<'b>(
+    l: &'b ColumnBatch,
+    li: usize,
+    r: &'b ColumnBatch,
+    ri: usize,
+) -> impl Fn(usize) -> &'b Value {
+    let la = l.arity();
+    move |i| {
+        if i < la {
+            l.value(i, li)
+        } else {
+            r.value(i - la, ri)
+        }
+    }
+}
+
+/// The plain residual check of a join of `l` and `r`, as a `keep` test on a
+/// pair of row ids: no residual, or the residual holds under syntactic
+/// equality.
+pub(crate) fn residual_ok<'b>(
+    residual: &'b Option<Predicate>,
+    l: &'b ColumnBatch,
+    r: &'b ColumnBatch,
+) -> impl Fn(usize, usize) -> bool + 'b {
+    move |li, ri| {
+        residual
+            .as_ref()
+            .is_none_or(|p| p.eval_naive_on(&pair_row(l, li, r, ri)))
     }
 }
 
@@ -318,6 +362,12 @@ pub(crate) fn hash_key(batch: &ColumnBatch, cols: &[usize], row: usize) -> u64 {
         cols.iter()
             .fold(HASH_SEED, |h, &c| hash_value(h, batch.value(c, row))),
     )
+}
+
+/// [`hash_key`] over every column of the row: the full-row membership hash.
+#[inline]
+pub(crate) fn hash_row(batch: &ColumnBatch, row: usize) -> u64 {
+    finish((0..batch.arity()).fold(HASH_SEED, |h, c| hash_value(h, batch.value(c, row))))
 }
 
 /// The same key hash over a materialized [`Tuple`](relmodel::Tuple) — used
@@ -482,6 +532,18 @@ pub(crate) fn product(
 ) -> ColumnBatch {
     let mut out =
         ColumnBatch::with_capacity(l.arity() + r.arity(), l.len().saturating_mul(r.len()));
+    append_product(&mut out, l, r, morsel, stats);
+    out
+}
+
+/// Appends `l × r` onto `out`, in morsel chunks of `l`.
+pub(crate) fn append_product(
+    out: &mut ColumnBatch,
+    l: &ColumnBatch,
+    r: &ColumnBatch,
+    morsel: usize,
+    stats: &mut OpStats,
+) {
     for range in morsel_ranges(l.len(), morsel) {
         stats.batches += 1;
         for li in range {
@@ -490,15 +552,19 @@ pub(crate) fn product(
             }
         }
     }
-    out
+}
+
+/// A join's key columns: the left side's, then the right side's.
+pub(crate) fn key_columns(keys: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    keys.iter().copied().unzip()
 }
 
 /// The columnar syntactic hash equi-join: builds a [`RowTable`] on the
-/// smaller side's key columns, probes with the other in morsel chunks, and
-/// keeps concatenated rows passing `keep` (called with the *left* and
-/// *right* row ids; the output is always left-then-right). Serves both the
-/// plain executor and — with a marked-3VL residual check — the certain side
-/// of the pair executor, exactly like the row kernel it replaces.
+/// smaller side's key columns, then runs [`probe_join`], keeping the
+/// concatenated rows that pass `keep` (called with the *left* and *right*
+/// row ids; the output is always left-then-right). Serves the plain
+/// operators (with [`residual_ok`]) and — with a marked-3VL residual check
+/// — the certain side of the pair executor.
 pub(crate) fn syntactic_join(
     l: &ColumnBatch,
     r: &ColumnBatch,
@@ -507,22 +573,52 @@ pub(crate) fn syntactic_join(
     morsel: usize,
     stats: &mut OpStats,
 ) -> ColumnBatch {
-    let left_cols: Vec<usize> = keys.iter().map(|(lc, _)| *lc).collect();
-    let right_cols: Vec<usize> = keys.iter().map(|(_, rc)| *rc).collect();
+    let (left_cols, right_cols) = key_columns(keys);
     let build_left = l.len() <= r.len();
-    let (build, probe, build_cols, probe_cols) = if build_left {
-        (l, r, &left_cols, &right_cols)
+    let (build, build_cols, probe_len) = if build_left {
+        (l, &left_cols, r.len())
     } else {
-        (r, l, &right_cols, &left_cols)
+        (r, &right_cols, l.len())
+    };
+    stats.build_rows += build.len();
+    stats.tables_built += 1;
+    let table = build_key_table(build, build_cols);
+    let mut out = ColumnBatch::with_capacity(l.arity() + r.arity(), probe_len);
+    let cols = (&left_cols[..], &right_cols[..]);
+    probe_join(
+        &mut out, l, r, cols, build_left, &table, keep, morsel, stats,
+    );
+    stats.join_rows_out += out.len();
+    out
+}
+
+/// The one hash-join probe loop. `table` indexes the build side — `l` when
+/// `build_left`, else `r` — on its key columns (`cols` holds the left
+/// side's, then the right side's); the other side's rows probe it in morsel
+/// chunks, and every key-equal pair `(li, ri)` that passes `keep` is
+/// appended onto `out`, left then right. [`syntactic_join`] runs it over a
+/// fresh table, the split executor over the cached table of a stable side.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe_join(
+    out: &mut ColumnBatch,
+    l: &ColumnBatch,
+    r: &ColumnBatch,
+    cols: (&[usize], &[usize]),
+    build_left: bool,
+    table: &RowTable,
+    keep: impl Fn(usize, usize) -> bool,
+    morsel: usize,
+    stats: &mut OpStats,
+) {
+    let (build, build_cols, probe, probe_cols) = if build_left {
+        (l, cols.0, r, cols.1)
+    } else {
+        (r, cols.1, l, cols.0)
     };
     stats.hash_joins += 1;
-    stats.build_rows += build.len();
     stats.probe_rows += probe.len();
     // Syntactic equality: every probed row takes the ground path.
     stats.ground_rows += probe.len();
-    stats.tables_built += 1;
-    let table = build_key_table(build, build_cols);
-    let mut out = ColumnBatch::with_capacity(l.arity() + r.arity(), probe.len());
     for range in morsel_ranges(probe.len(), morsel) {
         stats.batches += 1;
         for prow in range {
@@ -543,8 +639,6 @@ pub(crate) fn syntactic_join(
             }
         }
     }
-    stats.join_rows_out += out.len();
-    out
 }
 
 /// Columnar set union: all of `l`, plus the rows of `r` with no syntactic
@@ -561,26 +655,15 @@ pub(crate) fn union_batches(
     if l.is_empty() {
         return r.clone();
     }
-    let all_cols: Vec<usize> = (0..l.arity()).collect();
-    stats.tables_built += 1;
-    let table = build_key_table(l, &all_cols);
-    stats.ground_rows += r.len();
+    let fresh = membership_keep(r, l, false, morsel, stats);
     let mut out = l.clone();
-    for range in morsel_ranges(r.len(), morsel) {
-        stats.batches += 1;
-        for row in range {
-            let h = hash_key(r, &all_cols, row);
-            let dup = table.probe(h).any(|lr| l.rows_equal(lr as usize, r, row));
-            if !dup {
-                out.push_gather(r, row, &all_cols);
-            }
-        }
-    }
+    r.gather_into(&fresh, &mut out);
     out
 }
 
-/// Full-row syntactic membership of `l`'s rows in `r`: the kept row ids —
-/// members for intersection (`keep_member`), non-members for difference.
+/// Full-row syntactic membership of `l`'s rows in `r`: builds a full-row
+/// table over `r`, then runs [`member_rows`] — the kept row ids, members
+/// for intersection (`keep_member`), non-members for difference.
 pub(crate) fn membership_keep(
     l: &ColumnBatch,
     r: &ColumnBatch,
@@ -588,22 +671,43 @@ pub(crate) fn membership_keep(
     morsel: usize,
     stats: &mut OpStats,
 ) -> Vec<u32> {
-    let all_cols: Vec<usize> = (0..l.arity()).collect();
+    let all_cols: Vec<usize> = (0..r.arity()).collect();
     stats.tables_built += 1;
     let table = build_key_table(r, &all_cols);
-    stats.ground_rows += l.len();
-    let mut out = Vec::new();
-    for range in morsel_ranges(l.len(), morsel) {
-        stats.batches += 1;
-        for row in range {
-            let h = hash_key(l, &all_cols, row);
-            let member = table.probe(h).any(|rr| r.rows_equal(rr as usize, l, row));
-            if member == keep_member {
-                out.push(row as u32);
-            }
-        }
-    }
-    out
+    // The loop keeps no per-chunk state, so the morsels of `l` are only
+    // counted; the split executor's probes of its own tables count none.
+    stats.batches += morsel_ranges(l.len(), morsel).count();
+    member_rows(l, keep_member, stats, |row| in_table(r, &table, l, row))
+}
+
+/// The one membership loop: the ids of `probe`'s rows whose membership
+/// (`member`) equals `keep_member`, in order. Under syntactic equality
+/// every probed row is ground.
+pub(crate) fn member_rows(
+    probe: &ColumnBatch,
+    keep_member: bool,
+    stats: &mut OpStats,
+    member: impl Fn(usize) -> bool,
+) -> Vec<u32> {
+    stats.ground_rows += probe.len();
+    (0..probe.len())
+        .filter(|&row| member(row) == keep_member)
+        .map(|row| row as u32)
+        .collect()
+}
+
+/// Is row `row` of `probe` a row of `pool`? `table` is a full-row table
+/// over `pool`.
+#[inline]
+pub(crate) fn in_table(
+    pool: &ColumnBatch,
+    table: &RowTable,
+    probe: &ColumnBatch,
+    row: usize,
+) -> bool {
+    table
+        .probe(hash_row(probe, row))
+        .any(|p| pool.rows_equal(p as usize, probe, row))
 }
 
 /// Hash-lookup relational division on batches: distinct dividend prefixes,

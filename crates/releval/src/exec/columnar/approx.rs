@@ -27,24 +27,20 @@ use relmodel::Database;
 
 use super::super::{join_predicate, OpStats};
 use super::{
-    build_key_table, build_key_table_for, divide_syntactic, hash_key, membership_keep, product,
-    project_dedup, select_rows, syntactic_join, union_batches, RowTable,
+    build_key_table, build_key_table_for, divide_syntactic, gathered, hash_key, key_columns,
+    membership_keep, pair_row, product, project_dedup, select_rows, syntactic_join, union_batches,
+    RowTable,
 };
 use crate::approx::{unifiable_pairs, ApproxAnswer};
 
 /// Pair-evaluates a physical plan on the batched core: the physical
 /// counterpart of [`crate::approx::eval_approx_unchecked`].
 pub fn execute_approx(plan: &PhysicalPlan, db: &Database) -> ApproxAnswer {
-    execute_approx_counted(plan, db).0
+    execute_approx_counted_with_morsel(plan, db, morsel_rows()).0
 }
 
-/// [`execute_approx`] plus the operator telemetry.
-pub fn execute_approx_counted(plan: &PhysicalPlan, db: &Database) -> (ApproxAnswer, OpStats) {
-    execute_approx_between(plan, db, db)
-}
-
-/// [`execute_approx_counted`] with an explicit morsel size. Transposes
-/// every scanned relation afresh.
+/// [`execute_approx`] plus the operator telemetry, at an explicit morsel
+/// size. Transposes every scanned relation afresh.
 pub fn execute_approx_counted_with_morsel(
     plan: &PhysicalPlan,
     db: &Database,
@@ -275,14 +271,7 @@ impl<'a> ColApproxExec<'a> {
                     keys,
                     |li, ri| {
                         residual.as_ref().is_none_or(|p| {
-                            p.eval_3vl_marked_on(&|i| {
-                                if i < left_arity {
-                                    lc.value(i, li)
-                                } else {
-                                    rc.value(i - left_arity, ri)
-                                }
-                            })
-                            .is_true()
+                            p.eval_3vl_marked_on(&pair_row(lc, li, rc, ri)).is_true()
                         })
                     },
                     self.morsel,
@@ -382,8 +371,7 @@ impl<'a> ColApproxExec<'a> {
         left_arity: usize,
         residual: &Option<relalgebra::predicate::Predicate>,
     ) -> ColumnBatch {
-        let left_cols: Vec<usize> = keys.iter().map(|(c, _)| *c).collect();
-        let right_cols: Vec<usize> = keys.iter().map(|(_, c)| *c).collect();
+        let (left_cols, right_cols) = key_columns(keys);
         let full = join_predicate(keys, left_arity, residual);
         let split = rp.ground_split(&right_cols);
         let (table, symbolic): (RowTable, &[u32]) = match &split {
@@ -393,24 +381,12 @@ impl<'a> ColApproxExec<'a> {
             }
         };
         let full_ok = |lrow: usize, rrow: usize| {
-            full.eval_3vl_marked_on(&|i| {
-                if i < left_arity {
-                    lp.value(i, lrow)
-                } else {
-                    rp.value(i - left_arity, rrow)
-                }
-            }) != Truth::False
+            full.eval_3vl_marked_on(&pair_row(lp, lrow, rp, rrow)) != Truth::False
         };
         let residual_ok = |lrow: usize, rrow: usize| {
-            residual.as_ref().is_none_or(|p| {
-                p.eval_3vl_marked_on(&|i| {
-                    if i < left_arity {
-                        lp.value(i, lrow)
-                    } else {
-                        rp.value(i - left_arity, rrow)
-                    }
-                }) != Truth::False
-            })
+            residual
+                .as_ref()
+                .is_none_or(|p| p.eval_3vl_marked_on(&pair_row(lp, lrow, rp, rrow)) != Truth::False)
         };
         let mut out = ColumnBatch::with_capacity(lp.arity() + rp.arity(), lp.len());
         for range in morsel_ranges(lp.len(), self.morsel) {
@@ -491,15 +467,6 @@ impl<'a> ColApproxExec<'a> {
             }
         }
         keep
-    }
-}
-
-/// Wraps a gather, reusing the input when every row survived.
-fn gathered(batch: &Arc<ColumnBatch>, keep: Vec<u32>) -> Arc<ColumnBatch> {
-    if keep.len() == batch.len() {
-        Arc::clone(batch)
-    } else {
-        Arc::new(batch.gather(&keep))
     }
 }
 
@@ -605,7 +572,8 @@ mod tests {
             .product(RaExpr::relation("S"))
             .select(Predicate::eq(Operand::col(1), Operand::col(2)));
         let plan = PlannedQuery::new(q, d.schema()).unwrap();
-        let (answer, stats) = execute_approx_counted(plan.physical(), &d);
+        let (answer, stats) =
+            execute_approx_counted_with_morsel(plan.physical(), &d, morsel_rows());
         assert!(stats.hash_joins >= 1, "certain side must hash");
         assert!(stats.ground_rows > 0, "R(1,10) probes the ground run");
         assert!(stats.symbolic_rows > 0, "R(2,⊥0) takes the fallback");

@@ -22,31 +22,37 @@
 //! this — so the marginal cost of an element is proportional to its volatile
 //! rows, not to the database.
 //!
-//! Per-operator decomposition (`L = Ls ∪ Lv`, `R = Rs ∪ Rv`):
+//! Every plain evaluation here goes through the columnar executor's one
+//! operator table (its `apply`, see [`super`]); this module holds only the shard's
+//! leaves, its caches and the incremental rules. Per-operator decomposition
+//! (`L = Ls ∪ Lv`, `R = Rs ∪ Rv`):
 //!
+//! * fully static subtrees (ground-only scans, literals) evaluate **once**
+//!   through the table, volatile permanently empty;
 //! * monotone operators (σ, π, ×, ⋈, ∪, ∩) distribute over the union of
-//!   parts, so `stable′ = op(Ls, Rs)` is cached and only the volatile
-//!   cross-terms run per element;
+//!   parts, so `stable′ = op(Ls, Rs)` is the table's result, cached per
+//!   node, and only the volatile terms run per element: σ and π of `Lv`
+//!   through the table, and the cross terms of ×, ⋈, ∪ and ∩ against the
+//!   cached tables over the stable parts;
 //! * `−` caches `Ls ∖ Rs` only when the right subtree is **static**
-//!   (provably element-invariant); otherwise the node falls back to plain
-//!   per-element evaluation of the concatenated parts;
+//!   (provably element-invariant), and probes `Lv` against the cached
+//!   table over `Rs`; otherwise the node evaluates plainly per element,
+//!   through the table, over the concatenated parts;
 //! * `÷` is monotone in neither argument's parts in a cacheable way, so a
 //!   non-static division always evaluates plainly (its subtrees still
-//!   benefit from caching);
-//! * fully static subtrees (ground-only scans, literals) evaluate **once**,
-//!   volatile permanently empty.
+//!   benefit from caching).
 
 use std::collections::{BTreeSet, HashMap};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use relalgebra::physical::{PhysNode, PhysOp, PhysicalPlan};
-use relalgebra::predicate::Predicate;
-use relmodel::batch::{morsel_ranges, ColumnBatch};
+use relalgebra::physical::{PhysNode, PhysOp};
+use relmodel::batch::ColumnBatch;
 use relmodel::value::{Constant, Value};
 
 use super::{
-    build_key_table, divide_syntactic, hash_key, membership_keep, product, project_dedup,
-    select_rows, syntactic_join, union_batches, RowTable,
+    append_product, apply, build_key_table, gathered, in_table, key_columns, member_rows, operands,
+    probe_join, residual_ok, syntactic_join, RowTable,
 };
 use crate::exec::OpStats;
 
@@ -144,47 +150,40 @@ struct NodeCache {
 }
 
 /// The split executor for one enumeration shard: construct once per worker,
-/// call [`ShardExec::eval_element`] (or [`ShardExec::eval_subtree`]) once
-/// per world/repair. All caches are
-/// keyed by plan-node address — the plan outlives the executor and its boxed
-/// tree never moves, so addresses are stable identities.
+/// call [`ShardExec::eval_subtree`] once per world/repair. All caches are
+/// keyed by plan-node address: every node it evaluates outlives the
+/// executor (`'p`), so addresses are stable identities.
 pub struct ShardExec<'p> {
-    plan: &'p PhysicalPlan,
     setup: ShardSetup,
     morsel: usize,
     caches: HashMap<usize, NodeCache>,
     statics: HashMap<usize, bool>,
     empties: HashMap<usize, Arc<ColumnBatch>>,
+    nodes: PhantomData<&'p PhysNode>,
     /// Operator telemetry accumulated across every element of the shard.
     pub stats: OpStats,
 }
 
 impl<'p> ShardExec<'p> {
-    /// A fresh executor over one plan and one shard's invariant leaf data.
-    pub fn new(plan: &'p PhysicalPlan, morsel: usize, setup: ShardSetup) -> Self {
+    /// A fresh executor over one shard's invariant leaf data.
+    pub fn new(morsel: usize, setup: ShardSetup) -> Self {
         ShardExec {
-            plan,
             setup,
             morsel: morsel.max(1),
             caches: HashMap::new(),
             statics: HashMap::new(),
             empties: HashMap::new(),
+            nodes: PhantomData,
             stats: OpStats::default(),
         }
     }
 
-    /// Evaluates the plan for one element. The returned split's `stable`
-    /// part is the same batch for every element of the shard.
-    pub fn eval_element(&mut self, elem: &ElementInput<'_>) -> Split {
-        let root: &'p PhysNode = self.plan.root();
-        self.eval(root, elem)
-    }
-
-    /// Evaluates one subtree of the executor's plan for one element, with
-    /// the same caches as [`ShardExec::eval_element`]: a fold that needs
-    /// the two sides of a root difference on their own evaluates each
-    /// through one executor. `node` must be a node of the plan the
-    /// executor was built over, since caches are keyed by node address.
+    /// Evaluates one subtree of a plan for one element, the root included.
+    /// The returned split's `stable` part is the same batch for every
+    /// element of the shard. A fold that needs the two sides of a root
+    /// difference on their own evaluates each through one executor. Every
+    /// node passed must belong to the one plan the executor serves, since
+    /// caches are keyed by node address.
     pub fn eval_subtree(&mut self, node: &'p PhysNode, elem: &ElementInput<'_>) -> Split {
         self.eval(node, elem)
     }
@@ -262,27 +261,24 @@ impl<'p> ShardExec<'p> {
                 .unwrap_or(false),
             PhysOp::Values(_) => true,
             PhysOp::Delta => self.setup.static_delta,
-            PhysOp::Filter { input, .. } | PhysOp::Project { input, .. } => self.is_static(input),
-            PhysOp::NestedProduct { left, right }
-            | PhysOp::HashJoin { left, right, .. }
-            | PhysOp::Union { left, right }
-            | PhysOp::Difference { left, right }
-            | PhysOp::Intersect { left, right }
-            | PhysOp::Divide { left, right } => self.is_static(left) && self.is_static(right),
+            op => {
+                let (left, right) = operands(op);
+                self.is_static(left) && right.is_none_or(|right| self.is_static(right))
+            }
         };
         self.statics.insert(key, s);
         s
     }
 
-    /// Plain evaluation of a static subtree from the stable leaves — runs
-    /// once per shard, cached.
+    /// A static subtree's one result, from the stable leaves: evaluated
+    /// once per shard through [`apply`], then cached.
     fn eval_static(&mut self, node: &'p PhysNode) -> Arc<ColumnBatch> {
         let key = Self::key(node);
         if let Some(b) = self.cached_stable(key) {
             return b;
         }
         self.stats.operators += 1;
-        let out: Arc<ColumnBatch> = match node.op() {
+        let out = match node.op() {
             PhysOp::Scan(name) => Arc::clone(
                 self.setup
                     .stable_scans
@@ -291,72 +287,11 @@ impl<'p> ShardExec<'p> {
             ),
             PhysOp::Values(rel) => Arc::new(ColumnBatch::from_relation(rel)),
             PhysOp::Delta => Arc::clone(&self.setup.stable_delta),
-            PhysOp::Filter { input, predicate } => {
-                let b = self.eval_static(input);
-                let keep = select_rows(&b, self.morsel, &mut self.stats, |row| {
-                    predicate.eval_naive_on(&|i| b.value(i, row))
-                });
-                if keep.len() == b.len() {
-                    b
-                } else {
-                    Arc::new(b.gather(&keep))
-                }
-            }
-            PhysOp::Project { input, columns } => {
-                let b = self.eval_static(input);
-                Arc::new(project_dedup(&b, columns, self.morsel, &mut self.stats))
-            }
-            PhysOp::NestedProduct { left, right } => {
+            op => {
+                let (left, right) = operands(op);
                 let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                Arc::new(product(&l, &r, self.morsel, &mut self.stats))
-            }
-            PhysOp::HashJoin {
-                left,
-                right,
-                keys,
-                residual,
-            } => {
-                let la = left.arity();
-                let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                let out = syntactic_join(
-                    &l,
-                    &r,
-                    keys,
-                    |li, ri| residual_ok(residual, la, &l, li, &r, ri),
-                    self.morsel,
-                    &mut self.stats,
-                );
-                Arc::new(out)
-            }
-            PhysOp::Union { left, right } => {
-                let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                Arc::new(union_batches(&l, &r, self.morsel, &mut self.stats))
-            }
-            PhysOp::Difference { left, right } => {
-                let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                let keep = membership_keep(&l, &r, false, self.morsel, &mut self.stats);
-                Arc::new(l.gather(&keep))
-            }
-            PhysOp::Intersect { left, right } => {
-                let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                let keep = membership_keep(&l, &r, true, self.morsel, &mut self.stats);
-                Arc::new(l.gather(&keep))
-            }
-            PhysOp::Divide { left, right } => {
-                let l = self.eval_static(left);
-                let r = self.eval_static(right);
-                Arc::new(divide_syntactic(
-                    &l,
-                    &r,
-                    node.arity(),
-                    self.morsel,
-                    &mut self.stats,
-                ))
+                let r = right.map(|right| self.eval_static(right));
+                apply(node, l, r.as_deref(), self.morsel, &mut self.stats)
             }
         };
         self.store_stable(key, out)
@@ -369,118 +304,92 @@ impl<'p> ShardExec<'p> {
             return Split { stable, volatile };
         }
         self.stats.operators += 1;
-        let key = Self::key(node);
         let arity = node.arity();
-        match node.op() {
+        let (left, right) = match node.op() {
             PhysOp::Scan(name) => {
-                let stable = match self.setup.stable_scans.get(name.as_str()) {
-                    Some(b) => Arc::clone(b),
-                    None => self.empty(arity),
+                let stable = self.setup.stable_scans.get(name.as_str()).cloned();
+                let volatile = elem.volatile_scans.get(name.as_str()).cloned();
+                return Split {
+                    stable: stable.unwrap_or_else(|| self.empty(arity)),
+                    volatile: volatile.unwrap_or_else(|| self.empty(arity)),
                 };
-                let volatile = match elem.volatile_scans.get(name.as_str()) {
-                    Some(b) => Arc::clone(b),
-                    None => self.empty(arity),
-                };
-                Split { stable, volatile }
             }
             PhysOp::Values(_) => unreachable!("Values subtrees are static"),
-            PhysOp::Delta => Split {
-                stable: Arc::clone(&self.setup.stable_delta),
-                volatile: Arc::clone(elem.volatile_delta),
-            },
-            PhysOp::Filter { input, predicate } => {
-                let c = self.eval(input, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let b = &c.stable;
-                        let keep = select_rows(b, self.morsel, &mut self.stats, |row| {
-                            predicate.eval_naive_on(&|i| b.value(i, row))
-                        });
-                        let s = if keep.len() == b.len() {
-                            Arc::clone(b)
-                        } else {
-                            Arc::new(b.gather(&keep))
-                        };
-                        self.store_stable(key, s)
-                    }
-                };
-                let volatile = if c.volatile.is_empty() {
-                    self.empty(arity)
-                } else {
-                    let b = &c.volatile;
-                    let keep = select_rows(b, self.morsel, &mut self.stats, |row| {
-                        predicate.eval_naive_on(&|i| b.value(i, row))
-                    });
-                    Arc::new(b.gather(&keep))
-                };
-                Split { stable, volatile }
+            PhysOp::Delta => {
+                return Split {
+                    stable: Arc::clone(&self.setup.stable_delta),
+                    volatile: Arc::clone(elem.volatile_delta),
+                }
             }
-            PhysOp::Project { input, columns } => {
-                let c = self.eval(input, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let s = Arc::new(project_dedup(
-                            &c.stable,
-                            columns,
-                            self.morsel,
-                            &mut self.stats,
-                        ));
-                        self.store_stable(key, s)
-                    }
-                };
-                let volatile = if c.volatile.is_empty() {
-                    self.empty(arity)
-                } else {
-                    Arc::new(project_dedup(
-                        &c.volatile,
-                        columns,
-                        self.morsel,
-                        &mut self.stats,
-                    ))
-                };
-                Split { stable, volatile }
+            op => operands(op),
+        };
+        let l = self.eval(left, elem);
+        let r = right.map(|right| self.eval(right, elem));
+        let per_element = match node.op() {
+            PhysOp::Divide { .. } => true,
+            PhysOp::Difference { right, .. } => !self.is_static(right),
+            _ => false,
+        };
+        if per_element {
+            // ÷, and − by a subtrahend that varies per element, have no
+            // cacheable parts: the node evaluates plainly (its children
+            // still serve their cached parts).
+            let r = r.map(|r| concat(&r.stable, &r.volatile));
+            let l = concat(&l.stable, &l.volatile);
+            let volatile = apply(node, l, r.as_deref(), self.morsel, &mut self.stats);
+            return Split {
+                stable: self.empty(arity),
+                volatile,
+            };
+        }
+        let key = Self::key(node);
+        let stable = match self.cached_stable(key) {
+            Some(s) => s,
+            None => {
+                let rs = r.as_ref().map(|r| r.stable.as_ref());
+                let s = apply(
+                    node,
+                    Arc::clone(&l.stable),
+                    rs,
+                    self.morsel,
+                    &mut self.stats,
+                );
+                self.store_stable(key, s)
             }
-            PhysOp::NestedProduct { left, right } => {
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let s =
-                            Arc::new(product(&l.stable, &r.stable, self.morsel, &mut self.stats));
-                        self.store_stable(key, s)
+        };
+        let volatile = self.volatile(node, &l, r.as_ref());
+        Split { stable, volatile }
+    }
+
+    /// The incremental rules: this element's rows of a node whose stable
+    /// part is the operator over its inputs' stable parts (`Ls`, `Rs`),
+    /// from the volatile parts (`Lv`, `Rv`) and the cached tables over the
+    /// stable ones.
+    fn volatile(&mut self, node: &'p PhysNode, l: &Split, r: Option<&Split>) -> Arc<ColumnBatch> {
+        let arity = node.arity();
+        if l.volatile.is_empty() && r.is_none_or(|r| r.volatile.is_empty()) {
+            return self.empty(arity);
+        }
+        let Some(r) = r else {
+            // σ and π distribute over the parts.
+            let lv = Arc::clone(&l.volatile);
+            return apply(node, lv, None, self.morsel, &mut self.stats);
+        };
+        let morsel = self.morsel;
+        match node.op() {
+            PhysOp::NestedProduct { .. } => {
+                let mut out = ColumnBatch::new(arity);
+                let terms = [
+                    (&l.stable, &r.volatile),
+                    (&l.volatile, &r.stable),
+                    (&l.volatile, &r.volatile),
+                ];
+                for (a, b) in terms {
+                    if !a.is_empty() && !b.is_empty() {
+                        append_product(&mut out, a, b, morsel, &mut self.stats);
                     }
-                };
-                let volatile = if l.volatile.is_empty() && r.volatile.is_empty() {
-                    self.empty(arity)
-                } else {
-                    let mut out = ColumnBatch::new(arity);
-                    append_product(
-                        &mut out,
-                        &l.stable,
-                        &r.volatile,
-                        self.morsel,
-                        &mut self.stats,
-                    );
-                    append_product(
-                        &mut out,
-                        &l.volatile,
-                        &r.stable,
-                        self.morsel,
-                        &mut self.stats,
-                    );
-                    append_product(
-                        &mut out,
-                        &l.volatile,
-                        &r.volatile,
-                        self.morsel,
-                        &mut self.stats,
-                    );
-                    Arc::new(out)
-                };
-                Split { stable, volatile }
+                }
+                Arc::new(out)
             }
             PhysOp::HashJoin {
                 left,
@@ -488,416 +397,274 @@ impl<'p> ShardExec<'p> {
                 keys,
                 residual,
             } => {
-                let la = left.arity();
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let (ls, rs) = (&l.stable, &r.stable);
-                        let out = syntactic_join(
-                            ls,
-                            rs,
-                            keys,
-                            |li, ri| residual_ok(residual, la, ls, li, rs, ri),
-                            self.morsel,
-                            &mut self.stats,
-                        );
-                        self.store_stable(key, Arc::new(out))
-                    }
-                };
-                let volatile = if l.volatile.is_empty() && r.volatile.is_empty() {
-                    self.empty(arity)
-                } else {
-                    let left_cols: Vec<usize> = keys.iter().map(|(lc, _)| *lc).collect();
-                    let right_cols: Vec<usize> = keys.iter().map(|(_, rc)| *rc).collect();
-                    let mut out = ColumnBatch::new(arity);
-                    // Ls ⋈ Rv: probe the volatile right rows against the
-                    // cached key table over the stable left rows.
-                    if !r.volatile.is_empty() && !l.stable.is_empty() {
-                        let table = self.key_table(Self::key(left), &l.stable, &left_cols);
-                        probe_join(
-                            &mut out,
-                            &l.stable,
-                            &table,
-                            &left_cols,
-                            true,
-                            &r.volatile,
-                            &right_cols,
-                            residual,
-                            la,
-                            self.morsel,
-                            &mut self.stats,
-                        );
-                    }
-                    // Lv ⋈ Rs, via the cached key table over the stable right.
-                    if !l.volatile.is_empty() && !r.stable.is_empty() {
-                        let table = self.key_table(Self::key(right), &r.stable, &right_cols);
-                        probe_join(
-                            &mut out,
-                            &r.stable,
-                            &table,
-                            &right_cols,
-                            false,
-                            &l.volatile,
-                            &left_cols,
-                            residual,
-                            la,
-                            self.morsel,
-                            &mut self.stats,
-                        );
-                    }
-                    // Lv ⋈ Rv: both tiny; the ordinary kernel suffices.
-                    if !l.volatile.is_empty() && !r.volatile.is_empty() {
-                        let (lv, rv) = (&l.volatile, &r.volatile);
-                        let small = syntactic_join(
-                            lv,
-                            rv,
-                            keys,
-                            |li, ri| residual_ok(residual, la, lv, li, rv, ri),
-                            self.morsel,
-                            &mut self.stats,
-                        );
-                        out.append(&small);
-                    }
-                    self.stats.join_rows_out += out.len();
-                    Arc::new(out)
-                };
-                Split { stable, volatile }
-            }
-            PhysOp::Union { left, right } => {
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let s = Arc::new(union_batches(
-                            &l.stable,
-                            &r.stable,
-                            self.morsel,
-                            &mut self.stats,
-                        ));
-                        self.store_stable(key, s)
-                    }
-                };
-                let volatile = match (l.volatile.is_empty(), r.volatile.is_empty()) {
-                    (true, true) => self.empty(arity),
-                    (false, true) => Arc::clone(&l.volatile),
-                    (true, false) => Arc::clone(&r.volatile),
-                    (false, false) => {
-                        let mut out = l.volatile.as_ref().clone();
-                        out.append(&r.volatile);
-                        Arc::new(out)
-                    }
-                };
-                Split { stable, volatile }
-            }
-            PhysOp::Difference { left, right } => {
-                let right_static = self.is_static(right);
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                if right_static {
-                    // Rs is the complete right result in every element:
-                    // L ∖ R = (Ls ∖ Rs) ∪ (Lv ∖ Rs).
-                    let stable = match self.cached_stable(key) {
-                        Some(s) => s,
-                        None => {
-                            let keep = membership_keep(
-                                &l.stable,
-                                &r.stable,
-                                false,
-                                self.morsel,
-                                &mut self.stats,
-                            );
-                            let s = Arc::new(l.stable.gather(&keep));
-                            self.store_stable(key, s)
-                        }
-                    };
-                    let volatile = if l.volatile.is_empty() {
-                        self.empty(arity)
-                    } else if r.stable.is_empty() {
-                        Arc::clone(&l.volatile)
-                    } else {
-                        let table = self.full_table(Self::key(right), &r.stable);
-                        let lv = &l.volatile;
-                        let all: Vec<usize> = (0..lv.arity()).collect();
-                        self.stats.ground_rows += lv.len();
-                        let mut keep = Vec::new();
-                        for row in 0..lv.len() {
-                            let h = hash_key(lv, &all, row);
-                            let member = table
-                                .probe(h)
-                                .any(|rr| r.stable.rows_equal(rr as usize, lv, row));
-                            if !member {
-                                keep.push(row as u32);
-                            }
-                        }
-                        Arc::new(lv.gather(&keep))
-                    };
-                    Split { stable, volatile }
-                } else {
-                    // The subtrahend varies per element: evaluate this node
-                    // plainly (children still serve their cached parts).
-                    let lf = concat_split(&l);
-                    let rf = concat_split(&r);
-                    let keep = membership_keep(&lf, &rf, false, self.morsel, &mut self.stats);
-                    Split {
-                        stable: self.empty(arity),
-                        volatile: Arc::new(lf.gather(&keep)),
-                    }
+                let (left_cols, right_cols) = key_columns(keys);
+                let cols = (&left_cols[..], &right_cols[..]);
+                let (ls, lv, rs, rv) = (&l.stable, &l.volatile, &r.stable, &r.volatile);
+                let mut out = ColumnBatch::new(arity);
+                // Ls ⋈ Rv and Lv ⋈ Rs probe the cached key table over the
+                // stable side.
+                if !rv.is_empty() && !ls.is_empty() {
+                    let table = self.key_table(Self::key(left), ls, &left_cols);
+                    let keep = residual_ok(residual, ls, rv);
+                    probe_join(
+                        &mut out,
+                        ls,
+                        rv,
+                        cols,
+                        true,
+                        &table,
+                        keep,
+                        morsel,
+                        &mut self.stats,
+                    );
                 }
+                if !lv.is_empty() && !rs.is_empty() {
+                    let table = self.key_table(Self::key(right), rs, &right_cols);
+                    let keep = residual_ok(residual, lv, rs);
+                    probe_join(
+                        &mut out,
+                        lv,
+                        rs,
+                        cols,
+                        false,
+                        &table,
+                        keep,
+                        morsel,
+                        &mut self.stats,
+                    );
+                }
+                // Lv ⋈ Rv: both tiny; the ordinary kernel suffices.
+                if !lv.is_empty() && !rv.is_empty() {
+                    let keep = residual_ok(residual, lv, rv);
+                    out.append(&syntactic_join(lv, rv, keys, keep, morsel, &mut self.stats));
+                }
+                self.stats.join_rows_out += out.len();
+                Arc::new(out)
+            }
+            PhysOp::Union { .. } => concat(&l.volatile, &r.volatile),
+            PhysOp::Difference { right, .. } => {
+                // Rs is the complete right result in every element:
+                // L ∖ R = (Ls ∖ Rs) ∪ (Lv ∖ Rs).
+                if r.stable.is_empty() {
+                    return Arc::clone(&l.volatile);
+                }
+                let table = self.full_table(Self::key(right), &r.stable);
+                let lv = &l.volatile;
+                let keep = member_rows(lv, false, &mut self.stats, |row| {
+                    in_table(&r.stable, &table, lv, row)
+                });
+                gathered(lv, keep)
             }
             PhysOp::Intersect { left, right } => {
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                let stable = match self.cached_stable(key) {
-                    Some(s) => s,
-                    None => {
-                        let keep = membership_keep(
-                            &l.stable,
-                            &r.stable,
-                            true,
-                            self.morsel,
-                            &mut self.stats,
-                        );
-                        let s = Arc::new(l.stable.gather(&keep));
-                        self.store_stable(key, s)
-                    }
-                };
-                let volatile = if l.volatile.is_empty() && r.volatile.is_empty() {
-                    self.empty(arity)
-                } else {
-                    let mut out = ColumnBatch::new(arity);
-                    // Lv rows present anywhere in R = Rs ∪ Rv.
-                    if !l.volatile.is_empty() {
-                        let rs_table = (!r.stable.is_empty())
-                            .then(|| self.full_table(Self::key(right), &r.stable));
-                        let lv = &l.volatile;
-                        let all: Vec<usize> = (0..lv.arity()).collect();
-                        self.stats.ground_rows += lv.len();
-                        let mut keep = Vec::new();
-                        for row in 0..lv.len() {
-                            let h = hash_key(lv, &all, row);
-                            let in_rs = rs_table.as_ref().is_some_and(|t| {
-                                t.probe(h)
-                                    .any(|rr| r.stable.rows_equal(rr as usize, lv, row))
-                            });
-                            let member = in_rs
-                                || (0..r.volatile.len())
-                                    .any(|vr| r.volatile.rows_equal(vr, lv, row));
-                            if member {
-                                keep.push(row as u32);
-                            }
-                        }
-                        lv.gather_into(&keep, &mut out);
-                    }
-                    // Rv rows present in Ls (Rv ∩ Lv is already covered).
-                    if !r.volatile.is_empty() && !l.stable.is_empty() {
-                        let ls_table = self.full_table(Self::key(left), &l.stable);
-                        let rv = &r.volatile;
-                        let all: Vec<usize> = (0..rv.arity()).collect();
-                        self.stats.ground_rows += rv.len();
-                        let mut keep = Vec::new();
-                        for row in 0..rv.len() {
-                            let h = hash_key(rv, &all, row);
-                            let member = ls_table
-                                .probe(h)
-                                .any(|lr| l.stable.rows_equal(lr as usize, rv, row));
-                            if member {
-                                keep.push(row as u32);
-                            }
-                        }
-                        rv.gather_into(&keep, &mut out);
-                    }
-                    Arc::new(out)
-                };
-                Split { stable, volatile }
-            }
-            PhysOp::Divide { left, right } => {
-                let l = self.eval(left, elem);
-                let r = self.eval(right, elem);
-                let lf = concat_split(&l);
-                let rf = concat_split(&r);
-                let out = divide_syntactic(&lf, &rf, arity, self.morsel, &mut self.stats);
-                Split {
-                    stable: self.empty(arity),
-                    volatile: Arc::new(out),
+                let (ls, lv, rs, rv) = (&l.stable, &l.volatile, &r.stable, &r.volatile);
+                let mut out = ColumnBatch::new(arity);
+                // Lv rows present anywhere in R = Rs ∪ Rv.
+                if !lv.is_empty() {
+                    let rs_table = (!rs.is_empty()).then(|| self.full_table(Self::key(right), rs));
+                    let keep = member_rows(lv, true, &mut self.stats, |row| {
+                        rs_table.as_ref().is_some_and(|t| in_table(rs, t, lv, row))
+                            || (0..rv.len()).any(|vr| rv.rows_equal(vr, lv, row))
+                    });
+                    lv.gather_into(&keep, &mut out);
                 }
+                // Rv rows present in Ls (Rv ∩ Lv is already covered).
+                if !rv.is_empty() && !ls.is_empty() {
+                    let ls_table = self.full_table(Self::key(left), ls);
+                    let keep = member_rows(rv, true, &mut self.stats, |row| {
+                        in_table(ls, &ls_table, rv, row)
+                    });
+                    rv.gather_into(&keep, &mut out);
+                }
+                Arc::new(out)
             }
+            _ => unreachable!("÷, − by a varying subtrahend, σ, π and leaves are handled above"),
         }
     }
 }
 
-/// An element's full result: stable when the volatile part is empty,
+/// `a` then `b` as one batch: either part itself when the other is empty,
 /// otherwise a fresh concatenation.
-fn concat_split(s: &Split) -> Arc<ColumnBatch> {
-    if s.volatile.is_empty() {
-        Arc::clone(&s.stable)
-    } else if s.stable.is_empty() {
-        Arc::clone(&s.volatile)
+fn concat(a: &Arc<ColumnBatch>, b: &Arc<ColumnBatch>) -> Arc<ColumnBatch> {
+    if b.is_empty() {
+        Arc::clone(a)
+    } else if a.is_empty() {
+        Arc::clone(b)
     } else {
-        let mut out = s.stable.as_ref().clone();
-        out.append(&s.volatile);
+        let mut out = a.as_ref().clone();
+        out.append(b);
         Arc::new(out)
-    }
-}
-
-fn residual_ok(
-    residual: &Option<Predicate>,
-    la: usize,
-    l: &ColumnBatch,
-    li: usize,
-    r: &ColumnBatch,
-    ri: usize,
-) -> bool {
-    residual.as_ref().is_none_or(|p| {
-        p.eval_naive_on(&|i| {
-            if i < la {
-                l.value(i, li)
-            } else {
-                r.value(i - la, ri)
-            }
-        })
-    })
-}
-
-/// Appends the full cross product `l × r` onto `out`.
-fn append_product(
-    out: &mut ColumnBatch,
-    l: &ColumnBatch,
-    r: &ColumnBatch,
-    morsel: usize,
-    stats: &mut OpStats,
-) {
-    if l.is_empty() || r.is_empty() {
-        return;
-    }
-    for range in morsel_ranges(l.len(), morsel) {
-        stats.batches += 1;
-        for li in range {
-            for ri in 0..r.len() {
-                out.push_concat(l, li, r, ri);
-            }
-        }
-    }
-}
-
-/// Probes `probe`'s rows against a prebuilt key table over `build`, emitting
-/// concatenated left-then-right rows that pass the residual. `build_is_left`
-/// says which side of the output the build batch occupies.
-#[allow(clippy::too_many_arguments)]
-fn probe_join(
-    out: &mut ColumnBatch,
-    build: &ColumnBatch,
-    table: &RowTable,
-    build_cols: &[usize],
-    build_is_left: bool,
-    probe: &ColumnBatch,
-    probe_cols: &[usize],
-    residual: &Option<Predicate>,
-    la: usize,
-    morsel: usize,
-    stats: &mut OpStats,
-) {
-    stats.hash_joins += 1;
-    stats.probe_rows += probe.len();
-    stats.ground_rows += probe.len();
-    for range in morsel_ranges(probe.len(), morsel) {
-        stats.batches += 1;
-        for prow in range {
-            let h = hash_key(probe, probe_cols, prow);
-            for brow in table.probe(h) {
-                let brow = brow as usize;
-                if !build.keys_equal(brow, build_cols, probe, prow, probe_cols) {
-                    continue;
-                }
-                let (lb, li, rb, ri) = if build_is_left {
-                    (build, brow, probe, prow)
-                } else {
-                    (probe, prow, build, brow)
-                };
-                if residual_ok(residual, la, lb, li, rb, ri) {
-                    out.push_concat(lb, li, rb, ri);
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::columnar::execute_counted_with_morsel;
     use relalgebra::ast::RaExpr;
     use relalgebra::plan::PlannedQuery;
     use relalgebra::predicate::{Operand, Predicate};
     use relmodel::{Database, DatabaseBuilder, Relation, Tuple};
 
-    /// Two "elements" built by hand over R(a,b) ⋈ S(b,c) shapes: the split
-    /// executor's `stable ∪ volatile` must equal plain execution over the
-    /// equivalent fully-materialized database, element by element.
-    #[test]
-    fn split_matches_plain_execution_per_element() {
-        let base = DatabaseBuilder::new()
+    /// One table of operators: every operator, static and volatile inputs
+    /// on either side, the per-element plain paths (÷, − by a varying
+    /// subtrahend) and the leaves (`Values`, Δ).
+    fn cases() -> Vec<RaExpr> {
+        let (r, s, u) = (
+            RaExpr::relation("R"),
+            RaExpr::relation("S"),
+            RaExpr::relation("U"),
+        );
+        let join = |l: RaExpr, r: RaExpr| {
+            l.product(r)
+                .select(Predicate::eq(Operand::col(1), Operand::col(2)))
+        };
+        vec![
+            // × σ π ∪ Values, − by a static right side.
+            join(r.clone(), s.clone())
+                .project(vec![0, 3])
+                .union(RaExpr::values(Relation::from_tuples(
+                    2,
+                    vec![Tuple::ints(&[7, 7])],
+                )))
+                .difference(s.clone()),
+            r.clone().product(u.clone()),
+            r.clone()
+                .select(Predicate::neq(Operand::col(0), Operand::int(2)))
+                .project(vec![1]),
+            // ⋈ with a residual and the volatile side left, then right;
+            // ⋈ with both sides volatile.
+            r.clone().product(s.clone()).select(
+                Predicate::eq(Operand::col(1), Operand::col(2))
+                    .and(Predicate::neq(Operand::col(0), Operand::col(3))),
+            ),
+            s.clone().product(r.clone()).select(
+                Predicate::eq(Operand::col(1), Operand::col(2))
+                    .and(Predicate::neq(Operand::col(0), Operand::col(3))),
+            ),
+            join(r.clone(), r.clone()),
+            // ∩ with the volatile side left, right, and on both sides.
+            r.clone().project(vec![1]).intersection(u.clone()),
+            u.clone().intersection(r.clone().project(vec![1])),
+            r.clone().intersection(
+                r.clone()
+                    .select(Predicate::neq(Operand::col(0), Operand::int(2))),
+            ),
+            // − by a static, then by a volatile right side.
+            r.clone().difference(s.clone()),
+            s.clone().difference(r.clone()),
+            // ÷ volatile, and a static ÷ under a volatile ∪.
+            r.clone().divide(u.clone()),
+            s.clone()
+                .divide(u.clone())
+                .union(r.clone().project(vec![0])),
+            // Δ: the base constants plus the element's own.
+            RaExpr::Delta.union(r.clone()),
+            join(RaExpr::Delta, s.clone()),
+        ]
+    }
+
+    fn base() -> Database {
+        DatabaseBuilder::new()
             .relation("R", &["a", "b"])
             .relation("S", &["b", "c"])
+            .relation("U", &["b"])
             .ints("R", &[1, 10])
             .ints("R", &[2, 20])
             .ints("S", &[10, 100])
             .ints("S", &[20, 200])
-            .build();
-        let q = RaExpr::relation("R")
-            .product(RaExpr::relation("S"))
-            .select(Predicate::eq(Operand::col(1), Operand::col(2)))
-            .project(vec![0, 3])
-            .union(RaExpr::values(Relation::from_tuples(
-                2,
-                vec![Tuple::ints(&[7, 7])],
-            )))
-            .difference(RaExpr::relation("S"));
-        let plan = PlannedQuery::new(q, base.schema()).unwrap();
+            .ints("U", &[10])
+            .ints("U", &[20])
+            .ints("U", &[30])
+            .build()
+    }
 
-        // R varies per element; S is static.
-        let setup = ShardSetup::new(
-            base.iter().map(|(name, rel)| {
-                (
-                    name.to_owned(),
-                    Arc::new(ColumnBatch::from_relation(rel)),
-                    name == "S",
-                )
+    /// A shard over `db` whose relations are static as `is_static` says;
+    /// Δ is static iff every relation is.
+    fn setup(db: &Database, is_static: impl Fn(&str) -> bool) -> ShardSetup {
+        let all_static = db.iter().all(|(name, _)| is_static(name));
+        let constants = db.constants();
+        ShardSetup::new(
+            db.iter().map(|(name, rel)| {
+                let batch = Arc::new(ColumnBatch::from_relation(rel));
+                (name.to_owned(), batch, is_static(name))
             }),
-            None,
-        );
-        let mut exec = ShardExec::new(plan.physical(), 1024, setup);
+            Some((&constants, all_static)),
+        )
+    }
 
-        // Element i adds the row (i, 10·i) to R.
-        for i in 3..6i64 {
-            let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
-            volatile_scans.insert(
-                "R".into(),
-                Arc::new(ColumnBatch::from_rows(
-                    2,
-                    [Tuple::ints(&[i, 10 * i])].iter(),
-                )),
-            );
-            let volatile_delta = Arc::new(ColumnBatch::new(2));
-            let split = exec.eval_element(&ElementInput {
-                volatile_scans: &volatile_scans,
-                volatile_delta: &volatile_delta,
-            });
-
-            let mut world: Database = base.clone();
-            world.insert("R", Tuple::ints(&[i, 10 * i])).unwrap();
-            let reference = crate::exec::columnar::execute(plan.physical(), &world);
-            let mut got = split.stable.to_relation();
-            for t in split.volatile.to_relation().iter() {
-                got.insert(t.clone());
+    /// Elements built by hand over a static S and U and a volatile R: for
+    /// every operator of the table, the split executor's `stable ∪
+    /// volatile` must equal plain execution over the materialized element,
+    /// element by element.
+    #[test]
+    fn split_matches_plain_execution_per_element() {
+        let base = base();
+        // Each element adds rows to R: fresh constants, a b in U but not
+        // in R (∩ and ÷ change), rows failing and passing each join's
+        // residual, a row of S (− changes) and one joining into S.
+        let elements: [&[[i64; 2]]; 3] = [
+            &[[3, 30]],
+            &[[1, 20], [1, 30], [4, 10], [100, 10]],
+            &[[10, 100], [2, 10], [2, 30], [10, 10]],
+        ];
+        for q in cases() {
+            let plan = PlannedQuery::new(q.clone(), base.schema()).unwrap();
+            let mut exec = ShardExec::new(2, setup(&base, |name| name != "R"));
+            for rows in elements {
+                let tuples: Vec<Tuple> = rows.iter().map(|row| Tuple::ints(row)).collect();
+                let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
+                volatile_scans.insert(
+                    "R".into(),
+                    Arc::new(ColumnBatch::from_rows(2, tuples.iter())),
+                );
+                let mut world = base.clone();
+                for t in &tuples {
+                    world.insert("R", t.clone()).unwrap();
+                }
+                let mut volatile_delta = ColumnBatch::new(2);
+                for c in world.constants().difference(&base.constants()) {
+                    volatile_delta.push_row([Value::Const(c.clone()), Value::Const(c.clone())]);
+                }
+                let split = exec.eval_subtree(
+                    plan.physical().root(),
+                    &ElementInput {
+                        volatile_scans: &volatile_scans,
+                        volatile_delta: &Arc::new(volatile_delta),
+                    },
+                );
+                let reference = crate::exec::columnar::execute(plan.physical(), &world);
+                let mut got = split.stable.to_relation();
+                for t in split.volatile.to_relation().iter() {
+                    got.insert(t.clone());
+                }
+                assert_eq!(got, reference, "{q} for element {rows:?}");
             }
-            assert_eq!(got, reference, "element {i}");
+            assert!(
+                exec.stats.tables_reused > 0 || !plan.physical().has_hash_join(),
+                "later elements must hit the cached tables: {q} {:?}",
+                exec.stats
+            );
         }
-        assert!(
-            exec.stats.tables_reused > 0,
-            "later elements must hit the cached tables: {:?}",
-            exec.stats
-        );
+
+        // Every scan static: the split executor runs the shared operator
+        // table once, counting exactly what the plain executor counts.
+        for q in cases() {
+            let plan = PlannedQuery::new(q.clone(), base.schema()).unwrap();
+            for morsel in [1, 2, 1024] {
+                let mut exec = ShardExec::new(morsel, setup(&base, |_| true));
+                let split = exec.eval_subtree(
+                    plan.physical().root(),
+                    &ElementInput {
+                        volatile_scans: &HashMap::new(),
+                        volatile_delta: &Arc::new(ColumnBatch::new(2)),
+                    },
+                );
+                let (reference, stats) =
+                    execute_counted_with_morsel(plan.physical(), &base, morsel);
+                assert!(split.volatile.is_empty());
+                assert_eq!(split.stable.to_relation(), reference, "{q}");
+                assert_eq!(exec.stats, stats, "{q} at morsel {morsel}");
+            }
+        }
     }
 }

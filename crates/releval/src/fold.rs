@@ -543,7 +543,7 @@ impl Scratch {
     }
 
     /// The element's leaf input to
-    /// [`ShardExec::eval_element`](crate::exec::columnar::split::ShardExec::eval_element).
+    /// [`ShardExec::eval_subtree`](crate::exec::columnar::split::ShardExec::eval_subtree).
     fn input(&self) -> ElementInput<'_> {
         ElementInput {
             volatile_scans: &self.scans,
@@ -593,7 +593,7 @@ pub fn shard_exec<'p>(
         delta: Arc::new(ColumnBatch::new(2)),
         extra: BTreeSet::new(),
     };
-    (ShardExec::new(plan, morsel_rows(), setup), scratch)
+    (ShardExec::new(morsel_rows(), setup), scratch)
 }
 
 /// One component of a factorized fold (see the [module docs](self)): the
