@@ -16,15 +16,24 @@
 //! [`serve::RESULT_SHARDS`] locks, so hits on distinct queries rarely
 //! contend; each critical section is a hash lookup + clone).
 //!
+//! Last, `serve_write` times a one-tuple [`CertainService::update`] over an
+//! `n`-row and a `4n`-row `R` while the previous snapshot is still held, as
+//! an in-flight reader would hold it. The write copies one chunk of `R`,
+//! not `R`, so outside smoke mode the `4n` median must stay within 2× the
+//! `n` median, net of the null census the update still takes of `R`
+//! (linear, timed beside it).
+//!
 //! Each measurement is emitted as a machine-readable `BENCH {…}` json line;
 //! `BENCH_SMOKE=1` shrinks the workload so CI can keep the harness alive.
 
+use std::mem;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use bench::harness::{fmt_duration, measure, Measurement};
 use engine::Engine;
+use relalgebra::analysis::RelationCensus;
 use relmodel::{Database, Schema, Tuple};
 use serve::CertainService;
 
@@ -168,5 +177,72 @@ fn main() {
             &m,
         );
         print_row(&m);
+    }
+
+    serve_write(n, budget, smoke);
+}
+
+/// One-tuple writes at two sizes of `R`. Each timed update alternately
+/// inserts and removes one row, so `R` keeps its size, while the snapshot
+/// before it stays held; the version before that is released in the same
+/// iteration, so the time is copy plus free.
+///
+/// The update still re-measures the touched relation's null census
+/// ([`RelationCensus::measure`], run by [`engine::DbContext::derive`]),
+/// which is linear in `R`; it is timed on its own at each size, and the
+/// sublinear gate applies to the update net of it.
+fn serve_write(n: usize, budget: Duration, smoke: bool) {
+    println!("\n## serve_write (one-tuple update, previous snapshot held)");
+    println!(
+        "{:<22}  {:>12}  {:>12}  {:>9}",
+        "bench", "median", "min", "iters"
+    );
+    let row = Tuple::ints(&[-1, -1]);
+    let mut net = Vec::new();
+    for rows in [n, 4 * n] {
+        let service = CertainService::new(serve_db(rows));
+        let mut held = service.snapshot();
+        let mut insert = true;
+        let update = measure(format!("write/{rows}"), budget, || {
+            let released = mem::replace(&mut held, service.snapshot());
+            service.update(|db| {
+                let r = db.relation_mut("R").expect("R is in the schema");
+                let changed = if insert {
+                    r.insert(row.clone())
+                } else {
+                    r.remove(&row)
+                };
+                assert!(changed, "each write changes R");
+            });
+            insert = !insert;
+            released
+        });
+        emit("write", "update", rows, &update);
+        print_row(&update);
+        let snapshot = service.snapshot();
+        let r = snapshot
+            .database()
+            .relation("R")
+            .expect("R is in the schema");
+        let census = measure(format!("write-census/{rows}"), budget, || {
+            RelationCensus::measure(r)
+        });
+        emit("write", "census", rows, &census);
+        print_row(&census);
+        let nanos = |m: &Measurement| m.median.as_nanos() as f64;
+        net.push((nanos(&update) - nanos(&census)).max(1.0));
+    }
+    let growth = net[1] / net[0];
+    println!("write median net of the census at 4n vs n (n={n}): {growth:.2}x");
+    println!(
+        "BENCH {{\"bench\":\"serve\",\"experiment\":\"write_summary\",\"n\":{n},\
+         \"net_write_growth_4n_vs_n\":{growth:.3}}}"
+    );
+    if !smoke {
+        assert!(
+            growth <= 2.0,
+            "acceptance: a one-tuple write net of the census must be sublinear \
+             in the relation (4n median {growth:.2}x the n median)"
+        );
     }
 }

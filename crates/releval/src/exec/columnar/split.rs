@@ -433,12 +433,13 @@ impl<'p> ShardExec<'p> {
                         &mut self.stats,
                     );
                 }
-                // Lv ⋈ Rv: both tiny; the ordinary kernel suffices.
+                self.stats.join_rows_out += out.len();
+                // Lv ⋈ Rv: both tiny; the ordinary kernel suffices (and
+                // counts its own output rows).
                 if !lv.is_empty() && !rv.is_empty() {
                     let keep = residual_ok(residual, lv, rv);
                     out.append(&syntactic_join(lv, rv, keys, keep, morsel, &mut self.stats));
                 }
-                self.stats.join_rows_out += out.len();
                 Arc::new(out)
             }
             PhysOp::Union { .. } => concat(&l.volatile, &r.volatile),
@@ -592,6 +593,55 @@ mod tests {
         )
     }
 
+    /// One element's leaf data: `rows` added to R, no Δ rows.
+    fn r_rows(rows: &[[i64; 2]]) -> HashMap<String, Arc<ColumnBatch>> {
+        let tuples: Vec<Tuple> = rows.iter().map(|row| Tuple::ints(row)).collect();
+        let batch = Arc::new(ColumnBatch::from_rows(2, tuples.iter()));
+        HashMap::from([("R".to_owned(), batch)])
+    }
+
+    /// A join counts each output row once: after the first element (which
+    /// also builds the stable part), an element's `join_rows_out` is its
+    /// volatile row count, whichever cross terms (Ls ⋈ Rv, Lv ⋈ Rs,
+    /// Lv ⋈ Rv) the rows came from.
+    #[test]
+    fn join_rows_out_counts_each_volatile_row_once() {
+        let base = base();
+        let r = RaExpr::relation("R");
+        let q = r
+            .clone()
+            .product(r)
+            .select(Predicate::eq(Operand::col(1), Operand::col(2)));
+        let plan = PlannedQuery::new(q, base.schema()).unwrap();
+        assert!(matches!(
+            plan.physical().root().op(),
+            PhysOp::HashJoin { .. }
+        ));
+        let mut exec = ShardExec::new(2, setup(&base, |name| name != "R"));
+        let delta = Arc::new(ColumnBatch::new(2));
+        // (5,1) joins (1,10) of the stable R and (1,5) of its own
+        // element, and (1,5) joins (5,1); (20,2) joins (2,20) both ways.
+        let elements: [&[[i64; 2]]; 3] = [&[[3, 30]], &[[5, 1], [1, 5]], &[[20, 2], [2, 2]]];
+        for (i, rows) in elements.into_iter().enumerate() {
+            let before = exec.stats.join_rows_out;
+            let scans = r_rows(rows);
+            let split = exec.eval_subtree(
+                plan.physical().root(),
+                &ElementInput {
+                    volatile_scans: &scans,
+                    volatile_delta: &delta,
+                },
+            );
+            let stable = if i == 0 { split.stable.len() } else { 0 };
+            assert_eq!(
+                exec.stats.join_rows_out - before,
+                stable + split.volatile.len(),
+                "element {rows:?}"
+            );
+            assert!(i == 0 || split.volatile.len() >= 3, "element {rows:?}");
+        }
+    }
+
     /// Elements built by hand over a static S and U and a volatile R: for
     /// every operator of the table, the split executor's `stable ∪
     /// volatile` must equal plain execution over the materialized element,
@@ -611,15 +661,10 @@ mod tests {
             let plan = PlannedQuery::new(q.clone(), base.schema()).unwrap();
             let mut exec = ShardExec::new(2, setup(&base, |name| name != "R"));
             for rows in elements {
-                let tuples: Vec<Tuple> = rows.iter().map(|row| Tuple::ints(row)).collect();
-                let mut volatile_scans: HashMap<String, Arc<ColumnBatch>> = HashMap::new();
-                volatile_scans.insert(
-                    "R".into(),
-                    Arc::new(ColumnBatch::from_rows(2, tuples.iter())),
-                );
+                let volatile_scans = r_rows(rows);
                 let mut world = base.clone();
-                for t in &tuples {
-                    world.insert("R", t.clone()).unwrap();
+                for row in rows {
+                    world.insert("R", Tuple::ints(row)).unwrap();
                 }
                 let mut volatile_delta = ColumnBatch::new(2);
                 for c in world.constants().difference(&base.constants()) {

@@ -19,12 +19,13 @@ use crate::value::{Constant, NullId, Value};
 ///   ([`Database::is_codd`]) — this models SQL's unmarked `NULL`;
 /// * a **complete database** has no nulls at all ([`Database::is_complete`]).
 ///
-/// Relations copy on write ([`Relation`]), so the database is a persistent
-/// structure: `clone` copies one pointer per relation, and a clone that
-/// inserts into `R` (through [`Database::insert`] or
-/// [`Database::relation_mut`]) copies `R` alone and keeps sharing every
-/// other relation with the original; [`Database::set_relation`] replaces
-/// one. [`Database::shares_relation`] observes that sharing.
+/// Relations are persistent ([`Relation`]), so the database is too: `clone`
+/// copies one pointer per relation, and a clone that inserts one tuple into
+/// `R` (through [`Database::insert`] or [`Database::relation_mut`]) copies
+/// `R`'s chunk list and the one chunk the tuple lands in, sharing the rest
+/// of `R` and every other relation with the original;
+/// [`Database::set_relation`] replaces one. [`Database::shares_relation`]
+/// observes that sharing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Database {

@@ -12,9 +12,10 @@
 //!   an in-flight query keeps its snapshot alive by `Arc` however many
 //!   versions are published meanwhile, so every report is internally
 //!   consistent with the `snapshot_version` it carries.
-//! * **Structural sharing between versions.** A database holds its
-//!   relations by `Arc`, so the next version starts as a pointer copy of the
-//!   current one and a write copies only the relation it touches. The next
+//! * **Structural sharing between versions.** A database holds persistent
+//!   relations, so the next version starts as a pointer copy of the current
+//!   one, and a one-tuple write copies one chunk of the relation it touches
+//!   (and that relation's list of chunk pointers), not the relation. The next
 //!   snapshot's context is derived from the current one's
 //!   ([`engine::DbContext::derive`]): every relation the two versions share
 //!   keeps its census entry and its column batch, and only touched
@@ -428,7 +429,10 @@ impl CertainService {
     /// Returns the new version.
     ///
     /// The copy is structural: it shares every relation with the current
-    /// database, and `mutate` copies a relation only when it writes to it.
+    /// database, and a one-tuple write in `mutate` copies one chunk of the
+    /// relation it touches, not the relation ([`relmodel::Relation`]).
+    /// Dropping the previous snapshot, when this call held its last handle,
+    /// likewise frees one chunk.
     /// The mutation and the measurement of the touched relations happen
     /// outside the snapshot lock — readers keep answering on the old version
     /// throughout and switch atomically at the pointer swap. A

@@ -15,10 +15,10 @@
 //! Snapshots form a history in which each version is cheap to derive from
 //! the one before ([`Snapshot::next`]). The database shares every relation
 //! a write did not touch with its predecessor (a [`Database`] clone copies
-//! pointers and copies a relation only when it is written), and the context
-//! carries over the census entry and batch slot of each shared relation, so
-//! a one-tuple insert into `R` copies, measures, and later transposes `R`
-//! alone.
+//! pointers, and a one-tuple write copies one chunk of the relation it
+//! touches), and the context carries over the census entry and batch slot
+//! of each shared relation, so a one-tuple insert into `R` copies one chunk
+//! of `R`, and measures and later transposes `R` alone.
 //!
 //! Readers hold snapshots by `Arc`: an in-flight query keeps its snapshot
 //! (database, context, and batches) alive however many versions the
